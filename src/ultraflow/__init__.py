@@ -5,7 +5,6 @@ constrained improvements of the optimal constants."""
 __version__ = "0.1.0"
 
 from .constants import (  # noqa: F401
-    FlowKind,
     FlowSpec,
     Params,
     RegionPoint,
@@ -13,7 +12,6 @@ from .constants import (  # noqa: F401
     classify_region,
     counterexample_coefficient,
     counterexample_roots,
-    critical_exponents,
     gamma_discriminant,
     gamma_of_beta,
     gamma_one,
@@ -25,7 +23,6 @@ from .discretization import (  # noqa: F401
     GridFn,
     Quadrature,
     apply_L,
-    build_quadrature,
     derivative,
     eigenfunction,
     inner,

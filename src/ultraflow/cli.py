@@ -24,7 +24,7 @@ from . import constants as cs
 from . import counterexamples as cx
 from . import flows as fl
 from . import improvements as im
-from .discretization import GridFn, build_quadrature, random_positive
+from .discretization import GridFn, Quadrature, random_positive
 from .errors import DomainError, UltraflowError
 
 SCHEMA_VERSION = 1
@@ -85,41 +85,63 @@ def _json_safe(x):
 # -- init-spec mini-language ---------------------------------------------------
 
 
+def _fields(spec_str: str, rest: str, kinds: str) -> list:
+    """The comma-separated fields of an init spec; ``kinds`` has one letter
+    per field, "f" for a finite number and "i" for a whole number >= 0."""
+    parts = rest.split(",") if rest else []
+    if len(parts) != len(kinds):
+        raise DomainError(f"init spec {spec_str!r} needs {len(kinds)} field(s), got {len(parts)}")
+    out = []
+    for text, kind in zip(parts, kinds):
+        try:
+            x = float(text)
+        except ValueError:
+            x = math.nan
+        if not math.isfinite(x):
+            raise DomainError(f"init spec {spec_str!r}: {text!r} is not a finite number")
+        if kind == "i":
+            if not (x.is_integer() and x >= 0.0):
+                raise DomainError(f"init spec {spec_str!r}: {text!r} is not a whole number >= 0")
+            x = int(x)
+        out.append(x)
+    return out
+
+
 def parse_init(spec_str: str, quad, params: cs.Params, form: fl.Form, beta: float) -> GridFn:
     """const:c | conformal:a,b | powerlaw:a,b | random:seed,modes |
-    perturb:eps,mode -- each materialized for the requested flow form."""
+    perturb:eps,mode -- each materialized for the requested flow form.
+
+    The conformal and power-law data are closed-form functions g whose
+    density is g^e (e = p for the conformal u, beta_- p for the power-law
+    w); a pointwise form with exponent beta gets g^(e / (beta p)).
+    """
     kind, _, rest = spec_str.partition(":")
-    vals = [float(x) for x in rest.split(",")] if rest else []
     p = params.p
     if kind == "const":
-        (c,) = vals
+        (c,) = _fields(spec_str, rest, "f")
         return GridFn.constant(quad, c)
     if kind == "random":
-        seed, modes = int(vals[0]), int(vals[1])
+        seed, modes = _fields(spec_str, rest, "ii")
         return random_positive(quad, seed, modes=modes, amplitude=0.5)
     if kind == "perturb":
-        eps, mode = vals[0], int(vals[1])
+        eps, mode = _fields(spec_str, rest, "fi")
+        if mode >= quad.n:
+            raise DomainError(f"init spec {spec_str!r}: mode {mode} outside [0, {quad.n})")
         coeffs = np.zeros(quad.n)
         coeffs[0] = 1.0
         coeffs[mode] += eps
         return GridFn.from_coeffs(quad, coeffs)
-    if kind == "conformal":
-        a, b = vals
-        u = cx.materialize(cx.ExplicitFamily.conformal(params, a, b), quad)
-        if form is fl.Form.U_LINEAR:
-            return u
-        if form is fl.Form.W_NONLINEAR:
-            return GridFn.from_values(quad, u.values ** (1.0 / beta))
-        return GridFn.from_values(quad, u.values**p)
-    if kind == "powerlaw":
-        a, b = vals
-        w = cx.materialize(cx.ExplicitFamily.powerlaw(params, a, b), quad)
-        bm = cs.beta_roots(params).minus
-        if form is fl.Form.W_NONLINEAR:
-            return w
-        if form is fl.Form.U_LINEAR:
-            return GridFn.from_values(quad, w.values**bm)
-        return GridFn.from_values(quad, w.values ** (bm * p))
+    if kind in ("conformal", "powerlaw"):
+        a, b = _fields(spec_str, rest, "ff")
+        if kind == "conformal":
+            family = cx.ExplicitFamily.conformal(params, a, b)
+            e = p
+        else:
+            family = cx.ExplicitFamily.powerlaw(params, a, b)
+            e = family.beta * p
+        g = cx.materialize(family, quad)
+        power = e if form in fl.DENSITY_FORMS else e / (beta * p)
+        return GridFn.from_values(quad, g.values**power)
     raise DomainError(f"unknown init spec {spec_str!r}")
 
 
@@ -128,13 +150,12 @@ def parse_init(spec_str: str, quad, params: cs.Params, form: fl.Form, beta: floa
 
 def cmd_constants(args) -> int:
     params = cs.Params(args.d, args.p)
-    ts, sharp = cs.critical_exponents(params)
     a, b = cs.ab_coefficients(params)
     out = {
         "d": args.d,
         "p": args.p,
-        "two_star": ts,
-        "two_sharp": sharp,
+        "two_star": params.two_star,
+        "two_sharp": params.two_sharp,
         "delta": cs.delta_of(params),
         "quad_a": a,
         "quad_b": b,
@@ -232,7 +253,6 @@ def cmd_flow(args) -> int:
     form = _FORMS[args.form]
     if form in (fl.Form.RHO_HEAT, fl.Form.U_LINEAR):
         spec = cs.FlowSpec.heat(params)
-        beta = 1.0
     else:
         if args.beta is None and args.m is None:
             raise DomainError("nonlinear forms need --beta or --m")
@@ -241,9 +261,8 @@ def cmd_flow(args) -> int:
             if args.beta is not None
             else cs.FlowSpec.nonlinear_from_m(params, args.m)
         )
-        beta = spec.beta
-    quad = build_quadrature(args.d, args.n)
-    f0 = parse_init(args.init, quad, params, form, beta)
+    quad = Quadrature(args.d, args.n)
+    f0 = parse_init(args.init, quad, params, form, spec.beta)
     state = fl.make_state(form, spec, f0)
     traj = fl.evolve(
         state,
@@ -256,7 +275,7 @@ def cmd_flow(args) -> int:
         "form": args.form,
         "d": args.d,
         "p": args.p,
-        "beta": beta,
+        "beta": spec.beta,
         "m": spec.m,
         "N": args.n,
         "t_end": args.t_end,
@@ -328,7 +347,7 @@ def _suite_quadrature(args):
     from .discretization import GridFn, integral
 
     for d in [1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 8.0, 10.0]:
-        quad = build_quadrature(d, 64)
+        quad = Quadrature(d, 64)
         yield f"measure normalized (d={d})", abs(integral(GridFn.constant(quad, 1.0)) - 1.0) < 1e-13
         z2 = GridFn.from_values(quad, quad.nodes**2)
         yield f"second moment (d={d})", abs(integral(z2) - 1.0 / (d + 1.0)) < 1e-12
@@ -337,7 +356,7 @@ def _suite_quadrature(args):
 def _suite_lemma_identities(args):
     rng = np.random.default_rng(args.seed)
     for d in [3.0, 5.0]:
-        quad = build_quadrature(d, 128)
+        quad = Quadrature(d, 128)
         worst1 = worst2 = 0.0
         for _ in range(20):
             f = random_positive(quad, rng, modes=12, amplitude=0.6)
@@ -365,7 +384,7 @@ def _suite_heat_monotone(args):
     d = args.d if args.d is not None else 5.0
     p = args.p if args.p is not None else 3.0
     params = cs.Params(d, p)
-    quad = build_quadrature(d, 128)
+    quad = Quadrature(d, 128)
     rng = np.random.default_rng(args.seed)
     ok_mono = ok_cons = True
     for _ in range(10):
@@ -399,7 +418,7 @@ def _suite_exact_solution(args):
 def _suite_moment_decay(args):
     d = args.d if args.d is not None else 4.0
     p = args.p if args.p is not None else 3.0
-    quad = build_quadrature(d, 64)
+    quad = Quadrature(d, 64)
     u0 = GridFn.from_values(quad, 1.0 + 0.1 * quad.nodes)
     state = fl.make_state(fl.Form.U_LINEAR, cs.FlowSpec.heat(cs.Params(d, p)), u0)
     rep = fl.moment_decay_check(state, 1.0, dt_max=2e-4)

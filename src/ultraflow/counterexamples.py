@@ -43,13 +43,7 @@ from .constants import (
 from .discretization import GridFn, Quadrature, derivative, second_derivative
 from .errors import DomainError, PositivityError
 from .flows import Form, conformal_coefficients, evolve, make_state
-from .functionals import (
-    cdc_triple,
-    deficit,
-    dissipation_heat,
-    dissipation_nonlinear,
-    heat_bracket,
-)
+from .functionals import cdc_triple, deficit, dissipation_nonlinear, nonlinear_bracket
 
 
 class FamilyKind(enum.Enum):
@@ -160,8 +154,8 @@ def first_obstruction(
 
     report: dict = {"d": d, "p": p, "a": a, "b": b, "N": n}
 
-    # (ii) heat dissipation at the conformal datum
-    report["heat_dissipation"] = dissipation_heat(u, p).dF_dt_analytic
+    # (ii) heat dissipation (the beta = 1 member) at the conformal datum
+    report["heat_dissipation"] = dissipation_nonlinear(u, p, 1.0).dF_dt_analytic
 
     # (i) nonlinear dissipation at the same datum
     if d >= 4.0:
@@ -237,7 +231,7 @@ def second_obstruction(
     a_closed = counterexample_coefficient(params, beta)
     j_ff, j_fc, j_cc = cdc_triple(f)
     rhs = a_closed * j_cc / beta**2
-    expanded, _ = heat_bracket(f, p)
+    expanded, _ = nonlinear_bracket(f, p, 1.0)
     analytic = -expanded
 
     rho0 = GridFn.from_values(quad, f.values**p)

@@ -199,11 +199,6 @@ class Quadrature:
         return f"Quadrature(d={self.d}, n={self.n})"
 
 
-def build_quadrature(d: float, n: int, pad: int = 2) -> Quadrature:
-    """Nodes and weights for the probability measure nu_d, n-point rule."""
-    return Quadrature(d, n, pad)
-
-
 @dataclass(frozen=True)
 class GridFn:
     """A function on (-1, 1) held as nodal values plus spectral coefficients.
@@ -288,7 +283,7 @@ class GridFn:
     def from_json(cls, text: str, quad: Quadrature | None = None) -> "GridFn":
         obj = json.loads(text)
         if quad is None:
-            quad = build_quadrature(obj["d"], obj["N"])
+            quad = Quadrature(obj["d"], obj["N"])
         elif quad.d != obj["d"] or quad.n != obj["N"]:
             raise QuadratureMismatchError("serialized grid function used a different rule")
         return cls.from_coeffs(quad, np.array(obj["coeffs"]))

@@ -17,15 +17,14 @@ of two and carry the compensating factor in the inequality).
 
 ``dF_dt_analytic`` in a DissipationReport is the time derivative of the
 *unnormalized* deficit d*F (equivalently of
-int |u'|^2 nu + d/(p-2) (||u||_2^2 - ||u||_p^2)) along the relevant flow:
+int |u'|^2 nu + d/(p-2) (||u||_2^2 - ||u||_p^2)) along the rescaled
+nonlinear flow, in its own clock, evaluated at w with rho = w^(b p):
 
-    heat flow         : -2 [ J_ff - 2 c1 (p-1) J_fc + d/(d+2) (p-1) J_cc ]
-    nonlinear (clock
-    of the rescaled
-    pointwise flow)   : -2 beta^2 [ J_ff - 2 c1 (k+b-1) J_fc
-                                    + (k(b-1) + d/(d+2)(k+b-1)) J_cc ]
+    -2 b^2 [ J_ff - 2 c1 (k+b-1) J_fc + (k(b-1) + d/(d+2)(k+b-1)) J_cc ]
 
-with c1 = (d-1)/(d+2), evaluated at u resp. w.  The numeric counterpart
+with c1 = (d-1)/(d+2) and k = b(p-2) + 1.  The heat flow is the b = 1
+member (k = p - 1, w = u = rho^(1/p)), where the bracket reads
+J_ff - 2 c1 (p-1) J_fc + d/(d+2) (p-1) J_cc.  The numeric counterpart
 produced by the flows module differentiates the same unnormalized deficit.
 """
 
@@ -36,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import Params, gamma_of_beta, gamma_one, kappa_from_beta
+from .constants import Params, gamma_of_beta, kappa_from_beta
 from .discretization import GridFn, derivative, second_derivative
 from .errors import DomainError
 
@@ -44,16 +43,12 @@ from .errors import DomainError
 P_LOG_BRANCH_TOL = 1e-9
 
 
-def _weights(f: GridFn):
-    return f.quad.weights
-
-
 def entropy(rho: GridFn, p: float) -> float:
     """Entropy E_p[rho]; logarithmic branch within 1e-9 of p = 2."""
     rho.require_positive(what="density")
     if p < 1.0:
         raise DomainError(f"exponent must be >= 1, got {p}")
-    w = _weights(rho)
+    w = rho.quad.weights
     mass = float(np.sum(w * rho.values))
     if abs(p - 2.0) < P_LOG_BRANCH_TOL:
         return 0.5 * float(np.sum(w * rho.values * np.log(rho.values / mass)))
@@ -65,7 +60,7 @@ def fisher(rho: GridFn, p: float) -> float:
     rho.require_positive(what="density")
     u = GridFn.from_values(rho.quad, rho.values ** (1.0 / p))
     up = derivative(u, check=False)
-    return float(np.sum(_weights(rho) * rho.quad.nu * up.values**2))
+    return float(np.sum(rho.quad.weights * rho.quad.nu * up.values**2))
 
 
 def deficit(rho: GridFn, p: float) -> float:
@@ -80,7 +75,7 @@ def quotient(u: GridFn, p: float) -> float:
     (p-2) ||u'||^2_nu / (||u||_p^2 - ||u||_2^2) for p != 2, with the
     entropy denominator at p = 2.  Raises for (numerically) constant u.
     """
-    w = _weights(u)
+    w = u.quad.weights
     up = derivative(u)
     num = float(np.sum(w * u.quad.nu * up.values**2))
     sq = float(np.sum(w * u.values**2))
@@ -113,39 +108,29 @@ def cdc_triple(u: GridFn) -> tuple[float, float, float]:
     return j_ff, j_fc, j_cc
 
 
-def heat_bracket(u: GridFn, p: float) -> tuple[float, float]:
-    """Heat-flow dissipation quadratic form in expanded and completed-square
-    form (they agree identically; both are returned for cross-checking)."""
-    d = u.quad.d
-    j_ff, j_fc, j_cc = cdc_triple(u)
-    c = (d - 1.0) / (d + 2.0) * (p - 1.0)
-    expanded = j_ff - 2.0 * c * j_fc + d / (d + 2.0) * (p - 1.0) * j_cc
-    square = _completed_square(u, c) + gamma_one(Params(d, p)) * j_cc
-    return expanded, square
-
-
 def nonlinear_bracket(w: GridFn, p: float, beta: float) -> tuple[float, float]:
-    """Same quadratic form for the rescaled nonlinear flow; reduces to the
-    heat bracket at beta = 1."""
-    d = w.quad.d
-    kappa = kappa_from_beta(Params(d, p), beta)
-    j_ff, j_fc, j_cc = cdc_triple(w)
+    """Dissipation quadratic form of the rescaled nonlinear flow at w, in
+    expanded and completed-square form; beta = 1 is the heat flow.
+
+    Both are evaluated from the same three integrals; they agree exactly
+    when the completed square's remainder coefficient is gamma(beta), so
+    their agreement checks the closed form of gamma against the bracket.
+    """
+    return _bracket(cdc_triple(w), w.quad.d, p, beta)
+
+
+def _bracket(triple, d: float, p: float, beta: float) -> tuple[float, float]:
+    j_ff, j_fc, j_cc = triple
+    params = Params(d, p)
+    kappa = kappa_from_beta(params, beta)
     c = (d - 1.0) / (d + 2.0) * (kappa + beta - 1.0)
     expanded = (
         j_ff
         - 2.0 * c * j_fc
         + (kappa * (beta - 1.0) + d / (d + 2.0) * (kappa + beta - 1.0)) * j_cc
     )
-    square = _completed_square(w, c) + gamma_of_beta(Params(d, p), beta) * j_cc
+    square = j_ff - 2.0 * c * j_fc + (c * c + gamma_of_beta(params, beta)) * j_cc
     return expanded, square
-
-
-def _completed_square(u: GridFn, c: float) -> float:
-    q = u.quad
-    up = derivative(u, check=False).values
-    upp = second_derivative(u, check=False).values
-    resid = upp - c * up**2 / u.values
-    return float(np.sum(q.weights * q.nu**2 * resid**2))
 
 
 @dataclass(frozen=True)
@@ -189,42 +174,16 @@ class DissipationReport:
         return replace(self, dF_dt_numeric=value)
 
 
-def _report_core(u: GridFn, p: float) -> tuple[float, float, float, float]:
-    rho = GridFn.from_values(u.quad, u.values**p)
-    e = entropy(rho, p)
-    i = fisher(rho, p)
-    f = i / u.quad.d - e
-    try:
-        q = quotient(u, p)
-    except ZeroDivisionError:
-        q = math.nan
-    return e, i, f, q
-
-
 def dissipation_heat(u: GridFn, p: float) -> DissipationReport:
-    """Report at u for the heat flow acting on rho = u^p.
-
-    dF_dt_analytic = -2 * (expanded bracket); the expanded and
-    completed-square evaluations must agree to roundoff, which the
-    verification suites assert.
-    """
-    u.require_positive(what="heat dissipation input")
-    e, i, f, qv = _report_core(u, p)
-    j_ff, j_fc, j_cc = cdc_triple(u)
-    expanded, _ = heat_bracket(u, p)
-    return DissipationReport(
-        E_p=e, I_p=i, F=f, Q_p=qv,
-        J_ff=j_ff, J_fc=j_fc, J_cc=j_cc,
-        dF_dt_analytic=-2.0 * expanded,
-        dF_dt_numeric=math.nan,
-        d=u.quad.d, p=p, beta=1.0, N=u.quad.n,
-    )
+    """Report at u for the heat flow acting on rho = u^p: the beta = 1 member."""
+    return dissipation_nonlinear(u, p, 1.0)
 
 
 def dissipation_nonlinear(w: GridFn, p: float, beta: float) -> DissipationReport:
     """Report at w for the rescaled nonlinear flow (dissipation in the clock
-    of that flow); rho = w^(beta p)."""
-    w.require_positive(what="nonlinear dissipation input")
+    of that flow); rho = w^(beta p).  dF_dt_analytic = -2 beta^2 times the
+    expanded bracket."""
+    w.require_positive(what="dissipation input")
     if math.isinf(beta) or beta == 0.0:
         raise DomainError("nonlinear dissipation needs finite nonzero beta")
     rho = GridFn.from_values(w.quad, w.values ** (beta * p))
@@ -236,8 +195,8 @@ def dissipation_nonlinear(w: GridFn, p: float, beta: float) -> DissipationReport
         qv = quotient(u, p)
     except ZeroDivisionError:
         qv = math.nan
-    j_ff, j_fc, j_cc = cdc_triple(w)
-    expanded, _ = nonlinear_bracket(w, p, beta)
+    j_ff, j_fc, j_cc = triple = cdc_triple(w)
+    expanded, _ = _bracket(triple, w.quad.d, p, beta)
     return DissipationReport(
         E_p=e, I_p=i, F=f, Q_p=qv,
         J_ff=j_ff, J_fc=j_fc, J_cc=j_cc,

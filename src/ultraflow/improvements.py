@@ -198,7 +198,7 @@ def _descend(
     gtol: float = 1e-10,
 ):
     """Projected gradient descent on log(objective); objective is a ratio of
-    diagonal quadratics given by (num_weights, den_weights)."""
+    diagonal quadratics given by the weight vectors (num_w, den_w)."""
     num_w, den_w = objective
     c = project_feasible(quad, coeffs, p)
 

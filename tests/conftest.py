@@ -3,12 +3,12 @@ import functools
 import numpy as np
 import pytest
 
-from ultraflow import build_quadrature
+from ultraflow import Quadrature
 
 
 @functools.lru_cache(maxsize=32)
 def cached_quadrature(d: float, n: int):
-    return build_quadrature(d, n)
+    return Quadrature(d, n)
 
 
 @pytest.fixture

@@ -15,11 +15,11 @@ from ultraflow import (
     Form,
     GridFn,
     Params,
+    Quadrature,
     antipodal_constants,
     antipodal_spectral_check,
     apply_L,
     beta_roots,
-    build_quadrature,
     counterexample_coefficient,
     counterexample_roots,
     derivative,
@@ -51,7 +51,7 @@ def report(k, text):
 def test_criterion_01_quadrature_measure():
     """Measure normalization and second moment across real dimensions."""
     for d in (1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 8.0, 10.0):
-        quad = build_quadrature(d, 64)
+        quad = Quadrature(d, 64)
         assert abs(integral(GridFn.constant(quad, 1.0)) - 1.0) <= 1e-13
         z2 = GridFn.from_values(quad, quad.nodes**2)
         assert abs(integral(z2) - 1.0 / (d + 1.0)) <= 1e-12

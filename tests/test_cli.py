@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from ultraflow.cli import main
 
 RUN = [sys.executable, "-m", "ultraflow.cli"]
@@ -108,6 +110,30 @@ class TestFlowCommand:
         report = json.loads((tmp_path / "flow.json").read_text())
         # deficit starts at the minimum and rises: not monotone
         assert report["F_monotone_nonincreasing"] is False
+
+    @pytest.mark.parametrize(
+        "init",
+        ["const:1,2", "const:", "const:nan", "random:x,3", "random:1", "perturb:0.1,500",
+         "perturb:0.1,-1", "perturb:0.1,2.5", "conformal:1"],
+    )
+    def test_malformed_init_is_parameter_error(self, init, capsys):
+        rc = main(["flow", "--form", "heat", "--d", "5", "--p", "3", "--init", init,
+                   "--t-end", "0.1", "--n", "32"])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "parameter"
+
+    @pytest.mark.parametrize("init", ["powerlaw:1,0.4", "conformal:1,0.3"])
+    def test_initial_deficit_agrees_across_forms(self, init, capsys):
+        # every form materializes the same density from a closed-form datum,
+        # also when the flow's beta differs from the power law's beta_-
+        first = {}
+        for form in ("heat", "fde", "u", "w"):
+            rc = main(["flow", "--form", form, "--d", "5", "--p", "3.25", "--beta", "1.5",
+                       "--init", init, "--t-end", "1e-5", "--samples", "2", "--n", "64"])
+            assert rc == 0
+            first[form] = json.loads(capsys.readouterr().out)["F_first"]
+        for form, value in first.items():
+            assert value == pytest.approx(first["heat"], rel=1e-12), form
 
 
 class TestCounterexampleCommand:

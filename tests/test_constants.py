@@ -5,14 +5,12 @@ import pytest
 
 from ultraflow import (
     DomainError,
-    FlowKind,
     FlowSpec,
     Params,
     beta_roots,
     classify_region,
     counterexample_coefficient,
     counterexample_roots,
-    critical_exponents,
     gamma_discriminant,
     gamma_of_beta,
     gamma_one,
@@ -47,20 +45,24 @@ class TestParams:
 
 class TestCriticalExponents:
     def test_d5(self):
-        ts, sharp = critical_exponents(Params(5.0, 2.0))
+        params = Params(5.0, 2.0)
+        ts, sharp = params.two_star, params.two_sharp
         assert ts == pytest.approx(10.0 / 3.0, abs=0)
         assert sharp == 51.0 / 16.0 == 3.1875
 
     def test_d3(self):
-        ts, sharp = critical_exponents(Params(3.0, 2.0))
+        params = Params(3.0, 2.0)
+        ts, sharp = params.two_star, params.two_sharp
         assert ts == 6.0 and sharp == 4.75
 
     def test_d2_sentinel(self):
-        ts, sharp = critical_exponents(Params(2.0, 7.0))
+        params = Params(2.0, 7.0)
+        ts, sharp = params.two_star, params.two_sharp
         assert math.isinf(ts) and sharp == 9.0
 
     def test_d1_sentinel(self):
-        ts, sharp = critical_exponents(Params(1.0, 7.0))
+        params = Params(1.0, 7.0)
+        ts, sharp = params.two_star, params.two_sharp
         assert math.isinf(ts) and math.isinf(sharp)
 
 
@@ -199,7 +201,6 @@ class TestCounterexampleCoefficient:
 class TestFlowSpec:
     def test_heat(self):
         spec = FlowSpec.heat(Params(5.0, 3.0))
-        assert spec.kind is FlowKind.HEAT
         assert (spec.beta, spec.m, spec.kappa) == (1.0, 1.0, 2.0)
 
     def test_nonlinear_consistency(self):
@@ -224,10 +225,6 @@ class TestFlowSpec:
     def test_degenerate_rejected(self):
         with pytest.raises(DomainError):
             FlowSpec.nonlinear(Params(5.0, 3.0), 0.0)
-        with pytest.raises(DomainError):
-            FlowSpec(FlowKind.HEAT, Params(5.0, 3.0), beta=2.0, m=1.0, kappa=2.0)
-        with pytest.raises(DomainError):
-            FlowSpec(FlowKind.NONLINEAR, Params(5.0, 3.0), beta=2.0, m=1.0, kappa=3.0)
 
     def test_kappa_conventions(self):
         params = Params(5.0, 3.0)
@@ -251,14 +248,38 @@ class TestClassifyRegion:
         assert not classify_region(Params(4.0, 3.0), 0.2).admissible
 
     def test_matches_gamma_sign(self, rng):
+        # classify_region is the sign test on gamma; check it against the
+        # roots instead: beta in [beta_-, beta_+] when delta > 0, outside
+        # (beta_+, beta_-) when delta < 0, and the closed half-line from the
+        # finite root when delta = 0
+        def in_root_set(params, beta):
+            r = beta_roots(params)
+            lo, hi = sorted((r.minus, r.plus))
+            if r.delta >= 0.0:
+                return lo - GAMMA_TIE_TOL <= beta <= hi + GAMMA_TIE_TOL
+            return not lo + GAMMA_TIE_TOL < beta < hi - GAMMA_TIE_TOL
+
+        cases = []
         for _ in range(500):
             d = float(rng.uniform(1.0, 10.0))
             hi = min(two_star(d), 12.0)
-            p = float(rng.uniform(1.0, hi))
-            beta = float(rng.uniform(-3.0, 5.0))
+            cases.append((d, float(rng.uniform(1.0, hi)), float(rng.uniform(-3.0, 5.0))))
+        # exponents where delta = 0, including one with b < 0, plus the root
+        for d, p in [(1.0, 2.0), (3.0, 2.25), (4.0, 3.0), (2.0, 9.0 + math.sqrt(48.0))]:
+            root = beta_roots(Params(d, p)).minus
+            cases += [(d, p, float(beta)) for beta in rng.uniform(-3.0, 5.0, 50)]
+            cases.append((d, p, root))
+        # probes just inside and outside every finite root
+        for d, p, _ in list(cases):
+            r = beta_roots(Params(d, p))
+            for root in (r.minus, r.plus):
+                if math.isfinite(root):
+                    step = 1e-6 * max(1.0, abs(root))
+                    cases += [(d, p, root - step), (d, p, root + step)]
+        for d, p, beta in cases:
             params = Params(d, p)
-            pt = classify_region(params, beta)
-            assert pt.admissible == (gamma_of_beta(params, beta) >= -GAMMA_TIE_TOL)
+            expected = in_root_set(params, beta)
+            assert classify_region(params, beta).admissible == expected, (d, p, beta)
 
     def test_m_field(self):
         pt = classify_region(Params(5.0, 3.0), 2.0)

@@ -5,10 +5,10 @@ from scipy.integrate import quad as adaptive_quad
 from ultraflow import (
     GridFn,
     PositivityError,
+    Quadrature,
     QuadratureMismatchError,
     ResolutionError,
     apply_L,
-    build_quadrature,
     derivative,
     eigenfunction,
     inner,
@@ -66,9 +66,9 @@ class TestQuadrature:
 
     def test_bad_parameters(self):
         with pytest.raises(DomainError):
-            build_quadrature(0.5, 32)
+            Quadrature(0.5, 32)
         with pytest.raises(DomainError):
-            build_quadrature(3.0, 3)
+            Quadrature(3.0, 3)
 
 
 class TestGridFn:

@@ -19,11 +19,7 @@ from ultraflow import (
 )
 from ultraflow.discretization import random_positive
 from ultraflow.errors import PositivityLossError
-from ultraflow.flows import (
-    conformal_coefficients,
-    to_density_form,
-    to_pointwise_form,
-)
+from ultraflow.flows import _full_rhs, conformal_coefficients, convert
 
 from conftest import cached_quadrature
 
@@ -179,6 +175,16 @@ class TestFormEquivalence:
         rep = traj.reports[40]
         assert rep.dF_dt_numeric == pytest.approx(rep.dF_dt_analytic, rel=1e-2)
 
+    def test_u_linear_rhs_is_w_nonlinear_at_beta_one(self, quad5, rng):
+        # the one deliberate duplicate: U_LINEAR keeps a cheaper right-hand
+        # side than the W_NONLINEAR branch it equals at beta = 1
+        params = Params(5.0, 3.0)
+        c = random_positive(quad5, rng, modes=10, amplitude=0.6).coeffs
+        g_u, sigma_u = _full_rhs(Form.U_LINEAR, FlowSpec.heat(params), quad5, c)
+        g_w, sigma_w = _full_rhs(Form.W_NONLINEAR, FlowSpec.nonlinear(params, 1.0), quad5, c)
+        assert sigma_u == sigma_w
+        assert np.max(np.abs(g_u - g_w)) <= 1e-13 * np.max(np.abs(g_u))
+
     def test_conversion_helpers_roundtrip(self, quad5, rng):
         params = Params(5.0, 3.3)
         beta = beta_roots(params).minus
@@ -186,12 +192,16 @@ class TestFormEquivalence:
         w0 = random_positive(quad5, rng, modes=6, amplitude=0.4)
         st_w = make_state(Form.W_NONLINEAR, spec, w0)
         st_w = st_w.__class__(0.3, st_w.f, st_w.form, st_w.spec, st_w.conserved0)
-        st_rho = to_density_form(st_w)
+        st_rho = convert(st_w, Form.RHO_FDE)
         assert st_rho.form is Form.RHO_FDE
         assert st_rho.t == pytest.approx(0.3 / spec.m)
-        back = to_pointwise_form(st_rho)
+        back = convert(st_rho, Form.W_NONLINEAR)
         assert back.t == pytest.approx(0.3)
         assert np.max(np.abs(back.f.values - w0.values)) < 1e-12
+        # the heat pair shares its clock (m = 1)
+        st_heat = convert(make_state(Form.U_LINEAR, FlowSpec.heat(params), w0, 0.3), Form.RHO_HEAT)
+        assert st_heat.t == 0.3
+        assert np.array_equal(st_heat.f.values, w0.values**params.p)
 
 
 class TestMomentDecay:

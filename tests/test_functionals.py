@@ -19,7 +19,7 @@ from ultraflow import (
     two_star,
 )
 from ultraflow.discretization import normalization_constant, random_positive
-from ultraflow.functionals import heat_bracket, nonlinear_bracket
+from ultraflow.functionals import nonlinear_bracket
 
 from conftest import cached_quadrature
 
@@ -163,7 +163,7 @@ class TestDissipation:
     def test_expanded_equals_completed_square(self, quad5, rng):
         for _ in range(10):
             u = random_positive(quad5, rng, modes=12, amplitude=0.6)
-            e, s = heat_bracket(u, 3.0)
+            e, s = nonlinear_bracket(u, 3.0, 1.0)
             assert e == pytest.approx(s, rel=1e-10)
             e, s = nonlinear_bracket(u, 3.3, 1.2)
             assert e == pytest.approx(s, rel=1e-10)
