@@ -57,6 +57,7 @@ from .functionals import (  # noqa: F401
     deficit,
     dissipation_heat,
     dissipation_nonlinear,
+    dissipation_report,
     entropy,
     fisher,
     quotient,

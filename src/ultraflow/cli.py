@@ -119,6 +119,8 @@ def parse_init(spec_str: str, quad, params: cs.Params, form: fl.Form, beta: floa
     p = params.p
     if kind == "const":
         (c,) = _fields(spec_str, rest, "f")
+        if not c > 0.0:
+            raise DomainError(f"init spec {spec_str!r}: need c > 0")
         return GridFn.constant(quad, c)
     if kind == "random":
         seed, modes = _fields(spec_str, rest, "ii")
@@ -133,6 +135,7 @@ def parse_init(spec_str: str, quad, params: cs.Params, form: fl.Form, beta: floa
         return GridFn.from_coeffs(quad, coeffs)
     if kind in ("conformal", "powerlaw"):
         a, b = _fields(spec_str, rest, "ff")
+        _require_positive_base(a, b)
         if kind == "conformal":
             family = cx.ExplicitFamily.conformal(params, a, b)
             e = p
@@ -143,6 +146,13 @@ def parse_init(spec_str: str, quad, params: cs.Params, form: fl.Form, beta: floa
         power = e if form in fl.DENSITY_FORMS else e / (beta * p)
         return GridFn.from_values(quad, g.values**power)
     raise DomainError(f"unknown init spec {spec_str!r}")
+
+
+def _require_positive_base(a: float, b: float):
+    """The closed-form witnesses are powers of a + b z: positive on the
+    interval exactly when a > |b|."""
+    if not a > abs(b):
+        raise DomainError(f"need a > |b| for a + b z > 0 on (-1, 1); got a={a}, b={b}")
 
 
 # -- commands -------------------------------------------------------------------
@@ -308,6 +318,7 @@ def cmd_flow(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    _require_positive_base(args.a, args.b)
     out = {"d": args.d, "a": args.a, "b": args.b}
     if args.d >= 3:
         out["first_obstruction"] = cx.first_obstruction(args.d, args.a, args.b, n=args.n)
@@ -363,8 +374,8 @@ def _suite_lemma_identities(args):
             from .discretization import derivative, second_derivative
 
             lf = GridFn.from_coeffs(quad, -quad.eigenvalues * f.coeffs)
-            fp = derivative(f).values
-            fpp = second_derivative(f).values
+            fp = derivative(f)
+            fpp = second_derivative(f)
             w = quad.weights
             lhs1 = float(np.sum(w * lf.values**2))
             rhs1 = float(np.sum(w * quad.nu**2 * fpp**2)) + d * float(

@@ -21,6 +21,13 @@ GAMMA_TIE_TOL = 1e-11
 #: |delta| below this is treated as the degenerate (linear) case
 DELTA_ZERO_TOL = 1e-12
 
+#: |1 + p(m-1)/2| = 1/|beta| below this makes m the infinite-beta member
+#: m = 1 - 2/p.  The pointwise variable w = rho^(1/(beta p)) = 1 + O(1/beta)
+#: holds the shape of rho only in its digits past 1/beta, fewer than half of
+#: them below this tolerance; so m = 2/3 given to ten digits at p = 6 is the
+#: critical member, not beta = 1e10
+M_CRITICAL_TOL = 1e-8
+
 
 def two_star(d: float) -> float:
     """Critical exponent 2d/(d-2); infinite for d <= 2."""
@@ -166,9 +173,9 @@ def m_from_beta(params: Params, beta: float) -> float:
 
 def beta_from_m(params: Params, m: float) -> float:
     """Inverse of m_from_beta; returns inf when 1 + p(m-1)/2 vanishes
-    (to rounding), i.e. at m = 1 - 2/p."""
+    (to M_CRITICAL_TOL), i.e. at m = 1 - 2/p."""
     denom = 1.0 + params.p * (m - 1.0) / 2.0
-    if abs(denom) < 1e-12:
+    if abs(denom) < M_CRITICAL_TOL:
         return math.inf
     return 1.0 / denom
 

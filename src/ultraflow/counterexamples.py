@@ -116,8 +116,8 @@ def ode_residual(w: GridFn, ratio: float) -> float:
     that inflates the raw residual at the outermost nodes.
     """
     q = w.quad
-    wp = derivative(w, check=False).values
-    wpp = second_derivative(w, check=False).values
+    wp = derivative(w, check=False)
+    wpp = second_derivative(w, check=False)
     return float(np.max(q.nu**2 * np.abs(wpp - ratio * wp**2 / w.values)))
 
 

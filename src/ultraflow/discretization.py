@@ -304,17 +304,17 @@ def apply_L(f: GridFn, check: bool = True) -> GridFn:
     return GridFn.from_coeffs(f.quad, -f.quad.eigenvalues * f.coeffs)
 
 
-def derivative(f: GridFn, check: bool = True) -> GridFn:
-    """Spectral derivative; exact on polynomials within the resolved band."""
+def derivative(f: GridFn, check: bool = True) -> np.ndarray:
+    """Spectral derivative at the nodes; exact on polynomials in the resolved band."""
     if check:
         f.require_resolved()
-    return GridFn.from_values(f.quad, f.quad.derivative_values(f.coeffs))
+    return f.quad.derivative_values(f.coeffs)
 
 
-def second_derivative(f: GridFn, check: bool = True) -> GridFn:
+def second_derivative(f: GridFn, check: bool = True) -> np.ndarray:
     if check:
         f.require_resolved()
-    return GridFn.from_values(f.quad, f.quad.second_derivative_values(f.coeffs))
+    return f.quad.second_derivative_values(f.coeffs)
 
 
 def inner(f: GridFn, g: GridFn) -> float:

@@ -45,7 +45,8 @@ from .errors import (
     PositivityError,
     PositivityLossError,
 )
-from .functionals import DissipationReport, dissipation_nonlinear, entropy, fisher
+from .functionals import (DissipationReport, dissipation_nonlinear, dissipation_report,
+                          entropy, fisher)
 
 #: defaults for the adaptive controller
 TOL_CONS = 1e-9
@@ -278,18 +279,13 @@ class Trajectory:
 
 def _sample_report(state: FlowState, clock_factor: float) -> DissipationReport:
     p, beta = state.params.p, state.spec.beta
-    if math.isinf(beta):
-        rho = density_of(state)
-        e = entropy(rho, p)
-        i = fisher(rho, p)
-        return DissipationReport(
-            E_p=e, I_p=i, F=i / state.f.quad.d - e, Q_p=math.nan,
-            J_ff=math.nan, J_fc=math.nan, J_cc=math.nan,
-            dF_dt_analytic=math.nan, dF_dt_numeric=math.nan,
-            d=state.f.quad.d, p=p, beta=beta, N=state.f.quad.n,
-        )
-    rep = dissipation_nonlinear(pointwise_of(state), p, beta)
-    if clock_factor != 1.0 and not math.isnan(rep.dF_dt_analytic):
+    if state.form not in DENSITY_FORMS:
+        return dissipation_nonlinear(state.f, p, beta)
+    rho = state.f
+    u = GridFn.from_values(rho.quad, rho.values ** (1.0 / p))
+    w = None if math.isinf(beta) else u if beta == 1.0 else pointwise_of(state)
+    rep = dissipation_report(rho.values, u, w, p, beta)
+    if clock_factor != 1.0:
         rep = replace(rep, dF_dt_analytic=clock_factor * rep.dF_dt_analytic)
     return rep
 
@@ -317,17 +313,16 @@ def evolve(
     clock_factor = state.spec.m if state.form in DENSITY_FORMS else 1.0
     times = np.linspace(state.t, t_end, samples)
     dt = dt_init if dt_init is not None else min(dt_max, horizon / max(8 * (samples - 1), 64))
-    d = state.f.quad.d
+    d, p = state.f.quad.d, state.params.p
     traj = Trajectory(state.form, [], [], [], [], [], [], [], state)
 
     def record(st: FlowState):
         rho = density_of(st)
-        e = entropy(rho, st.params.p)
-        i = fisher(rho, st.params.p)
+        rep = _sample_report(st, clock_factor) if with_reports else None
+        e, i = (rep.E_p, rep.I_p) if with_reports else (entropy(rho, p), fisher(rho, p))
         f_val = i / d - e
         cons = conserved_quantity(st.form, st.spec, st.f)
         mom = float(np.sum(st.f.quad.weights * st.f.quad.nodes * rho.values))
-        rep = _sample_report(st, clock_factor) if with_reports else None
         traj.times.append(st.t)
         traj.F.append(f_val)
         traj.E_p.append(e)

@@ -46,21 +46,23 @@ P_LOG_BRANCH_TOL = 1e-9
 def entropy(rho: GridFn, p: float) -> float:
     """Entropy E_p[rho]; logarithmic branch within 1e-9 of p = 2."""
     rho.require_positive(what="density")
+    return _entropy(rho.quad.weights, rho.values, p)
+
+
+def _entropy(w: np.ndarray, rho: np.ndarray, p: float) -> float:
     if p < 1.0:
         raise DomainError(f"exponent must be >= 1, got {p}")
-    w = rho.quad.weights
-    mass = float(np.sum(w * rho.values))
+    mass = float(np.sum(w * rho))
     if abs(p - 2.0) < P_LOG_BRANCH_TOL:
-        return 0.5 * float(np.sum(w * rho.values * np.log(rho.values / mass)))
-    return (mass ** (2.0 / p) - float(np.sum(w * rho.values ** (2.0 / p)))) / (p - 2.0)
+        return 0.5 * float(np.sum(w * rho * np.log(rho / mass)))
+    return (mass ** (2.0 / p) - float(np.sum(w * rho ** (2.0 / p)))) / (p - 2.0)
 
 
 def fisher(rho: GridFn, p: float) -> float:
     """int |(rho^(1/p))'|^2 nu against the measure."""
     rho.require_positive(what="density")
     u = GridFn.from_values(rho.quad, rho.values ** (1.0 / p))
-    up = derivative(u, check=False)
-    return float(np.sum(rho.quad.weights * rho.quad.nu * up.values**2))
+    return float(np.sum(rho.quad.weights * rho.quad.nu * derivative(u, check=False) ** 2))
 
 
 def deficit(rho: GridFn, p: float) -> float:
@@ -69,15 +71,16 @@ def deficit(rho: GridFn, p: float) -> float:
     return fisher(rho, p) / rho.quad.d - entropy(rho, p)
 
 
-def quotient(u: GridFn, p: float) -> float:
+def quotient(u: GridFn, p: float, up: np.ndarray | None = None) -> float:
     """Rayleigh-type quotient whose infimum over nonconstant functions is d.
 
     (p-2) ||u'||^2_nu / (||u||_p^2 - ||u||_2^2) for p != 2, with the
-    entropy denominator at p = 2.  Raises for (numerically) constant u.
+    entropy denominator at p = 2 (``up``: u' at the nodes, if known).
+    Raises for (numerically) constant u.
     """
     w = u.quad.weights
-    up = derivative(u)
-    num = float(np.sum(w * u.quad.nu * up.values**2))
+    up = derivative(u) if up is None else up
+    num = float(np.sum(w * u.quad.nu * up**2))
     sq = float(np.sum(w * u.values**2))
     if abs(p - 2.0) < P_LOG_BRANCH_TOL:
         u.require_positive(what="quotient input")
@@ -91,16 +94,16 @@ def quotient(u: GridFn, p: float) -> float:
     return num / den
 
 
-def cdc_triple(u: GridFn) -> tuple[float, float, float]:
+def cdc_triple(u: GridFn, up: np.ndarray | None = None) -> tuple[float, float, float]:
     """The three nu^2-weighted integrals entering the dissipation identity:
 
     J_ff = int |u''|^2 nu^2,   J_fc = int u'' |u'|^2/u nu^2,
-    J_cc = int |u'|^4 / u^2 nu^2.
+    J_cc = int |u'|^4 / u^2 nu^2   (``up``: u' at the nodes, if known).
     """
     u.require_positive(what="carre-du-champ input")
     q = u.quad
-    up = derivative(u, check=False).values
-    upp = second_derivative(u, check=False).values
+    up = derivative(u, check=False) if up is None else up
+    upp = second_derivative(u, check=False)
     w2 = q.weights * q.nu**2
     j_ff = float(np.sum(w2 * upp**2))
     j_fc = float(np.sum(w2 * upp * up**2 / u.values))
@@ -181,26 +184,36 @@ def dissipation_heat(u: GridFn, p: float) -> DissipationReport:
 
 def dissipation_nonlinear(w: GridFn, p: float, beta: float) -> DissipationReport:
     """Report at w for the rescaled nonlinear flow (dissipation in the clock
-    of that flow); rho = w^(beta p).  dF_dt_analytic = -2 beta^2 times the
-    expanded bracket."""
+    of that flow); rho = w^(beta p) and u = w^beta."""
     w.require_positive(what="dissipation input")
     if math.isinf(beta) or beta == 0.0:
         raise DomainError("nonlinear dissipation needs finite nonzero beta")
-    rho = GridFn.from_values(w.quad, w.values ** (beta * p))
-    e = entropy(rho, p)
-    i = fisher(rho, p)
-    f = i / w.quad.d - e
-    u = GridFn.from_values(w.quad, w.values**beta)
+    u = w if beta == 1.0 else GridFn.from_values(w.quad, w.values**beta)
+    return dissipation_report(w.values ** (beta * p), u, w, p, beta)
+
+
+def dissipation_report(rho: np.ndarray, u: GridFn, w: GridFn | None, p: float,
+                       beta: float) -> DissipationReport:
+    """Report from the nodal density rho, u = rho^(1/p) and w = rho^(1/(beta p))
+    as the caller holds them (w is u at beta = 1 and None at infinite beta,
+    where the dissipation fields are NaN); u and w are differentiated once.
+    dF_dt_analytic = -2 beta^2 times the expanded bracket."""
+    q = u.quad
+    u.require_positive(what="dissipation input")
+    up = derivative(u)
+    i = float(np.sum(q.weights * q.nu * up**2))
+    e = _entropy(q.weights, rho, p)
     try:
-        qv = quotient(u, p)
+        qv = quotient(u, p, up)
     except ZeroDivisionError:
         qv = math.nan
-    j_ff, j_fc, j_cc = triple = cdc_triple(w)
-    expanded, _ = _bracket(triple, w.quad.d, p, beta)
+    j_ff = j_fc = j_cc = analytic = math.nan
+    if w is not None:
+        j_ff, j_fc, j_cc = triple = cdc_triple(w, up if w is u else None)
+        analytic = -2.0 * beta * beta * _bracket(triple, q.d, p, beta)[0]
     return DissipationReport(
-        E_p=e, I_p=i, F=f, Q_p=qv,
+        E_p=e, I_p=i, F=i / q.d - e, Q_p=qv,
         J_ff=j_ff, J_fc=j_fc, J_cc=j_cc,
-        dF_dt_analytic=-2.0 * beta * beta * expanded,
-        dF_dt_numeric=math.nan,
-        d=w.quad.d, p=p, beta=beta, N=w.quad.n,
+        dF_dt_analytic=analytic, dF_dt_numeric=math.nan,
+        d=q.d, p=p, beta=beta, N=q.n,
     )

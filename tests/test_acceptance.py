@@ -67,8 +67,8 @@ def test_criterion_02_integral_identities():
         for _ in range(20):
             f = random_positive(quad, rng, modes=12, amplitude=0.6)
             lf = apply_L(f)
-            fp = derivative(f).values
-            fpp = second_derivative(f).values
+            fp = derivative(f)
+            fpp = second_derivative(f)
             w = quad.weights
             lhs1 = float(np.sum(w * lf.values**2))
             rhs1 = float(np.sum(w * quad.nu**2 * fpp**2)) + d * float(

@@ -10,23 +10,32 @@ RUN = [sys.executable, "-m", "ultraflow.cli"]
 
 
 def run_cli(*args):
+    """The command in a fresh interpreter: for what only a separate process
+    shows (the real exit path, determinism across processes)."""
     proc = subprocess.run(RUN + list(args), capture_output=True, text=True, timeout=600)
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def run_main(capsys, *args):
+    """The command in-process through ``main``."""
+    rc = main(list(args))
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
 class TestConstantsCommand:
-    def test_gamma1_vanishes_at_sharp(self):
-        rc, out, _ = run_cli("constants", "--d", "5", "--p", "3.1875")
+    def test_gamma1_vanishes_at_sharp(self, capsys):
+        rc, out, _ = run_main(capsys, "constants", "--d", "5", "--p", "3.1875")
         assert rc == 0
         assert abs(json.loads(out)["gamma1"]) < 1e-14
 
-    def test_near_critical_root(self):
-        rc, out, _ = run_cli("constants", "--d", "5", "--p", "3.3333", "--beta", "1.5")
+    def test_near_critical_root(self, capsys):
+        rc, out, _ = run_main(capsys, "constants", "--d", "5", "--p", "3.3333", "--beta", "1.5")
         assert rc == 0
         assert abs(json.loads(out)["gamma"]) < 1e-3
 
-    def test_infinite_sentinel(self):
-        rc, out, _ = run_cli("constants", "--d", "2", "--p", "7")
+    def test_infinite_sentinel(self, capsys):
+        rc, out, _ = run_main(capsys, "constants", "--d", "2", "--p", "7")
         assert rc == 0
         assert json.loads(out)["two_star"] == "inf"
 
@@ -37,9 +46,9 @@ class TestConstantsCommand:
 
 
 class TestRegionCommand:
-    def test_sweep_csv_and_manifest(self, tmp_path):
+    def test_sweep_csv_and_manifest(self, tmp_path, capsys):
         out_dir = str(tmp_path)
-        rc, _, _ = run_cli("region", "--d", "5", "--grid", "31", "--out", out_dir)
+        rc, _, _ = run_main(capsys, "region", "--d", "5", "--grid", "31", "--out", out_dir)
         assert rc == 0
         lines = (tmp_path / "region.csv").read_text().splitlines()
         assert lines[0] == "p,beta,m,gamma,admissible,A,A_positive"
@@ -55,9 +64,9 @@ class TestRegionCommand:
         assert (a / "region.csv").read_bytes() == (b / "region.csv").read_bytes()
         assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
 
-    def test_beta_curves(self, tmp_path):
-        rc, _, _ = run_cli("region", "--d", "3", "--curves", "3,4,5,6,7,8,9,10",
-                           "--grid", "24", "--out", str(tmp_path))
+    def test_beta_curves(self, tmp_path, capsys):
+        rc, _, _ = run_main(capsys, "region", "--d", "3", "--curves", "3,4,5,6,7,8,9,10",
+                            "--grid", "24", "--out", str(tmp_path))
         assert rc == 0
         lines = (tmp_path / "beta_curves.csv").read_text().splitlines()
         assert lines[0] == "d,p,beta_minus,beta_plus"
@@ -73,8 +82,9 @@ class TestRegionCommand:
 
 
 class TestFlowCommand:
-    def test_heat_flow_run(self, tmp_path):
-        rc, _, _ = run_cli(
+    def test_heat_flow_run(self, tmp_path, capsys):
+        rc, _, _ = run_main(
+            capsys,
             "flow", "--form", "heat", "--d", "5", "--p", "3", "--init", "random:3,8",
             "--t-end", "0.4", "--samples", "20", "--n", "96", "--out", str(tmp_path),
         )
@@ -86,8 +96,9 @@ class TestFlowCommand:
         assert lines[0] == "t,F,E_p,I_p,conserved,moment_z"
         assert len(lines) == 21
 
-    def test_w_flow_with_beta(self, tmp_path):
-        rc, _, _ = run_cli(
+    def test_w_flow_with_beta(self, tmp_path, capsys):
+        rc, _, _ = run_main(
+            capsys,
             "flow", "--form", "w", "--d", "5", "--p", "3.3", "--beta", "1.212671265218024",
             "--init", "perturb:0.2,2", "--t-end", "0.05", "--samples", "6", "--n", "64",
             "--out", str(tmp_path),
@@ -96,13 +107,14 @@ class TestFlowCommand:
         report = json.loads((tmp_path / "flow.json").read_text())
         assert report["F_monotone_nonincreasing"] is True
 
-    def test_missing_beta_is_parameter_error(self):
-        rc, _, _ = run_cli("flow", "--form", "fde", "--d", "5", "--p", "3.3",
-                           "--init", "const:1", "--t-end", "0.1")
+    def test_missing_beta_is_parameter_error(self, capsys):
+        rc, _, _ = run_main(capsys, "flow", "--form", "fde", "--d", "5", "--p", "3.3",
+                            "--init", "const:1", "--t-end", "0.1")
         assert rc == 2
 
-    def test_conformal_init_heat(self, tmp_path):
-        rc, _, _ = run_cli(
+    def test_conformal_init_heat(self, tmp_path, capsys):
+        rc, _, _ = run_main(
+            capsys,
             "flow", "--form", "heat", "--d", "4", "--p", "4", "--init", "conformal:1,0.3",
             "--t-end", "0.2", "--samples", "10", "--n", "96", "--out", str(tmp_path),
         )
@@ -114,13 +126,32 @@ class TestFlowCommand:
     @pytest.mark.parametrize(
         "init",
         ["const:1,2", "const:", "const:nan", "random:x,3", "random:1", "perturb:0.1,500",
-         "perturb:0.1,-1", "perturb:0.1,2.5", "conformal:1"],
+         "perturb:0.1,-1", "perturb:0.1,2.5", "conformal:1",
+         # closed-form data outside their range: c > 0 and a > |b|
+         "const:0", "const:-1", "conformal:1,2", "powerlaw:1,1.5"],
     )
     def test_malformed_init_is_parameter_error(self, init, capsys):
         rc = main(["flow", "--form", "heat", "--d", "5", "--p", "3", "--init", init,
                    "--t-end", "0.1", "--n", "32"])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "parameter"
+
+    def test_near_critical_m_is_infinite_beta(self, capsys):
+        # the README fde example: m = 2/3 to ten digits runs as the critical
+        # (infinite-beta) member, whose reports carry no dissipation
+        rc, out, _ = run_main(capsys, "flow", "--form", "fde", "--d", "3", "--p", "6",
+                              "--m", "0.6666666667", "--init", "random:2,6", "--t-end", "0.4")
+        assert rc == 0
+        report = json.loads(out)
+        assert report["beta"] == "inf"
+        assert report["F_monotone_nonincreasing"] is True
+        assert report["conservation_drift"] <= 1e-9
+
+    def test_near_critical_m_has_no_pointwise_form(self, capsys):
+        rc, _, err = run_main(capsys, "flow", "--form", "w", "--d", "3", "--p", "6",
+                              "--m", "0.6666666667", "--init", "random:2,6", "--t-end", "0.4")
+        assert rc == 2
+        assert "infinite beta" in json.loads(err)["message"]
 
     @pytest.mark.parametrize("init", ["powerlaw:1,0.4", "conformal:1,0.3"])
     def test_initial_deficit_agrees_across_forms(self, init, capsys):
@@ -137,22 +168,28 @@ class TestFlowCommand:
 
 
 class TestCounterexampleCommand:
-    def test_full_report(self):
-        rc, out, _ = run_cli("counterexample", "--d", "5", "--p", "3.25")
+    def test_full_report(self, capsys):
+        rc, out, _ = run_main(capsys, "counterexample", "--d", "5", "--p", "3.25")
         assert rc == 0
         rep = json.loads(out)
         assert rep["second_obstruction"]["positive"] is True
         assert rep["first_obstruction"]["heat_mismatch"] > 1e-3
 
-    def test_out_of_window_p(self):
-        rc, _, _ = run_cli("counterexample", "--d", "5", "--p", "3.0")
+    def test_out_of_window_p(self, capsys):
+        rc, _, _ = run_main(capsys, "counterexample", "--d", "5", "--p", "3.0")
         assert rc == 2
+
+    def test_base_outside_cone_is_parameter_error(self, capsys):
+        rc, _, err = run_main(capsys, "counterexample", "--d", "5", "--p", "3.25",
+                              "--a", "1", "--b", "2")
+        assert rc == 2
+        assert json.loads(err)["error"] == "parameter"
 
 
 class TestImproveCommand:
-    def test_estimate(self):
-        rc, out, _ = run_cli("improve", "--d", "4", "--p", "3", "--restarts", "4",
-                             "--samples", "100")
+    def test_estimate(self, capsys):
+        rc, out, _ = run_main(capsys, "improve", "--d", "4", "--p", "3", "--restarts", "4",
+                              "--samples", "100")
         assert rc == 0
         rep = json.loads(out)
         assert 4.0 < rep["lambda_star"] <= 10.0 + 1e-6
@@ -160,19 +197,19 @@ class TestImproveCommand:
 
 
 class TestVerifyCommand:
-    def test_quadrature_suite(self):
-        rc, out, _ = run_cli("verify", "quadrature")
+    def test_quadrature_suite(self, capsys):
+        rc, out, _ = run_main(capsys, "verify", "quadrature")
         assert rc == 0
         lines = out.splitlines()
         assert lines[0].startswith("1..")
         assert all(l.startswith("ok") for l in lines[1:])
 
-    def test_unknown_suite(self):
-        rc, _, _ = run_cli("verify", "nope")
+    def test_unknown_suite(self, capsys):
+        rc, _, _ = run_main(capsys, "verify", "nope")
         assert rc == 2
 
-    def test_second_obstruction_suite(self):
-        rc, out, _ = run_cli("verify", "second-obstruction", "--d", "5", "--p", "3.25")
+    def test_second_obstruction_suite(self, capsys):
+        rc, out, _ = run_main(capsys, "verify", "second-obstruction", "--d", "5", "--p", "3.25")
         assert rc == 0
         assert "ok 1" in out
 

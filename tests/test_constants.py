@@ -222,6 +222,15 @@ class TestFlowSpec:
         assert spec.beta_is_infinite
         assert spec.m == pytest.approx(2.0 / 3.0, abs=1e-15)
 
+    def test_near_critical_m_is_infinite_beta(self):
+        # 2/3 to ten digits at p = 6 is 1 + p(m-1)/2 = 1e-10: the critical
+        # member, not beta = 1e10; 1e-6 away, beta stays finite
+        params = Params(3.0, 6.0)
+        assert math.isinf(FlowSpec.nonlinear_from_m(params, 0.6666666667).beta)
+        assert FlowSpec.nonlinear_from_m(params, 2.0 / 3.0 + 1e-6).beta == pytest.approx(
+            1.0 / 3e-6, rel=1e-9
+        )
+
     def test_degenerate_rejected(self):
         with pytest.raises(DomainError):
             FlowSpec.nonlinear(Params(5.0, 3.0), 0.0)

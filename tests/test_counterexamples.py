@@ -70,9 +70,9 @@ class TestExplicitFamily:
         w = materialize(fam, quad5)
         b = fam.beta
         u = GridFn.from_values(quad5, w.values**b)
-        wp = derivative(w).values
-        upp = second_derivative(u).values
-        up = derivative(u).values
+        wp = derivative(w)
+        upp = second_derivative(u)
+        up = derivative(u)
         ratio = wp**2 / w.values
         lhs1 = w.values ** (1.0 - b) * upp / b
         lhs2 = w.values ** (1.0 - b) * up**2 / u.values / b

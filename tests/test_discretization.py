@@ -103,7 +103,7 @@ class TestOperators:
     def test_constant_in_kernel(self, quad5):
         f = GridFn.constant(quad5, 1.0)
         assert np.max(np.abs(apply_L(f).values)) < 1e-14
-        assert np.max(np.abs(derivative(f).values)) < 1e-14
+        assert np.max(np.abs(derivative(f))) < 1e-14
 
     def test_first_eigenfunction(self, quad5):
         f = GridFn.from_values(quad5, quad5.nodes)
@@ -138,7 +138,7 @@ class TestOperators:
 
     def test_polynomial_derivative(self, quad5):
         f = GridFn.from_values(quad5, quad5.nodes**2)
-        resid = derivative(f).values - 2.0 * quad5.nodes
+        resid = derivative(f) - 2.0 * quad5.nodes
         assert np.sqrt(np.sum(quad5.weights * resid**2)) < 1e-11
 
     def test_analytic_derivative_oracle(self):
@@ -146,7 +146,7 @@ class TestOperators:
         quad = cached_quadrature(3.0, 80)
         f = GridFn.from_function(quad, lambda z: (1 + z / 2) ** -3.0)
         exact = -1.5 * (1 + quad.nodes / 2) ** -4.0
-        err = np.max(np.abs(derivative(f).values - exact))
+        err = np.max(np.abs(derivative(f) - exact))
         assert err / np.max(np.abs(exact)) < 1e-9
 
     def test_resolution_guard(self, quad5):
@@ -172,7 +172,7 @@ class TestOperators:
             g = random_positive(quad5, rng, modes=12)
             lhs = inner(f, apply_L(g))
             rhs = -float(
-                np.sum(quad5.weights * quad5.nu * derivative(f).values * derivative(g).values)
+                np.sum(quad5.weights * quad5.nu * derivative(f) * derivative(g))
             )
             worst = max(worst, abs(lhs - rhs))
         assert worst < 1e-10
@@ -200,8 +200,8 @@ class TestLemmaIdentities:
         for _ in range(20):
             f = random_positive(quad, rng, modes=12, amplitude=0.6)
             lf = apply_L(f)
-            fp = derivative(f).values
-            fpp = second_derivative(f).values
+            fp = derivative(f)
+            fpp = second_derivative(f)
             w = quad.weights
             lhs1 = float(np.sum(w * lf.values**2))
             rhs1 = float(np.sum(w * quad.nu**2 * fpp**2)) + d * float(

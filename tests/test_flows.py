@@ -10,8 +10,11 @@ from ultraflow import (
     GridFn,
     Params,
     PositivityError,
+    Quadrature,
     beta_roots,
+    entropy,
     evolve,
+    fisher,
     make_state,
     moment_decay_check,
     step,
@@ -19,7 +22,7 @@ from ultraflow import (
 )
 from ultraflow.discretization import random_positive
 from ultraflow.errors import PositivityLossError
-from ultraflow.flows import _full_rhs, conformal_coefficients, convert
+from ultraflow.flows import _full_rhs, _sample_report, conformal_coefficients, convert
 
 from conftest import cached_quadrature
 
@@ -202,6 +205,50 @@ class TestFormEquivalence:
         st_heat = convert(make_state(Form.U_LINEAR, FlowSpec.heat(params), w0, 0.3), Form.RHO_HEAT)
         assert st_heat.t == 0.3
         assert np.array_equal(st_heat.f.values, w0.values**params.p)
+
+
+class TestSampleReports:
+    """One evaluation per sample: the trajectory's functional values are its
+    reports', built from the variable the flow evolves."""
+
+    @staticmethod
+    def _state(form, rng, n=64):
+        quad = cached_quadrature(5.0, n)
+        params = Params(5.0, 3.3)
+        if form in (Form.RHO_HEAT, Form.U_LINEAR):
+            spec = FlowSpec.heat(params)
+        else:
+            spec = FlowSpec.nonlinear(params, beta_roots(params).minus)
+        return make_state(form, spec, random_positive(quad, rng, modes=6, amplitude=0.4))
+
+    @pytest.mark.parametrize("form", list(Form))
+    def test_trajectory_values_are_the_reports(self, form, rng):
+        traj = evolve(self._state(form, rng), 0.004, samples=4, dt_max=2e-4)
+        for i, rep in enumerate(traj.reports):
+            assert (traj.E_p[i], traj.I_p[i], traj.F[i]) == (rep.E_p, rep.I_p, rep.F)
+
+    def test_density_report_reads_rho_directly(self, rng):
+        # no rho -> w -> rho round trip: the report's functionals are those
+        # of the evolved density itself, to the last bit
+        state = self._state(Form.RHO_FDE, rng, n=128)
+        rep = _sample_report(state, state.spec.m)
+        assert rep.E_p == entropy(state.f, 3.3)
+        assert rep.I_p == fisher(state.f, 3.3)
+
+    def test_heat_sample_costs_three_transforms(self, rng, monkeypatch):
+        # u = rho^(1/p) analysed once, then u' and u'' (w = u at beta = 1)
+        state = self._state(Form.RHO_HEAT, rng)
+        calls = []
+        for name in ("to_values", "to_coeffs", "derivative_values", "second_derivative_values"):
+            original = getattr(Quadrature, name)
+
+            def counted(quad, x, original=original, name=name):
+                calls.append(name)
+                return original(quad, x)
+
+            monkeypatch.setattr(Quadrature, name, counted)
+        _sample_report(state, 1.0)
+        assert len(calls) == 3, calls
 
 
 class TestMomentDecay:
