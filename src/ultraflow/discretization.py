@@ -33,6 +33,11 @@ from .errors import (
 #: nodal values at or below this floor trigger a PositivityError
 EPS_POS = 1e-12
 
+#: the padded (dealiasing) grid has PAD * n nodes; its Gauss rule is exact to
+#: degree 4n - 1, so projecting a product of up to three band-n factors (such
+#: as nu |f'|^2) back onto the n modes is alias-free (degree <= 4n - 4)
+PAD = 2
+
 #: fraction of the norm allowed in the top two modes before derivative
 #: operations refuse the input
 RESOLUTION_TOL = 1e-8
@@ -93,16 +98,13 @@ class Quadrature:
     polynomials of degree <= 2n-1 exactly against the weight.
     """
 
-    def __init__(self, d: float, n: int, pad: int = 2):
+    def __init__(self, d: float, n: int):
         if d < 1.0:
             raise DomainError(f"dimension must be >= 1, got {d}")
         if n < 4:
             raise DomainError(f"need at least 4 nodes, got {n}")
-        if pad < 1:
-            raise DomainError(f"padding factor must be >= 1, got {pad}")
         self.d = float(d)
         self.n = int(n)
-        self.pad = int(pad)
         a = d / 2.0 - 1.0
         self._a = a
         self.z_d = normalization_constant(d)
@@ -149,7 +151,7 @@ class Quadrature:
 
     def _pad_tables(self) -> dict[str, np.ndarray]:
         if self._padded is None:
-            m = self.pad * self.n
+            m = PAD * self.n
             a = self._a
             x, w = roots_jacobi(m, a, a)
             x = 0.5 * (x - x[::-1])

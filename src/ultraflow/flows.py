@@ -204,7 +204,6 @@ def _advance_to(
     dt_max: float,
     tol_cons: float,
     horizon: float,
-    adaptive: bool,
 ) -> tuple[FlowState, float]:
     quad = state.f.quad
     if state.form is Form.RHO_HEAT:
@@ -228,7 +227,7 @@ def _advance_to(
             c_now = conserved_quantity(state.form, state.spec, trial)
             local = abs(c_now - c_prev)
             cumulative = abs(c_now - state.conserved0)
-            if adaptive and local > budget:
+            if local > budget:
                 ok = False
             elif cumulative > tol_cons:
                 raise ConservationError(
@@ -245,7 +244,7 @@ def _advance_to(
         t += h
         c = c_new
         c_prev = c_now
-        if adaptive and local < 0.1 * budget and h >= dt:
+        if local < 0.1 * budget and h >= dt:
             dt = min(dt * 1.3, dt_max)
     f = GridFn.from_coeffs(quad, c)
     return replace(state, t=t_target, f=f), dt
@@ -283,8 +282,7 @@ def _sample_report(state: FlowState, clock_factor: float) -> DissipationReport:
         return dissipation_nonlinear(state.f, p, beta)
     rho = state.f
     u = GridFn.from_values(rho.quad, rho.values ** (1.0 / p))
-    w = None if math.isinf(beta) else u if beta == 1.0 else pointwise_of(state)
-    rep = dissipation_report(rho.values, u, w, p, beta)
+    rep = dissipation_report(rho.values, u, p, beta)
     if clock_factor != 1.0:
         rep = replace(rep, dF_dt_analytic=clock_factor * rep.dF_dt_analytic)
     return rep
@@ -293,17 +291,13 @@ def _sample_report(state: FlowState, clock_factor: float) -> DissipationReport:
 def evolve(
     state: FlowState,
     t_end: float,
-    recorder=None,
     samples: int = 50,
     dt_max: float = math.inf,
     tol_cons: float = TOL_CONS,
-    adaptive: bool = True,
-    dt_init: float | None = None,
     with_reports: bool = True,
 ) -> Trajectory:
     """Integrate to t_end, recording ``samples`` evenly spaced snapshots
-    (endpoints included).  ``recorder(t, F, report, moments)`` is invoked at
-    every snapshot when given.  Step errors propagate with the failing time
+    (endpoints included).  Step errors propagate with the failing time
     attached."""
     if t_end <= state.t:
         raise DomainError("t_end must exceed the current time")
@@ -312,7 +306,7 @@ def evolve(
     horizon = t_end - state.t
     clock_factor = state.spec.m if state.form in DENSITY_FORMS else 1.0
     times = np.linspace(state.t, t_end, samples)
-    dt = dt_init if dt_init is not None else min(dt_max, horizon / max(8 * (samples - 1), 64))
+    dt = min(dt_max, horizon / max(8 * (samples - 1), 64))
     d, p = state.f.quad.d, state.params.p
     traj = Trajectory(state.form, [], [], [], [], [], [], [], state)
 
@@ -330,15 +324,11 @@ def evolve(
         traj.conserved.append(cons)
         traj.moment_z.append(mom)
         traj.reports.append(rep)
-        if recorder is not None:
-            recorder(st.t, f_val, rep, {"conserved": cons, "moment_z": mom})
 
     record(state)
     current = state
     for t_next in times[1:]:
-        current, dt = _advance_to(
-            current, float(t_next), dt, dt_max, tol_cons, horizon, adaptive
-        )
+        current, dt = _advance_to(current, float(t_next), dt, dt_max, tol_cons, horizon)
         record(current)
     traj.final_state = current
     if with_reports and samples >= 3:

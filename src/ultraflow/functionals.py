@@ -94,20 +94,23 @@ def quotient(u: GridFn, p: float, up: np.ndarray | None = None) -> float:
     return num / den
 
 
-def cdc_triple(u: GridFn, up: np.ndarray | None = None) -> tuple[float, float, float]:
+def cdc_triple(u: GridFn) -> tuple[float, float, float]:
     """The three nu^2-weighted integrals entering the dissipation identity:
 
     J_ff = int |u''|^2 nu^2,   J_fc = int u'' |u'|^2/u nu^2,
-    J_cc = int |u'|^4 / u^2 nu^2   (``up``: u' at the nodes, if known).
+    J_cc = int |u'|^4 / u^2 nu^2.
     """
     u.require_positive(what="carre-du-champ input")
-    q = u.quad
-    up = derivative(u, check=False) if up is None else up
-    upp = second_derivative(u, check=False)
+    return _cdc_sums(u.quad, u.values, derivative(u, check=False),
+                     second_derivative(u, check=False))
+
+
+def _cdc_sums(q, f: np.ndarray, fp: np.ndarray, fpp: np.ndarray) -> tuple[float, float, float]:
+    """J_ff, J_fc, J_cc from the nodal values of f, f' and f''."""
     w2 = q.weights * q.nu**2
-    j_ff = float(np.sum(w2 * upp**2))
-    j_fc = float(np.sum(w2 * upp * up**2 / u.values))
-    j_cc = float(np.sum(w2 * up**4 / u.values**2))
+    j_ff = float(np.sum(w2 * fpp**2))
+    j_fc = float(np.sum(w2 * fpp * fp**2 / f))
+    j_cc = float(np.sum(w2 * fp**4 / f**2))
     return j_ff, j_fc, j_cc
 
 
@@ -189,15 +192,24 @@ def dissipation_nonlinear(w: GridFn, p: float, beta: float) -> DissipationReport
     if math.isinf(beta) or beta == 0.0:
         raise DomainError("nonlinear dissipation needs finite nonzero beta")
     u = w if beta == 1.0 else GridFn.from_values(w.quad, w.values**beta)
-    return dissipation_report(w.values ** (beta * p), u, w, p, beta)
+    return dissipation_report(w.values ** (beta * p), u, p, beta)
 
 
-def dissipation_report(rho: np.ndarray, u: GridFn, w: GridFn | None, p: float,
-                       beta: float) -> DissipationReport:
-    """Report from the nodal density rho, u = rho^(1/p) and w = rho^(1/(beta p))
-    as the caller holds them (w is u at beta = 1 and None at infinite beta,
-    where the dissipation fields are NaN); u and w are differentiated once.
-    dF_dt_analytic = -2 beta^2 times the expanded bracket."""
+def dissipation_report(rho: np.ndarray, u: GridFn, p: float, beta: float) -> DissipationReport:
+    """Report from the nodal density rho and u = rho^(1/p); u is the only
+    function differentiated.
+
+    The J's belong to w = u^(1/beta) = rho^(1/(beta p)) and follow from u by
+    the chain rule: with s = w/(beta u),
+
+        w' = s u',   w'' = s (u'' + (1/beta - 1) u'^2/u),
+
+    which keeps the shape of rho at any beta (w itself tends to 1 as beta
+    grows and holds that shape only in its digits past 1/beta).  At
+    beta = 1, s = 1 and the correction vanishes; at infinite beta the
+    dissipation fields are NaN.  dF_dt_analytic = -2 beta^2 times the
+    expanded bracket.
+    """
     q = u.quad
     u.require_positive(what="dissipation input")
     up = derivative(u)
@@ -208,8 +220,13 @@ def dissipation_report(rho: np.ndarray, u: GridFn, w: GridFn | None, p: float,
     except ZeroDivisionError:
         qv = math.nan
     j_ff = j_fc = j_cc = analytic = math.nan
-    if w is not None:
-        j_ff, j_fc, j_cc = triple = cdc_triple(w, up if w is u else None)
+    if not math.isinf(beta):
+        upp = second_derivative(u, check=False)
+        w = u.values ** (1.0 / beta)
+        s = w / (beta * u.values)
+        j_ff, j_fc, j_cc = triple = _cdc_sums(
+            q, w, s * up, s * (upp + (1.0 / beta - 1.0) * up**2 / u.values)
+        )
         analytic = -2.0 * beta * beta * _bracket(triple, q.d, p, beta)[0]
     return DissipationReport(
         E_p=e, I_p=i, F=i / q.d - e, Q_p=qv,

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import two_sharp, two_star
 from .discretization import GridFn, Quadrature, eigenfunction, random_band_limited
@@ -42,30 +41,33 @@ from .functionals import P_LOG_BRANCH_TOL
 #: positivity floor used when clipping iterates
 CLIP_FLOOR = 1e-10
 
+#: a moment shift is accepted when |int z |v|^p| <= MOMENT_TOL int |v|^p
+MOMENT_TOL = 1e-13
+#: rounds of mass normalization, clipping and moment shift
+FEASIBLE_ROUNDS = 6
+#: a descent stops after DESCENT_MAX_ITER steps, or earlier once its
+#: projected gradient is below DESCENT_GTOL max(1, |log objective|)
+DESCENT_MAX_ITER = 400
+DESCENT_GTOL = 1e-10
+
 
 # -- quotients in coefficient space ------------------------------------------
+
+
+def _quadratics(c: np.ndarray, num_w: np.ndarray, den_w: np.ndarray) -> tuple[float, float]:
+    """Numerator and denominator sum(num_w c^2), sum(den_w c^2) of a ratio of
+    diagonal quadratics."""
+    c2 = c**2
+    return float(np.sum(num_w * c2)), float(np.sum(den_w * c2))
 
 
 def rayleigh_quotient(v: GridFn) -> float:
     """int (L v)^2 / int |v'|^2 nu; diagonal in the spectral basis."""
     lam = v.quad.eigenvalues
-    c2 = v.coeffs**2
-    num = float(np.sum(lam**2 * c2))
-    den = float(np.sum(lam * c2))
+    num, den = _quadratics(v.coeffs, lam**2, lam)
     if den <= 0.0:
         raise ZeroDivisionError("quotient undefined for constant input")
     return num / den
-
-
-def relaxed_quotient(v: GridFn) -> float:
-    """int |v'|^2 nu / int |v - vbar|^2, the weaker quotient whose
-    constrained infimum bounds lambda* from below."""
-    lam = v.quad.eigenvalues
-    c2 = v.coeffs[1:] ** 2
-    den = float(np.sum(c2))
-    if den <= 0.0:
-        raise ZeroDivisionError("quotient undefined for constant input")
-    return float(np.sum(lam[1:] * c2)) / den
 
 
 # -- constraint projection ----------------------------------------------------
@@ -75,61 +77,76 @@ def moment_of(quad: Quadrature, values: np.ndarray, p: float) -> float:
     return float(np.sum(quad.weights * quad.nodes * np.abs(values) ** p))
 
 
-def project_moment(quad: Quadrature, coeffs: np.ndarray, p: float, tol: float = 1e-13):
-    """Shift along the first eigenfunction until int z |v|^p = 0 (Newton with
-    a bisection fallback)."""
+def project_moment(quad: Quadrature, coeffs: np.ndarray, p: float) -> GridFn:
+    """Shift along the first eigenfunction until int z |v|^p = 0.
+
+    Newton on v0 + r phi1 (v0 the input, synthesized once), with a bisection
+    fallback on an expanding bracket.  The shift is returned only if the
+    moment of the synthesized result is within MOMENT_TOL of int |v0|^p;
+    otherwise ConvergenceError (on strongly sign-changing input the bracket
+    can grow until the moment is round-off, whose sign flips are no root).
+    """
     phi1 = np.zeros(quad.n)
     phi1[1] = 1.0
     phi1_vals = quad.to_values(phi1)
-
-    def g(r):
-        return moment_of(quad, quad.to_values(coeffs) + r * phi1_vals, p)
-
-    scale = float(np.sum(quad.weights * np.abs(quad.to_values(coeffs)) ** p)) + 1e-300
+    v0 = quad.to_values(coeffs)
+    limit = MOMENT_TOL * (float(np.sum(quad.weights * np.abs(v0) ** p)) + 1e-300)
     r = 0.0
     for _ in range(40):
-        val = g(r)
-        if abs(val) <= tol * scale:
-            coeffs = coeffs.copy()
-            coeffs[1] += r
-            return coeffs
-        vals = quad.to_values(coeffs) + r * phi1_vals
+        vals = v0 + r * phi1_vals
+        val = moment_of(quad, vals, p)
+        if abs(val) <= limit:
+            break
         dg = p * float(
             np.sum(quad.weights * quad.nodes * np.abs(vals) ** (p - 2.0) * vals * phi1_vals)
         )
         if dg <= 0.0 or not math.isfinite(dg):
             break
         r -= val / dg
-    # bisection fallback on an expanding bracket
-    lo, hi = -1.0, 1.0
-    for _ in range(60):
-        if g(lo) < 0.0 < g(hi):
-            break
-        lo *= 2.0
-        hi *= 2.0
-    else:
-        raise ConvergenceError("moment projection failed to bracket a root")
-    r = brentq(g, lo, hi, xtol=1e-15)
-    coeffs = coeffs.copy()
-    coeffs[1] += r
-    return coeffs
+    if not abs(val) <= limit:
+        # bisection fallback on an expanding bracket
+        def g(r):
+            return moment_of(quad, v0 + r * phi1_vals, p)
+
+        lo, hi = -1.0, 1.0
+        for _ in range(60):
+            if g(lo) < 0.0 < g(hi):
+                break
+            lo *= 2.0
+            hi *= 2.0
+        else:
+            raise ConvergenceError("moment projection failed to bracket a root")
+        r = 0.5 * (lo + hi)
+        while lo < r < hi and abs(val := g(r)) > limit:
+            if val < 0.0:
+                lo = r
+            else:
+                hi = r
+            r = 0.5 * (lo + hi)
+    shifted = coeffs.copy()
+    shifted[1] += r
+    f = GridFn.from_coeffs(quad, shifted)
+    residual = abs(moment_of(quad, f.values, p))
+    if not residual <= limit:
+        raise ConvergenceError(f"moment projection left |int z |v|^p| = {residual:.3e}"
+                               f" > {limit:.3e}")
+    return f
 
 
-def project_feasible(
-    quad: Quadrature, coeffs: np.ndarray, p: float, rounds: int = 6
-) -> np.ndarray:
+def project_feasible(quad: Quadrature, coeffs: np.ndarray, p: float) -> np.ndarray:
     """Alternate mass normalization (c_0 = 1), nodal clipping at the
     positivity floor, and the moment shift."""
     c = coeffs.copy()
-    for _ in range(rounds):
-        c[0] = 1.0
-        vals = quad.to_values(c)
+    c[0] = 1.0
+    vals = quad.to_values(c)
+    for _ in range(FEASIBLE_ROUNDS):
         if vals.min() < CLIP_FLOOR:
             c = quad.to_coeffs(np.maximum(vals, CLIP_FLOOR))
             c[0] = 1.0
-        c = project_moment(quad, c, p)
-        vals = quad.to_values(c)
-        if vals.min() >= 0.0 and abs(c[0] - 1.0) < 1e-14:
+        # the shift moves c_1 only, so the mass stays exactly 1
+        f = project_moment(quad, c, p)
+        c, vals = f.coeffs, f.values
+        if vals.min() >= 0.0:
             break
     return c
 
@@ -153,7 +170,9 @@ class ImprovementEstimate:
     lambda_star is the best achieved quotient (an upper bound on the true
     infimum); lambda_bound the improved constant derived from it (NaN when p
     is outside (2, 2#)); relaxed_value the achieved value of the weaker
-    quotient from the same feasible set.
+    quotient from the same feasible set.  restart_values and
+    restart_iterations give each start's achieved quotient and descent steps
+    (NaN and 0 if its projection failed), the two second-mode starts first.
     """
 
     d: float
@@ -167,6 +186,8 @@ class ImprovementEstimate:
     constraint_residuals: dict
     minimizer: GridFn
     iterations: int
+    restart_values: tuple[float, ...]
+    restart_iterations: tuple[int, ...]
 
     def to_dict(self) -> dict:
         return {
@@ -180,6 +201,8 @@ class ImprovementEstimate:
             "upper_bound": self.upper_bound,
             "residuals": self.constraint_residuals,
             "iterations": self.iterations,
+            "restart_values": list(self.restart_values),
+            "restart_iterations": list(self.restart_iterations),
             "note": (
                 "lambda_star is an achieved value (upper bound on the infimum); "
                 "lambda_bound inherits that status; the interval infimum "
@@ -189,33 +212,16 @@ class ImprovementEstimate:
         }
 
 
-def _descend(
-    quad: Quadrature,
-    coeffs: np.ndarray,
-    p: float,
-    objective,
-    max_iter: int = 400,
-    gtol: float = 1e-10,
-):
+def _descend(quad: Quadrature, coeffs: np.ndarray, p: float, objective):
     """Projected gradient descent on log(objective); objective is a ratio of
     diagonal quadratics given by the weight vectors (num_w, den_w)."""
     num_w, den_w = objective
     c = project_feasible(quad, coeffs, p)
-
-    def value(cc):
-        c2 = cc**2
-        den = float(np.sum(den_w * c2))
-        if den <= 0.0:
-            return math.inf
-        return float(np.sum(num_w * c2)) / den
-
-    cur = value(c)
+    num, den = _quadratics(c, num_w, den_w)
+    cur = num / den if den > 0.0 else math.inf
     step = 0.1
     iters = 0
-    for iters in range(1, max_iter + 1):
-        c2 = c**2
-        num = float(np.sum(num_w * c2))
-        den = float(np.sum(den_w * c2))
+    for iters in range(1, DESCENT_MAX_ITER + 1):
         grad = 2.0 * (num_w * c) / num - 2.0 * (den_w * c) / den
         # tangent space of {c_0 = 1} x {moment = 0}
         grad[0] = 0.0
@@ -228,15 +234,15 @@ def _descend(
         if ng2 > 0.0:
             grad -= mom_grad * (float(np.sum(grad * mom_grad)) / ng2)
         gnorm = float(np.linalg.norm(grad))
-        if gnorm < gtol * max(1.0, abs(math.log(cur))):
+        if gnorm < DESCENT_GTOL * max(1.0, abs(math.log(cur))):
             break
         improved = False
         s = step
         for _ in range(25):
             trial = project_feasible(quad, c - s * grad / gnorm, p)
-            tval = value(trial)
-            if tval < cur - 1e-15:
-                c, cur = trial, tval
+            tnum, tden = _quadratics(trial, num_w, den_w)
+            if tden > 0.0 and tnum / tden < cur - 1e-15:
+                c, num, den, cur = trial, tnum, tden, tnum / tden
                 step = min(s * 1.5, 1.0)
                 improved = True
                 break
@@ -247,7 +253,7 @@ def _descend(
 
 
 def estimate_lambda_star(
-    d: float, p: float, n: int = 64, restarts: int = 16, seed: int = 0, max_iter: int = 400
+    d: float, p: float, n: int = 64, restarts: int = 16, seed: int = 0
 ) -> ImprovementEstimate:
     """Multi-start projected descent for the constrained curvature quotient.
 
@@ -275,22 +281,25 @@ def estimate_lambda_star(
         g = random_band_limited(quad, rng, modes=min(10, n // 4), amplitude=float(rng.uniform(0.2, 0.8)))
         starts.append(base + g.coeffs)
 
-    best_c, best_val, total_iters = None, math.inf, 0
-    for c0 in starts[:max(restarts, 2)]:
+    best_c, best_val = None, math.inf
+    values, iterations = [], []
+    for c0 in starts:
         try:
-            c, val, iters = _descend(quad, c0, p, (lam**2, lam), max_iter=max_iter)
+            c, val, iters = _descend(quad, c0, p, (lam**2, lam))
         except ConvergenceError:
+            values.append(math.nan)
+            iterations.append(0)
             continue
-        total_iters += iters
+        values.append(val)
+        iterations.append(iters)
         if val < best_val:
             best_c, best_val = c, val
     if best_c is None:
         raise ConvergenceError("no start converged")
 
-    relaxed_c, relaxed_val, it2 = _descend(
-        quad, best_c.copy(), p, (lam, np.r_[0.0, np.ones(n - 1)]), max_iter=max_iter
+    _, relaxed_val, relaxed_iters = _descend(
+        quad, best_c.copy(), p, (lam, np.r_[0.0, np.ones(n - 1)])
     )
-    total_iters += it2
 
     if not best_val > d:
         raise ConvergenceError(
@@ -311,7 +320,9 @@ def estimate_lambda_star(
         upper_bound=2.0 * (d + 1.0),
         constraint_residuals=constraint_residuals(quad, best_c, p),
         minimizer=GridFn.from_coeffs(quad, best_c),
-        iterations=total_iters,
+        iterations=sum(iterations) + relaxed_iters,
+        restart_values=tuple(values),
+        restart_iterations=tuple(iterations),
     )
 
 
@@ -351,10 +362,8 @@ def verify_improved_inequality(
                                 even_only=even_only)
         c = g.coeffs.copy()
         c[0] = 1.0
-        if not even_only:
-            c = project_moment(quad, c, p)
-        f = GridFn.from_coeffs(quad, c)
-        fp_vals = quad.derivative_values(c)
+        f = GridFn.from_coeffs(quad, c) if even_only else project_moment(quad, c, p)
+        fp_vals = quad.derivative_values(f.coeffs)
         lhs = float(np.sum(quad.weights * quad.nu * fp_vals**2))
         sq = float(np.sum(quad.weights * f.values**2))
         if abs(p - 2.0) < P_LOG_BRANCH_TOL:

@@ -125,9 +125,9 @@ class TestNonlinearFlows:
         errs = []
         for ndt in (50, 100):
             st = make_state(Form.RHO_FDE, spec, exact(0.0))
-            traj = evolve(st, T, samples=2, dt_init=T / ndt, dt_max=T / ndt,
-                          adaptive=False, tol_cons=math.inf, with_reports=False)
-            errs.append(np.max(np.abs(traj.final_state.f.values - exact(T).values)))
+            for _ in range(ndt):
+                st = step(st, T / ndt)
+            errs.append(np.max(np.abs(st.f.values - exact(T).values)))
         ratio = errs[0] / errs[1]
         assert 2.0 <= ratio <= 8.0  # nominal order 2 within a factor 2
 
@@ -235,9 +235,8 @@ class TestSampleReports:
         assert rep.E_p == entropy(state.f, 3.3)
         assert rep.I_p == fisher(state.f, 3.3)
 
-    def test_heat_sample_costs_three_transforms(self, rng, monkeypatch):
-        # u = rho^(1/p) analysed once, then u' and u'' (w = u at beta = 1)
-        state = self._state(Form.RHO_HEAT, rng)
+    @staticmethod
+    def _transforms(state, monkeypatch):
         calls = []
         for name in ("to_values", "to_coeffs", "derivative_values", "second_derivative_values"):
             original = getattr(Quadrature, name)
@@ -248,7 +247,35 @@ class TestSampleReports:
 
             monkeypatch.setattr(Quadrature, name, counted)
         _sample_report(state, 1.0)
+        return calls
+
+    def test_heat_sample_costs_three_transforms(self, rng, monkeypatch):
+        # u = rho^(1/p) analysed once, then u' and u'' (w = u at beta = 1)
+        calls = self._transforms(self._state(Form.RHO_HEAT, rng), monkeypatch)
         assert len(calls) == 3, calls
+
+    def test_fde_sample_costs_three_transforms(self, rng, monkeypatch):
+        # w = rho^(1/(beta p)) is never differentiated: its derivatives
+        # follow from u' and u'' by the chain rule
+        calls = self._transforms(self._state(Form.RHO_FDE, rng), monkeypatch)
+        assert len(calls) == 3, calls
+
+    @pytest.mark.parametrize("beta", [beta_roots(Params(5.0, 3.3)).minus, 1e4, 1e7])
+    def test_dissipation_integrals_at_large_beta(self, beta):
+        # rho = (1 + 0.4 z)^-3, so w = rho^(1/(beta p)) = (1 + 0.4 z)^a with
+        # a = -3/(beta p) and closed-form w', w''; differentiating the nodal
+        # w loses its shape as beta grows (w -> 1), the chain rule through u
+        # does not
+        quad = cached_quadrature(5.0, 128)
+        base = 1.0 + 0.4 * quad.nodes
+        state = make_state(Form.RHO_FDE, FlowSpec.nonlinear(Params(5.0, 3.3), beta),
+                           GridFn.from_values(quad, base**-3.0))
+        rep = _sample_report(state, 1.0)
+        a = -3.0 / (beta * 3.3)
+        w, wp, wpp = base**a, 0.4 * a * base ** (a - 1.0), 0.16 * a * (a - 1.0) * base ** (a - 2.0)
+        w2 = quad.weights * quad.nu**2
+        exact = (np.sum(w2 * wpp**2), np.sum(w2 * wpp * wp**2 / w), np.sum(w2 * wp**4 / w**2))
+        assert (rep.J_ff, rep.J_fc, rep.J_cc) == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
 class TestMomentDecay:

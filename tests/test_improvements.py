@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,11 +20,14 @@ from ultraflow import (
     two_star,
     verify_improved_inequality,
 )
-from ultraflow.discretization import random_positive
+from ultraflow.discretization import random_band_limited, random_positive
+from ultraflow.errors import ConvergenceError
 from ultraflow.improvements import (
+    MOMENT_TOL,
     constraint_residuals,
     moment_of,
     project_feasible,
+    project_moment,
 )
 
 from conftest import cached_quadrature
@@ -66,6 +71,26 @@ class TestQuotients:
                 assert lhs >= rhs - 1e-10 * max(1.0, abs(lhs), abs(rhs))
 
 
+def _probe_draws(quad, count):
+    """The first ``count`` inputs of the projection probe: c_0 = 1 plus a
+    band-limited perturbation of sup-norm U(0.5, 6), sign-changing for most
+    draws."""
+    rng = np.random.default_rng(0)
+    for _ in range(count):
+        amp = float(rng.uniform(0.5, 6.0))
+        c = random_band_limited(quad, rng, modes=12, amplitude=amp).coeffs.copy()
+        c[0] = 1.0
+        yield c
+
+
+def _verified(quad, c, f, p):
+    """The moment of f's synthesized values is within MOMENT_TOL of
+    int |v|^p, v the input, and f differs from the input in c_1 only."""
+    scale = float(np.sum(quad.weights * np.abs(quad.to_values(c)) ** p))
+    moment = abs(moment_of(quad, quad.to_values(f.coeffs), p))
+    return moment <= MOMENT_TOL * scale and np.array_equal(np.delete(f.coeffs, 1), np.delete(c, 1))
+
+
 class TestProjection:
     def test_feasible_point(self, rng):
         quad = cached_quadrature(4.0, 64)
@@ -75,6 +100,45 @@ class TestProjection:
         assert res["mass"] <= 1e-13
         assert res["moment"] <= 1e-10
         assert res["positivity_min"] >= 0.0
+
+    def test_no_unverified_projection(self):
+        # on strongly sign-changing input an expanding bracket can grow until
+        # the |r phi_1|^p terms cancel to round-off, and a sign flip of that
+        # noise is no root (draws 7, 66, 103, ... once came back with shifts
+        # above 1e6 and moments up to 1e32 times the scale): every returned
+        # projection is verified, anything else raises
+        quad = cached_quadrature(4.0, 64)
+        verified = raised = 0
+        for c in _probe_draws(quad, 300):
+            try:
+                f = project_moment(quad, c, 3.0)
+            except ConvergenceError:
+                raised += 1
+                continue
+            assert _verified(quad, c, f, 3.0)
+            verified += 1
+        assert verified > 250 and raised > 0
+
+    def test_bisection_fallback(self):
+        # draw 126: the moment decreases along phi_1 at r = 0, so Newton
+        # stops at once; the moment has three roots in the bracket [-8, 8]
+        # (near -5.99, -0.19 and 1.68) and bisection lands on the last one
+        quad = cached_quadrature(4.0, 64)
+        c = list(_probe_draws(quad, 127))[-1]
+        v0 = quad.to_values(c)
+        phi1 = quad.to_values(np.eye(quad.n)[1])
+        assert np.sum(quad.weights * quad.nodes * np.abs(v0) * v0 * phi1) <= 0.0  # p = 3
+        f = project_moment(quad, c, 3.0)
+        assert _verified(quad, c, f, 3.0)
+        oracle = brentq(lambda r: moment_of(quad, v0 + r * phi1, 3.0), 1.0, 2.0, xtol=1e-15)
+        assert f.coeffs[1] - c[1] == pytest.approx(oracle, abs=1e-10)
+
+    def test_cli_import_leaves_out_scipy_optimize(self):
+        # in a fresh interpreter: the test modules import scipy.optimize
+        code = "import sys, ultraflow.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, check=True)
+        assert proc.stdout.strip() == "False"
 
 
 class TestLambdaStar:
@@ -88,6 +152,19 @@ class TestLambdaStar:
         # the relaxed quotient of the same feasible set cannot exceed the
         # curvature quotient's achieved value by the square-expansion bound
         assert est.relaxed_value <= est.lambda_star + 1e-6
+
+    def test_restart_telemetry(self):
+        # one entry per start, the two second-mode starts first: they sit at
+        # the 2(d+1) upper bound, where the projected gradient vanishes
+        est = estimate_lambda_star(4.0, 3.0, n=64, restarts=8, seed=0)
+        assert len(est.restart_values) == len(est.restart_iterations) == 8
+        assert est.lambda_star == min(est.restart_values)
+        assert est.restart_iterations[:2] == (1, 1)
+        assert est.restart_values[:2] == pytest.approx((10.0, 10.0), abs=1e-12)
+        assert sum(est.restart_iterations) <= est.iterations
+        out = est.to_dict()
+        assert out["restart_values"] == list(est.restart_values)
+        assert out["restart_iterations"] == list(est.restart_iterations)
 
     def test_upper_bound_mechanism(self):
         # a pure even second-mode perturbation is feasible and realizes the
