@@ -197,12 +197,33 @@ def cmd_constants(args) -> int:
     return 0
 
 
+def _dimensions(text: str) -> list[float]:
+    """The comma list of finite dimensions given to ``region --curves``."""
+    try:
+        dims = [float(x) for x in text.split(",")]
+        if all(math.isfinite(d) for d in dims):
+            return dims
+    except ValueError:
+        pass
+    raise DomainError(f"--curves needs a comma list of dimensions, got {text!r}")
+
+
+def _p_max(d: float, p_max: float | None) -> float:
+    """Upper end of a p range: --p-max if given, else the critical exponent."""
+    hi = p_max if p_max is not None else cs.two_star(d)
+    if not math.isfinite(hi):
+        raise DomainError(f"p-max required when the critical exponent is infinite (d={d})")
+    return hi
+
+
 def cmd_region(args) -> int:
+    if args.grid < 1:
+        raise DomainError(f"--grid needs at least 1 point, got {args.grid}")
     if args.curves:
-        dims = [float(x) for x in args.curves.split(",")]
+        dims = _dimensions(args.curves)
         rows = []
         for d in dims:
-            hi = cs.two_star(d) if math.isfinite(cs.two_star(d)) else args.p_max
+            hi = cs.two_star(d) if math.isfinite(cs.two_star(d)) else _p_max(d, args.p_max)
             for p in np.linspace(max(args.p_min, 1.0), hi, args.grid):
                 params = cs.Params(d, float(p))
                 try:
@@ -226,11 +247,9 @@ def cmd_region(args) -> int:
         manifest = RunManifest("region", vars_args(args), {}, args.grid, 0)
         _emit(_json_safe(out), args, manifest)
         return 0
-    p_hi = args.p_max if args.p_max is not None else cs.two_star(args.d)
-    if not math.isfinite(p_hi):
-        raise DomainError("p-max required when the critical exponent is infinite")
     rows, summary = cs.region_sweep(
-        args.d, (args.p_min, p_hi), (args.beta_min, args.beta_max), args.grid, args.grid
+        args.d, (args.p_min, _p_max(args.d, args.p_max)), (args.beta_min, args.beta_max),
+        args.grid, args.grid
     )
     if args.out:
         import os

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 #: values of gamma within this distance of 0 classify as admissible
@@ -86,9 +88,10 @@ def ab_coefficients(params: Params) -> tuple[float, float]:
     return a, b
 
 
-def gamma_of_beta(params: Params, beta: float) -> float:
+def gamma_of_beta(params: Params, beta):
     """gamma(beta) = -1 + 2 b beta - a beta^2, the coefficient multiplying the
-    quartic-ratio integral in the nonlinear-flow dissipation identity."""
+    quartic-ratio integral in the nonlinear-flow dissipation identity
+    (elementwise for an ndarray of beta)."""
     a, b = ab_coefficients(params)
     return -1.0 + 2.0 * b * beta - a * beta * beta
 
@@ -162,13 +165,19 @@ def beta_roots(params: Params) -> BetaRoots:
     return BetaRoots(minus=(b - root) / a, plus=(b + root) / a, delta=delta)
 
 
-def m_from_beta(params: Params, beta: float) -> float:
-    """Diffusion exponent m = 1 + (2/p)(1/beta - 1); +inf at beta = 0."""
-    if beta == 0.0:
-        return math.inf
-    if math.isinf(beta):
-        return 1.0 - 2.0 / params.p
-    return 1.0 + (2.0 / params.p) * (1.0 / beta - 1.0)
+def _reciprocal(beta):
+    """1/beta, with 1/0 = +inf (for either sign of zero); elementwise for an
+    ndarray of beta."""
+    if not isinstance(beta, np.ndarray):
+        return math.inf if beta == 0.0 else 1.0 / beta
+    with np.errstate(divide="ignore"):
+        return 1.0 / np.where(beta == 0.0, 0.0, beta)
+
+
+def m_from_beta(params: Params, beta):
+    """Diffusion exponent m = 1 + (2/p)(1/beta - 1); +inf at beta = 0 and
+    1 - 2/p at infinite beta.  Elementwise for an ndarray of beta."""
+    return 1.0 + (2.0 / params.p) * (_reciprocal(beta) - 1.0)
 
 
 def beta_from_m(params: Params, m: float) -> float:
@@ -188,12 +197,12 @@ def kappa_from_beta(params: Params, beta: float) -> float:
     return beta * (params.p - 2.0) + 1.0
 
 
-def counterexample_coefficient(params: Params, beta: float) -> float:
+def counterexample_coefficient(params: Params, beta):
     """Quadratic-in-beta coefficient A(p, beta) whose positivity makes the
     heat flow increase the deficit at the power-law witness.
 
     The cross term alpha = (d-1) beta (p-1) / (d+2) has been eliminated.
-    Vanishes at beta = B_+-(p, d)."""
+    Vanishes at beta = B_+-(p, d).  Elementwise for an ndarray of beta."""
     d, p = params.d, params.p
     if d < 3.0:
         raise DomainError("the counter-example coefficient needs d >= 3")
@@ -262,7 +271,8 @@ class FlowSpec:
 
 @dataclass(frozen=True)
 class RegionPoint:
-    """Classification of a single (p, beta) point."""
+    """Classification of a (p, beta) point, or of a row of points sharing p
+    (then every field is an ndarray over beta)."""
 
     admissible: bool
     gamma: float
@@ -271,7 +281,7 @@ class RegionPoint:
     m: float
 
 
-def classify_region(params: Params, beta: float) -> RegionPoint:
+def classify_region(params: Params, beta) -> RegionPoint:
     """Admissibility of (p, beta) for the nonlinear-flow dissipation: the
     sign test gamma(beta) >= -GAMMA_TIE_TOL.
 
@@ -280,17 +290,22 @@ def classify_region(params: Params, beta: float) -> RegionPoint:
     (beta_+, beta_-) when delta < 0, and the half-line beyond the finite root
     when delta = 0.  The test suite checks the sign test against that
     root-interval description.
+
+    beta may be an ndarray: the same closed forms then run elementwise and
+    give bitwise the values of the scalar calls.  A scalar beta gives Python
+    floats and bools.  A is NaN below d = 3, where the witness does not
+    exist.
     """
     gamma = gamma_of_beta(params, beta)
     try:
         a_val = counterexample_coefficient(params, beta)
     except DomainError:
-        a_val = math.nan
+        a_val = beta * math.nan
     return RegionPoint(
         admissible=gamma >= -GAMMA_TIE_TOL,
         gamma=gamma,
         A=a_val,
-        A_positive=bool(a_val > 0.0) if not math.isnan(a_val) else False,
+        A_positive=a_val > 0.0,
         m=m_from_beta(params, beta),
     )
 
@@ -305,29 +320,27 @@ def region_sweep(
     n_p: int,
     n_beta: int,
 ) -> tuple[list[tuple], dict]:
-    """Rectangular (p, beta) sweep of classify_region.
+    """Rectangular (p, beta) sweep of classify_region, one call per p row.
 
     Returns (rows, summary); each row matches REGION_CSV_HEADER.
     """
-    import numpy as np
-
     p_lo, p_hi = p_range
     ts = two_star(d)
     if p_lo < 1.0 or (math.isfinite(ts) and p_hi > ts + 1e-12):
         raise DomainError(f"p range [{p_lo}, {p_hi}] outside [1, {ts:.6g}]")
+    if n_p < 1 or n_beta < 1:
+        raise DomainError(f"the sweep needs at least one point per axis, got {n_p} x {n_beta}")
     ps = np.linspace(p_lo, min(p_hi, ts) if math.isfinite(ts) else p_hi, n_p)
     betas = np.linspace(beta_range[0], beta_range[1], n_beta)
+    beta_list = betas.tolist()
     rows = []
     n_admissible = 0
-    for p in ps:
-        params = Params(d, float(p))
-        for beta in betas:
-            pt = classify_region(params, float(beta))
-            n_admissible += pt.admissible
-            rows.append(
-                (float(p), float(beta), pt.m, pt.gamma, int(pt.admissible), pt.A,
-                 int(pt.A_positive))
-            )
+    for p in ps.tolist():
+        pt = classify_region(Params(d, p), betas)
+        adm = pt.admissible.astype(int).tolist()
+        n_admissible += sum(adm)
+        rows.extend(zip([p] * n_beta, beta_list, pt.m.tolist(), pt.gamma.tolist(), adm,
+                        pt.A.tolist(), pt.A_positive.astype(int).tolist()))
     summary = {
         "d": d,
         "p_min": float(ps[0]),
@@ -349,13 +362,9 @@ def region_sweep(
 
 
 def region_rows_to_csv(rows, path):
-    """Write sweep rows with the canonical header."""
-    def fmt(x):
-        if isinstance(x, int):
-            return str(x)
-        return repr(float(x))
-
+    """Write sweep rows with the canonical header (floats as repr, the two
+    flags as integers)."""
     with open(path, "w") as fh:
         fh.write(REGION_CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(x) for x in row) + "\n")
+        fh.writelines(f"{p!r},{beta!r},{m!r},{gamma!r},{adm},{a!r},{a_pos}\n"
+                      for p, beta, m, gamma, adm, a, a_pos in rows)

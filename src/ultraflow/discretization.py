@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln, roots_jacobi
@@ -193,6 +194,18 @@ class Quadrature:
 
     def second_derivative_values(self, coeffs: np.ndarray) -> np.ndarray:
         return self._basis_d2 @ coeffs
+
+    @cached_property
+    def z_weights(self) -> np.ndarray:
+        """weights * nodes: the rule for first moments int z f."""
+        return self.weights * self.nodes
+
+    @cached_property
+    def phi1_values(self) -> np.ndarray:
+        """Nodal values of the first eigenfunction (proportional to z): column
+        1 of the synthesis table, equal to synthesizing the unit coefficient
+        vector e_1 and computed without a transform."""
+        return self._basis[:, 1].copy()
 
     def compatible(self, other: "Quadrature") -> bool:
         return self.d == other.d and self.n == other.n

@@ -45,8 +45,7 @@ from .errors import (
     PositivityError,
     PositivityLossError,
 )
-from .functionals import (DissipationReport, dissipation_nonlinear, dissipation_report,
-                          entropy, fisher)
+from .functionals import DissipationReport, dissipation_report, entropy, fisher
 
 #: defaults for the adaptive controller
 TOL_CONS = 1e-9
@@ -82,18 +81,21 @@ class FlowState:
 DENSITY_FORMS = frozenset({Form.RHO_HEAT, Form.RHO_FDE})
 
 
+def _density_values(form: Form, spec: FlowSpec, f: GridFn) -> np.ndarray:
+    """Nodal density: rho itself, or w^(beta p) for the pointwise forms."""
+    return f.values if form in DENSITY_FORMS else f.values ** (spec.beta * spec.params.p)
+
+
 def conserved_quantity(form: Form, spec: FlowSpec, f: GridFn) -> float:
-    """Integral of the density: rho itself, or w^(beta p) for the pointwise
-    forms."""
-    vals = f.values if form in DENSITY_FORMS else f.values ** (spec.beta * spec.params.p)
-    return float(np.sum(f.quad.weights * vals))
+    """Integral of the density."""
+    return float(np.sum(f.quad.weights * _density_values(form, spec, f)))
 
 
 def density_of(state: FlowState) -> GridFn:
     """The density rho corresponding to the evolved variable."""
     if state.form in DENSITY_FORMS:
         return state.f
-    return GridFn.from_values(state.f.quad, state.f.values ** (state.spec.beta * state.params.p))
+    return GridFn.from_values(state.f.quad, _density_values(state.form, state.spec, state.f))
 
 
 def pointwise_of(state: FlowState) -> GridFn:
@@ -276,13 +278,17 @@ class Trajectory:
                 fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-def _sample_report(state: FlowState, clock_factor: float) -> DissipationReport:
+def _sample_report(state: FlowState, rho: np.ndarray, clock_factor: float) -> DissipationReport:
+    """Report at a sample from its nodal density rho and u = rho^(1/p): taken
+    from rho for the density forms, u = w^beta (w itself at beta = 1) for
+    the pointwise forms."""
     p, beta = state.params.p, state.spec.beta
-    if state.form not in DENSITY_FORMS:
-        return dissipation_nonlinear(state.f, p, beta)
-    rho = state.f
-    u = GridFn.from_values(rho.quad, rho.values ** (1.0 / p))
-    rep = dissipation_report(rho.values, u, p, beta)
+    f = state.f
+    if state.form in DENSITY_FORMS:
+        u = GridFn.from_values(f.quad, rho ** (1.0 / p))
+    else:
+        u = f if beta == 1.0 else GridFn.from_values(f.quad, f.values**beta)
+    rep = dissipation_report(rho, u, p, beta)
     if clock_factor != 1.0:
         rep = replace(rep, dF_dt_analytic=clock_factor * rep.dF_dt_analytic)
     return rep
@@ -303,6 +309,8 @@ def evolve(
         raise DomainError("t_end must exceed the current time")
     if samples < 2:
         raise DomainError("need at least 2 samples (both endpoints)")
+    if not dt_max > 0.0:
+        raise DomainError(f"dt_max must be positive, got {dt_max}")
     horizon = t_end - state.t
     clock_factor = state.spec.m if state.form in DENSITY_FORMS else 1.0
     times = np.linspace(state.t, t_end, samples)
@@ -311,12 +319,17 @@ def evolve(
     traj = Trajectory(state.form, [], [], [], [], [], [], [], state)
 
     def record(st: FlowState):
-        rho = density_of(st)
-        rep = _sample_report(st, clock_factor) if with_reports else None
-        e, i = (rep.E_p, rep.I_p) if with_reports else (entropy(rho, p), fisher(rho, p))
+        rho = _density_values(st.form, st.spec, st.f)
+        if with_reports:
+            rep = _sample_report(st, rho, clock_factor)
+            e, i = rep.E_p, rep.I_p
+        else:
+            rep = None
+            density = st.f if st.form in DENSITY_FORMS else GridFn.from_values(st.f.quad, rho)
+            e, i = entropy(density, p), fisher(density, p)
         f_val = i / d - e
-        cons = conserved_quantity(st.form, st.spec, st.f)
-        mom = float(np.sum(st.f.quad.weights * st.f.quad.nodes * rho.values))
+        cons = float(np.sum(st.f.quad.weights * rho))
+        mom = float(np.sum(st.f.quad.z_weights * rho))
         traj.times.append(st.t)
         traj.F.append(f_val)
         traj.E_p.append(e)

@@ -51,6 +51,11 @@ DESCENT_MAX_ITER = 400
 DESCENT_GTOL = 1e-10
 
 
+#: the reductions of the descent and the projection: np.sum of a 1-D array
+#: without the wrapper around it (the same pairwise summation, bit for bit)
+_sum = np.add.reduce
+
+
 # -- quotients in coefficient space ------------------------------------------
 
 
@@ -58,7 +63,7 @@ def _quadratics(c: np.ndarray, num_w: np.ndarray, den_w: np.ndarray) -> tuple[fl
     """Numerator and denominator sum(num_w c^2), sum(den_w c^2) of a ratio of
     diagonal quadratics."""
     c2 = c**2
-    return float(np.sum(num_w * c2)), float(np.sum(den_w * c2))
+    return float(_sum(num_w * c2)), float(_sum(den_w * c2))
 
 
 def rayleigh_quotient(v: GridFn) -> float:
@@ -74,32 +79,31 @@ def rayleigh_quotient(v: GridFn) -> float:
 
 
 def moment_of(quad: Quadrature, values: np.ndarray, p: float) -> float:
-    return float(np.sum(quad.weights * quad.nodes * np.abs(values) ** p))
+    return float(_sum(quad.z_weights * np.abs(values) ** p))
 
 
-def project_moment(quad: Quadrature, coeffs: np.ndarray, p: float) -> GridFn:
+def project_moment(quad: Quadrature, coeffs: np.ndarray, p: float,
+                   values: np.ndarray | None = None) -> GridFn:
     """Shift along the first eigenfunction until int z |v|^p = 0.
 
-    Newton on v0 + r phi1 (v0 the input, synthesized once), with a bisection
-    fallback on an expanding bracket.  The shift is returned only if the
-    moment of the synthesized result is within MOMENT_TOL of int |v0|^p;
-    otherwise ConvergenceError (on strongly sign-changing input the bracket
-    can grow until the moment is round-off, whose sign flips are no root).
+    Newton on v0 + r phi1 (v0 the input's nodal values: ``values`` if the
+    caller holds them, else synthesized once), with a bisection fallback on
+    an expanding bracket.  The shift is returned only if the moment of the
+    synthesized result is within MOMENT_TOL of int |v0|^p; otherwise
+    ConvergenceError (on strongly sign-changing input the bracket can grow
+    until the moment is round-off, whose sign flips are no root).  With
+    ``values`` given, that synthesis is the only transform.
     """
-    phi1 = np.zeros(quad.n)
-    phi1[1] = 1.0
-    phi1_vals = quad.to_values(phi1)
-    v0 = quad.to_values(coeffs)
-    limit = MOMENT_TOL * (float(np.sum(quad.weights * np.abs(v0) ** p)) + 1e-300)
+    phi1_vals = quad.phi1_values
+    v0 = quad.to_values(coeffs) if values is None else values
+    limit = MOMENT_TOL * (float(_sum(quad.weights * np.abs(v0) ** p)) + 1e-300)
     r = 0.0
     for _ in range(40):
         vals = v0 + r * phi1_vals
         val = moment_of(quad, vals, p)
         if abs(val) <= limit:
             break
-        dg = p * float(
-            np.sum(quad.weights * quad.nodes * np.abs(vals) ** (p - 2.0) * vals * phi1_vals)
-        )
+        dg = p * float(_sum(quad.z_weights * np.abs(vals) ** (p - 2.0) * vals * phi1_vals))
         if dg <= 0.0 or not math.isfinite(dg):
             break
         r -= val / dg
@@ -133,9 +137,11 @@ def project_moment(quad: Quadrature, coeffs: np.ndarray, p: float) -> GridFn:
     return f
 
 
-def project_feasible(quad: Quadrature, coeffs: np.ndarray, p: float) -> np.ndarray:
+def project_feasible(quad: Quadrature, coeffs: np.ndarray, p: float, *,
+                     with_values: bool = False):
     """Alternate mass normalization (c_0 = 1), nodal clipping at the
-    positivity floor, and the moment shift."""
+    positivity floor, and the moment shift.  Returns the coefficients, or
+    (coefficients, nodal values) with ``with_values``."""
     c = coeffs.copy()
     c[0] = 1.0
     vals = quad.to_values(c)
@@ -143,12 +149,13 @@ def project_feasible(quad: Quadrature, coeffs: np.ndarray, p: float) -> np.ndarr
         if vals.min() < CLIP_FLOOR:
             c = quad.to_coeffs(np.maximum(vals, CLIP_FLOOR))
             c[0] = 1.0
+            vals = None
         # the shift moves c_1 only, so the mass stays exactly 1
-        f = project_moment(quad, c, p)
+        f = project_moment(quad, c, p, vals)
         c, vals = f.coeffs, f.values
         if vals.min() >= 0.0:
             break
-    return c
+    return (c, vals) if with_values else c
 
 
 def constraint_residuals(quad: Quadrature, coeffs: np.ndarray, p: float) -> dict:
@@ -216,7 +223,7 @@ def _descend(quad: Quadrature, coeffs: np.ndarray, p: float, objective):
     """Projected gradient descent on log(objective); objective is a ratio of
     diagonal quadratics given by the weight vectors (num_w, den_w)."""
     num_w, den_w = objective
-    c = project_feasible(quad, coeffs, p)
+    c, vals = project_feasible(quad, coeffs, p, with_values=True)
     num, den = _quadratics(c, num_w, den_w)
     cur = num / den if den > 0.0 else math.inf
     step = 0.1
@@ -225,24 +232,21 @@ def _descend(quad: Quadrature, coeffs: np.ndarray, p: float, objective):
         grad = 2.0 * (num_w * c) / num - 2.0 * (den_w * c) / den
         # tangent space of {c_0 = 1} x {moment = 0}
         grad[0] = 0.0
-        vals = quad.to_values(c)
-        mom_grad = p * quad.to_coeffs(
-            quad.nodes * np.abs(vals) ** (p - 2.0) * vals
-        )
+        mom_grad = p * quad.to_coeffs(quad.nodes * np.abs(vals) ** (p - 2.0) * vals)
         mom_grad[0] = 0.0
-        ng2 = float(np.sum(mom_grad**2))
+        ng2 = float(_sum(mom_grad**2))
         if ng2 > 0.0:
-            grad -= mom_grad * (float(np.sum(grad * mom_grad)) / ng2)
+            grad -= mom_grad * (float(_sum(grad * mom_grad)) / ng2)
         gnorm = float(np.linalg.norm(grad))
         if gnorm < DESCENT_GTOL * max(1.0, abs(math.log(cur))):
             break
         improved = False
         s = step
         for _ in range(25):
-            trial = project_feasible(quad, c - s * grad / gnorm, p)
+            trial, tvals = project_feasible(quad, c - s * grad / gnorm, p, with_values=True)
             tnum, tden = _quadratics(trial, num_w, den_w)
             if tden > 0.0 and tnum / tden < cur - 1e-15:
-                c, num, den, cur = trial, tnum, tden, tnum / tden
+                c, vals, num, den, cur = trial, tvals, tnum, tden, tnum / tden
                 step = min(s * 1.5, 1.0)
                 improved = True
                 break
@@ -351,6 +355,8 @@ def verify_improved_inequality(
     A violated sample is reported, not raised.  With even_only the moment
     constraint holds by parity and the draw stays in the symmetric class.
     """
+    if samples < 1:
+        raise DomainError(f"need at least one sample, got {samples}")
     quad = Quadrature(d, n)
     rng = np.random.default_rng(seed)
     slacks = np.empty(samples)

@@ -1,9 +1,18 @@
 import functools
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ultraflow import Quadrature
+
+# pytest puts src/ on sys.path (pyproject.toml); the tests that start a fresh
+# interpreter need it on that interpreter's path too
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+)
 
 
 @functools.lru_cache(maxsize=32)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -63,6 +64,24 @@ class TestRegionCommand:
             assert rc == 0
         assert (a / "region.csv").read_bytes() == (b / "region.csv").read_bytes()
         assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
+
+    def test_sweep_csv_bytes_pinned(self, tmp_path, capsys):
+        # sha256 of the region.csv this command wrote when the sweep made one
+        # scalar classify_region call per grid point
+        rc, _, _ = run_main(capsys, "region", "--d", "5", "--grid", "201", "--out", str(tmp_path))
+        assert rc == 0
+        digest = hashlib.sha256((tmp_path / "region.csv").read_bytes()).hexdigest()
+        assert digest == "c3f6e657512bb36ab10cba861623efb76d08980f222acd26e7d8032604e8b94f"
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--grid", "0"], ["--grid", "-3"], ["--curves", "2,3"], ["--curves", "abc"],
+         ["--curves", "3,4", "--grid", "0"]],
+    )
+    def test_malformed_region_is_parameter_error(self, args, capsys):
+        rc, _, err = run_main(capsys, "region", "--d", "3", *args)
+        assert rc == 2
+        assert json.loads(err)["error"] == "parameter"
 
     def test_beta_curves(self, tmp_path, capsys):
         rc, _, _ = run_main(capsys, "region", "--d", "3", "--curves", "3,4,5,6,7,8,9,10",
@@ -136,6 +155,16 @@ class TestFlowCommand:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "parameter"
 
+    @pytest.mark.parametrize("form", ["w", "fde", "heat"])
+    @pytest.mark.parametrize("dt_max", ["0", "-1"])
+    def test_nonpositive_dt_max_is_parameter_error(self, form, dt_max, capsys):
+        # a zero step never advances the clock, a negative one underflows
+        rc, _, err = run_main(capsys, "flow", "--form", form, "--d", "5", "--p", "3.3",
+                              "--beta", "1.2", "--init", "const:1", "--t-end", "0.1",
+                              "--n", "32", "--dt-max", dt_max)
+        assert rc == 2
+        assert json.loads(err)["error"] == "parameter"
+
     def test_near_critical_m_is_infinite_beta(self, capsys):
         # the README fde example: m = 2/3 to ten digits runs as the critical
         # (infinite-beta) member, whose reports carry no dissipation
@@ -194,6 +223,13 @@ class TestImproveCommand:
         rep = json.loads(out)
         assert 4.0 < rep["lambda_star"] <= 10.0 + 1e-6
         assert rep["verify"]["violations"] == 0
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_malformed_samples_is_parameter_error(self, samples, capsys):
+        rc, _, err = run_main(capsys, "improve", "--d", "4", "--p", "3", "--restarts", "2",
+                              "--samples", samples)
+        assert rc == 2
+        assert json.loads(err)["error"] == "parameter"
 
 
 class TestVerifyCommand:

@@ -295,6 +295,21 @@ class TestClassifyRegion:
         assert pt.m == pytest.approx(m_from_beta(Params(5.0, 3.0), 2.0))
         assert math.isinf(classify_region(Params(5.0, 3.0), 0.0).m)
 
+    def test_scalar_call_gives_python_scalars(self):
+        # the constants command emits these fields as they come
+        for d in (2.0, 5.0):
+            pt = classify_region(Params(d, 3.0), 1.2)
+            assert type(pt.admissible) is bool and type(pt.A_positive) is bool
+            assert type(pt.gamma) is float and type(pt.A) is float and type(pt.m) is float
+
+    def test_array_m_at_zero_and_infinite_beta(self):
+        params = Params(5.0, 3.0)
+        betas = np.array([0.0, -0.0, math.inf, -math.inf, 2.0, -0.5])
+        m = m_from_beta(params, betas)
+        assert m.tolist() == [m_from_beta(params, float(b)) for b in betas]
+        assert math.isinf(m[0]) and m[0] > 0.0 and m[1] == m[0]
+        assert m[2] == 1.0 - 2.0 / 3.0
+
 
 class TestRegionSweep:
     def test_shape_and_csv(self, tmp_path):
@@ -305,6 +320,29 @@ class TestRegionSweep:
         region_rows_to_csv(rows, path)
         header = path.read_text().splitlines()[0]
         assert header == "p,beta,m,gamma,admissible,A,A_positive"
+
+    @pytest.mark.parametrize("d", [1.0, 2.0, 2.5, 3.0, 5.0])
+    def test_rows_equal_scalar_classification(self, d):
+        # one classify_region call per p row gives, bit for bit, the scalar
+        # call at every grid point; beta = 0 (m = inf) is on the grid, and
+        # below d = 3 the witness coefficient A is NaN
+        p_hi = two_star(d) if math.isfinite(two_star(d)) else 9.0
+        rows, summary = region_sweep(d, (1.0, p_hi), (0.0, 4.0), 41, 33)
+        assert len(rows) == 41 * 33
+        n_admissible = 0
+        for row in rows:
+            p, beta = row[:2]
+            pt = classify_region(Params(d, p), beta)
+            expected = (p, beta, pt.m, pt.gamma, int(pt.admissible), pt.A, int(pt.A_positive))
+            assert repr(row) == repr(expected)
+            n_admissible += expected[4]
+        assert summary["n_admissible"] == n_admissible
+        assert math.isinf(rows[0][2])
+        assert math.isnan(rows[0][5]) == (d < 3.0)
+
+    def test_empty_grid(self):
+        with pytest.raises(DomainError):
+            region_sweep(5.0, (1.0, 3.0), (0.0, 4.0), 0, 5)
 
     def test_d1_metadata_note(self):
         _, summary = region_sweep(1.0, (1.0, 4.0), (0.0, 2.0), 5, 5)

@@ -22,6 +22,7 @@ from ultraflow import (
 )
 from ultraflow.discretization import random_positive
 from ultraflow.errors import PositivityLossError
+from ultraflow import flows
 from ultraflow.flows import _full_rhs, _sample_report, conformal_coefficients, convert
 
 from conftest import cached_quadrature
@@ -231,7 +232,7 @@ class TestSampleReports:
         # no rho -> w -> rho round trip: the report's functionals are those
         # of the evolved density itself, to the last bit
         state = self._state(Form.RHO_FDE, rng, n=128)
-        rep = _sample_report(state, state.spec.m)
+        rep = _sample_report(state, state.f.values, state.spec.m)
         assert rep.E_p == entropy(state.f, 3.3)
         assert rep.I_p == fisher(state.f, 3.3)
 
@@ -246,7 +247,7 @@ class TestSampleReports:
                 return original(quad, x)
 
             monkeypatch.setattr(Quadrature, name, counted)
-        _sample_report(state, 1.0)
+        _sample_report(state, state.f.values, 1.0)
         return calls
 
     def test_heat_sample_costs_three_transforms(self, rng, monkeypatch):
@@ -260,6 +261,36 @@ class TestSampleReports:
         calls = self._transforms(self._state(Form.RHO_FDE, rng), monkeypatch)
         assert len(calls) == 3, calls
 
+    @pytest.mark.parametrize("form, per_sample", [(Form.RHO_HEAT, 3), (Form.RHO_FDE, 3),
+                                                  (Form.U_LINEAR, 2), (Form.W_NONLINEAR, 3)])
+    def test_sample_transforms_through_evolve(self, form, per_sample, rng, monkeypatch):
+        # transforms outside the stepping: a sample forms rho = w^(beta p)
+        # once and synthesizes nothing else for the report (u = w at
+        # beta = 1, else u = w^beta analysed once; then u' and u'')
+        state = self._state(form, rng)
+        calls, stepping = [], []
+        for name in ("to_values", "to_coeffs", "derivative_values", "second_derivative_values"):
+            original = getattr(Quadrature, name)
+
+            def counted(quad, x, original=original, name=name):
+                if not stepping:
+                    calls.append(name)
+                return original(quad, x)
+
+            monkeypatch.setattr(Quadrature, name, counted)
+        advance = flows._advance_to
+
+        def stepped(*args):
+            stepping.append(True)
+            try:
+                return advance(*args)
+            finally:
+                stepping.pop()
+
+        monkeypatch.setattr(flows, "_advance_to", stepped)
+        evolve(state, 0.002, samples=3, dt_max=2e-4)
+        assert len(calls) == 3 * per_sample, calls
+
     @pytest.mark.parametrize("beta", [beta_roots(Params(5.0, 3.3)).minus, 1e4, 1e7])
     def test_dissipation_integrals_at_large_beta(self, beta):
         # rho = (1 + 0.4 z)^-3, so w = rho^(1/(beta p)) = (1 + 0.4 z)^a with
@@ -270,7 +301,7 @@ class TestSampleReports:
         base = 1.0 + 0.4 * quad.nodes
         state = make_state(Form.RHO_FDE, FlowSpec.nonlinear(Params(5.0, 3.3), beta),
                            GridFn.from_values(quad, base**-3.0))
-        rep = _sample_report(state, 1.0)
+        rep = _sample_report(state, state.f.values, 1.0)
         a = -3.0 / (beta * 3.3)
         w, wp, wpp = base**a, 0.4 * a * base ** (a - 1.0), 0.16 * a * (a - 1.0) * base ** (a - 2.0)
         w2 = quad.weights * quad.nu**2

@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 from ultraflow import (
     DomainError,
     GridFn,
+    Quadrature,
     antipodal_constants,
     antipodal_spectral_check,
     eigenfunction,
@@ -91,6 +92,20 @@ def _verified(quad, c, f, p):
     return moment <= MOMENT_TOL * scale and np.array_equal(np.delete(f.coeffs, 1), np.delete(c, 1))
 
 
+def _count_transforms(monkeypatch):
+    """Names of the plain transforms called from now on."""
+    calls = []
+    for name in ("to_values", "to_coeffs", "derivative_values", "second_derivative_values"):
+        original = getattr(Quadrature, name)
+
+        def counted(quad, x, original=original, name=name):
+            calls.append(name)
+            return original(quad, x)
+
+        monkeypatch.setattr(Quadrature, name, counted)
+    return calls
+
+
 class TestProjection:
     def test_feasible_point(self, rng):
         quad = cached_quadrature(4.0, 64)
@@ -118,6 +133,26 @@ class TestProjection:
             assert _verified(quad, c, f, 3.0)
             verified += 1
         assert verified > 250 and raised > 0
+
+    def test_projection_handed_values_synthesizes_once(self, monkeypatch):
+        # the verified result is the only transform: the input's values come
+        # from the caller, phi_1's from the quadrature's synthesis table
+        quad = cached_quadrature(4.0, 64)
+        c = list(_probe_draws(quad, 3))[-1]
+        values = quad.to_values(c)
+        expected = project_moment(quad, c, 3.0)
+        calls = _count_transforms(monkeypatch)
+        f = project_moment(quad, c, 3.0, values)
+        assert len(calls) == 1, calls
+        assert np.array_equal(f.coeffs, expected.coeffs)
+        assert np.array_equal(f.values, expected.values)
+
+    def test_feasible_values_are_the_synthesis(self, rng):
+        quad = cached_quadrature(4.0, 64)
+        g = random_positive(quad, rng, modes=8, amplitude=0.9)
+        c, values = project_feasible(quad, g.coeffs, 3.0, with_values=True)
+        assert np.array_equal(c, project_feasible(quad, g.coeffs, 3.0))
+        assert np.array_equal(values, quad.to_values(c))
 
     def test_bisection_fallback(self):
         # draw 126: the moment decreases along phi_1 at r = 0, so Newton
