@@ -208,22 +208,23 @@ def _dimensions(text: str) -> list[float]:
     raise DomainError(f"--curves needs a comma list of dimensions, got {text!r}")
 
 
-def _p_max(d: float, p_max: float | None) -> float:
-    """Upper end of a p range: --p-max if given, else the critical exponent."""
-    hi = p_max if p_max is not None else cs.two_star(d)
-    if not math.isfinite(hi):
+def _finite_p_max(d: float, hi: float | None) -> float:
+    """The upper end of a p range, which must be finite: --p-max is required
+    where the critical exponent is infinite."""
+    if hi is None or not math.isfinite(hi):
         raise DomainError(f"p-max required when the critical exponent is infinite (d={d})")
     return hi
 
 
 def cmd_region(args) -> int:
-    if args.grid < 1:
-        raise DomainError(f"--grid needs at least 1 point, got {args.grid}")
     if args.curves:
         dims = _dimensions(args.curves)
+        if args.grid < 1:
+            raise DomainError(f"--grid needs at least 1 point, got {args.grid}")
         rows = []
         for d in dims:
-            hi = cs.two_star(d) if math.isfinite(cs.two_star(d)) else _p_max(d, args.p_max)
+            ts = cs.two_star(d)
+            hi = _finite_p_max(d, ts if math.isfinite(ts) else args.p_max)
             for p in np.linspace(max(args.p_min, 1.0), hi, args.grid):
                 params = cs.Params(d, float(p))
                 try:
@@ -247,9 +248,9 @@ def cmd_region(args) -> int:
         manifest = RunManifest("region", vars_args(args), {}, args.grid, 0)
         _emit(_json_safe(out), args, manifest)
         return 0
+    p_hi = _finite_p_max(args.d, args.p_max if args.p_max is not None else cs.two_star(args.d))
     rows, summary = cs.region_sweep(
-        args.d, (args.p_min, _p_max(args.d, args.p_max)), (args.beta_min, args.beta_max),
-        args.grid, args.grid
+        args.d, (args.p_min, p_hi), (args.beta_min, args.beta_max), args.grid, args.grid
     )
     if args.out:
         import os

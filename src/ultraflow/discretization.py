@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln, roots_jacobi
@@ -118,9 +117,14 @@ class Quadrature:
         w = 0.5 * (w + w[::-1])
         self.nodes = x
         self.weights = w / self.z_d
+        # the rule for first moments int z f
+        self.z_weights = self.weights * x
         self.nu = 1.0 - x * x
 
         self._basis, self._basis_d1, self._basis_d2 = self._tables(x, n)
+        # nodal values of the first eigenfunction (proportional to z): column 1
+        # of the synthesis table, bitwise equal to synthesizing e_1
+        self.phi1_values = self._basis[:, 1].copy()
         # analysis matrix: coeffs = analysis @ values
         self._analysis = self._basis.T * self.weights
         lam = np.arange(n, dtype=float)
@@ -194,18 +198,6 @@ class Quadrature:
 
     def second_derivative_values(self, coeffs: np.ndarray) -> np.ndarray:
         return self._basis_d2 @ coeffs
-
-    @cached_property
-    def z_weights(self) -> np.ndarray:
-        """weights * nodes: the rule for first moments int z f."""
-        return self.weights * self.nodes
-
-    @cached_property
-    def phi1_values(self) -> np.ndarray:
-        """Nodal values of the first eigenfunction (proportional to z): column
-        1 of the synthesis table, equal to synthesizing the unit coefficient
-        vector e_1 and computed without a transform."""
-        return self._basis[:, 1].copy()
 
     def compatible(self, other: "Quadrature") -> bool:
         return self.d == other.d and self.n == other.n

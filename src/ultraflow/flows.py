@@ -45,7 +45,8 @@ from .errors import (
     PositivityError,
     PositivityLossError,
 )
-from .functionals import DissipationReport, dissipation_report, entropy, fisher
+from .functionals import (DissipationReport, dissipation_nonlinear, dissipation_report,
+                          entropy, fisher)
 
 #: defaults for the adaptive controller
 TOL_CONS = 1e-9
@@ -86,9 +87,9 @@ def _density_values(form: Form, spec: FlowSpec, f: GridFn) -> np.ndarray:
     return f.values if form in DENSITY_FORMS else f.values ** (spec.beta * spec.params.p)
 
 
-def conserved_quantity(form: Form, spec: FlowSpec, f: GridFn) -> float:
-    """Integral of the density."""
-    return float(np.sum(f.quad.weights * _density_values(form, spec, f)))
+def conserved_quantity(quad: Quadrature, rho: np.ndarray) -> float:
+    """Integral of the nodal density rho."""
+    return float(np.sum(quad.weights * rho))
 
 
 def density_of(state: FlowState) -> GridFn:
@@ -117,7 +118,8 @@ def make_state(form: Form, spec: FlowSpec, f0: GridFn, t: float = 0.0) -> FlowSt
             "run the density form with m = 1 - 2/p instead"
         )
     f0.require_positive(what="initial datum")
-    return FlowState(t, f0, form, spec, conserved_quantity(form, spec, f0))
+    return FlowState(t, f0, form, spec,
+                     conserved_quantity(f0.quad, _density_values(form, spec, f0)))
 
 
 def convert(state: FlowState, form: Form) -> FlowState:
@@ -214,7 +216,7 @@ def _advance_to(
         return replace(state, t=t_target, f=GridFn.from_coeffs(quad, c)), dt
     noise_floor = 1e-15 * max(1.0, abs(state.conserved0))
     t, c = state.t, state.f.coeffs
-    c_prev = conserved_quantity(state.form, state.spec, state.f)
+    c_prev = conserved_quantity(quad, _density_values(state.form, state.spec, state.f))
     while t < t_target - 1e-14 * max(1.0, abs(t_target)):
         h = min(dt, dt_max, t_target - t)
         try:
@@ -226,7 +228,7 @@ def _advance_to(
             trial = None
         budget = 0.5 * tol_cons * h / horizon + noise_floor
         if ok:
-            c_now = conserved_quantity(state.form, state.spec, trial)
+            c_now = conserved_quantity(quad, _density_values(state.form, state.spec, trial))
             local = abs(c_now - c_prev)
             cumulative = abs(c_now - state.conserved0)
             if local > budget:
@@ -279,16 +281,14 @@ class Trajectory:
 
 
 def _sample_report(state: FlowState, rho: np.ndarray, clock_factor: float) -> DissipationReport:
-    """Report at a sample from its nodal density rho and u = rho^(1/p): taken
-    from rho for the density forms, u = w^beta (w itself at beta = 1) for
-    the pointwise forms."""
+    """Report at a sample from its nodal density rho: with u = rho^(1/p) for
+    the density forms, from w for the pointwise forms."""
     p, beta = state.params.p, state.spec.beta
-    f = state.f
     if state.form in DENSITY_FORMS:
-        u = GridFn.from_values(f.quad, rho ** (1.0 / p))
+        u = GridFn.from_values(state.f.quad, rho ** (1.0 / p))
+        rep = dissipation_report(rho, u, p, beta)
     else:
-        u = f if beta == 1.0 else GridFn.from_values(f.quad, f.values**beta)
-    rep = dissipation_report(rho, u, p, beta)
+        rep = dissipation_nonlinear(state.f, p, beta, rho)
     if clock_factor != 1.0:
         rep = replace(rep, dF_dt_analytic=clock_factor * rep.dF_dt_analytic)
     return rep
@@ -328,7 +328,7 @@ def evolve(
             density = st.f if st.form in DENSITY_FORMS else GridFn.from_values(st.f.quad, rho)
             e, i = entropy(density, p), fisher(density, p)
         f_val = i / d - e
-        cons = float(np.sum(st.f.quad.weights * rho))
+        cons = conserved_quantity(st.f.quad, rho)
         mom = float(np.sum(st.f.quad.z_weights * rho))
         traj.times.append(st.t)
         traj.F.append(f_val)

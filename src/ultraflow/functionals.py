@@ -185,14 +185,18 @@ def dissipation_heat(u: GridFn, p: float) -> DissipationReport:
     return dissipation_nonlinear(u, p, 1.0)
 
 
-def dissipation_nonlinear(w: GridFn, p: float, beta: float) -> DissipationReport:
+def dissipation_nonlinear(w: GridFn, p: float, beta: float,
+                          rho: np.ndarray | None = None) -> DissipationReport:
     """Report at w for the rescaled nonlinear flow (dissipation in the clock
-    of that flow); rho = w^(beta p) and u = w^beta."""
+    of that flow); u = w^beta and rho = w^(beta p), or the nodal ``rho`` a
+    caller already formed from w."""
     w.require_positive(what="dissipation input")
     if math.isinf(beta) or beta == 0.0:
         raise DomainError("nonlinear dissipation needs finite nonzero beta")
     u = w if beta == 1.0 else GridFn.from_values(w.quad, w.values**beta)
-    return dissipation_report(w.values ** (beta * p), u, p, beta)
+    if rho is None:
+        rho = w.values ** (beta * p)
+    return dissipation_report(rho, u, p, beta)
 
 
 def dissipation_report(rho: np.ndarray, u: GridFn, p: float, beta: float) -> DissipationReport:

@@ -137,11 +137,10 @@ def project_moment(quad: Quadrature, coeffs: np.ndarray, p: float,
     return f
 
 
-def project_feasible(quad: Quadrature, coeffs: np.ndarray, p: float, *,
-                     with_values: bool = False):
+def project_feasible(quad: Quadrature, coeffs: np.ndarray, p: float) -> GridFn:
     """Alternate mass normalization (c_0 = 1), nodal clipping at the
-    positivity floor, and the moment shift.  Returns the coefficients, or
-    (coefficients, nodal values) with ``with_values``."""
+    positivity floor, and the moment shift.  Returns the projected function,
+    as project_moment does."""
     c = coeffs.copy()
     c[0] = 1.0
     vals = quad.to_values(c)
@@ -155,7 +154,7 @@ def project_feasible(quad: Quadrature, coeffs: np.ndarray, p: float, *,
         c, vals = f.coeffs, f.values
         if vals.min() >= 0.0:
             break
-    return (c, vals) if with_values else c
+    return f
 
 
 def constraint_residuals(quad: Quadrature, coeffs: np.ndarray, p: float) -> dict:
@@ -223,7 +222,8 @@ def _descend(quad: Quadrature, coeffs: np.ndarray, p: float, objective):
     """Projected gradient descent on log(objective); objective is a ratio of
     diagonal quadratics given by the weight vectors (num_w, den_w)."""
     num_w, den_w = objective
-    c, vals = project_feasible(quad, coeffs, p, with_values=True)
+    f = project_feasible(quad, coeffs, p)
+    c, vals = f.coeffs, f.values
     num, den = _quadratics(c, num_w, den_w)
     cur = num / den if den > 0.0 else math.inf
     step = 0.1
@@ -243,10 +243,11 @@ def _descend(quad: Quadrature, coeffs: np.ndarray, p: float, objective):
         improved = False
         s = step
         for _ in range(25):
-            trial, tvals = project_feasible(quad, c - s * grad / gnorm, p, with_values=True)
-            tnum, tden = _quadratics(trial, num_w, den_w)
+            trial = project_feasible(quad, c - s * grad / gnorm, p)
+            tnum, tden = _quadratics(trial.coeffs, num_w, den_w)
             if tden > 0.0 and tnum / tden < cur - 1e-15:
-                c, vals, num, den, cur = trial, tvals, tnum, tden, tnum / tden
+                c, vals = trial.coeffs, trial.values
+                num, den, cur = tnum, tden, tnum / tden
                 step = min(s * 1.5, 1.0)
                 improved = True
                 break
