@@ -22,13 +22,10 @@ from .constants import (  # noqa: F401
 from .discretization import (  # noqa: F401
     GridFn,
     Quadrature,
-    apply_L,
     derivative,
     eigenfunction,
-    inner,
     integral,
     second_derivative,
-    weighted_integral,
 )
 from .errors import (  # noqa: F401
     ConservationError,

@@ -143,7 +143,7 @@ def parse_init(spec_str: str, quad, params: cs.Params, form: fl.Form, beta: floa
             family = cx.ExplicitFamily.powerlaw(params, a, b)
             e = family.beta * p
         g = cx.materialize(family, quad)
-        power = e if form in fl.DENSITY_FORMS else e / (beta * p)
+        power = e if form is fl.Form.DENSITY else e / (beta * p)
         return GridFn.from_values(quad, g.values**power)
     raise DomainError(f"unknown init spec {spec_str!r}")
 
@@ -270,18 +270,20 @@ def vars_args(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
+#: the four flow names: the form, and whether the name is the heat flow
+#: (beta = 1, whatever --beta or --m say)
 _FORMS = {
-    "heat": fl.Form.RHO_HEAT,
-    "fde": fl.Form.RHO_FDE,
-    "u": fl.Form.U_LINEAR,
-    "w": fl.Form.W_NONLINEAR,
+    "heat": (fl.Form.DENSITY, True),
+    "fde": (fl.Form.DENSITY, False),
+    "u": (fl.Form.POINTWISE, True),
+    "w": (fl.Form.POINTWISE, False),
 }
 
 
 def cmd_flow(args) -> int:
     params = cs.Params(args.d, args.p)
-    form = _FORMS[args.form]
-    if form in (fl.Form.RHO_HEAT, fl.Form.U_LINEAR):
+    form, heat = _FORMS[args.form]
+    if heat:
         spec = cs.FlowSpec.heat(params)
     else:
         if args.beta is None and args.m is None:
@@ -316,7 +318,7 @@ def cmd_flow(args) -> int:
     }
     params_record = vars_args(args)
     params_record["scheme"] = (
-        "exact-diagonal" if form is fl.Form.RHO_HEAT else "imex-ars222-sigma-frozen"
+        "exact-diagonal" if fl.integrates_exactly(form, spec) else "imex-ars222-sigma-frozen"
     )
     manifest = RunManifest(
         "flow",
@@ -420,7 +422,7 @@ def _suite_heat_monotone(args):
     ok_mono = ok_cons = True
     for _ in range(10):
         rho0 = random_positive(quad, rng, modes=10, amplitude=0.6)
-        state = fl.make_state(fl.Form.RHO_HEAT, cs.FlowSpec.heat(params), rho0)
+        state = fl.make_state(fl.Form.DENSITY, cs.FlowSpec.heat(params), rho0)
         traj = fl.evolve(state, 1.0, samples=50, with_reports=False)
         ok_mono &= traj.monotone_decreasing_F()
         ok_cons &= max(abs(c - traj.conserved[0]) for c in traj.conserved) < 1e-13
@@ -451,7 +453,7 @@ def _suite_moment_decay(args):
     p = args.p if args.p is not None else 3.0
     quad = Quadrature(d, 64)
     u0 = GridFn.from_values(quad, 1.0 + 0.1 * quad.nodes)
-    state = fl.make_state(fl.Form.U_LINEAR, cs.FlowSpec.heat(cs.Params(d, p)), u0)
+    state = fl.make_state(fl.Form.POINTWISE, cs.FlowSpec.heat(cs.Params(d, p)), u0)
     rep = fl.moment_decay_check(state, 1.0, dt_max=2e-4)
     yield "moment follows exp(-d t) to 1e-7", rep["max_dev_from_law"] <= 1e-7
 
@@ -520,6 +522,17 @@ def cmd_verify(args) -> int:
 # -- entry point ------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """The argparse type of every --seed: a whole number >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ultraflow",
@@ -562,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--dt-max", type=float, default=math.inf)
     p.add_argument("--tol-cons", type=float, default=fl.TOL_CONS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     common(p)
     p.set_defaults(func=cmd_flow)
 
@@ -581,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     common(p)
     p.set_defaults(func=cmd_improve)
 
@@ -589,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", help=f"one of: {', '.join(_SUITES)}, all")
     p.add_argument("--d", type=float, default=None)
     p.add_argument("--p", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     common(p)
     p.set_defaults(func=cmd_verify)
 

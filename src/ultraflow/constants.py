@@ -58,10 +58,11 @@ class Params:
     p: float
 
     def __post_init__(self):
-        if self.d < 1.0:
-            raise DomainError(f"dimension must be >= 1, got {self.d}")
-        if self.p < 1.0:
-            raise DomainError(f"exponent must be >= 1, got {self.p}")
+        # written so that NaN fails them
+        if not 1.0 <= self.d < math.inf:
+            raise DomainError(f"dimension must be finite and >= 1, got {self.d}")
+        if not 1.0 <= self.p < math.inf:
+            raise DomainError(f"exponent must be finite and >= 1, got {self.p}")
         ts = two_star(self.d)
         if self.p > ts * (1.0 + 1e-14):
             raise DomainError(
@@ -325,6 +326,8 @@ def region_sweep(
     Returns (rows, summary); each row matches REGION_CSV_HEADER.
     """
     p_lo, p_hi = p_range
+    if not all(math.isfinite(x) for x in (*p_range, *beta_range)):
+        raise DomainError(f"the sweep needs finite ranges, got p {p_range}, beta {beta_range}")
     ts = two_star(d)
     if p_lo < 1.0 or (math.isfinite(ts) and p_hi > ts + 1e-12):
         raise DomainError(f"p range [{p_lo}, {p_hi}] outside [1, {ts:.6g}]")

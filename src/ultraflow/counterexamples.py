@@ -123,7 +123,7 @@ def ode_residual(w: GridFn, ratio: float) -> float:
 
 def _heat_flow_deficit_curve(rho0: GridFn, params: Params, t_end: float, samples: int):
     spec = FlowSpec.heat(params)
-    state = make_state(Form.RHO_HEAT, spec, rho0)
+    state = make_state(Form.DENSITY, spec, rho0)
     traj = evolve(state, t_end, samples=samples, with_reports=False)
     return traj.times, traj.F
 

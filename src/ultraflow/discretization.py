@@ -199,9 +199,6 @@ class Quadrature:
     def second_derivative_values(self, coeffs: np.ndarray) -> np.ndarray:
         return self._basis_d2 @ coeffs
 
-    def compatible(self, other: "Quadrature") -> bool:
-        return self.d == other.d and self.n == other.n
-
     def __repr__(self) -> str:
         return f"Quadrature(d={self.d}, n={self.n})"
 
@@ -271,10 +268,6 @@ class GridFn:
                 "increase the quadrature order"
             )
 
-    def norm2(self) -> float:
-        """Norm in L^2 of the measure."""
-        return float(np.sqrt(np.sum(self.quad.weights * self.values**2)))
-
     # -- serialization -------------------------------------------------------
 
     def to_csv(self, path):
@@ -296,21 +289,6 @@ class GridFn:
         return cls.from_coeffs(quad, np.array(obj["coeffs"]))
 
 
-def _check_same_quad(f: GridFn, g: GridFn):
-    if not f.quad.compatible(g.quad):
-        raise QuadratureMismatchError(
-            f"mismatched quadratures: {f.quad!r} vs {g.quad!r}"
-        )
-
-
-def apply_L(f: GridFn, check: bool = True) -> GridFn:
-    """Ultraspherical operator, diagonal in coefficient space:
-    coeff_k -> -k (k + d - 1) coeff_k."""
-    if check:
-        f.require_resolved()
-    return GridFn.from_coeffs(f.quad, -f.quad.eigenvalues * f.coeffs)
-
-
 def derivative(f: GridFn, check: bool = True) -> np.ndarray:
     """Spectral derivative at the nodes; exact on polynomials in the resolved band."""
     if check:
@@ -324,22 +302,8 @@ def second_derivative(f: GridFn, check: bool = True) -> np.ndarray:
     return f.quad.second_derivative_values(f.coeffs)
 
 
-def inner(f: GridFn, g: GridFn) -> float:
-    """Scalar product against the probability measure."""
-    _check_same_quad(f, g)
-    return float(np.sum(f.quad.weights * f.values * g.values))
-
-
 def integral(f: GridFn) -> float:
     return float(np.sum(f.quad.weights * f.values))
-
-
-def weighted_integral(f: GridFn, power_of_nu: int = 0) -> float:
-    """Integral of f nu^k against the measure, k = 0, 1, 2, ..."""
-    if power_of_nu < 0:
-        raise DomainError("power_of_nu must be nonnegative")
-    w = f.quad.weights * f.quad.nu**power_of_nu if power_of_nu else f.quad.weights
-    return float(np.sum(w * f.values))
 
 
 def eigenfunction(quad: Quadrature, k: int) -> GridFn:

@@ -1,32 +1,36 @@
-"""Time integration of the four flow forms with conservation and
-monotonicity instrumentation.
+"""Time integration of the nonlinear-diffusion family in its two forms, with
+conservation and monotonicity instrumentation.
 
-Every flow is a member of the nonlinear-diffusion family selected by a
-``FlowSpec`` (beta, with m and kappa derived from it); the heat flow is the
-beta = 1, m = 1 member.  Each member has a density form and a pointwise
-form:
+Every flow is a member of the family selected by a ``FlowSpec`` (beta, with
+m and kappa derived from it).  Each member has a density form and a
+pointwise form:
 
-    RHO_HEAT     d rho/dt = L rho                                int rho
-    RHO_FDE      d rho/dt = L rho^m                              int rho
-    U_LINEAR     d u/dt   = L u + (p-1) nu |u'|^2 / u            int u^p
-    W_NONLINEAR  d w/ds   = w^(2-2b) (L w + k nu |w'|^2 / w)     int w^(b p)
+    DENSITY    d rho/dt = L rho^m                              int rho
+    POINTWISE  d w/ds   = w^(2-2b) (L w + k nu |w'|^2 / w)     int w^(b p)
 
-RHO_HEAT and U_LINEAR are RHO_FDE and W_NONLINEAR at beta = 1.  The
-pointwise forms carry the gradient weight nu = 1 - z^2 (the intrinsic
-gradient squared); this is what makes their first integrals exact and maps
-them onto the density forms by one rule, rho = w^(beta p) with the clock
-t = s / m, which ``convert`` applies in either direction.
+The heat flow is the beta = 1 member (m = 1, kappa = p - 1, w = u):
 
-The heat density form integrates exactly in coefficient space (diagonal
-exponential of L).  The other forms use a two-stage, second-order IMEX
-scheme whose implicit half is sigma*L with a scalar stiffness bound sigma
-frozen per step, so every implicit solve is diagonal; dt adapts under a
-conservation-drift budget and a positivity guard (steps are rejected, never
-clamped).  U_LINEAR keeps its own right-hand side although W_NONLINEAR at
-beta = 1 computes the same one (to 1e-13, a test pins it): the general
-branch spends an extra padded synthesis on L w and raises w to the power
-2 - 2 beta, which makes an IMEX step about 1.4 times slower (N = 64 and
-128, one BLAS thread).
+    DENSITY    d rho/dt = L rho                                int rho
+    POINTWISE  d u/dt   = L u + (p-1) nu |u'|^2 / u            int u^p
+
+The CLI names these four cases fde, w, heat and u.  The pointwise form
+carries the gradient weight nu = 1 - z^2 (the intrinsic gradient squared);
+this is what makes its first integral exact and maps it onto the density
+form by one rule, rho = w^(beta p) with the clock t = s / m, which
+``convert`` applies in either direction.
+
+The density form at beta = 1 integrates exactly in coefficient space
+(diagonal exponential of L); ``integrates_exactly`` says when.  Every other
+case uses a two-stage, second-order IMEX scheme whose implicit half is
+sigma*L with a scalar stiffness bound sigma frozen per step, so every
+implicit solve is diagonal; dt adapts under a conservation-drift budget and
+a positivity guard (steps are rejected, never clamped).
+
+The pointwise right-hand side branches on beta = 1, an input it reads, not
+a separate flow.  There the mobility w^(2-2b) is 1 and sigma is 1, so L w
+stays in coefficient space instead of costing a padded synthesis, and no
+power is taken.  The general branch just above beta = 1 agrees with it to
+rounding, and a test pins that.
 """
 
 from __future__ import annotations
@@ -58,10 +62,11 @@ _IMEX_DELTA = 1.0 - 1.0 / (2.0 * _IMEX_GAMMA)
 
 
 class Form(enum.Enum):
-    RHO_HEAT = "rho_heat"
-    RHO_FDE = "rho_fde"
-    U_LINEAR = "u_linear"
-    W_NONLINEAR = "w_nonlinear"
+    DENSITY = "density"
+    POINTWISE = "pointwise"
+    # the name perfbench/workloads.py reads; the benchmark change of ROADMAP
+    # item 1 drops it
+    U_LINEAR = "pointwise"
 
 
 @dataclass(frozen=True)
@@ -79,12 +84,15 @@ class FlowState:
         return self.spec.params
 
 
-DENSITY_FORMS = frozenset({Form.RHO_HEAT, Form.RHO_FDE})
+def integrates_exactly(form: Form, spec: FlowSpec) -> bool:
+    """The heat density form steps by the exact diagonal exponential of L;
+    every other case by ARS(2,2,2)."""
+    return form is Form.DENSITY and spec.beta == 1.0
 
 
 def _density_values(form: Form, spec: FlowSpec, f: GridFn) -> np.ndarray:
-    """Nodal density: rho itself, or w^(beta p) for the pointwise forms."""
-    return f.values if form in DENSITY_FORMS else f.values ** (spec.beta * spec.params.p)
+    """Nodal density: rho itself, or w^(beta p) for the pointwise form."""
+    return f.values if form is Form.DENSITY else f.values ** (spec.beta * spec.params.p)
 
 
 def conserved_quantity(quad: Quadrature, rho: np.ndarray) -> float:
@@ -92,27 +100,9 @@ def conserved_quantity(quad: Quadrature, rho: np.ndarray) -> float:
     return float(np.sum(quad.weights * rho))
 
 
-def density_of(state: FlowState) -> GridFn:
-    """The density rho corresponding to the evolved variable."""
-    if state.form in DENSITY_FORMS:
-        return state.f
-    return GridFn.from_values(state.f.quad, _density_values(state.form, state.spec, state.f))
-
-
-def pointwise_of(state: FlowState) -> GridFn:
-    """The pointwise variable w = rho^(1/(beta p)) corresponding to the
-    evolved variable."""
-    if state.form not in DENSITY_FORMS:
-        return state.f
-    exponent = 1.0 / (state.spec.beta * state.params.p)
-    return GridFn.from_values(state.f.quad, state.f.values**exponent)
-
-
 def make_state(form: Form, spec: FlowSpec, f0: GridFn, t: float = 0.0) -> FlowState:
     """Validated initial state; computes the conserved quantity."""
-    if form in (Form.RHO_HEAT, Form.U_LINEAR) and spec.beta != 1.0:
-        raise DomainError(f"{form.value} is the beta = 1 member; got beta = {spec.beta}")
-    if form is Form.W_NONLINEAR and spec.beta_is_infinite:
+    if form is Form.POINTWISE and spec.beta_is_infinite:
         raise DomainError(
             "the rescaled pointwise form does not exist for infinite beta; "
             "run the density form with m = 1 - 2/p instead"
@@ -125,45 +115,39 @@ def make_state(form: Form, spec: FlowSpec, f0: GridFn, t: float = 0.0) -> FlowSt
 def convert(state: FlowState, form: Form) -> FlowState:
     """The same solution in another form of its flow: rho = w^(beta p), and
     the density clock t is the pointwise clock s divided by m."""
-    spec = state.spec
-    t = state.t if state.form in DENSITY_FORMS else state.t / spec.m
-    if form in DENSITY_FORMS:
-        return make_state(form, spec, density_of(state), t)
-    return make_state(form, spec, pointwise_of(state), spec.m * t)
+    spec, f = state.spec, state.f
+    t = state.t if state.form is Form.DENSITY else state.t / spec.m
+    if form is not state.form:
+        e = spec.beta * spec.params.p
+        f = GridFn.from_values(f.quad, f.values ** (e if form is Form.DENSITY else 1.0 / e))
+    return make_state(form, spec, f, t if form is Form.DENSITY else spec.m * t)
 
 
 # -- right-hand sides in coefficient space ---------------------------------
 
 
 def _full_rhs(state_form: Form, spec: FlowSpec, quad: Quadrature, c: np.ndarray):
-    """(G(c), stiffness bound sigma) for the pointwise/density nonlinear forms.
+    """(G(c), stiffness bound sigma) for the IMEX-stepped flows.
 
     Nonlinearities are evaluated pointwise on the padded grid and projected
     back (dealiasing).  Raises PositivityError if the padded values touch
     the floor.
     """
     lam = quad.eigenvalues
-    p = spec.params.p
     vals = quad.padded_values(c)
     if vals.min() <= EPS_POS:
         raise PositivityError("state lost positivity on the evaluation grid")
-    if state_form is Form.RHO_FDE:
+    if state_form is Form.DENSITY:
         m = spec.m
         g = -lam * quad.project_padded(vals**m)
         sigma = m * float(np.max(vals ** (m - 1.0)))
         return g, sigma
-    if state_form is Form.U_LINEAR:
-        dvals = quad.padded_derivative(c)
-        nl = (p - 1.0) * quad.padded_nu() * dvals**2 / vals
+    nl = spec.kappa * quad.padded_nu() * quad.padded_derivative(c) ** 2 / vals
+    if spec.beta == 1.0:
         return -lam * c + quad.project_padded(nl), 1.0
-    if state_form is Form.W_NONLINEAR:
-        beta, kappa = spec.beta, spec.kappa
-        dvals = quad.padded_derivative(c)
-        lw = quad.padded_values(-lam * c)
-        mobility = vals ** (2.0 - 2.0 * beta)
-        g = quad.project_padded(mobility * (lw + kappa * quad.padded_nu() * dvals**2 / vals))
-        return g, float(np.max(mobility))
-    raise DomainError(f"no pointwise right-hand side for {state_form}")
+    mobility = vals ** (2.0 - 2.0 * spec.beta)
+    g = quad.project_padded(mobility * (quad.padded_values(-lam * c) + nl))
+    return g, float(np.max(mobility))
 
 
 def _imex_step(form: Form, spec: FlowSpec, quad: Quadrature, c: np.ndarray, dt: float):
@@ -183,12 +167,12 @@ def _imex_step(form: Form, spec: FlowSpec, quad: Quadrature, c: np.ndarray, dt: 
 
 
 def step(state: FlowState, dt: float) -> FlowState:
-    """Advance one step: exact diagonal exponential for the heat form,
-    one IMEX step otherwise.  Raises if positivity is lost."""
+    """Advance one step, exactly or by one IMEX step (``integrates_exactly``).
+    Raises if positivity is lost."""
     if dt <= 0.0:
         raise DomainError(f"dt must be positive, got {dt}")
     quad = state.f.quad
-    if state.form is Form.RHO_HEAT:
+    if integrates_exactly(state.form, state.spec):
         c = state.f.coeffs * np.exp(-quad.eigenvalues * dt)
     else:
         c = _imex_step(state.form, state.spec, quad, state.f.coeffs, dt)
@@ -210,7 +194,7 @@ def _advance_to(
     horizon: float,
 ) -> tuple[FlowState, float]:
     quad = state.f.quad
-    if state.form is Form.RHO_HEAT:
+    if integrates_exactly(state.form, state.spec):
         # exact in one hop
         c = state.f.coeffs * np.exp(-quad.eigenvalues * (t_target - state.t))
         return replace(state, t=t_target, f=GridFn.from_coeffs(quad, c)), dt
@@ -282,9 +266,9 @@ class Trajectory:
 
 def _sample_report(state: FlowState, rho: np.ndarray, clock_factor: float) -> DissipationReport:
     """Report at a sample from its nodal density rho: with u = rho^(1/p) for
-    the density forms, from w for the pointwise forms."""
+    the density form, from w for the pointwise form."""
     p, beta = state.params.p, state.spec.beta
-    if state.form in DENSITY_FORMS:
+    if state.form is Form.DENSITY:
         u = GridFn.from_values(state.f.quad, rho ** (1.0 / p))
         rep = dissipation_report(rho, u, p, beta)
     else:
@@ -305,14 +289,16 @@ def evolve(
     """Integrate to t_end, recording ``samples`` evenly spaced snapshots
     (endpoints included).  Step errors propagate with the failing time
     attached."""
-    if t_end <= state.t:
-        raise DomainError("t_end must exceed the current time")
+    if not (math.isfinite(t_end) and t_end > state.t):
+        raise DomainError(f"t_end must be finite and exceed the current time, got {t_end}")
     if samples < 2:
         raise DomainError("need at least 2 samples (both endpoints)")
     if not dt_max > 0.0:
         raise DomainError(f"dt_max must be positive, got {dt_max}")
+    if not 0.0 < tol_cons < math.inf:
+        raise DomainError(f"tol_cons must be positive and finite, got {tol_cons}")
     horizon = t_end - state.t
-    clock_factor = state.spec.m if state.form in DENSITY_FORMS else 1.0
+    clock_factor = state.spec.m if state.form is Form.DENSITY else 1.0
     times = np.linspace(state.t, t_end, samples)
     dt = min(dt_max, horizon / max(8 * (samples - 1), 64))
     d, p = state.f.quad.d, state.params.p
@@ -325,7 +311,7 @@ def evolve(
             e, i = rep.E_p, rep.I_p
         else:
             rep = None
-            density = st.f if st.form in DENSITY_FORMS else GridFn.from_values(st.f.quad, rho)
+            density = st.f if st.form is Form.DENSITY else GridFn.from_values(st.f.quad, rho)
             e, i = entropy(density, p), fisher(density, p)
         f_val = i / d - e
         cons = conserved_quantity(st.f.quad, rho)
@@ -364,7 +350,7 @@ def moment_decay_check(
 ) -> dict:
     """Track M(t) = int z u^p along the pointwise heat flow and compare with
     the exponential law M(0) e^(-d t)."""
-    if state.form is not Form.U_LINEAR:
+    if state.form is not Form.POINTWISE or state.spec.beta != 1.0:
         raise DomainError("moment decay check runs on the pointwise heat form")
     d = state.f.quad.d
     traj = evolve(

@@ -18,7 +18,6 @@ from ultraflow import (
     Quadrature,
     antipodal_constants,
     antipodal_spectral_check,
-    apply_L,
     beta_roots,
     counterexample_coefficient,
     counterexample_roots,
@@ -66,7 +65,7 @@ def test_criterion_02_integral_identities():
         quad = cached_quadrature(d, 128)
         for _ in range(20):
             f = random_positive(quad, rng, modes=12, amplitude=0.6)
-            lf = apply_L(f)
+            lf = GridFn.from_coeffs(quad, -quad.eigenvalues * f.coeffs)
             fp = derivative(f)
             fpp = second_derivative(f)
             w = quad.weights
@@ -137,7 +136,7 @@ def test_criterion_04_heat_flow_monotonicity():
     rng = np.random.default_rng(42)
     for _ in range(50):
         rho0 = random_positive(quad, rng, modes=10, amplitude=0.6)
-        state = make_state(Form.RHO_HEAT, spec, rho0)
+        state = make_state(Form.DENSITY, spec, rho0)
         traj = evolve(state, 1.0, samples=50, with_reports=False)
         assert traj.monotone_decreasing_F(1e-9)
         assert max(abs(c - traj.conserved[0]) for c in traj.conserved) <= 1e-13
@@ -156,7 +155,7 @@ def test_criterion_05_nonlinear_flow_monotonicity():
     rng = np.random.default_rng(7)
     for _ in range(2):
         w0 = random_positive(quad, rng, modes=8, amplitude=0.5)
-        state = make_state(Form.W_NONLINEAR, spec, w0)
+        state = make_state(Form.POINTWISE, spec, w0)
         traj = evolve(state, 0.4, samples=30)
         assert traj.monotone_decreasing_F(1e-9)
         assert max(abs(c - traj.conserved[0]) for c in traj.conserved) <= 1e-9
@@ -165,7 +164,7 @@ def test_criterion_05_nonlinear_flow_monotonicity():
     spec3 = FlowSpec.nonlinear_from_m(Params(3.0, 6.0), 2.0 / 3.0)
     assert spec3.beta_is_infinite and spec3.m == pytest.approx(2.0 / 3.0, abs=1e-15)
     rho0 = random_positive(quad3, rng, modes=8, amplitude=0.4)
-    traj3 = evolve(make_state(Form.RHO_FDE, spec3, rho0), 0.4, samples=30)
+    traj3 = evolve(make_state(Form.DENSITY, spec3, rho0), 0.4, samples=30)
     assert traj3.monotone_decreasing_F(1e-9)
     report(5, "nonlinear-flow deficit nonincreasing with moment drift <= 1e-9 "
               "(d=5, p=3.3, lower root) and the d=3, p=6, m=2/3 case runs")
@@ -204,7 +203,7 @@ def test_criterion_08_moment_decay():
     """First-moment decay law under the pointwise heat flow at 1e-7."""
     quad = cached_quadrature(4.0, 64)
     u0 = GridFn.from_values(quad, 1.0 + 0.1 * quad.nodes)
-    state = make_state(Form.U_LINEAR, FlowSpec.heat(Params(4.0, 3.0)), u0)
+    state = make_state(Form.POINTWISE, FlowSpec.heat(Params(4.0, 3.0)), u0)
     rep = moment_decay_check(state, 1.0, dt_max=2e-4)
     assert rep["max_dev_from_law"] <= 1e-7
     report(8, f"|M(t) - M(0) exp(-4t)| <= {rep['max_dev_from_law']:.2e} <= 1e-7, "

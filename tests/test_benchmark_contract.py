@@ -5,6 +5,7 @@ makes a rename or deletion of any of those names fail the test suite, not
 only a traced benchmark run."""
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -25,6 +26,14 @@ def _load(name):
 def test_workloads_import():
     workloads = _load("workloads")
     assert set(workloads.WORKLOADS) == {"stepping", "analysis", "sweep"}
+
+
+def test_u_reference_runs():
+    # the u check's reference materializes its datum through the pointwise
+    # form by the name the benchmark uses
+    workloads = _load("workloads")
+    value = workloads._u_reference({"d": 5.0, "p": 3.0, "N": 16, "t_end": 0.01}, 3)
+    assert math.isfinite(value) and value > 0.0
 
 
 def test_tracer_installs_and_uninstalls():

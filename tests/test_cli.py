@@ -40,6 +40,12 @@ class TestConstantsCommand:
         assert rc == 0
         assert json.loads(out)["two_star"] == "inf"
 
+    @pytest.mark.parametrize("d, p", [("nan", "3"), ("3", "nan"), ("inf", "3"), ("2", "inf")])
+    def test_malformed_constants_is_parameter_error(self, d, p, capsys):
+        rc, _, err = run_main(capsys, "constants", "--d", d, "--p", p)
+        assert rc == 2
+        assert json.loads(err)["error"] == "parameter"
+
     def test_parameter_error_exit_code(self):
         rc, _, err = run_cli("constants", "--d", "0.5", "--p", "3")
         assert rc == 2
@@ -76,7 +82,8 @@ class TestRegionCommand:
     @pytest.mark.parametrize(
         "args",
         [["--grid", "0"], ["--grid", "-3"], ["--curves", "2,3"], ["--curves", "abc"],
-         ["--curves", "3,4", "--grid", "0"]],
+         ["--curves", "3,4", "--grid", "0"], ["--p-min", "nan"], ["--beta-max", "inf"],
+         ["--curves", "3,4", "--p-min", "nan"]],
     )
     def test_malformed_region_is_parameter_error(self, args, capsys):
         rc, _, err = run_main(capsys, "region", "--d", "3", *args)
@@ -155,6 +162,34 @@ class TestFlowCommand:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "parameter"
 
+    @pytest.mark.parametrize("form", ["w", "heat"])
+    @pytest.mark.parametrize(
+        "args",
+        [["--t-end", "inf"], ["--t-end", "nan"], ["--tol-cons", "nan"], ["--tol-cons", "0"],
+         ["--tol-cons", "inf"]],
+    )
+    def test_malformed_flow_number_is_parameter_error(self, form, args, capsys):
+        # a flow that cannot end, or a drift budget that no comparison enforces
+        argv = ["flow", "--form", form, "--d", "5", "--p", "3.3", "--beta", "1.2",
+                "--init", "random:1,4", "--t-end", "0.1", "--n", "32"]
+        rc, _, err = run_main(capsys, *argv, *args)
+        assert rc == 2
+        assert json.loads(err)["error"] == "parameter"
+
+    def test_fde_at_beta_one_is_the_exact_heat_flow(self, tmp_path, capsys):
+        runs = {}
+        for form in ("heat", "fde"):
+            rc = main(["flow", "--form", form, "--d", "5", "--p", "3", "--beta", "1",
+                       "--init", "random:1,8", "--t-end", "0.1", "--out", str(tmp_path / form)])
+            assert rc == 0
+            runs[form] = [json.loads((tmp_path / form / name).read_text())
+                          for name in ("flow.json", "manifest.json")]
+        capsys.readouterr()
+        (heat, heat_manifest), (fde, fde_manifest) = runs["heat"], runs["fde"]
+        assert (fde["F_first"], fde["F_last"]) == (heat["F_first"], heat["F_last"])
+        assert fde_manifest["params"]["scheme"] == heat_manifest["params"]["scheme"]
+        assert fde_manifest["params"]["scheme"] == "exact-diagonal"
+
     @pytest.mark.parametrize("form", ["w", "fde", "heat"])
     @pytest.mark.parametrize("dt_max", ["0", "-1"])
     def test_nonpositive_dt_max_is_parameter_error(self, form, dt_max, capsys):
@@ -230,6 +265,20 @@ class TestImproveCommand:
                               "--samples", samples)
         assert rc == 2
         assert json.loads(err)["error"] == "parameter"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["improve", "--d", "4", "--p", "3", "--restarts", "2"], ["verify", "antipodal"],
+     ["flow", "--form", "heat", "--d", "5", "--p", "3", "--init", "const:1", "--t-end", "0.1"]],
+    ids=["improve", "verify", "flow"],
+)
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_malformed_seed_is_parameter_error(argv, seed, capsys):
+    # the one argparse type of every --seed refuses it before the command runs
+    rc, _, err = run_main(capsys, *argv, "--seed", seed)
+    assert rc == 2
+    assert "argument --seed: expected a whole number >= 0" in err
 
 
 class TestVerifyCommand:

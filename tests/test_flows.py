@@ -28,7 +28,7 @@ from ultraflow.flows import _full_rhs, _sample_report, conformal_coefficients, c
 from conftest import cached_quadrature
 
 
-def heat_state(quad, d, p, f0, form=Form.RHO_HEAT):
+def heat_state(quad, d, p, f0, form=Form.DENSITY):
     return make_state(form, FlowSpec.heat(Params(d, p)), f0)
 
 
@@ -90,7 +90,7 @@ class TestNonlinearFlows:
         beta = beta_roots(params).minus
         spec = FlowSpec.nonlinear(params, beta)
         w0 = random_positive(quad5, rng, modes=8, amplitude=0.5)
-        st = make_state(Form.W_NONLINEAR, spec, w0)
+        st = make_state(Form.POINTWISE, spec, w0)
         traj = evolve(st, 0.5, samples=40)
         assert traj.monotone_decreasing_F(1e-9)
         assert max(abs(c - traj.conserved[0]) for c in traj.conserved) <= 1e-9
@@ -100,7 +100,7 @@ class TestNonlinearFlows:
         spec = FlowSpec.nonlinear_from_m(Params(3.0, 6.0), 2.0 / 3.0)
         assert spec.beta_is_infinite
         rho0 = random_positive(quad, rng, modes=8, amplitude=0.4)
-        st = make_state(Form.RHO_FDE, spec, rho0)
+        st = make_state(Form.DENSITY, spec, rho0)
         traj = evolve(st, 0.5, samples=40)
         assert traj.monotone_decreasing_F(1e-9)
         # density forms conserve mass structurally
@@ -110,7 +110,7 @@ class TestNonlinearFlows:
         quad = cached_quadrature(3.0, 64)
         spec = FlowSpec.nonlinear_from_m(Params(3.0, 6.0), 2.0 / 3.0)
         with pytest.raises(DomainError):
-            make_state(Form.W_NONLINEAR, spec, GridFn.constant(quad, 1.0))
+            make_state(Form.POINTWISE, spec, GridFn.constant(quad, 1.0))
 
     def test_order_two_on_exact_solution(self):
         d = 4.0
@@ -125,7 +125,7 @@ class TestNonlinearFlows:
 
         errs = []
         for ndt in (50, 100):
-            st = make_state(Form.RHO_FDE, spec, exact(0.0))
+            st = make_state(Form.DENSITY, spec, exact(0.0))
             for _ in range(ndt):
                 st = step(st, T / ndt)
             errs.append(np.max(np.abs(st.f.values - exact(T).values)))
@@ -137,7 +137,7 @@ class TestFormEquivalence:
     def test_u_linear_matches_heat_density(self, rng):
         quad = cached_quadrature(4.0, 96)
         u0 = random_positive(quad, rng, modes=8, amplitude=0.5)
-        st_u = heat_state(quad, 4.0, 3.0, u0, form=Form.U_LINEAR)
+        st_u = heat_state(quad, 4.0, 3.0, u0, form=Form.POINTWISE)
         traj_u = evolve(st_u, 0.25, samples=5, dt_max=2e-4, with_reports=False)
         rho0 = GridFn.from_values(quad, u0.values**3)
         st_r = heat_state(quad, 4.0, 3.0, rho0)
@@ -154,10 +154,10 @@ class TestFormEquivalence:
         spec = FlowSpec.nonlinear(params, beta)
         w0 = random_positive(quad, rng, modes=6, amplitude=0.4)
         t_rho = 0.1
-        st_w = make_state(Form.W_NONLINEAR, spec, w0)
+        st_w = make_state(Form.POINTWISE, spec, w0)
         traj_w = evolve(st_w, spec.m * t_rho, samples=5, dt_max=2e-4, with_reports=False)
         rho0 = GridFn.from_values(quad, w0.values ** (beta * params.p))
-        st_r = make_state(Form.RHO_FDE, spec, rho0)
+        st_r = make_state(Form.DENSITY, spec, rho0)
         traj_r = evolve(st_r, t_rho, samples=5, dt_max=2e-4, with_reports=False)
         diff = np.sqrt(
             np.sum(
@@ -175,37 +175,60 @@ class TestFormEquivalence:
         params = Params(5.0, 3.3)
         spec = FlowSpec.nonlinear(params, beta_roots(params).minus)
         rho0 = random_positive(quad, rng, modes=6, amplitude=0.4)
-        traj = evolve(make_state(Form.RHO_FDE, spec, rho0), 0.08, samples=81)
+        traj = evolve(make_state(Form.DENSITY, spec, rho0), 0.08, samples=81)
         rep = traj.reports[40]
         assert rep.dF_dt_numeric == pytest.approx(rep.dF_dt_analytic, rel=1e-2)
 
     def test_u_linear_rhs_is_w_nonlinear_at_beta_one(self, quad5, rng):
-        # the one deliberate duplicate: U_LINEAR keeps a cheaper right-hand
-        # side than the W_NONLINEAR branch it equals at beta = 1
+        # the pointwise right-hand side at beta = 1 is, to the last bit, the
+        # u form of the heat flow: -lam c + project((p-1) nu u'^2 / u), sigma 1
+        for p in (1.5, 3.0, 3.3):
+            c = random_positive(quad5, rng, modes=10, amplitude=0.6).coeffs
+            g, sigma = _full_rhs(Form.POINTWISE, FlowSpec.heat(Params(5.0, p)), quad5, c)
+            dvals, vals = quad5.padded_derivative(c), quad5.padded_values(c)
+            nl = (p - 1.0) * quad5.padded_nu() * dvals**2 / vals
+            assert sigma == 1.0
+            assert np.array_equal(g, -quad5.eigenvalues * c + quad5.project_padded(nl))
+
+    def test_general_pointwise_rhs_next_to_beta_one(self, rng):
+        # the general branch (mobility w^(2-2b), L w synthesized) one ulp
+        # above beta = 1 agrees with the beta = 1 branch to rounding
+        quad = cached_quadrature(5.0, 128)
         params = Params(5.0, 3.0)
-        c = random_positive(quad5, rng, modes=10, amplitude=0.6).coeffs
-        g_u, sigma_u = _full_rhs(Form.U_LINEAR, FlowSpec.heat(params), quad5, c)
-        g_w, sigma_w = _full_rhs(Form.W_NONLINEAR, FlowSpec.nonlinear(params, 1.0), quad5, c)
-        assert sigma_u == sigma_w
-        assert np.max(np.abs(g_u - g_w)) <= 1e-13 * np.max(np.abs(g_u))
+        c = random_positive(quad, rng, modes=10, amplitude=0.6).coeffs
+        g1, sigma1 = _full_rhs(Form.POINTWISE, FlowSpec.heat(params), quad, c)
+        beta = np.nextafter(1.0, 2.0)
+        g, sigma = _full_rhs(Form.POINTWISE, FlowSpec.nonlinear(params, beta), quad, c)
+        assert sigma == pytest.approx(sigma1, rel=1e-13)
+        assert np.max(np.abs(g - g1)) <= 1e-13 * np.max(np.abs(g1))
 
     def test_conversion_helpers_roundtrip(self, quad5, rng):
         params = Params(5.0, 3.3)
         beta = beta_roots(params).minus
         spec = FlowSpec.nonlinear(params, beta)
         w0 = random_positive(quad5, rng, modes=6, amplitude=0.4)
-        st_w = make_state(Form.W_NONLINEAR, spec, w0)
+        st_w = make_state(Form.POINTWISE, spec, w0)
         st_w = st_w.__class__(0.3, st_w.f, st_w.form, st_w.spec, st_w.conserved0)
-        st_rho = convert(st_w, Form.RHO_FDE)
-        assert st_rho.form is Form.RHO_FDE
+        st_rho = convert(st_w, Form.DENSITY)
+        assert st_rho.form is Form.DENSITY
         assert st_rho.t == pytest.approx(0.3 / spec.m)
-        back = convert(st_rho, Form.W_NONLINEAR)
+        back = convert(st_rho, Form.POINTWISE)
         assert back.t == pytest.approx(0.3)
         assert np.max(np.abs(back.f.values - w0.values)) < 1e-12
         # the heat pair shares its clock (m = 1)
-        st_heat = convert(make_state(Form.U_LINEAR, FlowSpec.heat(params), w0, 0.3), Form.RHO_HEAT)
+        st_heat = convert(make_state(Form.POINTWISE, FlowSpec.heat(params), w0, 0.3), Form.DENSITY)
         assert st_heat.t == 0.3
         assert np.array_equal(st_heat.f.values, w0.values**params.p)
+
+
+#: the four flows of the CLI as (form, beta) at (d, p) = (5, 3.3): the heat
+#: flow is beta = 1, the fde and w flows run at the lower root
+FLOWS = {
+    "heat": (Form.DENSITY, 1.0),
+    "fde": (Form.DENSITY, beta_roots(Params(5.0, 3.3)).minus),
+    "u": (Form.POINTWISE, 1.0),
+    "w": (Form.POINTWISE, beta_roots(Params(5.0, 3.3)).minus),
+}
 
 
 class TestSampleReports:
@@ -213,25 +236,22 @@ class TestSampleReports:
     reports', built from the variable the flow evolves."""
 
     @staticmethod
-    def _state(form, rng, n=64):
+    def _state(flow, rng, n=64):
+        form, beta = FLOWS[flow]
         quad = cached_quadrature(5.0, n)
-        params = Params(5.0, 3.3)
-        if form in (Form.RHO_HEAT, Form.U_LINEAR):
-            spec = FlowSpec.heat(params)
-        else:
-            spec = FlowSpec.nonlinear(params, beta_roots(params).minus)
+        spec = FlowSpec.nonlinear(Params(5.0, 3.3), beta)
         return make_state(form, spec, random_positive(quad, rng, modes=6, amplitude=0.4))
 
-    @pytest.mark.parametrize("form", list(Form))
-    def test_trajectory_values_are_the_reports(self, form, rng):
-        traj = evolve(self._state(form, rng), 0.004, samples=4, dt_max=2e-4)
+    @pytest.mark.parametrize("flow", list(FLOWS))
+    def test_trajectory_values_are_the_reports(self, flow, rng):
+        traj = evolve(self._state(flow, rng), 0.004, samples=4, dt_max=2e-4)
         for i, rep in enumerate(traj.reports):
             assert (traj.E_p[i], traj.I_p[i], traj.F[i]) == (rep.E_p, rep.I_p, rep.F)
 
     def test_density_report_reads_rho_directly(self, rng):
         # no rho -> w -> rho round trip: the report's functionals are those
         # of the evolved density itself, to the last bit
-        state = self._state(Form.RHO_FDE, rng, n=128)
+        state = self._state("fde", rng, n=128)
         rep = _sample_report(state, state.f.values, state.spec.m)
         assert rep.E_p == entropy(state.f, 3.3)
         assert rep.I_p == fisher(state.f, 3.3)
@@ -252,22 +272,21 @@ class TestSampleReports:
 
     def test_heat_sample_costs_three_transforms(self, rng, monkeypatch):
         # u = rho^(1/p) analysed once, then u' and u'' (w = u at beta = 1)
-        calls = self._transforms(self._state(Form.RHO_HEAT, rng), monkeypatch)
+        calls = self._transforms(self._state("heat", rng), monkeypatch)
         assert len(calls) == 3, calls
 
     def test_fde_sample_costs_three_transforms(self, rng, monkeypatch):
         # w = rho^(1/(beta p)) is never differentiated: its derivatives
         # follow from u' and u'' by the chain rule
-        calls = self._transforms(self._state(Form.RHO_FDE, rng), monkeypatch)
+        calls = self._transforms(self._state("fde", rng), monkeypatch)
         assert len(calls) == 3, calls
 
-    @pytest.mark.parametrize("form, per_sample", [(Form.RHO_HEAT, 3), (Form.RHO_FDE, 3),
-                                                  (Form.U_LINEAR, 2), (Form.W_NONLINEAR, 3)])
-    def test_sample_transforms_through_evolve(self, form, per_sample, rng, monkeypatch):
+    @pytest.mark.parametrize("flow, per_sample", [("heat", 3), ("fde", 3), ("u", 2), ("w", 3)])
+    def test_sample_transforms_through_evolve(self, flow, per_sample, rng, monkeypatch):
         # transforms outside the stepping: a sample forms rho = w^(beta p)
         # once and synthesizes nothing else for the report (u = w at
         # beta = 1, else u = w^beta analysed once; then u' and u'')
-        state = self._state(form, rng)
+        state = self._state(flow, rng)
         calls, stepping = [], []
         for name in ("to_values", "to_coeffs", "derivative_values", "second_derivative_values"):
             original = getattr(Quadrature, name)
@@ -299,7 +318,7 @@ class TestSampleReports:
         # does not
         quad = cached_quadrature(5.0, 128)
         base = 1.0 + 0.4 * quad.nodes
-        state = make_state(Form.RHO_FDE, FlowSpec.nonlinear(Params(5.0, 3.3), beta),
+        state = make_state(Form.DENSITY, FlowSpec.nonlinear(Params(5.0, 3.3), beta),
                            GridFn.from_values(quad, base**-3.0))
         rep = _sample_report(state, state.f.values, 1.0)
         a = -3.0 / (beta * 3.3)
@@ -313,14 +332,14 @@ class TestMomentDecay:
     def test_even_data_moment_stays_zero(self):
         quad = cached_quadrature(4.0, 64)
         u0 = GridFn.from_values(quad, 1.0 + 0.3 * quad.nodes**2)
-        st = heat_state(quad, 4.0, 3.0, u0, form=Form.U_LINEAR)
+        st = heat_state(quad, 4.0, 3.0, u0, form=Form.POINTWISE)
         rep = moment_decay_check(st, 1.0, dt_max=5e-4)
         assert rep["max_abs_moment"] <= 1e-11
 
     def test_exponential_law(self):
         quad = cached_quadrature(4.0, 64)
         u0 = GridFn.from_values(quad, 1.0 + 0.1 * quad.nodes)
-        st = heat_state(quad, 4.0, 3.0, u0, form=Form.U_LINEAR)
+        st = heat_state(quad, 4.0, 3.0, u0, form=Form.POINTWISE)
         rep = moment_decay_check(st, 1.0, dt_max=2e-4)
         assert rep["max_dev_from_law"] <= 1e-7
 
@@ -336,7 +355,7 @@ class TestMomentDecay:
 
         r = brentq(mom, -0.5, 0.5, xtol=1e-15)
         u0 = GridFn.from_values(quad, 1.0 + (0.1 + r) * z + 0.05 * z**2)
-        st = heat_state(quad, 4.0, 3.0, u0, form=Form.U_LINEAR)
+        st = heat_state(quad, 4.0, 3.0, u0, form=Form.POINTWISE)
         rep = moment_decay_check(st, 1.0, dt_max=2e-4)
         assert rep["max_abs_moment"] <= 1e-10
 
@@ -378,7 +397,7 @@ class TestGuards:
         coeffs[1] = 2.0
         rho0 = GridFn.from_coeffs(quad, coeffs)
         with pytest.raises(PositivityError):
-            make_state(Form.RHO_HEAT, FlowSpec.heat(Params(3.0, 3.0)), rho0)
+            make_state(Form.DENSITY, FlowSpec.heat(Params(3.0, 3.0)), rho0)
 
     def test_degenerate_dt(self, quad5, rng):
         st = heat_state(quad5, 5.0, 3.0, random_positive(quad5, rng, modes=6))
@@ -396,7 +415,7 @@ class TestGuards:
         rho0 = GridFn.from_coeffs(quad, coeffs)
         assert rho0.is_positive()
         spec = FlowSpec.nonlinear_from_m(Params(3.0, 6.0), 2.0 / 3.0)
-        st = make_state(Form.RHO_FDE, spec, rho0)
+        st = make_state(Form.DENSITY, spec, rho0)
         with pytest.raises(PositivityError):
             step(st, 1e-4)
         with pytest.raises((PositivityLossError, PositivityError)):
