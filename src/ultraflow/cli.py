@@ -271,7 +271,7 @@ def vars_args(args) -> dict:
 
 
 #: the four flow names: the form, and whether the name is the heat flow
-#: (beta = 1, whatever --beta or --m say)
+#: (beta = m = 1; a --beta or --m other than 1 is refused)
 _FORMS = {
     "heat": (fl.Form.DENSITY, True),
     "fde": (fl.Form.DENSITY, False),
@@ -284,6 +284,9 @@ def cmd_flow(args) -> int:
     params = cs.Params(args.d, args.p)
     form, heat = _FORMS[args.form]
     if heat:
+        if any(x is not None and x != 1.0 for x in (args.beta, args.m)):
+            raise DomainError(f"--form {args.form} is the heat flow (beta = m = 1); "
+                              "another --beta or --m needs --form fde or w")
         spec = cs.FlowSpec.heat(params)
     else:
         if args.beta is None and args.m is None:
@@ -318,7 +321,8 @@ def cmd_flow(args) -> int:
     }
     params_record = vars_args(args)
     params_record["scheme"] = (
-        "exact-diagonal" if fl.integrates_exactly(form, spec) else "imex-ars222-sigma-frozen"
+        "exact-diagonal" if fl.integrates_exactly(form, spec)
+        else "imex-ars222-doubled-damped-richardson"
     )
     manifest = RunManifest(
         "flow",
@@ -340,6 +344,8 @@ def cmd_flow(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    if not 1.0 <= args.d < math.inf:  # as Params, which only --p builds here
+        raise DomainError(f"dimension must be finite and >= 1, got {args.d}")
     _require_positive_base(args.a, args.b)
     out = {"d": args.d, "a": args.a, "b": args.b}
     if args.d >= 3:

@@ -8,6 +8,8 @@ import pytest
 from ultraflow.cli import main
 
 RUN = [sys.executable, "-m", "ultraflow.cli"]
+# the exponent each flow name accepts: heat and u are beta = 1 and take none
+BETA_ARGS = {"heat": [], "u": [], "fde": ["--beta", "1.2"], "w": ["--beta", "1.2"]}
 
 
 def run_cli(*args):
@@ -170,9 +172,20 @@ class TestFlowCommand:
     )
     def test_malformed_flow_number_is_parameter_error(self, form, args, capsys):
         # a flow that cannot end, or a drift budget that no comparison enforces
-        argv = ["flow", "--form", form, "--d", "5", "--p", "3.3", "--beta", "1.2",
+        argv = ["flow", "--form", form, "--d", "5", "--p", "3.3", *BETA_ARGS[form],
                 "--init", "random:1,4", "--t-end", "0.1", "--n", "32"]
         rc, _, err = run_main(capsys, *argv, *args)
+        assert rc == 2
+        assert json.loads(err)["error"] == "parameter"
+
+    @pytest.mark.parametrize("form", ["heat", "u"])
+    @pytest.mark.parametrize(
+        "args", [["--beta", "1.2"], ["--m", "0.9"], ["--beta", "nan"], ["--beta", "1", "--m", "2"]]
+    )
+    def test_heat_name_with_other_beta_is_parameter_error(self, form, args, capsys):
+        # heat and u are the beta = m = 1 flow: another exponent is not ignored
+        rc, _, err = run_main(capsys, "flow", "--form", form, "--d", "5", "--p", "3", *args,
+                              "--init", "random:1,4", "--t-end", "0.01", "--n", "32")
         assert rc == 2
         assert json.loads(err)["error"] == "parameter"
 
@@ -195,7 +208,7 @@ class TestFlowCommand:
     def test_nonpositive_dt_max_is_parameter_error(self, form, dt_max, capsys):
         # a zero step never advances the clock, a negative one underflows
         rc, _, err = run_main(capsys, "flow", "--form", form, "--d", "5", "--p", "3.3",
-                              "--beta", "1.2", "--init", "const:1", "--t-end", "0.1",
+                              *BETA_ARGS[form], "--init", "const:1", "--t-end", "0.1",
                               "--n", "32", "--dt-max", dt_max)
         assert rc == 2
         assert json.loads(err)["error"] == "parameter"
@@ -223,7 +236,8 @@ class TestFlowCommand:
         # also when the flow's beta differs from the power law's beta_-
         first = {}
         for form in ("heat", "fde", "u", "w"):
-            rc = main(["flow", "--form", form, "--d", "5", "--p", "3.25", "--beta", "1.5",
+            beta = ["--beta", "1.5"] if form in ("fde", "w") else []
+            rc = main(["flow", "--form", form, "--d", "5", "--p", "3.25", *beta,
                        "--init", init, "--t-end", "1e-5", "--samples", "2", "--n", "64"])
             assert rc == 0
             first[form] = json.loads(capsys.readouterr().out)["F_first"]
@@ -242,6 +256,13 @@ class TestCounterexampleCommand:
     def test_out_of_window_p(self, capsys):
         rc, _, _ = run_main(capsys, "counterexample", "--d", "5", "--p", "3.0")
         assert rc == 2
+
+    @pytest.mark.parametrize("d", ["nan", "inf", "-inf", "0.5"])
+    @pytest.mark.parametrize("p", [[], ["--p", "3.25"]])
+    def test_malformed_counterexample_is_parameter_error(self, d, p, capsys):
+        rc, _, err = run_main(capsys, "counterexample", f"--d={d}", *p)
+        assert rc == 2
+        assert json.loads(err)["error"] == "parameter"
 
     def test_base_outside_cone_is_parameter_error(self, capsys):
         rc, _, err = run_main(capsys, "counterexample", "--d", "5", "--p", "3.25",
