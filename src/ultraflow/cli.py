@@ -3,7 +3,8 @@
 Output goes to stdout as JSON by default; with ``--out DIR`` the artifacts
 (CSV/JSON) are written there together with a ``manifest.json`` capturing the
 command, parameters, tolerances, quadrature order and seed.  Re-running the
-same manifest reproduces the artifacts byte for byte.
+same manifest reproduces the artifacts byte for byte.  ``verify`` prints TAP
+to stdout and writes no artifacts.
 
 Exit codes: 0 success, 2 parameter error, 3 numerical failure,
 4 invariant violation found by ``verify``.
@@ -20,6 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
+from . import checks as ck
 from . import constants as cs
 from . import counterexamples as cx
 from . import flows as fl
@@ -150,9 +152,9 @@ def parse_init(spec_str: str, quad, params: cs.Params, form: fl.Form, beta: floa
 
 def _require_positive_base(a: float, b: float):
     """The closed-form witnesses are powers of a + b z: positive on the
-    interval exactly when a > |b|."""
-    if not a > abs(b):
-        raise DomainError(f"need a > |b| for a + b z > 0 on (-1, 1); got a={a}, b={b}")
+    interval exactly when a > |b|; a must be finite."""
+    if not (math.isfinite(a) and a > abs(b)):
+        raise DomainError(f"need a finite a > |b| for a + b z > 0 on (-1, 1); got a={a}, b={b}")
 
 
 # -- commands -------------------------------------------------------------------
@@ -379,148 +381,27 @@ def cmd_improve(args) -> int:
     return 0
 
 
-# -- verify suites ---------------------------------------------------------------
-
-
-def _suite_quadrature(args):
-    from .discretization import GridFn, integral
-
-    for d in [1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 8.0, 10.0]:
-        quad = Quadrature(d, 64)
-        yield f"measure normalized (d={d})", abs(integral(GridFn.constant(quad, 1.0)) - 1.0) < 1e-13
-        z2 = GridFn.from_values(quad, quad.nodes**2)
-        yield f"second moment (d={d})", abs(integral(z2) - 1.0 / (d + 1.0)) < 1e-12
-
-
-def _suite_lemma_identities(args):
-    rng = np.random.default_rng(args.seed)
-    for d in [3.0, 5.0]:
-        quad = Quadrature(d, 128)
-        worst1 = worst2 = 0.0
-        for _ in range(20):
-            f = random_positive(quad, rng, modes=12, amplitude=0.6)
-            from .discretization import derivative, second_derivative
-
-            lf = GridFn.from_coeffs(quad, -quad.eigenvalues * f.coeffs)
-            fp = derivative(f)
-            fpp = second_derivative(f)
-            w = quad.weights
-            lhs1 = float(np.sum(w * lf.values**2))
-            rhs1 = float(np.sum(w * quad.nu**2 * fpp**2)) + d * float(
-                np.sum(w * quad.nu * fp**2)
-            )
-            worst1 = max(worst1, abs(lhs1 - rhs1) / abs(lhs1))
-            lhs2 = float(np.sum(w * (fp**2 / f.values) * quad.nu * lf.values))
-            jcc = float(np.sum(w * quad.nu**2 * fp**4 / f.values**2))
-            jfc = float(np.sum(w * quad.nu**2 * fp**2 * fpp / f.values))
-            rhs2 = d / (d + 2.0) * jcc - 2.0 * (d - 1.0) / (d + 2.0) * jfc
-            worst2 = max(worst2, abs(lhs2 - rhs2) / max(abs(lhs2), 1e-30))
-        yield f"square identity (d={d})", worst1 < 1e-9
-        yield f"cross identity (d={d})", worst2 < 1e-9
-
-
-def _suite_heat_monotone(args):
-    d = args.d if args.d is not None else 5.0
-    p = args.p if args.p is not None else 3.0
-    params = cs.Params(d, p)
-    quad = Quadrature(d, 128)
-    rng = np.random.default_rng(args.seed)
-    ok_mono = ok_cons = True
-    for _ in range(10):
-        rho0 = random_positive(quad, rng, modes=10, amplitude=0.6)
-        state = fl.make_state(fl.Form.DENSITY, cs.FlowSpec.heat(params), rho0)
-        traj = fl.evolve(state, 1.0, samples=50, with_reports=False)
-        ok_mono &= traj.monotone_decreasing_F()
-        ok_cons &= max(abs(c - traj.conserved[0]) for c in traj.conserved) < 1e-13
-    yield f"deficit nonincreasing (d={d}, p={p})", ok_mono
-    yield "mass conserved to 1e-13", ok_cons
-
-
-def _suite_second_obstruction(args):
-    d = args.d if args.d is not None else 5.0
-    p = args.p if args.p is not None else 3.25
-    rep = cx.second_obstruction(d, p, 1.0, 0.4)
-    yield "witness derivative positive", rep["positive"]
-    rel_a = abs(rep["dFdt_analytic"] - rep["rhs"]) / abs(rep["rhs"])
-    rel_n = abs(rep["dFdt_numeric"] - rep["rhs"]) / abs(rep["rhs"])
-    yield "closed form matches expansion (1e-8)", rel_a < 1e-8
-    yield "finite difference matches (1e-4)", rel_n < 1e-4
-
-
-def _suite_exact_solution(args):
-    res = fl.verify_exact_solution(4.0, 1.0, 0.5, 1.0, n=128)
-    yield "fast-diffusion residual <= 1e-8", res["max_fde_residual"] <= 1e-8
-    yield "heat operator residual >= 1e-3", res["min_heat_residual"] >= 1e-3
-    yield "hyperbolic identity", res["max_identity_error"] <= 1e-12
-
-
-def _suite_moment_decay(args):
-    d = args.d if args.d is not None else 4.0
-    p = args.p if args.p is not None else 3.0
-    quad = Quadrature(d, 64)
-    u0 = GridFn.from_values(quad, 1.0 + 0.1 * quad.nodes)
-    state = fl.make_state(fl.Form.POINTWISE, cs.FlowSpec.heat(cs.Params(d, p)), u0)
-    rep = fl.moment_decay_check(state, 1.0, dt_max=2e-4)
-    yield "moment follows exp(-d t) to 1e-7", rep["max_dev_from_law"] <= 1e-7
-
-
-def _suite_antipodal(args):
-    rep = im.antipodal_spectral_check(3.0, 64, samples=100, seed=args.seed)
-    yield "even-function quotient >= 2(d+1)", rep["min_ratio"] >= rep["threshold"] - 1e-9
-    yield "equality at the degree-2 eigenfunction", abs(rep["mode2_ratio"] - rep["threshold"]) < 1e-10
-    yield "odd direction drops to d", abs(rep["odd_ratio"] - 3.0) < 1e-10
-    for d in range(2, 11):
-        r = im.logsob_improvement(float(d))
-        yield f"crossing equation residual (d={d})", r["crossing_residual"] <= 1e-10
-
-
-def _suite_region_figures(args):
-    d = 5.0
-    ts = cs.two_star(d)
-    rows, _ = cs.region_sweep(d, (1.0, ts), (0.0, 4.0), 201, 201)
-    by_p: dict = {}
-    for p, beta, m, gamma, adm, a_val, a_pos in rows:
-        by_p.setdefault(p, []).append((beta, adm, m))
-    all_nonempty = all(any(r[1] for r in col) for col in by_p.values())
-    yield "admissible set nonempty for every p", all_nonempty
-    sharp = cs.two_sharp(d)
-    ok_beta1 = True
-    for p, col in by_p.items():
-        for beta, adm, m in col:
-            if abs(beta - 1.0) < 1e-12:
-                ok_beta1 &= bool(adm) == (p <= sharp)
-    yield "beta = 1 admissible exactly for p <= 2#", ok_beta1
-
-
-_SUITES = {
-    "quadrature": _suite_quadrature,
-    "lemma-identities": _suite_lemma_identities,
-    "heat-monotone": _suite_heat_monotone,
-    "second-obstruction": _suite_second_obstruction,
-    "exact-solution": _suite_exact_solution,
-    "moment-decay": _suite_moment_decay,
-    "antipodal": _suite_antipodal,
-    "region-figures": _suite_region_figures,
-}
-
-
 def cmd_verify(args) -> int:
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    """TAP output; each result line is followed by ``# measured <value>``."""
+    if args.suite != "all" and args.suite not in ck.SUITES:
+        raise DomainError(f"unknown suite {args.suite!r}; choices: {', '.join(ck.SUITES)}, all")
+    names = list(ck.SUITES) if args.suite == "all" else [args.suite]
+    d_p = {k: v for k, v in (("d", args.d), ("p", args.p)) if v is not None}
+    if d_p and args.suite != "all" and args.suite not in ck.READS_D_P:
+        raise DomainError(f"suite {args.suite!r} reads neither --d nor --p")
+    results = []
     for name in names:
-        if name not in _SUITES:
-            raise DomainError(f"unknown suite {name!r}; choices: {', '.join(_SUITES)}, all")
-    checks = []
-    for name in names:
-        for desc, passed in _SUITES[name](args):
-            checks.append((f"{name}: {desc}", bool(passed)))
-    print(f"1..{len(checks)}")
+        kwargs = d_p if name in ck.READS_D_P else {}
+        for claim, passed, measured in ck.SUITES[name](seed=args.seed, **kwargs):
+            results.append((f"{name}: {claim}", bool(passed), float(measured)))
+    print(f"1..{len(results)}")
     failures = 0
-    for i, (desc, passed) in enumerate(checks, 1):
-        tag = "ok" if passed else "not ok"
+    for i, (desc, passed, measured) in enumerate(results, 1):
         failures += not passed
-        print(f"{tag} {i} - {desc}")
+        print(f"{'ok' if passed else 'not ok'} {i} - {desc}")
+        print(f"# measured {measured:.6g}")
     if failures:
-        print(f"# {failures} failed out of {len(checks)}")
+        print(f"# {failures} failed out of {len(results)}")
         return 4
     return 0
 
@@ -605,11 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_improve)
 
     p = sub.add_parser("verify", help="run invariant suites (TAP output)")
-    p.add_argument("suite", help=f"one of: {', '.join(_SUITES)}, all")
+    p.add_argument("suite", help=f"one of: {', '.join(ck.SUITES)}, all")
     p.add_argument("--d", type=float, default=None)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--seed", type=_seed, default=0)
-    common(p)
     p.set_defaults(func=cmd_verify)
 
     return ap

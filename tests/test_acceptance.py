@@ -1,7 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
-Every tolerance is pinned here; run with ``pytest tests/test_acceptance.py -v``
-(add ``-s`` to see the per-criterion lines).
+A claim that ``ultraflow verify`` also checks runs here through the same
+function of ``ultraflow.checks``, which pins its tolerance; the claims only a
+criterion checks are pinned here.  Run with
+``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the per-criterion
+lines).
 """
 
 import collections
@@ -13,29 +16,21 @@ import pytest
 from ultraflow import (
     FlowSpec,
     Form,
-    GridFn,
     Params,
-    Quadrature,
     antipodal_constants,
-    antipodal_spectral_check,
     beta_roots,
+    checks,
     counterexample_coefficient,
     counterexample_roots,
-    derivative,
     estimate_lambda_star,
     evolve,
     gamma_of_beta,
     improved_constant,
-    integral,
-    logsob_improvement,
     make_state,
-    moment_decay_check,
     region_sweep,
-    second_derivative,
-    second_obstruction,
+    sign_certificate,
     two_sharp,
     two_star,
-    verify_exact_solution,
     verify_improved_inequality,
 )
 from ultraflow.discretization import random_positive
@@ -47,39 +42,25 @@ def report(k, text):
     print(f"[acceptance] criterion {k:2d}: PASS - {text}")
 
 
+def holds(results) -> dict:
+    """Every claim of a shared check holds; returns claim -> measured."""
+    results = list(results)
+    assert [(claim, measured) for claim, passed, measured in results if not passed] == []
+    return {claim: measured for claim, _, measured in results}
+
+
 def test_criterion_01_quadrature_measure():
     """Measure normalization and second moment across real dimensions."""
-    for d in (1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 8.0, 10.0):
-        quad = Quadrature(d, 64)
-        assert abs(integral(GridFn.constant(quad, 1.0)) - 1.0) <= 1e-13
-        z2 = GridFn.from_values(quad, quad.nodes**2)
-        assert abs(integral(z2) - 1.0 / (d + 1.0)) <= 1e-12
-    report(1, "int dnu = 1 (1e-13) and int z^2 dnu = 1/(d+1) (1e-12), 8 dimensions, N=64")
+    holds(checks.quadrature())
+    report(1, "int dnu = 1 and int z^2 dnu = 1/(d+1), 8 dimensions, N=64")
 
 
 def test_criterion_02_integral_identities():
-    """Both second-order integral identities at 1e-9 relative, 20 random
-    positive band-limited functions, d in {3, 5}, N = 128."""
-    rng = np.random.default_rng(101)
-    for d in (3.0, 5.0):
-        quad = cached_quadrature(d, 128)
-        for _ in range(20):
-            f = random_positive(quad, rng, modes=12, amplitude=0.6)
-            lf = GridFn.from_coeffs(quad, -quad.eigenvalues * f.coeffs)
-            fp = derivative(f)
-            fpp = second_derivative(f)
-            w = quad.weights
-            lhs1 = float(np.sum(w * lf.values**2))
-            rhs1 = float(np.sum(w * quad.nu**2 * fpp**2)) + d * float(
-                np.sum(w * quad.nu * fp**2)
-            )
-            assert abs(lhs1 - rhs1) <= 1e-9 * abs(lhs1)
-            lhs2 = float(np.sum(w * (fp**2 / f.values) * quad.nu * lf.values))
-            jcc = float(np.sum(w * quad.nu**2 * fp**4 / f.values**2))
-            jfc = float(np.sum(w * quad.nu**2 * fp**2 * fpp / f.values))
-            rhs2 = d / (d + 2.0) * jcc - 2.0 * (d - 1.0) / (d + 2.0) * jfc
-            assert abs(lhs2 - rhs2) <= 1e-9 * max(abs(lhs2), 1e-3)
-    report(2, "square and cross identities at 1e-9 relative, d in {3,5}, N=128")
+    """Both second-order integral identities, 20 random positive
+    band-limited functions, d in {3, 5}, N = 128."""
+    worst = max(holds(checks.lemma_identities(seed=101)).values())
+    report(2, f"square and cross identities, worst relative error {worst:.2e}, "
+              "d in {3,5}, N=128")
 
 
 GAMMA_GRID = [
@@ -130,18 +111,9 @@ def test_criterion_03_root_consistency():
 
 def test_criterion_04_heat_flow_monotonicity():
     """Deficit nonincreasing along the heat flow below the threshold
-    exponent; mass conserved to 1e-13.  50 random initial data."""
-    quad = cached_quadrature(5.0, 128)
-    spec = FlowSpec.heat(Params(5.0, 3.0))
-    rng = np.random.default_rng(42)
-    for _ in range(50):
-        rho0 = random_positive(quad, rng, modes=10, amplitude=0.6)
-        state = make_state(Form.DENSITY, spec, rho0)
-        traj = evolve(state, 1.0, samples=50, with_reports=False)
-        assert traj.monotone_decreasing_F(1e-9)
-        assert max(abs(c - traj.conserved[0]) for c in traj.conserved) <= 1e-13
-    report(4, "deficit nonincreasing (1e-9/interval) and mass drift <= 1e-13, "
-              "50 random data, d=5, p=3")
+    exponent, with mass conserved.  50 random initial data."""
+    holds(checks.heat_monotone(seed=42, data=50))
+    report(4, "deficit nonincreasing and mass conserved, 50 random data, d=5, p=3")
 
 
 def test_criterion_05_nonlinear_flow_monotonicity():
@@ -173,41 +145,25 @@ def test_criterion_05_nonlinear_flow_monotonicity():
 def test_criterion_06_counter_example():
     """Three-way agreement of the positive deficit derivative at the
     power-law witness, and the sign certificate across four dimensions."""
-    rep = second_obstruction(5.0, 3.25, 1.0, 0.4)
-    assert rep["rhs"] > 0.0
-    assert rep["dFdt_analytic"] == pytest.approx(rep["rhs"], rel=1e-4)
-    assert rep["dFdt_numeric"] == pytest.approx(rep["rhs"], rel=1e-4)
-    assert rep["dFdt_numeric"] > 0.0
+    holds(checks.second_obstruction())
     for d in (3.0, 4.0, 5.0, 8.0):
-        lo, hi = two_sharp(d), two_star(d)
-        for i in range(100):
-            p = lo + (hi - lo) * (i + 0.5) / 100
-            params = Params(d, p)
-            assert counterexample_coefficient(params, beta_roots(params).minus) > 0.0
+        assert all(a > 0.0 for *_, a in sign_certificate(d, 100))
     report(6, "closed form, expansion and finite difference of the witness "
-              "derivative agree to 1e-4 and are positive; A(p, beta-) > 0 on "
+              "derivative agree and are positive; A(p, beta-) > 0 on "
               "100-point windows, d in {3,4,5,8}")
 
 
 def test_criterion_07_exact_solution():
-    """The explicit family solves the critical fast diffusion to 1e-8 and
-    fails the heat equation by at least 1e-3."""
-    res = verify_exact_solution(4.0, 1.0, 0.5, 1.0, n=128, n_times=9)
-    assert res["max_fde_residual"] <= 1e-8
-    assert res["min_heat_residual"] >= 1e-3
-    report(7, f"fast-diffusion residual {res['max_fde_residual']:.2e} <= 1e-8; "
-              f"heat residual {res['min_heat_residual']:.2e} >= 1e-3 (d=4, N=128)")
+    """The explicit family solves the critical fast diffusion and fails the
+    heat equation; its coefficients keep the hyperbolic identity."""
+    fde, heat, _ = holds(checks.exact_solution()).values()
+    report(7, f"fast-diffusion residual {fde:.2e}; heat residual {heat:.2e} (d=4, N=128)")
 
 
 def test_criterion_08_moment_decay():
-    """First-moment decay law under the pointwise heat flow at 1e-7."""
-    quad = cached_quadrature(4.0, 64)
-    u0 = GridFn.from_values(quad, 1.0 + 0.1 * quad.nodes)
-    state = make_state(Form.POINTWISE, FlowSpec.heat(Params(4.0, 3.0)), u0)
-    rep = moment_decay_check(state, 1.0, dt_max=2e-4)
-    assert rep["max_dev_from_law"] <= 1e-7
-    report(8, f"|M(t) - M(0) exp(-4t)| <= {rep['max_dev_from_law']:.2e} <= 1e-7, "
-              "t <= 1, d=4, p=3")
+    """First-moment decay law under the pointwise heat flow."""
+    (dev,) = holds(checks.moment_decay()).values()
+    report(8, f"|M(t) - M(0) exp(-4t)| <= {dev:.2e}, t <= 1, d=4, p=3")
 
 
 def test_criterion_09_lambda_star():
@@ -225,18 +181,15 @@ def test_criterion_09_lambda_star():
 
 def test_criterion_10_closed_form_constants():
     """Crossing residual, antipodal constant gap, and the even-class
-    spectral threshold."""
-    for d in range(2, 11):
-        assert logsob_improvement(float(d))["crossing_residual"] <= 1e-10
+    spectral threshold with its equality and odd cases."""
+    holds(checks.antipodal(seed=5))
     for d in (3.0, 4.0, 5.0, 8.0):
         for p in np.linspace(1.0, two_sharp(d), 40):
             rep = antipodal_constants(d, float(p))
             gap = rep["thm_raw"] - rep["prop_raw"]
             assert gap >= rep["gap_lower_bound"] - 1e-11 * max(1.0, abs(gap))
-    spectral = antipodal_spectral_check(3.0, 64, samples=100, seed=5)
-    assert spectral["min_ratio"] >= 2.0 * (3.0 + 1.0) - 1e-9
-    report(10, "crossing residual <= 1e-10 (d=2..10); antipodal gap bound on "
-               "[1, 2#] grids; even-class ratio >= 2(d+1) - 1e-9 on 100 samples")
+    report(10, "crossing residual (d=2..10); antipodal gap bound on [1, 2#] grids; "
+               "even-class ratio >= 2(d+1) on 100 samples, equality at mode 2")
 
 
 def test_criterion_11_figure_data():
@@ -244,18 +197,14 @@ def test_criterion_11_figure_data():
     admissible band at every exponent, and the heat line beta = 1 admissible
     exactly up to the threshold exponent (equivalently through the m = 1 row
     of the diffusion-exponent chart)."""
+    holds(checks.region_figures())
     d = 5.0
     rows, _ = region_sweep(d, (1.0, two_star(d)), (0.0, 4.0), 201, 201)
     columns = collections.defaultdict(list)
     for p, beta, m, gamma, adm, a_val, a_pos in rows:
         columns[p].append((beta, bool(adm), m))
     assert len(columns) == 201
-    assert all(any(adm for _, adm, _ in col) for col in columns.values())
     sharp = two_sharp(d)
-    for p, col in columns.items():
-        for beta, adm, m in col:
-            if abs(beta - 1.0) < 1e-12:
-                assert adm == (p <= sharp)
     # single contiguous band per column (the d = 5 denominator never vanishes)
     for p, col in columns.items():
         flags = [adm for _, adm, _ in sorted(col)]

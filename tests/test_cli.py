@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -257,10 +258,13 @@ class TestCounterexampleCommand:
         rc, _, _ = run_main(capsys, "counterexample", "--d", "5", "--p", "3.0")
         assert rc == 2
 
-    @pytest.mark.parametrize("d", ["nan", "inf", "-inf", "0.5"])
+    @pytest.mark.parametrize(
+        "argv", [[f"--d={d}"] for d in ("nan", "inf", "-inf", "0.5")] + [["--d=5", "--a=inf"]],
+        ids=["nan", "inf", "-inf", "0.5", "a=inf"],
+    )
     @pytest.mark.parametrize("p", [[], ["--p", "3.25"]])
-    def test_malformed_counterexample_is_parameter_error(self, d, p, capsys):
-        rc, _, err = run_main(capsys, "counterexample", f"--d={d}", *p)
+    def test_malformed_counterexample_is_parameter_error(self, argv, p, capsys):
+        rc, _, err = run_main(capsys, "counterexample", *argv, *p)
         assert rc == 2
         assert json.loads(err)["error"] == "parameter"
 
@@ -302,13 +306,46 @@ def test_malformed_seed_is_parameter_error(argv, seed, capsys):
     assert "argument --seed: expected a whole number >= 0" in err
 
 
+#: sha256 of the 43 result lines of ``verify all``, one per line, as the
+#: suites printed them before their checks moved to ``ultraflow.checks``
+VERIFY_ALL_RESULTS_SHA256 = "e7cde44cd6a9b0b0e42c3970d73a324242f4376550cc41906bda1975e98bf03a"
+
+
 class TestVerifyCommand:
     def test_quadrature_suite(self, capsys):
         rc, out, _ = run_main(capsys, "verify", "quadrature")
         assert rc == 0
-        lines = out.splitlines()
+        lines = [l for l in out.splitlines() if not l.startswith("# measured ")]
         assert lines[0].startswith("1..")
         assert all(l.startswith("ok") for l in lines[1:])
+
+    def test_all_suites(self, capsys):
+        rc, out, _ = run_main(capsys, "verify", "all", "--seed", "7")
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[0] == "1..43"
+        results, diagnostics = lines[1::2], lines[2::2]
+        assert len(lines) == 1 + 2 * 43
+        text = "".join(line + "\n" for line in results)
+        assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_ALL_RESULTS_SHA256
+        for line in diagnostics:
+            label, _, value = line.rpartition(" ")
+            assert label == "# measured" and math.isfinite(float(value))
+
+    @pytest.mark.parametrize(
+        "suite", ["quadrature", "lemma-identities", "exact-solution", "antipodal", "region-figures"]
+    )
+    @pytest.mark.parametrize("flag", ["--d", "--p"])
+    def test_suite_without_dimension_refuses_d_and_p(self, suite, flag, capsys):
+        rc, _, err = run_main(capsys, "verify", suite, flag, "3")
+        assert rc == 2
+        assert json.loads(err)["error"] == "parameter"
+
+    def test_out_is_usage_error(self, tmp_path, capsys):
+        rc, _, err = run_main(capsys, "verify", "quadrature", "--out", str(tmp_path / "v"))
+        assert rc == 2
+        assert "unrecognized arguments: --out" in err
+        assert not (tmp_path / "v").exists()
 
     def test_unknown_suite(self, capsys):
         rc, _, _ = run_main(capsys, "verify", "nope")

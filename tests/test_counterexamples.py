@@ -113,13 +113,6 @@ class TestFirstObstruction:
 
 
 class TestSecondObstruction:
-    def test_three_way_agreement_d5(self):
-        rep = second_obstruction(5.0, 3.25, 1.0, 0.4)
-        assert rep["positive"]
-        assert rep["rhs"] > 0.0
-        assert rep["dFdt_analytic"] == pytest.approx(rep["rhs"], rel=1e-8)
-        assert rep["dFdt_numeric"] == pytest.approx(rep["rhs"], rel=1e-4)
-
     def test_three_way_agreement_d3(self):
         rep = second_obstruction(3.0, 5.0, 1.0, 0.3)
         assert rep["dFdt_analytic"] == pytest.approx(rep["rhs"], rel=1e-8)

@@ -412,13 +412,6 @@ class TestMomentDecay:
         rep = moment_decay_check(st, 1.0, dt_max=5e-4)
         assert rep["max_abs_moment"] <= 1e-11
 
-    def test_exponential_law(self):
-        quad = cached_quadrature(4.0, 64)
-        u0 = GridFn.from_values(quad, 1.0 + 0.1 * quad.nodes)
-        st = heat_state(quad, 4.0, 3.0, u0, form=Form.POINTWISE)
-        rep = moment_decay_check(st, 1.0, dt_max=2e-4)
-        assert rep["max_dev_from_law"] <= 1e-7
-
     def test_zeroed_moment_stays_zero(self):
         from scipy.optimize import brentq
 
@@ -448,12 +441,6 @@ class TestExactSolution:
             a, b = conformal_coefficients(4.0, 1.3, 0.4, float(t))
             assert a * a - b * b == pytest.approx(1.3**2, rel=1e-13)
             assert a > abs(b)
-
-    def test_fde_residual_small_heat_residual_large(self):
-        res = verify_exact_solution(4.0, 1.0, 0.5, 1.0, n=128)
-        assert res["max_fde_residual"] <= 1e-8
-        assert res["min_heat_residual"] >= 1e-3
-        assert res["max_identity_error"] <= 1e-12
 
     def test_rejects_flat_dimensions(self):
         with pytest.raises(DomainError):
