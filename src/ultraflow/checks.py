@@ -93,7 +93,7 @@ def moment_decay(seed=0, d=4.0, p=3.0):
     quad = Quadrature(d, 64)
     u0 = GridFn.from_values(quad, 1.0 + 0.1 * quad.nodes)
     state = fl.make_state(fl.Form.POINTWISE, cs.FlowSpec.heat(cs.Params(d, p)), u0)
-    dev = fl.moment_decay_check(state, 1.0, dt_max=2e-4)["max_dev_from_law"]
+    dev = fl.moment_decay_check(state, 1.0)["max_dev_from_law"]
     yield "moment follows exp(-d t) to 1e-7", dev <= 1e-7, dev
 
 

@@ -64,19 +64,22 @@ def _jacobi_table(x: np.ndarray, a: float, kmax: int) -> np.ndarray:
     """Values of the Jacobi polynomials P_k^(a,a), k = 0..kmax, at points x.
 
     Three-term recurrence; k = 1 is set directly so the degenerate case
-    2a = -1 (d = 1, the Chebyshev weight) is handled.
+    2a = -1 (d = 1, the Chebyshev weight) is handled.  The recurrence fills
+    contiguous rows, one per degree; the returned (x.size, kmax + 1) table is
+    a C-contiguous copy, because the memory layout of a table decides the
+    BLAS path, and with it the last bits, of every transform built on it.
     """
-    P = np.empty((x.size, kmax + 1))
-    P[:, 0] = 1.0
+    P = np.empty((kmax + 1, x.size))
+    P[0] = 1.0
     if kmax >= 1:
-        P[:, 1] = (a + 1.0) * x
+        P[1] = (a + 1.0) * x
     for k in range(2, kmax + 1):
         s = 2.0 * a  # alpha + beta
         c0 = 2.0 * k * (k + s) * (2.0 * k + s - 2.0)
         c1 = (2.0 * k + s - 1.0) * (2.0 * k + s) * (2.0 * k + s - 2.0)
         c2 = 2.0 * (k + a - 1.0) ** 2 * (2.0 * k + s)
-        P[:, k] = (c1 * x * P[:, k - 1] - c2 * P[:, k - 2]) / c0
-    return P
+        P[k] = (c1 * x * P[k - 1] - c2 * P[k - 2]) / c0
+    return np.ascontiguousarray(P.T)
 
 
 def _log_sq_norm(a: float, k: np.ndarray) -> np.ndarray:
@@ -121,7 +124,7 @@ class Quadrature:
         self.z_weights = self.weights * x
         self.nu = 1.0 - x * x
 
-        self._basis, self._basis_d1, self._basis_d2 = self._tables(x, n)
+        self._basis, self._basis_d1, self._basis_d2 = self._tables(x, n, 2)
         # nodal values of the first eigenfunction (proportional to z): column 1
         # of the synthesis table, bitwise equal to synthesizing e_1
         self.phi1_values = self._basis[:, 1].copy()
@@ -132,25 +135,24 @@ class Quadrature:
 
         self._padded: dict[str, np.ndarray] | None = None
 
-    def _tables(self, x: np.ndarray, cols: int):
+    def _tables(self, x: np.ndarray, cols: int, order: int) -> list[np.ndarray]:
+        """Values at x of the first ``cols`` basis functions and of their
+        derivatives up to ``order``, one (x.size, cols) table each.  The j-th
+        derivative of P_k^(a,a) is (k+2a+1)...(k+2a+j) / 2^j P_(k-j)^(a+j,a+j)."""
         a = self._a
         k = np.arange(cols, dtype=float)
         scale = np.ones(cols)
         scale[1:] = np.exp(0.5 * (np.log(self.z_d) - _log_sq_norm(a, k[1:])))
-        P = _jacobi_table(x, a, cols - 1)
-        V = P * scale
-
-        V1 = np.zeros_like(V)
-        if cols > 1:
-            P1 = _jacobi_table(x, a + 1.0, cols - 2)
-            fac1 = (k[1:] + 2.0 * a + 1.0) / 2.0
-            V1[:, 1:] = P1 * (fac1 * scale[1:])
-        V2 = np.zeros_like(V)
-        if cols > 2:
-            P2 = _jacobi_table(x, a + 2.0, cols - 3)
-            fac2 = (k[2:] + 2.0 * a + 1.0) * (k[2:] + 2.0 * a + 2.0) / 4.0
-            V2[:, 2:] = P2 * (fac2 * scale[2:])
-        return V, V1, V2
+        tables = []
+        for j in range(order + 1):
+            V = np.zeros((x.size, cols))
+            if cols > j:
+                fac = np.ones(cols - j)
+                for i in range(1, j + 1):
+                    fac = fac * (k[j:] + 2.0 * a + i) / 2.0
+                V[:, j:] = _jacobi_table(x, a + j, cols - 1 - j) * (fac * scale[j:])
+            tables.append(V)
+        return tables
 
     # -- padded evaluation (pseudospectral dealiasing) ---------------------
 
@@ -161,7 +163,7 @@ class Quadrature:
             x, w = roots_jacobi(m, a, a)
             x = 0.5 * (x - x[::-1])
             w = 0.5 * (w + w[::-1])
-            V, V1, _ = Quadrature._tables(self, x, self.n)
+            V, V1 = self._tables(x, self.n, 1)
             self._padded = {
                 "x": x,
                 "w": w / self.z_d,

@@ -356,6 +356,15 @@ class TestVerifyCommand:
         assert rc == 0
         assert "ok 1" in out
 
+    @pytest.mark.parametrize("p", ["10", "20"])
+    def test_moment_decay_at_large_power(self, p, capsys):
+        # at d = 1.5, N = 64 the datum's values -> coeffs -> values error
+        # (1.6e-12 in int u^20) exceeded the first step's drift budget at
+        # every dt, if counted as drift
+        rc, out, _ = run_main(capsys, "verify", "moment-decay", "--d", "1.5", "--p", p)
+        assert rc == 0
+        assert out.splitlines()[1].startswith("ok 1")
+
 
 class TestInProcessEntry:
     def test_main_returns_zero(self, capsys):

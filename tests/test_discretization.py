@@ -14,6 +14,7 @@ from ultraflow import (
     second_derivative,
 )
 from ultraflow.discretization import (
+    _jacobi_table,
     even_moment,
     normalization_constant,
     random_positive,
@@ -69,6 +70,27 @@ class TestQuadrature:
             vals = quad.nodes ** (2 * j)
             assert abs(float(np.sum(quad.weights * vals)) - even_moment(d, j)) < 1e-14
             assert abs(float(np.sum(quad.weights * quad.nodes ** (2 * j + 1)))) < 1e-15
+
+    @pytest.mark.parametrize("d, n", [(1.0, 5), (1.0, 64), (2.5, 33), (5.0, 128), (30.0, 64)])
+    def test_jacobi_table_matches_column_recurrence(self, d, n):
+        # the table is filled row by row; the same recurrence written per
+        # column must give the same bits, in a C-contiguous table
+        quad = cached_quadrature(d, n)
+        x = quad.nodes
+        for a in (d / 2.0 - 1.0, d / 2.0, d / 2.0 + 1.0):
+            kmax = n - 1
+            P = np.empty((x.size, kmax + 1))
+            P[:, 0] = 1.0
+            P[:, 1] = (a + 1.0) * x
+            for k in range(2, kmax + 1):
+                s = 2.0 * a
+                c0 = 2.0 * k * (k + s) * (2.0 * k + s - 2.0)
+                c1 = (2.0 * k + s - 1.0) * (2.0 * k + s) * (2.0 * k + s - 2.0)
+                c2 = 2.0 * (k + a - 1.0) ** 2 * (2.0 * k + s)
+                P[:, k] = (c1 * x * P[:, k - 1] - c2 * P[:, k - 2]) / c0
+            table = _jacobi_table(x, a, kmax)
+            assert table.flags.c_contiguous
+            assert table.tobytes() == P.tobytes()
 
     def test_bad_parameters(self):
         with pytest.raises(DomainError):
