@@ -34,7 +34,6 @@ from .errors import (  # noqa: F401
     FlowError,
     PositivityError,
     PositivityLossError,
-    QuadratureMismatchError,
     ResolutionError,
     UltraflowError,
 )

@@ -82,7 +82,7 @@ def second_obstruction(seed=0, d=5.0, p=3.25):
 
 
 def exact_solution(seed=0):
-    res = fl.verify_exact_solution(4.0, 1.0, 0.5, 1.0, n=128)
+    res = fl.verify_exact_solution(4.0, 1.0, 0.5, 1.0)
     fde, heat, ident = res["max_fde_residual"], res["min_heat_residual"], res["max_identity_error"]
     yield "fast-diffusion residual <= 1e-8", fde <= 1e-8, fde
     yield "heat operator residual >= 1e-3", heat >= 1e-3, heat
@@ -98,7 +98,7 @@ def moment_decay(seed=0, d=4.0, p=3.0):
 
 
 def antipodal(seed=0):
-    rep = im.antipodal_spectral_check(3.0, 64, samples=100, seed=seed)
+    rep = im.antipodal_spectral_check(3.0, seed=seed)
     yield ("even-function quotient >= 2(d+1)",
            rep["min_ratio"] >= rep["threshold"] - 1e-9, rep["min_ratio"])
     err = abs(rep["mode2_ratio"] - rep["threshold"])
@@ -113,7 +113,7 @@ def antipodal(seed=0):
 def region_figures(seed=0):
     """Fewest admissible points in a p column; wrong beta = 1 points."""
     d = 5.0
-    rows, _ = cs.region_sweep(d, (1.0, cs.two_star(d)), (0.0, 4.0), 201, 201)
+    rows, _ = cs.region_sweep(d, (1.0, cs.two_star(d)), (0.0, 4.0), 201)
     admissible = {}
     for p, beta, m, gamma, adm, a_val, a_pos in rows:
         admissible.setdefault(p, []).append(bool(adm))

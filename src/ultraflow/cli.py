@@ -2,9 +2,9 @@
 
 Output goes to stdout as JSON by default; with ``--out DIR`` the artifacts
 (CSV/JSON) are written there together with a ``manifest.json`` capturing the
-command, parameters, tolerances, quadrature order and seed.  Re-running the
-same manifest reproduces the artifacts byte for byte.  ``verify`` prints TAP
-to stdout and writes no artifacts.
+command, parameters, tolerances, quadrature order and seed, and listing every
+artifact.  Re-running the same manifest reproduces the artifacts byte for
+byte.  ``verify`` prints TAP to stdout and writes no artifacts.
 
 Exit codes: 0 success, 2 parameter error, 3 numerical failure,
 4 invariant violation found by ``verify``.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -43,32 +44,27 @@ class RunManifest:
     schema_version: int = SCHEMA_VERSION
     package_version: str = __version__
 
-    def write(self, out_dir):
-        import os
 
-        path = os.path.join(out_dir, "manifest.json")
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
-
-
-def _emit(obj: dict, args, manifest: RunManifest | None = None):
+def _emit(obj: dict, args, manifest: RunManifest, artifacts: dict | None = None):
+    """Print ``obj`` as JSON; with ``--out``, write instead the ``artifacts``
+    (file name -> writer taking the path), then ``<cmd>.json``, then a
+    ``manifest.json`` that lists them all, and print the path of
+    ``<cmd>.json``."""
     text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=True)
-    if args.out:
-        import os
-
-        os.makedirs(args.out, exist_ok=True)
-        name = f"{args.cmd}.json"
-        path = os.path.join(args.out, name)
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-        if manifest is not None:
-            manifest.artifacts.append(name)
-            manifest.write(args.out)
-        print(path)
-    else:
+    if not args.out:
         print(text)
+        return
+    os.makedirs(args.out, exist_ok=True)
+    for file, write in (artifacts or {}).items():
+        write(os.path.join(args.out, file))
+        manifest.artifacts.append(file)
+    name = f"{args.cmd}.json"
+    manifest.artifacts.append(name)
+    record = json.dumps(asdict(manifest), indent=2, sort_keys=True)
+    for file, content in ((name, text), ("manifest.json", record)):
+        with open(os.path.join(args.out, file), "w") as fh:
+            fh.write(content + "\n")
+    print(os.path.join(args.out, name))
 
 
 def _json_safe(x):
@@ -236,34 +232,28 @@ def cmd_region(args) -> int:
                 rows.append((d, float(p), r.minus, r.plus))
         out = {"kind": "beta_curves", "dims": dims, "rows": len(rows)}
         if args.out:
-            import os
-
-            os.makedirs(args.out, exist_ok=True)
-            path = os.path.join(args.out, "beta_curves.csv")
-            with open(path, "w") as fh:
-                fh.write("d,p,beta_minus,beta_plus\n")
-                for row in rows:
-                    fh.write(",".join(repr(float(x)) for x in row) + "\n")
             out["csv"] = "beta_curves.csv"
         else:
             out["data"] = rows[:20]
+
+        def write_curves(path):
+            with open(path, "w") as fh:
+                fh.write("d,p,beta_minus,beta_plus\n")
+                fh.writelines(",".join(repr(float(x)) for x in row) + "\n" for row in rows)
+
         manifest = RunManifest("region", vars_args(args), {}, args.grid, 0)
-        _emit(_json_safe(out), args, manifest)
+        _emit(_json_safe(out), args, manifest, {"beta_curves.csv": write_curves})
         return 0
     p_hi = _finite_p_max(args.d, args.p_max if args.p_max is not None else cs.two_star(args.d))
     rows, summary = cs.region_sweep(
-        args.d, (args.p_min, p_hi), (args.beta_min, args.beta_max), args.grid, args.grid
+        args.d, (args.p_min, p_hi), (args.beta_min, args.beta_max), args.grid
     )
     if args.out:
-        import os
-
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "region.csv")
-        cs.region_rows_to_csv(rows, path)
         summary["csv"] = "region.csv"
     manifest = RunManifest("region", vars_args(args), {"gamma_tie_tol": cs.GAMMA_TIE_TOL},
                            args.grid, 0)
-    _emit(_json_safe({"kind": "region_sweep", **summary}), args, manifest)
+    _emit(_json_safe({"kind": "region_sweep", **summary}), args, manifest,
+          {"region.csv": lambda path: cs.region_rows_to_csv(rows, path)})
     return 0
 
 
@@ -334,14 +324,8 @@ def cmd_flow(args) -> int:
         args.seed,
     )
     if args.out:
-        import os
-
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "trajectory.csv")
-        traj.to_csv(path)
-        manifest.artifacts.append("trajectory.csv")
         out["csv"] = "trajectory.csv"
-    _emit(_json_safe(out), args, manifest)
+    _emit(_json_safe(out), args, manifest, {"trajectory.csv": traj.to_csv})
     return 0
 
 
@@ -352,7 +336,6 @@ def cmd_counterexample(args) -> int:
     out = {"d": args.d, "a": args.a, "b": args.b}
     if args.d >= 3:
         out["first_obstruction"] = cx.first_obstruction(args.d, args.a, args.b, n=args.n)
-        out["first_obstruction"].pop("F_curve", None)
     if args.p is not None:
         out["second_obstruction"] = cx.second_obstruction(
             args.d, args.p, args.a, args.b, n=args.n
@@ -371,13 +354,7 @@ def cmd_improve(args) -> int:
             args.d, args.p, est.lambda_bound, samples=args.samples, seed=args.seed
         )
     manifest = RunManifest("improve", vars_args(args), {}, args.n, args.seed)
-    if args.out:
-        import os
-
-        os.makedirs(args.out, exist_ok=True)
-        est.minimizer.to_csv(os.path.join(args.out, "minimizer.csv"))
-        manifest.artifacts.append("minimizer.csv")
-    _emit(_json_safe(out), args, manifest)
+    _emit(_json_safe(out), args, manifest, {"minimizer.csv": est.minimizer.to_csv})
     return 0
 
 

@@ -315,13 +315,10 @@ REGION_CSV_HEADER = "p,beta,m,gamma,admissible,A,A_positive"
 
 
 def region_sweep(
-    d: float,
-    p_range: tuple[float, float],
-    beta_range: tuple[float, float],
-    n_p: int,
-    n_beta: int,
+    d: float, p_range: tuple[float, float], beta_range: tuple[float, float], grid: int
 ) -> tuple[list[tuple], dict]:
-    """Rectangular (p, beta) sweep of classify_region, one call per p row.
+    """Square (p, beta) sweep of classify_region with ``grid`` points per
+    axis, one call per p row.
 
     Returns (rows, summary); each row matches REGION_CSV_HEADER.
     """
@@ -331,10 +328,10 @@ def region_sweep(
     ts = two_star(d)
     if p_lo < 1.0 or (math.isfinite(ts) and p_hi > ts + 1e-12):
         raise DomainError(f"p range [{p_lo}, {p_hi}] outside [1, {ts:.6g}]")
-    if n_p < 1 or n_beta < 1:
-        raise DomainError(f"the sweep needs at least one point per axis, got {n_p} x {n_beta}")
-    ps = np.linspace(p_lo, min(p_hi, ts) if math.isfinite(ts) else p_hi, n_p)
-    betas = np.linspace(beta_range[0], beta_range[1], n_beta)
+    if grid < 1:
+        raise DomainError(f"the sweep needs at least one point per axis, got {grid}")
+    ps = np.linspace(p_lo, min(p_hi, ts) if math.isfinite(ts) else p_hi, grid)
+    betas = np.linspace(beta_range[0], beta_range[1], grid)
     beta_list = betas.tolist()
     rows = []
     n_admissible = 0
@@ -342,7 +339,7 @@ def region_sweep(
         pt = classify_region(Params(d, p), betas)
         adm = pt.admissible.astype(int).tolist()
         n_admissible += sum(adm)
-        rows.extend(zip([p] * n_beta, beta_list, pt.m.tolist(), pt.gamma.tolist(), adm,
+        rows.extend(zip([p] * grid, beta_list, pt.m.tolist(), pt.gamma.tolist(), adm,
                         pt.A.tolist(), pt.A_positive.astype(int).tolist()))
     summary = {
         "d": d,
@@ -350,8 +347,8 @@ def region_sweep(
         "p_max": float(ps[-1]),
         "beta_min": float(betas[0]),
         "beta_max": float(betas[-1]),
-        "n_p": int(n_p),
-        "n_beta": int(n_beta),
+        "n_p": int(grid),
+        "n_beta": int(grid),
         "n_admissible": int(n_admissible),
         "notes": [],
     }

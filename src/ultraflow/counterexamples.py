@@ -43,7 +43,7 @@ from .constants import (
 from .discretization import GridFn, Quadrature, derivative, second_derivative
 from .errors import DomainError, PositivityError
 from .flows import Form, conformal_coefficients, evolve, make_state
-from .functionals import cdc_triple, deficit, dissipation_nonlinear, nonlinear_bracket
+from .functionals import _bracket, cdc_triple, deficit, dissipation_nonlinear
 
 
 class FamilyKind(enum.Enum):
@@ -104,7 +104,7 @@ def materialize(family: ExplicitFamily, quad: Quadrature) -> GridFn:
     base = family.a + family.b * quad.nodes
     f = GridFn.from_values(quad, base ** family.exponent())
     f.require_positive(what="explicit family")
-    f.require_resolved(1e-8)
+    f.require_resolved()
     return f
 
 
@@ -121,16 +121,7 @@ def ode_residual(w: GridFn, ratio: float) -> float:
     return float(np.max(q.nu**2 * np.abs(wpp - ratio * wp**2 / w.values)))
 
 
-def _heat_flow_deficit_curve(rho0: GridFn, params: Params, t_end: float, samples: int):
-    spec = FlowSpec.heat(params)
-    state = make_state(Form.DENSITY, spec, rho0)
-    traj = evolve(state, t_end, samples=samples, with_reports=False)
-    return traj.times, traj.F
-
-
-def first_obstruction(
-    d: float, a: float, b: float, n: int = 128, t_end: float = 0.25, samples: int = 26
-) -> dict:
+def first_obstruction(d: float, a: float, b: float, n: int = 128) -> dict:
     """Zero dissipation on the conformal family at the critical exponent
     versus non-invariance under the heat flow.
 
@@ -140,8 +131,8 @@ def first_obstruction(
     exact m = 2/3 family), (ii) the heat-flow dissipation at the same datum
     (zero: the datum minimizes the deficit), (iii) the L2 mismatch between
     the family's own time derivative and the heat operator (strictly
-    positive), and a short heat-flow run showing the deficit rising from
-    zero.
+    positive), and a heat-flow run to t = 0.25 showing the deficit rising
+    from zero.
     """
     if d < 3.0:
         raise DomainError("needs d >= 3")
@@ -188,22 +179,15 @@ def first_obstruction(
     report["heat_mismatch"] = mismatch
 
     # heat flow started at the conformal datum: the deficit leaves zero
-    times, fvals = _heat_flow_deficit_curve(rho, params, t_end, samples)
+    state = make_state(Form.DENSITY, FlowSpec.heat(params), rho)
+    fvals = evolve(state, 0.25, samples=26, with_reports=False).F
     report["F_initial"] = fvals[0]
     report["F_max"] = max(fvals)
     report["F_increases"] = bool(max(fvals) > fvals[0] + 1e-9)
-    report["F_curve"] = {"t": list(times), "F": list(fvals)}
     return report
 
 
-def second_obstruction(
-    d: float,
-    p: float,
-    a: float,
-    b: float,
-    n: int = 128,
-    fd_dt: float = 1e-4,
-) -> dict:
+def second_obstruction(d: float, p: float, a: float, b: float, n: int = 128) -> dict:
     """Strictly positive deficit derivative under the heat flow for p between
     the two thresholds.
 
@@ -229,13 +213,14 @@ def second_obstruction(
     f = GridFn.from_values(quad, w.values**beta)
 
     a_closed = counterexample_coefficient(params, beta)
-    j_ff, j_fc, j_cc = cdc_triple(f)
+    triple = cdc_triple(f)
+    j_cc = triple[2]
     rhs = a_closed * j_cc / beta**2
-    expanded, _ = nonlinear_bracket(f, p, 1.0)
-    analytic = -expanded
+    # the heat flow is the beta = 1 member of the bracket
+    analytic = -_bracket(triple, quad.d, p, 1.0)[0]
 
     rho0 = GridFn.from_values(quad, f.values**p)
-    numeric = _heat_derivative_of_halfd_deficit(rho0, params, fd_dt)
+    numeric = _heat_derivative_of_halfd_deficit(rho0, params)
 
     degenerate = b == 0.0
     report = {
@@ -257,16 +242,16 @@ def second_obstruction(
     return report
 
 
-def _heat_derivative_of_halfd_deficit(rho0: GridFn, params: Params, dt: float) -> float:
+def _heat_derivative_of_halfd_deficit(rho0: GridFn, params: Params) -> float:
     """d/dt [(d/2) F(rho(t))] at t = 0 under the exactly integrated heat flow,
-    via a 4-point central stencil with one Richardson halving.
+    via a 4-point central stencil of width 1e-4 with one Richardson halving.
 
     The stencil looks a short distance backward in time, where the diagonal
     exponential amplifies mode k by exp(+lam_k t); the width is capped so
     that even the top mode's roundoff floor is amplified by at most e^4.
     """
     quad = rho0.quad
-    dt = min(dt, 2.0 / float(quad.eigenvalues[-1]))
+    dt = min(1e-4, 2.0 / float(quad.eigenvalues[-1]))
     half_d = quad.d / 2.0
 
     def g_at(t: float) -> float:
@@ -284,23 +269,16 @@ def _heat_derivative_of_halfd_deficit(rho0: GridFn, params: Params, dt: float) -
     return (16.0 * d2 - d1) / 15.0
 
 
-def sign_certificate(d: float, n_points: int = 100) -> list[tuple]:
-    """Rows (d, p, beta_minus, A) over a p-grid strictly inside the
+def sign_certificate(d: float) -> list[tuple]:
+    """Rows (d, p, beta_minus, A) over a 100-point p-grid strictly inside the
     obstruction window; A must be positive throughout."""
     lo, hi = two_sharp(d), two_star(d)
     if not math.isfinite(hi) or lo >= hi:
         raise DomainError(f"no obstruction window for d={d}")
     rows = []
-    for i in range(n_points):
-        p = lo + (hi - lo) * (i + 0.5) / n_points
+    for i in range(100):
+        p = lo + (hi - lo) * (i + 0.5) / 100
         params = Params(d, p)
         beta = beta_roots(params).minus
         rows.append((d, p, beta, counterexample_coefficient(params, beta)))
     return rows
-
-
-def sign_certificate_csv(rows, path):
-    with open(path, "w") as fh:
-        fh.write("d,p,beta_minus,A\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")

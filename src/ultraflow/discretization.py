@@ -16,19 +16,12 @@ require any.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, roots_jacobi
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    PositivityError,
-    QuadratureMismatchError,
-    ResolutionError,
-)
+from .errors import ConvergenceError, DomainError, PositivityError, ResolutionError
 
 #: nodal values at or below this floor trigger a PositivityError
 EPS_POS = 1e-12
@@ -93,6 +86,16 @@ def _log_sq_norm(a: float, k: np.ndarray) -> np.ndarray:
     )
 
 
+def _gauss_jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss rule for the weight (1-x^2)^a,
+    symmetrized so that parity is preserved to the last bit."""
+    try:
+        x, w = roots_jacobi(n, a, a)
+    except Exception as exc:  # pragma: no cover - node solver failure
+        raise ConvergenceError(f"Gauss-Jacobi node solver failed at order {n}: {exc}")
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+
+
 class Quadrature:
     """Gauss-Jacobi rule and orthonormal-basis tables for the measure nu_d.
 
@@ -111,13 +114,7 @@ class Quadrature:
         a = d / 2.0 - 1.0
         self._a = a
         self.z_d = normalization_constant(d)
-        try:
-            x, w = roots_jacobi(n, a, a)
-        except Exception as exc:  # pragma: no cover - node solver failure
-            raise ConvergenceError(f"Gauss-Jacobi node solver failed at order {n}: {exc}")
-        # enforce exact symmetry so parity is preserved to the last bit
-        x = 0.5 * (x - x[::-1])
-        w = 0.5 * (w + w[::-1])
+        x, w = _gauss_jacobi(n, a)
         self.nodes = x
         self.weights = w / self.z_d
         # the rule for first moments int z f
@@ -158,11 +155,7 @@ class Quadrature:
 
     def _pad_tables(self) -> dict[str, np.ndarray]:
         if self._padded is None:
-            m = PAD * self.n
-            a = self._a
-            x, w = roots_jacobi(m, a, a)
-            x = 0.5 * (x - x[::-1])
-            w = 0.5 * (w + w[::-1])
+            x, w = _gauss_jacobi(PAD * self.n, self._a)
             V, V1 = self._tables(x, self.n, 1)
             self._padded = {
                 "x": x,
@@ -246,13 +239,13 @@ class GridFn:
     def min_value(self) -> float:
         return float(self.values.min())
 
-    def is_positive(self, floor: float = EPS_POS) -> bool:
-        return self.min_value() > floor
+    def is_positive(self) -> bool:
+        return self.min_value() > EPS_POS
 
-    def require_positive(self, floor: float = EPS_POS, what: str = "grid function"):
-        if not self.is_positive(floor):
+    def require_positive(self, what: str = "grid function"):
+        if not self.is_positive():
             raise PositivityError(
-                f"{what} has min nodal value {self.min_value():.3e} <= {floor:.1e}"
+                f"{what} has min nodal value {self.min_value():.3e} <= {EPS_POS:.1e}"
             )
 
     def resolution_fraction(self) -> float:
@@ -262,11 +255,11 @@ class GridFn:
             return 0.0
         return float(np.linalg.norm(self.coeffs[-2:])) / norm
 
-    def require_resolved(self, tol: float = RESOLUTION_TOL):
+    def require_resolved(self):
         frac = self.resolution_fraction()
-        if frac > tol:
+        if frac > RESOLUTION_TOL:
             raise ResolutionError(
-                f"top modes carry {frac:.2e} of the norm (tolerance {tol:.1e}); "
+                f"top modes carry {frac:.2e} of the norm (tolerance {RESOLUTION_TOL:.1e}); "
                 "increase the quadrature order"
             )
 
@@ -275,20 +268,6 @@ class GridFn:
     def to_csv(self, path):
         data = np.column_stack([self.quad.nodes, self.values])
         np.savetxt(path, data, delimiter=",", header="z,value", comments="", fmt="%.17g")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"d": self.quad.d, "N": self.quad.n, "coeffs": self.coeffs.tolist()}
-        )
-
-    @classmethod
-    def from_json(cls, text: str, quad: Quadrature | None = None) -> "GridFn":
-        obj = json.loads(text)
-        if quad is None:
-            quad = Quadrature(obj["d"], obj["N"])
-        elif quad.d != obj["d"] or quad.n != obj["N"]:
-            raise QuadratureMismatchError("serialized grid function used a different rule")
-        return cls.from_coeffs(quad, np.array(obj["coeffs"]))
 
 
 def derivative(f: GridFn, check: bool = True) -> np.ndarray:
@@ -323,15 +302,15 @@ def random_band_limited(
     rng,
     modes: int,
     amplitude: float = 0.5,
-    decay: float = 0.6,
     even_only: bool = False,
 ) -> GridFn:
-    """Zero-mean random combination of modes 1..modes, sup-norm ~ amplitude."""
+    """Zero-mean random combination of modes 1..modes with coefficients
+    decaying like 0.6^k, sup-norm ~ amplitude."""
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     modes = min(modes, quad.n - 3)
     coeffs = np.zeros(quad.n)
     ks = np.arange(1, modes + 1)
-    coeffs[1 : modes + 1] = rng.standard_normal(modes) * decay**ks
+    coeffs[1 : modes + 1] = rng.standard_normal(modes) * 0.6**ks
     if even_only:
         coeffs[1::2] = 0.0
     g = GridFn.from_coeffs(quad, coeffs)
@@ -341,15 +320,8 @@ def random_band_limited(
     return GridFn.from_coeffs(quad, coeffs * (amplitude / top))
 
 
-def random_positive(
-    quad: Quadrature,
-    rng,
-    modes: int = 8,
-    amplitude: float = 0.5,
-    floor: float = 0.3,
-    even_only: bool = False,
-) -> GridFn:
-    """1 + random band-limited perturbation, bounded below by ``floor``."""
-    amplitude = min(amplitude, 1.0 - floor)
-    g = random_band_limited(quad, rng, modes, amplitude, even_only=even_only)
+def random_positive(quad: Quadrature, rng, modes: int = 8, amplitude: float = 0.5) -> GridFn:
+    """1 + random band-limited perturbation, bounded below by 0.3."""
+    amplitude = min(amplitude, 0.7)
+    g = random_band_limited(quad, rng, modes, amplitude)
     return GridFn.from_coeffs(quad, g.coeffs + GridFn.constant(quad, 1.0).coeffs)

@@ -19,10 +19,6 @@ class ResolutionError(UltraflowError):
     requested operation to be trustworthy at the current order."""
 
 
-class QuadratureMismatchError(UltraflowError):
-    """Two grid functions built on different quadratures were combined."""
-
-
 class ConvergenceError(UltraflowError):
     """An iterative solver stopped before reaching its tolerance."""
 

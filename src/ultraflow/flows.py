@@ -221,52 +221,49 @@ def _advance_to(
     tol_cons: float,
     horizon: float,
 ) -> tuple[FlowState, float]:
-    quad = state.f.quad
+    """Step from state to t_target, exactly in one hop or by IMEX macro steps
+    under the drift budget; returns the state at t_target and the next dt.
+
+    A rejected attempt is retried from the same state, so it passes the same
+    coefficient array to the step again.
+    """
     if integrates_exactly(state.form, state.spec):
-        # exact in one hop
-        c = state.f.coeffs * np.exp(-quad.eigenvalues * (t_target - state.t))
-        return replace(state, t=t_target, f=GridFn.from_coeffs(quad, c)), dt
+        return replace(step(state, t_target - state.t), t=t_target), dt
+    quad = state.f.quad
     noise_floor = 1e-15 * max(1.0, abs(state.conserved0))
-    t, c = state.t, state.f.coeffs
     # the drift baseline is synthesized from the coefficients, as every trial
     # is, so the datum's values -> coeffs -> values error is not counted as drift
     c_prev = conserved_quantity(
-        quad, _density_values(state.form, state.spec, GridFn.from_coeffs(quad, c)))
-    while t < t_target - 1e-14 * max(1.0, abs(t_target)):
-        h = min(dt, dt_max, t_target - t)
-        try:
-            c_new = _imex_step(state.form, state.spec, quad, c, h)
-            trial = GridFn.from_coeffs(quad, c_new)
-            ok = trial.is_positive()
-        except PositivityError:
-            ok = False
-            trial = None
+        quad, _density_values(state.form, state.spec, GridFn.from_coeffs(quad, state.f.coeffs)))
+    while state.t < t_target - 1e-14 * max(1.0, abs(t_target)):
+        h = min(dt, dt_max, t_target - state.t)
         budget = 0.5 * tol_cons * h / horizon + noise_floor
-        if ok:
-            c_now = conserved_quantity(quad, _density_values(state.form, state.spec, trial))
+        try:
+            trial = step(state, h)
+        except (PositivityError, PositivityLossError):
+            trial = None
+        if trial is not None:
+            c_now = conserved_quantity(quad, _density_values(state.form, state.spec, trial.f))
             local = abs(c_now - c_prev)
             cumulative = abs(c_now - state.conserved0)
             if local > budget:
-                ok = False
+                trial = None
             elif cumulative > tol_cons:
                 raise ConservationError(
                     f"conserved quantity drifted by {cumulative:.3e} > {tol_cons:.1e}",
-                    t=t + h,
+                    t=trial.t,
                 )
-        if not ok:
+        if trial is None:
             dt *= 0.5
             if dt < DT_MIN:
                 raise PositivityLossError(
-                    "step size underflow (positivity or drift unreachable)", t=t
+                    "step size underflow (positivity or drift unreachable)", t=state.t
                 )
             continue
-        t += h
-        c = c_new
-        c_prev = c_now
+        state, c_prev = trial, c_now
         if local < 0.1 * budget and h >= dt:
             dt = min(dt * 1.3, dt_max)
-    f = GridFn.from_coeffs(quad, c)
-    return replace(state, t=t_target, f=f), dt
+    return replace(state, t=t_target), dt
 
 
 @dataclass
@@ -285,8 +282,8 @@ class Trajectory:
     reports: list[DissipationReport]
     final_state: FlowState
 
-    def monotone_decreasing_F(self, tol: float = TOL_MONO) -> bool:
-        return all(f1 <= f0 + tol for f0, f1 in zip(self.F, self.F[1:]))
+    def monotone_decreasing_F(self) -> bool:
+        return all(f1 <= f0 + TOL_MONO for f0, f1 in zip(self.F, self.F[1:]))
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -372,14 +369,9 @@ def evolve(
 # -- moment decay ------------------------------------------------------------
 
 
-def moment_decay_check(
-    state: FlowState,
-    t_end: float,
-    samples: int = 26,
-    tol_cons: float = TOL_CONS,
-) -> dict:
-    """Track M(t) = int z u^p along the pointwise heat flow and compare with
-    the exponential law M(0) e^(-d t).
+def moment_decay_check(state: FlowState, t_end: float) -> dict:
+    """Track M(t) = int z u^p at 26 samples along the pointwise heat flow and
+    compare with the exponential law M(0) e^(-d t).
 
     The default step controller chooses the steps.  At p = 1 the conserved
     quantity is the mass, which every step keeps exactly, so the drift
@@ -390,7 +382,7 @@ def moment_decay_check(
     if state.form is not Form.POINTWISE or state.spec.beta != 1.0:
         raise DomainError("moment decay check runs on the pointwise heat form")
     d = state.f.quad.d
-    traj = evolve(state, t_end, samples=samples, tol_cons=tol_cons, with_reports=False)
+    traj = evolve(state, t_end, samples=26, with_reports=False)
     m0 = traj.moment_z[0]
     ts = np.asarray(traj.times)
     ms = np.asarray(traj.moment_z)
@@ -418,11 +410,10 @@ def conformal_coefficients(d: float, omega: float, t0: float, t: float) -> tuple
     return a, b
 
 
-def verify_exact_solution(
-    d: float, omega: float, t0: float, t_end: float, n: int = 128, n_times: int = 9
-) -> dict:
+def verify_exact_solution(d: float, omega: float, t0: float, t_end: float) -> dict:
     """Residual of the (a + b z)^(-d) family under the critical fast
-    diffusion (m = 1 - 1/d) and under the plain heat operator.
+    diffusion (m = 1 - 1/d) and under the plain heat operator, at 9 times on
+    128 nodes.
 
     The time derivative is analytic from the ODE system; the spatial
     operator is evaluated spectrally.  Residuals are measured in the norm of
@@ -435,11 +426,10 @@ def verify_exact_solution(
     """
     if d < 3.0:
         raise DomainError("the exact family needs d >= 3")
-    quad = Quadrature(d, n)
+    quad = Quadrature(d, 128)
     z = quad.nodes
-    m = 1.0 - 1.0 / d
     fde_resids, heat_resids, ident = [], [], []
-    for t in np.linspace(0.0, t_end, n_times):
+    for t in np.linspace(0.0, t_end, 9):
         a, b = conformal_coefficients(d, omega, t0, float(t))
         ident.append(abs(a * a - b * b - omega * omega))
         if a <= abs(b):
@@ -461,6 +451,4 @@ def verify_exact_solution(
         "max_fde_residual": max(fde_resids),
         "min_heat_residual": min(heat_resids),
         "max_identity_error": max(ident),
-        "fde_residuals": fde_resids,
-        "heat_residuals": heat_resids,
     }

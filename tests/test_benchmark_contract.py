@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import ultraflow
-from ultraflow import functionals
+from ultraflow import cli, functionals
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -46,3 +46,23 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     assert functionals.dissipation_heat is original
     assert ultraflow.dissipation_heat is original
+
+
+def test_tracer_tells_accepted_from_rejected_steps(capsys):
+    # the tracer infers a rejected IMEX attempt from the step loop passing
+    # the same coefficient array again; a loop that stops doing so would
+    # skew the benchmark's step counters, not fail them.  This run rejects
+    # one of its attempts.
+    tracer = _load("tracer").Tracer()
+    tracer.install()
+    try:
+        rc = cli.main(["flow", "--form", "w", "--d", "5", "--p", "3.3",
+                       "--beta", "1.2126712652", "--init", "perturb:0.3,2",
+                       "--t-end", "0.02", "--n", "64", "--samples", "3"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert rc == 0
+    counters = tracer.counters
+    assert counters["imex.accepted"] + counters["imex.rejected"] == tracer.count("flows.imex")
+    assert counters["imex.rejected"] >= 1

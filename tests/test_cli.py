@@ -65,6 +65,7 @@ class TestRegionCommand:
         assert len(lines) == 1 + 31 * 31
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["schema_version"] == 1
+        assert manifest["artifacts"] == ["region.csv", "region.json"]
 
     def test_reproducible_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -99,6 +100,8 @@ class TestRegionCommand:
         assert rc == 0
         lines = (tmp_path / "beta_curves.csv").read_text().splitlines()
         assert lines[0] == "d,p,beta_minus,beta_plus"
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["artifacts"] == ["beta_curves.csv", "region.json"]
         from ultraflow import Params, beta_roots, two_sharp
 
         # above p = 2 the lower-root curves are ordered upward in d, and each

@@ -313,7 +313,7 @@ class TestClassifyRegion:
 
 class TestRegionSweep:
     def test_shape_and_csv(self, tmp_path):
-        rows, summary = region_sweep(5.0, (1.0, two_star(5.0)), (0.0, 4.0), 41, 41)
+        rows, summary = region_sweep(5.0, (1.0, two_star(5.0)), (0.0, 4.0), 41)
         assert len(rows) == 41 * 41
         assert summary["n_admissible"] > 0
         path = tmp_path / "region.csv"
@@ -327,8 +327,8 @@ class TestRegionSweep:
         # call at every grid point; beta = 0 (m = inf) is on the grid, and
         # below d = 3 the witness coefficient A is NaN
         p_hi = two_star(d) if math.isfinite(two_star(d)) else 9.0
-        rows, summary = region_sweep(d, (1.0, p_hi), (0.0, 4.0), 41, 33)
-        assert len(rows) == 41 * 33
+        rows, summary = region_sweep(d, (1.0, p_hi), (0.0, 4.0), 41)
+        assert len(rows) == 41 * 41
         n_admissible = 0
         for row in rows:
             p, beta = row[:2]
@@ -342,12 +342,12 @@ class TestRegionSweep:
 
     def test_empty_grid(self):
         with pytest.raises(DomainError):
-            region_sweep(5.0, (1.0, 3.0), (0.0, 4.0), 0, 5)
+            region_sweep(5.0, (1.0, 3.0), (0.0, 4.0), 0)
 
     def test_d1_metadata_note(self):
-        _, summary = region_sweep(1.0, (1.0, 4.0), (0.0, 2.0), 5, 5)
+        _, summary = region_sweep(1.0, (1.0, 4.0), (0.0, 2.0), 5)
         assert summary["notes"]
 
     def test_bad_range(self):
         with pytest.raises(DomainError):
-            region_sweep(5.0, (0.2, 3.0), (0.0, 4.0), 5, 5)
+            region_sweep(5.0, (0.2, 3.0), (0.0, 4.0), 5)

@@ -18,7 +18,7 @@ from ultraflow import (
     two_sharp,
     two_star,
 )
-from ultraflow.counterexamples import ode_residual, sign_certificate_csv
+from ultraflow.counterexamples import ode_residual
 from ultraflow.discretization import derivative, second_derivative
 
 from conftest import cached_quadrature
@@ -146,16 +146,8 @@ class TestSecondObstruction:
 class TestSignCertificate:
     @pytest.mark.parametrize("d", [3.0, 4.0, 5.0, 8.0])
     def test_positive_on_window(self, d):
-        rows = sign_certificate(d, 100)
+        rows = sign_certificate(d)
         assert len(rows) == 100
         assert min(r[3] for r in rows) > 0.0
         lo, hi = two_sharp(d), two_star(d)
         assert all(lo < r[1] < hi for r in rows)
-
-    def test_csv(self, tmp_path):
-        rows = sign_certificate(5.0, 10)
-        path = tmp_path / "cert.csv"
-        sign_certificate_csv(rows, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "d,p,beta_minus,A"
-        assert len(lines) == 11

@@ -62,7 +62,7 @@ class TestHeatFlow:
             rho0 = random_positive(quad5, rng, modes=10, amplitude=0.6)
             st = heat_state(quad5, 5.0, 3.0, rho0)
             traj = evolve(st, 1.0, samples=50, with_reports=False)
-            assert traj.monotone_decreasing_F(1e-9)
+            assert traj.monotone_decreasing_F()
 
     def test_long_time_convergence_rate(self, quad5, rng):
         rho0 = random_positive(quad5, rng, modes=10, amplitude=0.6)
@@ -93,7 +93,7 @@ class TestNonlinearFlows:
         w0 = random_positive(quad5, rng, modes=8, amplitude=0.5)
         st = make_state(Form.POINTWISE, spec, w0)
         traj = evolve(st, 0.5, samples=40)
-        assert traj.monotone_decreasing_F(1e-9)
+        assert traj.monotone_decreasing_F()
         assert max(abs(c - traj.conserved[0]) for c in traj.conserved) <= 1e-9
 
     def test_fde_d3_p6_special_case(self, rng):
@@ -103,7 +103,7 @@ class TestNonlinearFlows:
         rho0 = random_positive(quad, rng, modes=8, amplitude=0.4)
         st = make_state(Form.DENSITY, spec, rho0)
         traj = evolve(st, 0.5, samples=40)
-        assert traj.monotone_decreasing_F(1e-9)
+        assert traj.monotone_decreasing_F()
         # density forms conserve mass structurally
         assert max(abs(c - traj.conserved[0]) for c in traj.conserved) <= 1e-13
 
@@ -205,7 +205,7 @@ class TestNonlinearFlows:
         monkeypatch.setattr(flows, "_imex_step", counted)
         traj = evolve(st, 0.4, with_reports=False)
         assert attempts <= 7177
-        assert traj.monotone_decreasing_F(1e-9)
+        assert traj.monotone_decreasing_F()
         assert max(abs(c - traj.conserved[0]) for c in traj.conserved) <= 1e-9
 
 

@@ -350,7 +350,7 @@ class TestAntipodalConstants:
 
 class TestAntipodalSpectral:
     def test_even_class_threshold(self):
-        rep = antipodal_spectral_check(3.0, 64, samples=100, seed=7)
+        rep = antipodal_spectral_check(3.0, seed=7)
         assert rep["min_ratio"] >= rep["threshold"] - 1e-9
         assert rep["mode2_ratio"] == pytest.approx(rep["threshold"], abs=1e-10)
         assert rep["odd_ratio"] == pytest.approx(3.0, abs=1e-10)
