@@ -45,7 +45,6 @@ from .flows import (  # noqa: F401
     make_state,
     moment_decay_check,
     step,
-    verify_exact_solution,
 )
 from .functionals import (  # noqa: F401
     DissipationReport,
@@ -65,6 +64,7 @@ from .counterexamples import (  # noqa: F401
     materialize,
     second_obstruction,
     sign_certificate,
+    verify_exact_solution,
 )
 from .improvements import (  # noqa: F401
     ImprovementEstimate,

@@ -4,7 +4,11 @@ monotonicity of the deficit.
 First obstruction (at the critical exponent): the conformal family
 u = (a + b z)^(-(d-2)/2) consists of minimizers of the deficit, the critical
 nonlinear flow moves inside the family, but the heat flow moves off it, so
-the deficit cannot decrease monotonically from such data.
+the deficit cannot decrease monotonically from such data.  The family is
+written once here: its coth/csch motion under critical fast diffusion
+(``conformal_coefficients``), the rate of that motion and its residual
+against L of a density, which ``verify_exact_solution`` and the first
+obstruction share.
 
 Second obstruction (between the two thresholds): with beta the lower root of
 the dissipation quadratic and alpha = (d-1) beta (p-1)/(d+2), the power-law
@@ -42,7 +46,7 @@ from .constants import (
 )
 from .discretization import GridFn, Quadrature, derivative, second_derivative
 from .errors import DomainError, PositivityError
-from .flows import Form, conformal_coefficients, evolve, make_state
+from .flows import Form, evolve, make_state
 from .functionals import _bracket, cdc_triple, deficit, dissipation_nonlinear
 
 
@@ -121,17 +125,81 @@ def ode_residual(w: GridFn, ratio: float) -> float:
     return float(np.max(q.nu**2 * np.abs(wpp - ratio * wp**2 / w.values)))
 
 
+def conformal_coefficients(d: float, omega: float, t0: float, t: float) -> tuple[float, float]:
+    """a(t) = w coth((d-1) w (t+t0)), b(t) = w csch(...): the separable
+    solution of the a' = -(d-1) b^2, b' = -(d-1) a b system.  t0 = inf is
+    the constant member b = 0."""
+    if omega <= 0.0 or t0 <= 0.0:
+        raise DomainError("omega and t0 must be positive")
+    arg = (d - 1.0) * omega * (t + t0)
+    a = omega / math.tanh(arg)
+    b = omega / math.sinh(arg)
+    return a, b
+
+
+def _family_residual(quad: Quadrature, a: float, b: float, g: GridFn) -> float:
+    """L^2(nu) norm of the rate of the member (a + b z)^(-d) of the conformal
+    family moving by ``conformal_coefficients``,
+
+        d rho/dt = d (d-1) b (b + a z) (a + b z)^(-(d+1)),
+
+    minus L g for a nodal density g."""
+    d, z = quad.d, quad.nodes
+    rate = d * (d - 1.0) * b * (b + a * z) * (a + b * z) ** (-(d + 1.0))
+    lg = GridFn.from_coeffs(quad, -quad.eigenvalues * g.coeffs)
+    return float(np.sqrt(np.sum(quad.weights * (rate - lg.values) ** 2)))
+
+
+def verify_exact_solution(d: float, omega: float, t0: float, t_end: float) -> dict:
+    """Residual of the (a + b z)^(-d) family under the critical fast
+    diffusion (m = 1 - 1/d) and under the plain heat operator, at 9 times on
+    128 nodes.
+
+    The time derivative is analytic from the ODE system; the spatial
+    operator is evaluated spectrally.  Residuals are measured in the norm of
+    L^2 of the measure (the natural norm here; it also damps the spectral
+    roundoff that the vanishing boundary weight amplifies at the outermost
+    nodes).  Returns the max residual over the time grid under fast
+    diffusion (small), the min residual under the heat operator (order one:
+    the family is not heat-invariant), and the worst error in the first
+    integral a^2 - b^2 = omega^2.
+    """
+    if d < 3.0:
+        raise DomainError("the exact family needs d >= 3")
+    quad = Quadrature(d, 128)
+    fde_resids, heat_resids, ident = [], [], []
+    for t in np.linspace(0.0, t_end, 9):
+        a, b = conformal_coefficients(d, omega, t0, float(t))
+        ident.append(abs(a * a - b * b - omega * omega))
+        if a <= abs(b):
+            raise PositivityError("family left the positivity cone a > |b|")
+        base = a + b * quad.nodes
+        rho = GridFn.from_values(quad, base ** (-float(d)))
+        rho_m = GridFn.from_values(quad, base ** (-(d - 1.0)))
+        fde_resids.append(_family_residual(quad, a, b, rho_m))
+        heat_resids.append(_family_residual(quad, a, b, rho))
+    return {
+        "d": d,
+        "omega": omega,
+        "t0": t0,
+        "max_fde_residual": max(fde_resids),
+        "min_heat_residual": min(heat_resids),
+        "max_identity_error": max(ident),
+    }
+
+
 def first_obstruction(d: float, a: float, b: float, n: int = 128) -> dict:
     """Zero dissipation on the conformal family at the critical exponent
     versus non-invariance under the heat flow.
 
     Reports (i) the nonlinear-flow dissipation at the conformal datum
-    (zero: for d >= 4 via the pure-square identity at the double root
-    beta = (d-2)/(d-3); for d = 3 via the deficit staying zero along the
-    exact m = 2/3 family), (ii) the heat-flow dissipation at the same datum
-    (zero: the datum minimizes the deficit), (iii) the L2 mismatch between
-    the family's own time derivative and the heat operator (strictly
-    positive), and a heat-flow run to t = 0.25 showing the deficit rising
+    (zero: for d > 3 via the pure-square identity at the finite double root
+    beta = (d-2)/(d-3); for d = 3, where that root is infinite, via the
+    deficit staying zero along the exact m = 2/3 family), (ii) the heat-flow
+    dissipation at the same datum (zero: the datum minimizes the deficit),
+    (iii) the L2 mismatch between the family's own time derivative and the
+    heat operator (strictly positive unless b = 0, where the datum is
+    constant), and a heat-flow run to t = 0.25 showing the deficit rising
     from zero.
     """
     if d < 3.0:
@@ -149,7 +217,7 @@ def first_obstruction(d: float, a: float, b: float, n: int = 128) -> dict:
     report["heat_dissipation"] = dissipation_nonlinear(u, p, 1.0).dF_dt_analytic
 
     # (i) nonlinear dissipation at the same datum
-    if d >= 4.0:
+    if d > 3.0:
         beta = (d - 2.0) / (d - 3.0)
         w = GridFn.from_values(quad, u.values ** (1.0 / beta))
         report["beta"] = beta
@@ -157,10 +225,10 @@ def first_obstruction(d: float, a: float, b: float, n: int = 128) -> dict:
         report["ode_residual"] = ode_residual(w, (d - 1.0) / (d - 3.0))
     else:
         # d = 3: beta is infinite; the m = 2/3 flow moves inside the family,
-        # so the deficit stays at zero along the exact solution
+        # so the deficit stays at zero along the exact solution (which stands
+        # still at b = 0, the member with t0 = inf)
         omega = math.sqrt(a * a - b * b)
-        arg = abs(b) / omega if omega > 0 else math.inf
-        t0 = math.asinh(1.0 / arg) / ((d - 1.0) * omega)
+        t0 = math.asinh(omega / abs(b)) / ((d - 1.0) * omega) if b != 0.0 else math.inf
         devs = []
         for t in np.linspace(0.0, 0.2, 6):
             at, bt = conformal_coefficients(d, omega, t0, float(t))
@@ -171,12 +239,7 @@ def first_obstruction(d: float, a: float, b: float, n: int = 128) -> dict:
         report["ode_residual"] = math.nan
 
     # (iii) mismatch between the family's time derivative and the heat operator
-    z = quad.nodes
-    base = a + b * z
-    drho_dt_family = d * (d - 1.0) * b * (b + a * z) * base ** (-(d + 1.0))
-    lrho = GridFn.from_coeffs(quad, -quad.eigenvalues * rho.coeffs)
-    mismatch = float(np.sqrt(np.sum(quad.weights * (drho_dt_family - lrho.values) ** 2)))
-    report["heat_mismatch"] = mismatch
+    report["heat_mismatch"] = _family_residual(quad, a, b, rho)
 
     # heat flow started at the conformal datum: the deficit leaves zero
     state = make_state(Form.DENSITY, FlowSpec.heat(params), rho)

@@ -220,21 +220,26 @@ def _advance_to(
     dt_max: float,
     tol_cons: float,
     horizon: float,
-) -> tuple[FlowState, float]:
+    c_prev: float | None,
+) -> tuple[FlowState, float, float | None]:
     """Step from state to t_target, exactly in one hop or by IMEX macro steps
-    under the drift budget; returns the state at t_target and the next dt.
+    under the drift budget; returns the state at t_target, the next dt and
+    the drift baseline for the next segment.
 
-    A rejected attempt is retried from the same state, so it passes the same
-    coefficient array to the step again.
+    The baseline ``c_prev`` is the conserved quantity of the last accepted
+    step, or None on the first segment.  It is then synthesized from the
+    coefficients, as every trial is, so the datum's values -> coeffs ->
+    values error is not counted as drift.  A rejected attempt is retried
+    from the same state, so it passes the same coefficient array to the
+    step again.
     """
     if integrates_exactly(state.form, state.spec):
-        return replace(step(state, t_target - state.t), t=t_target), dt
+        return replace(step(state, t_target - state.t), t=t_target), dt, c_prev
     quad = state.f.quad
     noise_floor = 1e-15 * max(1.0, abs(state.conserved0))
-    # the drift baseline is synthesized from the coefficients, as every trial
-    # is, so the datum's values -> coeffs -> values error is not counted as drift
-    c_prev = conserved_quantity(
-        quad, _density_values(state.form, state.spec, GridFn.from_coeffs(quad, state.f.coeffs)))
+    if c_prev is None:
+        c_prev = conserved_quantity(
+            quad, _density_values(state.form, state.spec, GridFn.from_coeffs(quad, state.f.coeffs)))
     while state.t < t_target - 1e-14 * max(1.0, abs(t_target)):
         h = min(dt, dt_max, t_target - state.t)
         budget = 0.5 * tol_cons * h / horizon + noise_floor
@@ -263,7 +268,7 @@ def _advance_to(
         state, c_prev = trial, c_now
         if local < 0.1 * budget and h >= dt:
             dt = min(dt * 1.3, dt_max)
-    return replace(state, t=t_target), dt
+    return replace(state, t=t_target), dt, c_prev
 
 
 @dataclass
@@ -353,9 +358,10 @@ def evolve(
         traj.reports.append(rep)
 
     record(state)
-    current = state
+    current, c_prev = state, None
     for t_next in times[1:]:
-        current, dt = _advance_to(current, float(t_next), dt, dt_max, tol_cons, horizon)
+        current, dt, c_prev = _advance_to(current, float(t_next), dt, dt_max, tol_cons, horizon,
+                                          c_prev)
         record(current)
     traj.final_state = current
     if with_reports and samples >= 3:
@@ -393,62 +399,4 @@ def moment_decay_check(state: FlowState, t_end: float) -> dict:
         "M0": m0,
         "max_dev_from_law": float(np.max(np.abs(ms - law))),
         "max_abs_moment": float(np.max(np.abs(ms))),
-    }
-
-
-# -- exact solution of the critical fast-diffusion flow ----------------------
-
-
-def conformal_coefficients(d: float, omega: float, t0: float, t: float) -> tuple[float, float]:
-    """a(t) = w coth((d-1) w (t+t0)), b(t) = w csch(...): the separable
-    solution of the a' = -(d-1) b^2, b' = -(d-1) a b system."""
-    if omega <= 0.0 or t0 <= 0.0:
-        raise DomainError("omega and t0 must be positive")
-    arg = (d - 1.0) * omega * (t + t0)
-    a = omega / math.tanh(arg)
-    b = omega / math.sinh(arg)
-    return a, b
-
-
-def verify_exact_solution(d: float, omega: float, t0: float, t_end: float) -> dict:
-    """Residual of the (a + b z)^(-d) family under the critical fast
-    diffusion (m = 1 - 1/d) and under the plain heat operator, at 9 times on
-    128 nodes.
-
-    The time derivative is analytic from the ODE system; the spatial
-    operator is evaluated spectrally.  Residuals are measured in the norm of
-    L^2 of the measure (the natural norm here; it also damps the spectral
-    roundoff that the vanishing boundary weight amplifies at the outermost
-    nodes).  Returns the max residual over the time grid under fast
-    diffusion (small), the min residual under the heat operator (order one:
-    the family is not heat-invariant), and the worst error in the first
-    integral a^2 - b^2 = omega^2.
-    """
-    if d < 3.0:
-        raise DomainError("the exact family needs d >= 3")
-    quad = Quadrature(d, 128)
-    z = quad.nodes
-    fde_resids, heat_resids, ident = [], [], []
-    for t in np.linspace(0.0, t_end, 9):
-        a, b = conformal_coefficients(d, omega, t0, float(t))
-        ident.append(abs(a * a - b * b - omega * omega))
-        if a <= abs(b):
-            raise PositivityError("family left the positivity cone a > |b|")
-        base = a + b * z
-        drho_dt = d * (d - 1.0) * b * (b + a * z) * base ** (-(d + 1.0))
-        rho_m = GridFn.from_values(quad, base ** (-(d - 1.0)))
-        lrho_m = GridFn.from_coeffs(quad, -quad.eigenvalues * rho_m.coeffs)
-        fde_resids.append(
-            float(np.sqrt(np.sum(quad.weights * (drho_dt - lrho_m.values) ** 2)))
-        )
-        rho = GridFn.from_values(quad, base ** (-float(d)))
-        lrho = GridFn.from_coeffs(quad, -quad.eigenvalues * rho.coeffs)
-        heat_resids.append(float(np.sqrt(np.sum(quad.weights * (drho_dt - lrho.values) ** 2))))
-    return {
-        "d": d,
-        "omega": omega,
-        "t0": t0,
-        "max_fde_residual": max(fde_resids),
-        "min_heat_residual": min(heat_resids),
-        "max_identity_error": max(ident),
     }

@@ -62,7 +62,12 @@ def fisher(rho: GridFn, p: float) -> float:
     """int |(rho^(1/p))'|^2 nu against the measure."""
     rho.require_positive(what="density")
     u = GridFn.from_values(rho.quad, rho.values ** (1.0 / p))
-    return float(np.sum(rho.quad.weights * rho.quad.nu * derivative(u, check=False) ** 2))
+    return _dirichlet(rho.quad, derivative(u, check=False))
+
+
+def _dirichlet(q, fp: np.ndarray) -> float:
+    """The Dirichlet form I = int nu |f'|^2 from the nodal values of f'."""
+    return float(np.sum(q.weights * q.nu * fp**2))
 
 
 def deficit(rho: GridFn, p: float) -> float:
@@ -72,26 +77,18 @@ def deficit(rho: GridFn, p: float) -> float:
 
 
 def quotient(u: GridFn, p: float, up: np.ndarray | None = None) -> float:
-    """Rayleigh-type quotient whose infimum over nonconstant functions is d.
-
-    (p-2) ||u'||^2_nu / (||u||_p^2 - ||u||_2^2) for p != 2, with the
-    entropy denominator at p = 2 (``up``: u' at the nodes, if known).
-    Raises for (numerically) constant u.
+    """Rayleigh-type quotient I / E_p[|u|^p], whose infimum over nonconstant
+    functions is d: (p-2) ||u'||^2_nu / (||u||_p^2 - ||u||_2^2) for p != 2,
+    with the entropy denominator at p = 2 (``up``: u' at the nodes, if
+    known).  Raises for (numerically) constant u: variance, the squared
+    norm of the nonconstant modes, below 1e-14 max(1, ||u||_2^2).
     """
-    w = u.quad.weights
-    up = derivative(u) if up is None else up
-    num = float(np.sum(w * u.quad.nu * up**2))
-    sq = float(np.sum(w * u.values**2))
-    if abs(p - 2.0) < P_LOG_BRANCH_TOL:
-        u.require_positive(what="quotient input")
-        den = float(np.sum(w * u.values**2 * np.log(u.values**2 / sq)))
-        num *= 2.0
-    else:
-        den = float(np.sum(w * np.abs(u.values) ** p)) ** (2.0 / p) - sq
-        num *= p - 2.0
-    if abs(den) < 1e-14 * max(1.0, sq):
+    c = u.coeffs
+    variance = float(np.sum(c[1:] ** 2))
+    if variance < 1e-14 * max(1.0, variance + c[0] ** 2):
         raise ZeroDivisionError("quotient undefined: input is constant")
-    return num / den
+    up = derivative(u) if up is None else up
+    return _dirichlet(u.quad, up) / _entropy(u.quad.weights, np.abs(u.values) ** p, p)
 
 
 def cdc_triple(u: GridFn) -> tuple[float, float, float]:
@@ -217,7 +214,7 @@ def dissipation_report(rho: np.ndarray, u: GridFn, p: float, beta: float) -> Dis
     q = u.quad
     u.require_positive(what="dissipation input")
     up = derivative(u)
-    i = float(np.sum(q.weights * q.nu * up**2))
+    i = _dirichlet(q, up)
     e = _entropy(q.weights, rho, p)
     try:
         qv = quotient(u, p, up)

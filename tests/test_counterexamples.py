@@ -82,17 +82,23 @@ class TestExplicitFamily:
 
 class TestFirstObstruction:
     def test_d5_witness(self):
-        rep = first_obstruction(5.0, 1.0, 0.4)
-        assert abs(rep["nonlinear_dissipation"]) <= 1e-8
-        assert abs(rep["heat_dissipation"]) <= 1e-8
-        assert rep["heat_mismatch"] >= 1e-3
-        assert rep["ode_residual"] <= 1e-9
+        # the double root (d-2)/(d-3) is finite for every d > 3, also below 4
+        for d in (5.0, 3.5):
+            rep = first_obstruction(d, 1.0, 0.4)
+            assert rep["beta"] == pytest.approx((d - 2.0) / (d - 3.0), rel=1e-14)
+            assert abs(rep["nonlinear_dissipation"]) <= 1e-8
+            assert abs(rep["heat_dissipation"]) <= 1e-8
+            assert rep["heat_mismatch"] >= 1e-3
+            assert rep["ode_residual"] <= 1e-9
 
     def test_constant_datum_all_zero(self):
-        rep = first_obstruction(4.0, 1.0, 0.0)
-        assert abs(rep["nonlinear_dissipation"]) <= 1e-12
-        assert abs(rep["heat_dissipation"]) <= 1e-12
-        assert rep["heat_mismatch"] <= 1e-9  # spectral noise floor
+        # at d = 3 the exact family stands still at b = 0
+        for d in (4.0, 3.0):
+            rep = first_obstruction(d, 1.0, 0.0)
+            assert abs(rep["nonlinear_dissipation"]) <= 1e-12
+            assert abs(rep["heat_dissipation"]) <= 1e-12
+            assert rep["heat_mismatch"] <= 1e-9  # spectral noise floor
+            assert rep["F_increases"] is False
 
     def test_heat_flow_leaves_minimum(self):
         rep = first_obstruction(4.0, 1.0, 0.3)

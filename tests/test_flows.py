@@ -24,7 +24,8 @@ from ultraflow import (
 from ultraflow.discretization import random_positive
 from ultraflow.errors import PositivityLossError
 from ultraflow import checks, flows
-from ultraflow.flows import _full_rhs, _sample_report, conformal_coefficients, convert
+from ultraflow.counterexamples import conformal_coefficients
+from ultraflow.flows import _full_rhs, _sample_report, convert
 
 from conftest import cached_quadrature
 
@@ -333,16 +334,23 @@ class TestSampleReports:
         assert rep.I_p == fisher(state.f, 3.3)
 
     @staticmethod
-    def _transforms(state, monkeypatch):
+    def _counted_transforms(monkeypatch, counting=lambda: True):
+        """The names of the transforms called from now on while ``counting()``."""
         calls = []
         for name in ("to_values", "to_coeffs", "derivative_values", "second_derivative_values"):
             original = getattr(Quadrature, name)
 
             def counted(quad, x, original=original, name=name):
-                calls.append(name)
+                if counting():
+                    calls.append(name)
                 return original(quad, x)
 
             monkeypatch.setattr(Quadrature, name, counted)
+        return calls
+
+    @classmethod
+    def _transforms(cls, state, monkeypatch):
+        calls = cls._counted_transforms(monkeypatch)
         _sample_report(state, state.f.values, 1.0)
         return calls
 
@@ -363,16 +371,8 @@ class TestSampleReports:
         # once and synthesizes nothing else for the report (u = w at
         # beta = 1, else u = w^beta analysed once; then u' and u'')
         state = self._state(flow, rng)
-        calls, stepping = [], []
-        for name in ("to_values", "to_coeffs", "derivative_values", "second_derivative_values"):
-            original = getattr(Quadrature, name)
-
-            def counted(quad, x, original=original, name=name):
-                if not stepping:
-                    calls.append(name)
-                return original(quad, x)
-
-            monkeypatch.setattr(Quadrature, name, counted)
+        stepping = []
+        calls = self._counted_transforms(monkeypatch, lambda: not stepping)
         advance = flows._advance_to
 
         def stepped(*args):
@@ -385,6 +385,26 @@ class TestSampleReports:
         monkeypatch.setattr(flows, "_advance_to", stepped)
         evolve(state, 0.002, samples=3, dt_max=2e-4)
         assert len(calls) == 3 * per_sample, calls
+
+    @pytest.mark.parametrize("flow", ["fde", "u", "w"])
+    def test_drift_baseline_synthesized_once(self, flow, rng, monkeypatch):
+        # every completed macro step synthesizes its trial once; the drift
+        # baseline is synthesized once per evolve and then carried from the
+        # last accepted step, not once per sample segment
+        state = self._state(flow, rng)
+        steps = 0
+        macro_step = flows._imex_step
+
+        def counted(*args):
+            nonlocal steps
+            out = macro_step(*args)
+            steps += 1
+            return out
+
+        monkeypatch.setattr(flows, "_imex_step", counted)
+        calls = self._counted_transforms(monkeypatch)
+        evolve(state, 0.002, samples=5, dt_max=2e-4, with_reports=False)
+        assert calls.count("to_values") == steps + 1, (calls.count("to_values"), steps)
 
     @pytest.mark.parametrize("beta", [beta_roots(Params(5.0, 3.3)).minus, 1e4, 1e7])
     def test_dissipation_integrals_at_large_beta(self, beta):
