@@ -334,12 +334,11 @@ def cmd_counterexample(args) -> int:
         raise DomainError(f"dimension must be finite and >= 1, got {args.d}")
     _require_positive_base(args.a, args.b)
     out = {"d": args.d, "a": args.a, "b": args.b}
+    quad = Quadrature(args.d, args.n)
     if args.d >= 3:
-        out["first_obstruction"] = cx.first_obstruction(args.d, args.a, args.b, n=args.n)
+        out["first_obstruction"] = cx.first_obstruction(args.d, args.a, args.b, quad)
     if args.p is not None:
-        out["second_obstruction"] = cx.second_obstruction(
-            args.d, args.p, args.a, args.b, n=args.n
-        )
+        out["second_obstruction"] = cx.second_obstruction(args.d, args.p, args.a, args.b, quad)
     manifest = RunManifest("counterexample", vars_args(args), {}, args.n, 0)
     _emit(_json_safe(out), args, manifest)
     return 0

@@ -50,8 +50,8 @@ class Params:
     """Ambient configuration (d, p) of every computation.
 
     d is a real dimension >= 1; p >= 1 must not exceed the critical exponent
-    when that is finite.  p = 2 is valid and routes the functionals to their
-    logarithmic branch.
+    when that is finite.  p = 2 is valid: the entropy there is the
+    logarithmic one.
     """
 
     d: float

@@ -188,7 +188,7 @@ def verify_exact_solution(d: float, omega: float, t0: float, t_end: float) -> di
     }
 
 
-def first_obstruction(d: float, a: float, b: float, n: int = 128) -> dict:
+def first_obstruction(d: float, a: float, b: float, quad: Quadrature | None = None) -> dict:
     """Zero dissipation on the conformal family at the critical exponent
     versus non-invariance under the heat flow.
 
@@ -200,18 +200,18 @@ def first_obstruction(d: float, a: float, b: float, n: int = 128) -> dict:
     (iii) the L2 mismatch between the family's own time derivative and the
     heat operator (strictly positive unless b = 0, where the datum is
     constant), and a heat-flow run to t = 0.25 showing the deficit rising
-    from zero.
+    from zero.  ``quad``, a rule of dimension d, defaults to 128 nodes.
     """
     if d < 3.0:
         raise DomainError("needs d >= 3")
     p = two_star(d)
     params = Params(d, p)
-    quad = Quadrature(d, n)
+    quad = Quadrature(d, 128) if quad is None else quad
     fam = ExplicitFamily.conformal(params, a, b)
     u = materialize(fam, quad)
     rho = GridFn.from_values(quad, u.values**p)
 
-    report: dict = {"d": d, "p": p, "a": a, "b": b, "N": n}
+    report: dict = {"d": d, "p": p, "a": a, "b": b, "N": quad.n}
 
     # (ii) heat dissipation (the beta = 1 member) at the conformal datum
     report["heat_dissipation"] = dissipation_nonlinear(u, p, 1.0).dF_dt_analytic
@@ -250,7 +250,8 @@ def first_obstruction(d: float, a: float, b: float, n: int = 128) -> dict:
     return report
 
 
-def second_obstruction(d: float, p: float, a: float, b: float, n: int = 128) -> dict:
+def second_obstruction(d: float, p: float, a: float, b: float,
+                       quad: Quadrature | None = None) -> dict:
     """Strictly positive deficit derivative under the heat flow for p between
     the two thresholds.
 
@@ -263,13 +264,14 @@ def second_obstruction(d: float, p: float, a: float, b: float, n: int = 128) -> 
                      the exactly integrated heat flow
 
     All three must agree and be positive; b = 0 degenerates to the constant
-    witness where everything vanishes (flagged).
+    witness where everything vanishes (flagged).  ``quad``, a rule of
+    dimension d, defaults to 128 nodes.
     """
     params = Params(d, p)
     lo, hi = two_sharp(d), two_star(d)
     if not (lo < p < hi):
         raise DomainError(f"need p strictly between {lo:.6g} and {hi:.6g}, got {p}")
-    quad = Quadrature(d, n)
+    quad = Quadrature(d, 128) if quad is None else quad
     fam = ExplicitFamily.powerlaw(params, a, b)
     w = materialize(fam, quad)
     beta = fam.beta
@@ -291,7 +293,7 @@ def second_obstruction(d: float, p: float, a: float, b: float, n: int = 128) -> 
         "p": p,
         "a": a,
         "b": b,
-        "N": n,
+        "N": quad.n,
         "beta_minus": beta,
         "alpha": fam.alpha,
         "A_closed_form": a_closed,

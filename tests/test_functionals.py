@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad as adaptive_quad
@@ -19,7 +20,7 @@ from ultraflow import (
     two_star,
 )
 from ultraflow.discretization import normalization_constant, random_positive
-from ultraflow.functionals import nonlinear_bracket
+from ultraflow.functionals import _entropy, nonlinear_bracket
 
 from conftest import cached_quadrature
 
@@ -53,6 +54,32 @@ class TestEntropy:
                              epsabs=1e-14, epsrel=1e-13)[0]
         oracle = (mass ** (2 / p) - frac) / (p - 2)
         assert entropy(rho, p) == pytest.approx(oracle, abs=1e-10)
+
+    @pytest.mark.parametrize("amplitude", [0.6, 0.1])
+    def test_against_mpmath_near_p2(self, amplitude):
+        # the same nodal data in 50 digits: near p = 2 the two norms nearly
+        # cancel, and the entropy must not lose digits to that
+        quad = cached_quadrature(4.0, 64)
+        rho = random_positive(quad, np.random.default_rng(5), modes=10, amplitude=amplitude)
+        with mpmath.workdps(50):
+            w = [mpmath.mpf(float(x)) for x in quad.weights]
+            r = [mpmath.mpf(float(x)) for x in rho.values]
+            mass = mpmath.fsum(a * b for a, b in zip(w, r))
+            for p in (2.0 - 1e-9, 2.0 + 1e-6, 2.01, 3.0):
+                q = mpmath.mpf(p)
+                frac = mpmath.fsum(a * b ** (2 / q) for a, b in zip(w, r))
+                oracle = (mass ** (2 / q) - frac) / (q - 2)
+                assert entropy(rho, p) == pytest.approx(float(oracle), rel=1e-12), p
+
+    def test_nodal_zero_contributes_nothing(self, quad5, rng):
+        # |u|^p of a sign-changing u can vanish at a node; no warning (an
+        # error here) and the same value as without that node
+        rho = random_positive(quad5, rng, modes=10, amplitude=0.5).values.copy()
+        rho[[0, 7, 60]] = 0.0
+        keep = rho > 0.0
+        for p in (1.0, 2.0, 3.0, 6.0):
+            assert _entropy(quad5.weights, rho, p) == pytest.approx(
+                _entropy(quad5.weights[keep], rho[keep], p), rel=1e-13)
 
     def test_nonnegative_on_powers(self, quad5, rng):
         # the entropy of u^p is an interpolation gap of norms, hence >= 0

@@ -188,13 +188,24 @@ class TestLambdaStar:
         # the 2(d+1) upper bound, where the projected gradient vanishes
         est = estimate_lambda_star(4.0, 3.0, n=64, restarts=8, seed=0)
         assert len(est.restart_values) == len(est.restart_iterations) == 8
+        assert len(est.restart_reasons) == 8
         assert est.lambda_star == min(est.restart_values)
         assert est.restart_iterations[:2] == (1, 1)
+        assert est.restart_reasons[:2] == ("gtol", "gtol")
         assert est.restart_values[:2] == pytest.approx((10.0, 10.0), abs=1e-12)
         assert sum(est.restart_iterations) <= est.iterations
         out = est.to_dict()
         assert out["restart_values"] == list(est.restart_values)
         assert out["restart_iterations"] == list(est.restart_iterations)
+        assert out["restart_reasons"] == list(est.restart_reasons)
+
+    def test_random_starts_converge(self):
+        # in the metric of the numerator every random start meets the
+        # gradient test, at 2(d+1), in a few dozen steps
+        est = estimate_lambda_star(4.0, 3.0, n=64, restarts=8, seed=0)
+        assert est.restart_reasons == ("gtol",) * 8
+        assert est.restart_values == pytest.approx((10.0,) * 8, abs=1e-12)
+        assert est.iterations <= 240
 
     def test_upper_bound_mechanism(self):
         # a pure even second-mode perturbation is feasible and realizes the
