@@ -1,6 +1,12 @@
+import subprocess
+import sys
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as adaptive_quad
+from scipy.special import eval_jacobi, roots_jacobi
 
 from ultraflow import (
     GridFn,
@@ -13,12 +19,11 @@ from ultraflow import (
     second_derivative,
 )
 from ultraflow.discretization import (
-    _jacobi_table,
     even_moment,
     normalization_constant,
     random_positive,
 )
-from ultraflow.errors import DomainError
+from ultraflow.errors import ConvergenceError, DomainError
 
 from conftest import cached_quadrature
 
@@ -71,29 +76,112 @@ class TestQuadrature:
             assert abs(float(np.sum(quad.weights * quad.nodes ** (2 * j + 1)))) < 1e-15
 
     @pytest.mark.parametrize("d, n", [(1.0, 5), (1.0, 64), (2.5, 33), (5.0, 128), (30.0, 64)])
-    def test_jacobi_table_matches_column_recurrence(self, d, n):
-        # the table is filled row by row; the same recurrence written per
-        # column must give the same bits, in a C-contiguous table
+    def test_rule_and_tables_have_parity(self, d, n):
+        # phi_k^(j)(-z) = (-1)^(k+j) phi_k^(j)(z) exactly (up to the sign of
+        # a zero), in the plain and the padded rule, and every table is
+        # C-contiguous: the memory layout of a table decides the BLAS path,
+        # and with it the last bits, of every transform built on it
         quad = cached_quadrature(d, n)
-        x = quad.nodes
-        for a in (d / 2.0 - 1.0, d / 2.0, d / 2.0 + 1.0):
-            kmax = n - 1
-            P = np.empty((x.size, kmax + 1))
-            P[:, 0] = 1.0
-            P[:, 1] = (a + 1.0) * x
-            for k in range(2, kmax + 1):
-                s = 2.0 * a
-                c0 = 2.0 * k * (k + s) * (2.0 * k + s - 2.0)
-                c1 = (2.0 * k + s - 1.0) * (2.0 * k + s) * (2.0 * k + s - 2.0)
-                c2 = 2.0 * (k + a - 1.0) ** 2 * (2.0 * k + s)
-                P[:, k] = (c1 * x * P[:, k - 1] - c2 * P[:, k - 2]) / c0
-            table = _jacobi_table(x, a, kmax)
+        pad = quad._pad_tables()
+        for x, w in ((quad.nodes, quad.weights), (pad["x"], pad["w"])):
+            assert np.array_equal(x[::-1], -x) and np.array_equal(w[::-1], w)
+        k = np.arange(n)
+        tables = [(quad._basis, 0), (quad._basis_d1, 1), (quad._basis_d2, 2),
+                  (pad["synth"], 0), (pad["synth_d1"], 1)]
+        for table, j in tables:
             assert table.flags.c_contiguous
-            assert table.tobytes() == P.tobytes()
+            assert np.array_equal(table[::-1], table * (-1.0) ** (k + j))
+
+    @pytest.mark.parametrize("n", [4, 5, 33, 64, 128, 256])
+    @pytest.mark.parametrize("d", [1.0, 1.5, 2.5, 5.0, 30.0, 100.0])
+    def test_rule_against_scipy_oracle(self, d, n):
+        # nodes: SciPy's Gauss-Jacobi solver, symmetrized.  Weights: the
+        # derivative form w_j ~ 1 / ((1 - x_j^2) P_n'(x_j)^2) at the same
+        # nodes, with P_n' from SciPy's Jacobi polynomials and the sum scaled
+        # to 1.  (The weights roots_jacobi returns are themselves 1.8e-10 off
+        # at the end nodes of d = 2.5, n = 256; see test_end_weight_mpmath.)
+        quad = cached_quadrature(d, n)
+        a = d / 2.0 - 1.0
+        x, _ = roots_jacobi(n, a, a)
+        assert np.max(np.abs(quad.nodes - 0.5 * (x - x[::-1]))) <= 1e-15
+        dp = eval_jacobi(n - 1, a + 1.0, a + 1.0, quad.nodes)
+        w = 1.0 / ((1.0 - quad.nodes**2) * dp * dp)
+        assert np.max(np.abs(quad.weights / (w / w.sum()) - 1.0)) <= 1e-10
+
+    def test_end_weight_mpmath(self):
+        # 40-digit oracle: Newton on the recurrence from the largest node,
+        # then the Christoffel number 1 / sum_(k<n) phi_k(x)^2 there
+        d, n = 2.5, 256
+        quad = cached_quadrature(d, n)
+        with mpmath.workdps(40):
+            b = [mpmath.mpf(0), mpmath.sqrt(mpmath.mpf(1) / (d + 1))] + [
+                mpmath.sqrt(mpmath.mpf(k) * (k + d - 2) / ((2 * k + d - 3) * (2 * k + d - 1)))
+                for k in range(2, n + 1)
+            ]
+
+            def recurrence(x):
+                p0, p1, d0, d1 = mpmath.mpf(1), x / b[1], mpmath.mpf(0), 1 / b[1]
+                total = p0**2 + p1**2
+                for k in range(2, n + 1):
+                    p0, p1 = p1, (x * p1 - b[k - 1] * p0) / b[k]
+                    d0, d1 = d1, (x * d1 + p0 - b[k - 1] * d0) / b[k]
+                    if k < n:
+                        total += p1**2
+                return p1, d1, total
+
+            x = mpmath.mpf(quad.nodes[-1])
+            for _ in range(3):
+                p, dp, _ = recurrence(x)
+                x -= p / dp
+            weight = 1 / recurrence(x)[2]
+            assert abs(float(x) - quad.nodes[-1]) <= 2e-16
+            assert abs(float(quad.weights[-1] / weight) - 1.0) <= 1e-11
+
+    @pytest.mark.parametrize("n", [4, 5, 64, 256])
+    def test_chebyshev_closed_form(self, n):
+        # d = 1: nodes cos((2j - 1) pi / 2n), weights 1/n
+        quad = cached_quadrature(1.0, n)
+        nodes = np.sort(np.cos((2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n)))
+        assert np.max(np.abs(quad.nodes - nodes)) <= 1e-15
+        assert np.max(np.abs(quad.weights * n - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("d, n", [(3000.0, 256), (1e5, 64)])
+    def test_rule_at_large_dimension(self, d, n):
+        # SciPy's solver gave NaN nodes at (3000, 256) and weights summing
+        # to 1 + 3.5e-11 at (1e5, 64)
+        quad = Quadrature(d, n)
+        assert np.all(np.isfinite(quad.nodes)) and np.all(np.diff(quad.nodes) > 0)
+        assert np.all(quad.weights > 0.0)
+        assert abs(quad.weights.sum() - 1.0) < 1e-13
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rule_failure_is_typed(self):
+        # b_k^2 underflows to 0 for k >= 2 at d = 1e300: a NaN rule is refused
+        with pytest.raises(ConvergenceError):
+            Quadrature(1e300, 8)
+
+    @settings(max_examples=20, deadline=None, database=None, derandomize=True)
+    @given(d=st.floats(1.0, 100.0), n=st.integers(16, 512))
+    def test_rule_properties(self, d, n):
+        quad = Quadrature(d, n)
+        x, w = quad.nodes, quad.weights
+        assert np.all(np.isfinite(x)) and x[0] > -1.0 and x[-1] < 1.0
+        assert np.all(np.diff(x) > 0) and np.all(w > 0.0)
+        assert abs(w.sum() - 1.0) <= 1e-13
+        assert abs(float(w @ x**2) - 1.0 / (d + 1.0)) <= 1e-12
+
+    def test_cli_import_leaves_out_scipy(self):
+        # in a fresh interpreter: the test modules import SciPy as an oracle
+        code = ("import sys, ultraflow.cli; "
+                "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, check=True)
+        assert proc.stdout.strip() == "False"
 
     def test_bad_parameters(self):
-        with pytest.raises(DomainError):
-            Quadrature(0.5, 32)
+        for d in (0.5, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                Quadrature(d, 32)
         with pytest.raises(DomainError):
             Quadrature(3.0, 3)
 
