@@ -62,7 +62,7 @@ def heat_monotone(seed=0, d=5.0, p=3.0, data=10):
     for _ in range(data):
         rho0 = random_positive(quad, rng, modes=10, amplitude=0.6)
         state = fl.make_state(fl.Form.DENSITY, cs.FlowSpec.heat(params), rho0)
-        traj = fl.evolve(state, 1.0, samples=50, with_reports=False)
+        traj = fl.evolve(state, 1.0, samples=50)
         monotone &= traj.monotone_decreasing_F()
         rise = max(rise, float(np.max(np.diff(traj.F))))
         drift = max(drift, max(abs(c - traj.conserved[0]) for c in traj.conserved))

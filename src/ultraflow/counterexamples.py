@@ -243,7 +243,7 @@ def first_obstruction(d: float, a: float, b: float, quad: Quadrature | None = No
 
     # heat flow started at the conformal datum: the deficit leaves zero
     state = make_state(Form.DENSITY, FlowSpec.heat(params), rho)
-    fvals = evolve(state, 0.25, samples=26, with_reports=False).F
+    fvals = evolve(state, 0.25, samples=26).F
     report["F_initial"] = fvals[0]
     report["F_max"] = max(fvals)
     report["F_increases"] = bool(max(fvals) > fvals[0] + 1e-9)
@@ -267,6 +267,8 @@ def second_obstruction(d: float, p: float, a: float, b: float,
     witness where everything vanishes (flagged).  ``quad``, a rule of
     dimension d, defaults to 128 nodes.
     """
+    if d < 3.0:
+        raise DomainError("needs d >= 3")
     params = Params(d, p)
     lo, hi = two_sharp(d), two_star(d)
     if not (lo < p < hi):

@@ -50,15 +50,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import FlowSpec, Params
-from .discretization import EPS_POS, GridFn, Quadrature
+from .discretization import EPS_POS, GridFn, Quadrature, derivative
 from .errors import (
     ConservationError,
     DomainError,
     PositivityError,
     PositivityLossError,
 )
-from .functionals import (DissipationReport, dissipation_nonlinear, dissipation_report,
-                          entropy, fisher)
+from .functionals import _dirichlet, _entropy
 
 #: defaults for the adaptive controller
 TOL_CONS = 1e-9
@@ -273,9 +272,9 @@ def _advance_to(
 
 @dataclass
 class Trajectory:
-    """Recorded samples of one flow run.  F is the normalized deficit; the
-    dF_dt_numeric injected into the reports is the central difference of the
-    unnormalized deficit d*F, matching dF_dt_analytic's convention."""
+    """Recorded samples of one flow run: at each, the normalized deficit
+    F = I_p/d - E_p, its two terms, the conserved quantity and the z-moment
+    of the density."""
 
     form: Form
     times: list[float]
@@ -284,7 +283,6 @@ class Trajectory:
     I_p: list[float]
     conserved: list[float]
     moment_z: list[float]
-    reports: list[DissipationReport]
     final_state: FlowState
 
     def monotone_decreasing_F(self) -> bool:
@@ -297,18 +295,16 @@ class Trajectory:
                 fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-def _sample_report(state: FlowState, rho: np.ndarray, clock_factor: float) -> DissipationReport:
-    """Report at a sample from its nodal density rho: with u = rho^(1/p) for
-    the density form, from w for the pointwise form."""
-    p, beta = state.params.p, state.spec.beta
+def _sample_report(state: FlowState, rho: np.ndarray) -> tuple[float, float]:
+    """(E_p, I_p) at a sample from its nodal density rho.  I_p differentiates
+    u = rho^(1/p) on the density form and u = w^beta (w itself at beta = 1)
+    on the pointwise form, under the resolution check."""
+    quad, p, beta = state.f.quad, state.params.p, state.spec.beta
     if state.form is Form.DENSITY:
-        u = GridFn.from_values(state.f.quad, rho ** (1.0 / p))
-        rep = dissipation_report(rho, u, p, beta)
+        u = GridFn.from_values(quad, rho ** (1.0 / p))
     else:
-        rep = dissipation_nonlinear(state.f, p, beta, rho)
-    if clock_factor != 1.0:
-        rep = replace(rep, dF_dt_analytic=clock_factor * rep.dF_dt_analytic)
-    return rep
+        u = state.f if beta == 1.0 else GridFn.from_values(quad, state.f.values**beta)
+    return _entropy(quad.weights, rho, p), _dirichlet(quad, derivative(u))
 
 
 def evolve(
@@ -317,11 +313,11 @@ def evolve(
     samples: int = 50,
     dt_max: float = math.inf,
     tol_cons: float = TOL_CONS,
-    with_reports: bool = True,
 ) -> Trajectory:
     """Integrate to t_end, recording ``samples`` evenly spaced snapshots
-    (endpoints included).  Step errors propagate with the failing time
-    attached."""
+    (endpoints included); each evaluates E_p and I_p once.  Step errors
+    propagate with the failing time attached, and a sample whose top modes
+    carry more than the resolution tolerance raises ResolutionError."""
     if not (math.isfinite(t_end) and t_end > state.t):
         raise DomainError(f"t_end must be finite and exceed the current time, got {t_end}")
     if samples < 2:
@@ -331,31 +327,20 @@ def evolve(
     if not 0.0 < tol_cons < math.inf:
         raise DomainError(f"tol_cons must be positive and finite, got {tol_cons}")
     horizon = t_end - state.t
-    clock_factor = state.spec.m if state.form is Form.DENSITY else 1.0
     times = np.linspace(state.t, t_end, samples)
     dt = min(dt_max, horizon / max(8 * (samples - 1), 64))
-    d, p = state.f.quad.d, state.params.p
-    traj = Trajectory(state.form, [], [], [], [], [], [], [], state)
+    d = state.f.quad.d
+    traj = Trajectory(state.form, [], [], [], [], [], [], state)
 
     def record(st: FlowState):
         rho = _density_values(st.form, st.spec, st.f)
-        if with_reports:
-            rep = _sample_report(st, rho, clock_factor)
-            e, i = rep.E_p, rep.I_p
-        else:
-            rep = None
-            density = st.f if st.form is Form.DENSITY else GridFn.from_values(st.f.quad, rho)
-            e, i = entropy(density, p), fisher(density, p)
-        f_val = i / d - e
-        cons = conserved_quantity(st.f.quad, rho)
-        mom = float(np.sum(st.f.quad.z_weights * rho))
+        e, i = _sample_report(st, rho)
         traj.times.append(st.t)
-        traj.F.append(f_val)
+        traj.F.append(i / d - e)
         traj.E_p.append(e)
         traj.I_p.append(i)
-        traj.conserved.append(cons)
-        traj.moment_z.append(mom)
-        traj.reports.append(rep)
+        traj.conserved.append(conserved_quantity(st.f.quad, rho))
+        traj.moment_z.append(float(np.sum(st.f.quad.z_weights * rho)))
 
     record(state)
     current, c_prev = state, None
@@ -364,11 +349,6 @@ def evolve(
                                           c_prev)
         record(current)
     traj.final_state = current
-    if with_reports and samples >= 3:
-        dt_samp = traj.times[1] - traj.times[0]
-        for i in range(1, samples - 1):
-            numeric = d * (traj.F[i + 1] - traj.F[i - 1]) / (2.0 * dt_samp)
-            traj.reports[i] = traj.reports[i].with_numeric(numeric)
     return traj
 
 
@@ -388,7 +368,7 @@ def moment_decay_check(state: FlowState, t_end: float) -> dict:
     if state.form is not Form.POINTWISE or state.spec.beta != 1.0:
         raise DomainError("moment decay check runs on the pointwise heat form")
     d = state.f.quad.d
-    traj = evolve(state, t_end, samples=26, with_reports=False)
+    traj = evolve(state, t_end, samples=26)
     m0 = traj.moment_z[0]
     ts = np.asarray(traj.times)
     ms = np.asarray(traj.moment_z)

@@ -24,14 +24,15 @@ nonlinear flow, in its own clock, evaluated at w with rho = w^(b p):
 
 with c1 = (d-1)/(d+2) and k = b(p-2) + 1.  The heat flow is the b = 1
 member (k = p - 1, w = u = rho^(1/p)), where the bracket reads
-J_ff - 2 c1 (p-1) J_fc + d/(d+2) (p-1) J_cc.  The numeric counterpart
-produced by the flows module differentiates the same unnormalized deficit.
+J_ff - 2 c1 (p-1) J_fc + d/(d+2) (p-1) J_cc.  Its sign is a fact about one
+state, which the obstructions read; a flow sample evaluates only E_p and
+I_p (flows._sample_report).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,19 +86,18 @@ def deficit(rho: GridFn, p: float) -> float:
     return fisher(rho, p) / rho.quad.d - entropy(rho, p)
 
 
-def quotient(u: GridFn, p: float, up: np.ndarray | None = None) -> float:
+def quotient(u: GridFn, p: float) -> float:
     """Rayleigh-type quotient I / E_p[|u|^p], whose infimum over nonconstant
     functions is d: (p-2) ||u'||^2_nu / (||u||_p^2 - ||u||_2^2) for p != 2,
-    with the entropy denominator at p = 2 (``up``: u' at the nodes, if
-    known).  Raises for (numerically) constant u: variance, the squared
-    norm of the nonconstant modes, below 1e-14 max(1, ||u||_2^2).
+    with the entropy denominator at p = 2.  Raises for (numerically)
+    constant u: variance, the squared norm of the nonconstant modes, below
+    1e-14 max(1, ||u||_2^2).
     """
     c = u.coeffs
     variance = float(np.sum(c[1:] ** 2))
     if variance < 1e-14 * max(1.0, variance + c[0] ** 2):
         raise ZeroDivisionError("quotient undefined: input is constant")
-    up = derivative(u) if up is None else up
-    return _dirichlet(u.quad, up) / _entropy(u.quad.weights, np.abs(u.values) ** p, p)
+    return _dirichlet(u.quad, derivative(u)) / _entropy(u.quad.weights, np.abs(u.values) ** p, p)
 
 
 def cdc_triple(u: GridFn) -> tuple[float, float, float]:
@@ -147,43 +147,15 @@ def _bracket(triple, d: float, p: float, beta: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class DissipationReport:
-    """Functional values and dissipation integrals at one state.
-
-    ``dF_dt_numeric`` is NaN until a flow trajectory injects the central
-    finite difference of the unnormalized deficit; ``Q_p`` is NaN for
-    constant input (0/0).
-    """
+    """Functional values and dissipation integrals at one state."""
 
     E_p: float
     I_p: float
     F: float
-    Q_p: float
     J_ff: float
     J_fc: float
     J_cc: float
     dF_dt_analytic: float
-    dF_dt_numeric: float
-    d: float
-    p: float
-    beta: float
-    N: int
-
-    def to_dict(self) -> dict:
-        return {
-            "E_p": self.E_p,
-            "I_p": self.I_p,
-            "F": self.F,
-            "Q_p": self.Q_p,
-            "J_ff": self.J_ff,
-            "J_fc": self.J_fc,
-            "J_cc": self.J_cc,
-            "dF_dt_analytic": self.dF_dt_analytic,
-            "dF_dt_numeric": self.dF_dt_numeric,
-            "config": {"d": self.d, "p": self.p, "beta": self.beta, "N": self.N},
-        }
-
-    def with_numeric(self, value: float) -> "DissipationReport":
-        return replace(self, dF_dt_numeric=value)
 
 
 def dissipation_heat(u: GridFn, p: float) -> DissipationReport:
@@ -191,18 +163,14 @@ def dissipation_heat(u: GridFn, p: float) -> DissipationReport:
     return dissipation_nonlinear(u, p, 1.0)
 
 
-def dissipation_nonlinear(w: GridFn, p: float, beta: float,
-                          rho: np.ndarray | None = None) -> DissipationReport:
+def dissipation_nonlinear(w: GridFn, p: float, beta: float) -> DissipationReport:
     """Report at w for the rescaled nonlinear flow (dissipation in the clock
-    of that flow); u = w^beta and rho = w^(beta p), or the nodal ``rho`` a
-    caller already formed from w."""
+    of that flow); u = w^beta and rho = w^(beta p)."""
     w.require_positive(what="dissipation input")
     if math.isinf(beta) or beta == 0.0:
         raise DomainError("nonlinear dissipation needs finite nonzero beta")
     u = w if beta == 1.0 else GridFn.from_values(w.quad, w.values**beta)
-    if rho is None:
-        rho = w.values ** (beta * p)
-    return dissipation_report(rho, u, p, beta)
+    return dissipation_report(w.values ** (beta * p), u, p, beta)
 
 
 def dissipation_report(rho: np.ndarray, u: GridFn, p: float, beta: float) -> DissipationReport:
@@ -225,10 +193,6 @@ def dissipation_report(rho: np.ndarray, u: GridFn, p: float, beta: float) -> Dis
     up = derivative(u)
     i = _dirichlet(q, up)
     e = _entropy(q.weights, rho, p)
-    try:
-        qv = quotient(u, p, up)
-    except ZeroDivisionError:
-        qv = math.nan
     j_ff = j_fc = j_cc = analytic = math.nan
     if not math.isinf(beta):
         upp = second_derivative(u, check=False)
@@ -238,9 +202,5 @@ def dissipation_report(rho: np.ndarray, u: GridFn, p: float, beta: float) -> Dis
             q, w, s * up, s * (upp + (1.0 / beta - 1.0) * up**2 / u.values)
         )
         analytic = -2.0 * beta * beta * _bracket(triple, q.d, p, beta)[0]
-    return DissipationReport(
-        E_p=e, I_p=i, F=i / q.d - e, Q_p=qv,
-        J_ff=j_ff, J_fc=j_fc, J_cc=j_cc,
-        dF_dt_analytic=analytic, dF_dt_numeric=math.nan,
-        d=q.d, p=p, beta=beta, N=q.n,
-    )
+    return DissipationReport(E_p=e, I_p=i, F=i / q.d - e, J_ff=j_ff, J_fc=j_fc, J_cc=j_cc,
+                             dF_dt_analytic=analytic)

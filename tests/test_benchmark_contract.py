@@ -52,7 +52,8 @@ def test_tracer_tells_accepted_from_rejected_steps(capsys):
     # the tracer infers a rejected IMEX attempt from the step loop passing
     # the same coefficient array again; a loop that stops doing so would
     # skew the benchmark's step counters, not fail them.  This run rejects
-    # one of its attempts.
+    # one of its attempts.  Its three samples evaluate E_p and I_p only:
+    # one flows.sample span each, and no dissipation report.
     tracer = _load("tracer").Tracer()
     tracer.install()
     try:
@@ -66,3 +67,5 @@ def test_tracer_tells_accepted_from_rejected_steps(capsys):
     counters = tracer.counters
     assert counters["imex.accepted"] + counters["imex.rejected"] == tracer.count("flows.imex")
     assert counters["imex.rejected"] >= 1
+    assert tracer.count("flows.sample") == 3
+    assert tracer.count("functionals.report") == 0

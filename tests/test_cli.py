@@ -234,6 +234,16 @@ class TestFlowCommand:
         assert rc == 2
         assert "infinite beta" in json.loads(err)["message"]
 
+    def test_unresolved_flow_fails_without_warnings(self, capsys):
+        # the resolution check ends this run with exit 3; a sample evaluates
+        # only E_p and I_p, so no overflowing dissipation sum warns first
+        # (warnings are errors here)
+        rc, _, err = run_main(capsys, "flow", "--form", "fde", "--d", "5", "--p", "3.3",
+                              "--beta", "1e-3", "--init", "perturb:0.3,2", "--t-end", "0.05",
+                              "--n", "32")
+        assert rc == 3
+        assert json.loads(err)["error"] == "numerical"
+
     @pytest.mark.parametrize("init", ["powerlaw:1,0.4", "conformal:1,0.3"])
     def test_initial_deficit_agrees_across_forms(self, init, capsys):
         # every form materializes the same density from a closed-form datum,
@@ -270,6 +280,12 @@ class TestCounterexampleCommand:
         rc, _, err = run_main(capsys, "counterexample", *argv, *p)
         assert rc == 2
         assert json.loads(err)["error"] == "parameter"
+
+    @pytest.mark.parametrize("d", ["1", "2.5"])
+    def test_second_obstruction_below_three_is_parameter_error(self, d, capsys):
+        rc, _, err = run_main(capsys, "counterexample", "--d", d, "--p", "3")
+        assert rc == 2
+        assert json.loads(err)["message"] == "needs d >= 3"
 
     def test_base_outside_cone_is_parameter_error(self, capsys):
         rc, _, err = run_main(capsys, "counterexample", "--d", "5", "--p", "3.25",

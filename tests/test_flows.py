@@ -13,6 +13,8 @@ from ultraflow import (
     PositivityError,
     Quadrature,
     beta_roots,
+    dissipation_nonlinear,
+    dissipation_report,
     entropy,
     evolve,
     fisher,
@@ -21,8 +23,8 @@ from ultraflow import (
     step,
     verify_exact_solution,
 )
-from ultraflow.discretization import random_positive
-from ultraflow.errors import PositivityLossError
+from ultraflow.discretization import RESOLUTION_TOL, random_positive
+from ultraflow.errors import PositivityLossError, ResolutionError
 from ultraflow import checks, flows
 from ultraflow.counterexamples import conformal_coefficients
 from ultraflow.flows import _full_rhs, _sample_report, convert
@@ -32,6 +34,28 @@ from conftest import cached_quadrature
 
 def heat_state(quad, d, p, f0, form=Form.DENSITY):
     return make_state(form, FlowSpec.heat(Params(d, p)), f0)
+
+
+def report_at(state):
+    """The dissipation report at a flow state, from the variable it evolves:
+    u = rho^(1/p) on the density form, w itself on the pointwise form."""
+    p, beta = state.params.p, state.spec.beta
+    if state.form is Form.POINTWISE:
+        return dissipation_nonlinear(state.f, p, beta)
+    u = GridFn.from_values(state.f.quad, state.f.values ** (1.0 / p))
+    return dissipation_report(state.f.values, u, p, beta)
+
+
+def central_difference_and_analytic(state, t_end, samples, i):
+    """d times the central difference of F at sample i of a trajectory, and
+    the report's dF_dt_analytic at that sample's state (the same flow run to
+    its time), in the density clock: the report's rescaled-flow clock is m
+    times slower."""
+    traj = evolve(state, t_end, samples=samples)
+    d, h = state.f.quad.d, traj.times[1] - traj.times[0]
+    numeric = d * (traj.F[i + 1] - traj.F[i - 1]) / (2.0 * h)
+    sampled = evolve(state, traj.times[i], samples=i + 1).final_state
+    return numeric, state.spec.m * report_at(sampled).dF_dt_analytic
 
 
 class TestHeatFlow:
@@ -46,7 +70,7 @@ class TestHeatFlow:
     def test_mass_conserved_exactly(self, quad5, rng):
         rho0 = random_positive(quad5, rng, modes=10, amplitude=0.6)
         st = heat_state(quad5, 5.0, 3.0, rho0)
-        traj = evolve(st, 1.0, samples=50, with_reports=False)
+        traj = evolve(st, 1.0, samples=50)
         drift = max(abs(c - traj.conserved[0]) for c in traj.conserved)
         assert drift <= 1e-13
 
@@ -62,28 +86,27 @@ class TestHeatFlow:
         for _ in range(10):
             rho0 = random_positive(quad5, rng, modes=10, amplitude=0.6)
             st = heat_state(quad5, 5.0, 3.0, rho0)
-            traj = evolve(st, 1.0, samples=50, with_reports=False)
+            traj = evolve(st, 1.0, samples=50)
             assert traj.monotone_decreasing_F()
 
     def test_long_time_convergence_rate(self, quad5, rng):
         rho0 = random_positive(quad5, rng, modes=10, amplitude=0.6)
         st = heat_state(quad5, 5.0, 3.0, rho0)
         T = 1.2
-        traj = evolve(st, T, samples=3, with_reports=False)
+        traj = evolve(st, T, samples=3)
         mean = st.conserved0
         dev0 = np.sqrt(np.sum(quad5.weights * (rho0.values - mean) ** 2))
         dev_t = np.sqrt(np.sum(quad5.weights * (traj.final_state.f.values - mean) ** 2))
         assert dev_t <= math.exp(-5.0 * T) * dev0 * (1.0 + 1e-6)
 
     def test_dissipation_report_consistency(self, quad5, rng):
-        # the numeric entry is a plain central difference at the recorder
-        # spacing; its accuracy is set by that spacing, not by the stencil
-        # machinery of the obstruction reports
+        # a plain central difference at the recorder spacing; its accuracy
+        # is set by that spacing, not by the stencil machinery of the
+        # obstruction reports
         rho0 = random_positive(quad5, rng, modes=8, amplitude=0.5)
         st = heat_state(quad5, 5.0, 3.0, rho0)
-        traj = evolve(st, 0.1, samples=81)
-        rep = traj.reports[40]
-        assert rep.dF_dt_numeric == pytest.approx(rep.dF_dt_analytic, rel=1e-2)
+        numeric, analytic = central_difference_and_analytic(st, 0.1, 81, 40)
+        assert numeric == pytest.approx(analytic, rel=1e-2)
 
 
 class TestNonlinearFlows:
@@ -144,7 +167,7 @@ class TestNonlinearFlows:
         st = make_state(Form.DENSITY, spec, rho0)
 
         def final(dt_max):
-            traj = evolve(st, 0.02, samples=2, dt_max=dt_max, with_reports=False)
+            traj = evolve(st, 0.02, samples=2, dt_max=dt_max)
             return traj.final_state.f.coeffs
 
         ref = final(6.25e-6)
@@ -183,8 +206,8 @@ class TestNonlinearFlows:
         coeffs = np.zeros(quad.n)
         coeffs[0], coeffs[2] = 1.0, 0.3  # perturb:0.3,2
         st = make_state(Form.DENSITY, spec, GridFn.from_coeffs(quad, coeffs))
-        default = evolve(st, 0.4, with_reports=False).F[-1]
-        fine = evolve(st, 0.4, dt_max=1e-4, with_reports=False).F[-1]
+        default = evolve(st, 0.4).F[-1]
+        fine = evolve(st, 0.4, dt_max=1e-4).F[-1]
         assert default == pytest.approx(fine, rel=1e-5)
 
     def test_readme_w_point_takes_a_tenth_of_the_steps(self, monkeypatch):
@@ -204,7 +227,7 @@ class TestNonlinearFlows:
             return macro_step(*args)
 
         monkeypatch.setattr(flows, "_imex_step", counted)
-        traj = evolve(st, 0.4, with_reports=False)
+        traj = evolve(st, 0.4)
         assert attempts <= 7177
         assert traj.monotone_decreasing_F()
         assert max(abs(c - traj.conserved[0]) for c in traj.conserved) <= 1e-9
@@ -215,10 +238,10 @@ class TestFormEquivalence:
         quad = cached_quadrature(4.0, 96)
         u0 = random_positive(quad, rng, modes=8, amplitude=0.5)
         st_u = heat_state(quad, 4.0, 3.0, u0, form=Form.POINTWISE)
-        traj_u = evolve(st_u, 0.25, samples=5, dt_max=2e-4, with_reports=False)
+        traj_u = evolve(st_u, 0.25, samples=5, dt_max=2e-4)
         rho0 = GridFn.from_values(quad, u0.values**3)
         st_r = heat_state(quad, 4.0, 3.0, rho0)
-        traj_r = evolve(st_r, 0.25, samples=5, with_reports=False)
+        traj_r = evolve(st_r, 0.25, samples=5)
         diff = np.sqrt(
             np.sum(quad.weights * (traj_u.final_state.f.values**3 - traj_r.final_state.f.values) ** 2)
         )
@@ -232,10 +255,10 @@ class TestFormEquivalence:
         w0 = random_positive(quad, rng, modes=6, amplitude=0.4)
         t_rho = 0.1
         st_w = make_state(Form.POINTWISE, spec, w0)
-        traj_w = evolve(st_w, spec.m * t_rho, samples=5, dt_max=2e-4, with_reports=False)
+        traj_w = evolve(st_w, spec.m * t_rho, samples=5, dt_max=2e-4)
         rho0 = GridFn.from_values(quad, w0.values ** (beta * params.p))
         st_r = make_state(Form.DENSITY, spec, rho0)
-        traj_r = evolve(st_r, t_rho, samples=5, dt_max=2e-4, with_reports=False)
+        traj_r = evolve(st_r, t_rho, samples=5, dt_max=2e-4)
         diff = np.sqrt(
             np.sum(
                 quad.weights
@@ -247,14 +270,14 @@ class TestFormEquivalence:
     def test_density_form_report_carries_clock_factor(self, rng):
         # the analytic dissipation lives on the rescaled-flow clock; on a
         # density-form trajectory it must be scaled by m to match the
-        # recorded finite difference
+        # finite difference of the recorded deficit
         quad = cached_quadrature(5.0, 96)
         params = Params(5.0, 3.3)
         spec = FlowSpec.nonlinear(params, beta_roots(params).minus)
         rho0 = random_positive(quad, rng, modes=6, amplitude=0.4)
-        traj = evolve(make_state(Form.DENSITY, spec, rho0), 0.08, samples=81)
-        rep = traj.reports[40]
-        assert rep.dF_dt_numeric == pytest.approx(rep.dF_dt_analytic, rel=1e-2)
+        state = make_state(Form.DENSITY, spec, rho0)
+        numeric, analytic = central_difference_and_analytic(state, 0.08, 81, 40)
+        assert numeric == pytest.approx(analytic, rel=1e-2)
 
     def test_u_linear_rhs_is_w_nonlinear_at_beta_one(self, quad5, rng):
         # the pointwise right-hand side at beta = 1 is, to the last bit, the
@@ -309,8 +332,9 @@ FLOWS = {
 
 
 class TestSampleReports:
-    """One evaluation per sample: the trajectory's functional values are its
-    reports', built from the variable the flow evolves."""
+    """One evaluation per sample: a sample's E_p and I_p are those of the
+    dissipation report at its state, built from the variable the flow
+    evolves."""
 
     @staticmethod
     def _state(flow, rng, n=64):
@@ -321,17 +345,18 @@ class TestSampleReports:
 
     @pytest.mark.parametrize("flow", list(FLOWS))
     def test_trajectory_values_are_the_reports(self, flow, rng):
-        traj = evolve(self._state(flow, rng), 0.004, samples=4, dt_max=2e-4)
-        for i, rep in enumerate(traj.reports):
+        state = self._state(flow, rng)
+        traj = evolve(state, 0.004, samples=4, dt_max=2e-4)
+        for i, st in ((0, state), (-1, traj.final_state)):
+            rep = report_at(st)
             assert (traj.E_p[i], traj.I_p[i], traj.F[i]) == (rep.E_p, rep.I_p, rep.F)
 
     def test_density_report_reads_rho_directly(self, rng):
         # no rho -> w -> rho round trip: the report's functionals are those
         # of the evolved density itself, to the last bit
         state = self._state("fde", rng, n=128)
-        rep = _sample_report(state, state.f.values, state.spec.m)
-        assert rep.E_p == entropy(state.f, 3.3)
-        assert rep.I_p == fisher(state.f, 3.3)
+        assert _sample_report(state, state.f.values) == (entropy(state.f, 3.3),
+                                                         fisher(state.f, 3.3))
 
     @staticmethod
     def _counted_transforms(monkeypatch, counting=lambda: True):
@@ -351,25 +376,24 @@ class TestSampleReports:
     @classmethod
     def _transforms(cls, state, monkeypatch):
         calls = cls._counted_transforms(monkeypatch)
-        _sample_report(state, state.f.values, 1.0)
+        _sample_report(state, state.f.values)
         return calls
 
-    def test_heat_sample_costs_three_transforms(self, rng, monkeypatch):
-        # u = rho^(1/p) analysed once, then u' and u'' (w = u at beta = 1)
+    def test_heat_sample_costs_two_transforms(self, rng, monkeypatch):
+        # u = rho^(1/p) analysed once, then u'
         calls = self._transforms(self._state("heat", rng), monkeypatch)
-        assert len(calls) == 3, calls
+        assert len(calls) == 2, calls
 
-    def test_fde_sample_costs_three_transforms(self, rng, monkeypatch):
-        # w = rho^(1/(beta p)) is never differentiated: its derivatives
-        # follow from u' and u'' by the chain rule
+    def test_fde_sample_costs_two_transforms(self, rng, monkeypatch):
+        # w = rho^(1/(beta p)) is never formed: I_p needs u' alone
         calls = self._transforms(self._state("fde", rng), monkeypatch)
-        assert len(calls) == 3, calls
+        assert len(calls) == 2, calls
 
-    @pytest.mark.parametrize("flow, per_sample", [("heat", 3), ("fde", 3), ("u", 2), ("w", 3)])
+    @pytest.mark.parametrize("flow, per_sample", [("heat", 2), ("fde", 2), ("u", 1), ("w", 2)])
     def test_sample_transforms_through_evolve(self, flow, per_sample, rng, monkeypatch):
         # transforms outside the stepping: a sample forms rho = w^(beta p)
-        # once and synthesizes nothing else for the report (u = w at
-        # beta = 1, else u = w^beta analysed once; then u' and u'')
+        # once and synthesizes nothing else (u = w at beta = 1, else
+        # u = w^beta analysed once; then u')
         state = self._state(flow, rng)
         stepping = []
         calls = self._counted_transforms(monkeypatch, lambda: not stepping)
@@ -385,6 +409,20 @@ class TestSampleReports:
         monkeypatch.setattr(flows, "_advance_to", stepped)
         evolve(state, 0.002, samples=3, dt_max=2e-4)
         assert len(calls) == 3 * per_sample, calls
+
+    @pytest.mark.parametrize("flow", list(FLOWS))
+    def test_unresolved_datum_raises_on_every_flow(self, flow):
+        # the top mode carries 100x the resolution tolerance: every sample
+        # differentiates u under the resolution check, so evolve refuses the
+        # datum at its first sample
+        form, beta = FLOWS[flow]
+        quad = cached_quadrature(5.0, 64)
+        coeffs = np.zeros(quad.n)
+        coeffs[0], coeffs[-1] = 1.0, 100.0 * RESOLUTION_TOL
+        state = make_state(form, FlowSpec.nonlinear(Params(5.0, 3.3), beta),
+                           GridFn.from_coeffs(quad, coeffs))
+        with pytest.raises(ResolutionError):
+            evolve(state, 0.002, samples=3, dt_max=2e-4)
 
     @pytest.mark.parametrize("flow", ["fde", "u", "w"])
     def test_drift_baseline_synthesized_once(self, flow, rng, monkeypatch):
@@ -403,7 +441,7 @@ class TestSampleReports:
 
         monkeypatch.setattr(flows, "_imex_step", counted)
         calls = self._counted_transforms(monkeypatch)
-        evolve(state, 0.002, samples=5, dt_max=2e-4, with_reports=False)
+        evolve(state, 0.002, samples=5, dt_max=2e-4)
         assert calls.count("to_values") == steps + 1, (calls.count("to_values"), steps)
 
     @pytest.mark.parametrize("beta", [beta_roots(Params(5.0, 3.3)).minus, 1e4, 1e7])
@@ -414,9 +452,8 @@ class TestSampleReports:
         # does not
         quad = cached_quadrature(5.0, 128)
         base = 1.0 + 0.4 * quad.nodes
-        state = make_state(Form.DENSITY, FlowSpec.nonlinear(Params(5.0, 3.3), beta),
-                           GridFn.from_values(quad, base**-3.0))
-        rep = _sample_report(state, state.f.values, 1.0)
+        rho = base**-3.0
+        rep = dissipation_report(rho, GridFn.from_values(quad, rho ** (1.0 / 3.3)), 3.3, beta)
         a = -3.0 / (beta * 3.3)
         w, wp, wpp = base**a, 0.4 * a * base ** (a - 1.0), 0.16 * a * (a - 1.0) * base ** (a - 2.0)
         w2 = quad.weights * quad.nu**2
@@ -523,4 +560,4 @@ class TestGuards:
         with pytest.raises(PositivityError):
             step(st, 1e-4)
         with pytest.raises((PositivityLossError, PositivityError)):
-            evolve(st, 0.5, samples=5, with_reports=False)
+            flows._advance_to(st, 0.5, 0.5 / 64, math.inf, flows.TOL_CONS, 0.5, None)

@@ -1,5 +1,3 @@
-import math
-
 import mpmath
 import numpy as np
 import pytest
@@ -204,7 +202,6 @@ class TestDissipation:
         rep = dissipation_heat(GridFn.constant(quad5, 1.3), 3.0)
         for name in ("E_p", "I_p", "F", "J_ff", "J_fc", "J_cc", "dF_dt_analytic"):
             assert abs(getattr(rep, name)) < 1e-14
-        assert math.isnan(rep.Q_p)  # 0/0 at constants
 
     def test_beta_one_reduces_to_heat(self, quad5, rng):
         u = random_positive(quad5, rng, modes=10, amplitude=0.6)
@@ -228,16 +225,6 @@ class TestDissipation:
         w = GridFn.from_function(quad5, lambda z: (1 + 0.4 * z) ** (-(d - 3) / 2))
         rep = dissipation_nonlinear(w, p, beta)
         assert abs(rep.dF_dt_analytic) <= 1e-8
-
-    def test_report_serialization(self, quad5, rng):
-        u = random_positive(quad5, rng, modes=8, amplitude=0.5)
-        rep = dissipation_heat(u, 3.0)
-        d = rep.to_dict()
-        assert set(d) == {
-            "E_p", "I_p", "F", "Q_p", "J_ff", "J_fc", "J_cc",
-            "dF_dt_analytic", "dF_dt_numeric", "config",
-        }
-        assert d["config"]["N"] == 128
 
     def test_p_continuity_of_deficit(self, quad5, rng):
         rho = random_positive(quad5, rng, modes=8, amplitude=0.5)
