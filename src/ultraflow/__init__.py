@@ -7,6 +7,7 @@ __version__ = "0.1.0"
 from .constants import (  # noqa: F401
     FlowSpec,
     Params,
+    RegionMap,
     RegionPoint,
     beta_roots,
     classify_region,

@@ -109,17 +109,14 @@ def antipodal(seed=0):
 
 
 def region_figures(seed=0):
-    """Fewest admissible points in a p column; wrong beta = 1 points."""
+    """Fewest admissible points in a p row; wrong beta = 1 points."""
     d = 5.0
-    rows, _ = cs.region_sweep(d, (1.0, cs.two_star(d)), (0.0, 4.0), 201)
-    admissible = {}
-    for p, beta, m, gamma, adm, a_val, a_pos in rows:
-        admissible.setdefault(p, []).append(bool(adm))
-    fewest = min(sum(col) for col in admissible.values())
+    region, _ = cs.region_sweep(d, (1.0, cs.two_star(d)), (0.0, 4.0), 201)
+    admissible = region.point.admissible
+    fewest = int(admissible.sum(axis=1).min())
     yield "admissible set nonempty for every p", fewest > 0, fewest
-    sharp = cs.two_sharp(d)
-    wrong = sum(bool(adm) != (p <= sharp)
-                for p, beta, m, gamma, adm, a_val, a_pos in rows if abs(beta - 1.0) < 1e-12)
+    heat = np.abs(region.beta - 1.0) < 1e-12
+    wrong = int(np.count_nonzero(admissible[:, heat] != (region.p <= cs.two_sharp(d))[:, None]))
     yield "beta = 1 admissible exactly for p <= 2#", wrong == 0, wrong
 
 

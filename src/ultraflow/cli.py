@@ -245,7 +245,7 @@ def cmd_region(args) -> int:
         _emit(_json_safe(out), args, manifest, {"beta_curves.csv": write_curves})
         return 0
     p_hi = _finite_p_max(args.d, args.p_max if args.p_max is not None else cs.two_star(args.d))
-    rows, summary = cs.region_sweep(
+    region, summary = cs.region_sweep(
         args.d, (args.p_min, p_hi), (args.beta_min, args.beta_max), args.grid
     )
     if args.out:
@@ -253,7 +253,7 @@ def cmd_region(args) -> int:
     manifest = RunManifest("region", vars_args(args), {"gamma_tie_tol": cs.GAMMA_TIE_TOL},
                            args.grid, 0)
     _emit(_json_safe({"kind": "region_sweep", **summary}), args, manifest,
-          {"region.csv": lambda path: cs.region_rows_to_csv(rows, path)})
+          {"region.csv": lambda path: cs.region_rows_to_csv(region, path)})
     return 0
 
 

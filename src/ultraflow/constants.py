@@ -10,7 +10,7 @@ never by a large float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -272,8 +272,9 @@ class FlowSpec:
 
 @dataclass(frozen=True)
 class RegionPoint:
-    """Classification of a (p, beta) point, or of a row of points sharing p
-    (then every field is an ndarray over beta)."""
+    """Classification of a (p, beta) point, of a row of points sharing p
+    (then every field is an ndarray over beta), or of a region map's grid
+    (then every field is a (p, beta) array)."""
 
     admissible: bool
     gamma: float
@@ -314,13 +315,24 @@ def classify_region(params: Params, beta) -> RegionPoint:
 REGION_CSV_HEADER = "p,beta,m,gamma,admissible,A,A_positive"
 
 
+@dataclass(frozen=True)
+class RegionMap:
+    """A square (p, beta) sweep: the two axes and a RegionPoint whose fields
+    are (len(p), len(beta)) arrays, row i at p[i]."""
+
+    p: np.ndarray
+    beta: np.ndarray
+    point: RegionPoint
+
+
 def region_sweep(
     d: float, p_range: tuple[float, float], beta_range: tuple[float, float], grid: int
-) -> tuple[list[tuple], dict]:
+) -> tuple[RegionMap, dict]:
     """Square (p, beta) sweep of classify_region with ``grid`` points per
-    axis, one call per p row.
+    axis, one call per p row, stacked into (grid, grid) arrays: every cell
+    is bitwise the scalar call at its (p, beta).
 
-    Returns (rows, summary); each row matches REGION_CSV_HEADER.
+    Returns (region, summary).
     """
     p_lo, p_hi = p_range
     if not all(math.isfinite(x) for x in (*p_range, *beta_range)):
@@ -332,15 +344,9 @@ def region_sweep(
         raise DomainError(f"the sweep needs at least one point per axis, got {grid}")
     ps = np.linspace(p_lo, min(p_hi, ts) if math.isfinite(ts) else p_hi, grid)
     betas = np.linspace(beta_range[0], beta_range[1], grid)
-    beta_list = betas.tolist()
-    rows = []
-    n_admissible = 0
-    for p in ps.tolist():
-        pt = classify_region(Params(d, p), betas)
-        adm = pt.admissible.astype(int).tolist()
-        n_admissible += sum(adm)
-        rows.extend(zip([p] * grid, beta_list, pt.m.tolist(), pt.gamma.tolist(), adm,
-                        pt.A.tolist(), pt.A_positive.astype(int).tolist()))
+    rows = [classify_region(Params(d, p), betas) for p in ps.tolist()]
+    point = RegionPoint(**{f.name: np.stack([getattr(row, f.name) for row in rows])
+                           for f in fields(RegionPoint)})
     summary = {
         "d": d,
         "p_min": float(ps[0]),
@@ -349,7 +355,7 @@ def region_sweep(
         "beta_max": float(betas[-1]),
         "n_p": int(grid),
         "n_beta": int(grid),
-        "n_admissible": int(n_admissible),
+        "n_admissible": int(np.count_nonzero(point.admissible)),
         "notes": [],
     }
     if d == 1.0:
@@ -358,13 +364,26 @@ def region_sweep(
             "gamma(beta) for every p >= 1, which is the wider of the two "
             "published d = 1 conditions"
         )
-    return rows, summary
+    return RegionMap(ps, betas, point), summary
 
 
-def region_rows_to_csv(rows, path):
-    """Write sweep rows with the canonical header (floats as repr, the two
-    flags as integers)."""
+def region_rows_to_csv(region: RegionMap, path):
+    """Write the sweep with the canonical header, one CSV line per (p, beta)
+    cell in row order (floats as repr, the two flags as 0 or 1).
+
+    The lines stream out one p row per write: each p and beta is formatted
+    once, and the m, gamma and A cells through float.__repr__ of the row's
+    list, which gives the bytes repr gives a Python float.
+    """
+    pt = region.point
+    betas = list(map(float.__repr__, region.beta.tolist()))
     with open(path, "w") as fh:
         fh.write(REGION_CSV_HEADER + "\n")
-        fh.writelines(f"{p!r},{beta!r},{m!r},{gamma!r},{adm},{a!r},{a_pos}\n"
-                      for p, beta, m, gamma, adm, a, a_pos in rows)
+        for i, p in enumerate(region.p.tolist()):
+            head = repr(p)
+            cells = zip(betas, *(map(float.__repr__, field[i].tolist())
+                                 for field in (pt.m, pt.gamma, pt.A)),
+                        pt.admissible[i].astype(int).tolist(),
+                        pt.A_positive[i].astype(int).tolist())
+            fh.write("".join(f"{head},{beta},{m},{gamma},{adm},{a},{a_pos}\n"
+                             for beta, m, gamma, a, adm, a_pos in cells))

@@ -92,29 +92,35 @@ def _gauss_rule(d: float, n: int, cols: int, order: int):
 
     inv = np.zeros_like(b)
     inv[1:] = 1.0 / b[1:]
-    # T[j, k] holds phi_k^(j) at x
-    T = np.zeros((order + 1, cols, h))
-    T[0, 0] = 1.0
-    T[0, 1] = x * inv[1]
-    T[1, 1] = inv[1]
-    ords = np.arange(1, order + 1, dtype=float)[:, None]
-    for k in range(2, cols):
-        row = x * T[:, k - 1] - b[k - 1] * T[:, k - 2]
-        row[1:] += ords * T[:-1, k - 1]
-        T[:, k] = row * inv[k]
-    sums = np.einsum("kj,kj->j", T[0], T[0])
-    # degrees cols..n-1 enter the Christoffel sums only
-    p0, p1 = T[0, cols - 2], T[0, cols - 1]
-    for k in range(cols, n):
-        p0, p1 = p1, (x * p1 - b[k - 1] * p0) * inv[k]
-        sums += p1 * p1
-    w = 1.0 / sums
+    # at large d the recurrence overflows at the outermost nodes; the check
+    # below turns that into a ConvergenceError
+    with np.errstate(over="ignore", invalid="ignore"):
+        # T[j, k] holds phi_k^(j) at x
+        T = np.zeros((order + 1, cols, h))
+        T[0, 0] = 1.0
+        T[0, 1] = x * inv[1]
+        T[1, 1] = inv[1]
+        ords = np.arange(1, order + 1, dtype=float)[:, None]
+        for k in range(2, cols):
+            row = x * T[:, k - 1] - b[k - 1] * T[:, k - 2]
+            row[1:] += ords * T[:-1, k - 1]
+            T[:, k] = row * inv[k]
+        sums = np.einsum("kj,kj->j", T[0], T[0])
+        # degrees cols..n-1 enter the Christoffel sums only
+        p0, p1 = T[0, cols - 2], T[0, cols - 1]
+        for k in range(cols, n):
+            p0, p1 = p1, (x * p1 - b[k - 1] * p0) * inv[k]
+            sums += p1 * p1
+        w = 1.0 / sums
 
     nodes = np.concatenate([-x[::-1][:q], x])
     weights = np.concatenate([w[::-1][:q], w])
-    if not (np.all(np.isfinite(nodes)) and np.all(weights > 0.0)):
-        raise ConvergenceError(f"Gauss rule for d={d}, n={n} has a non-finite node "
-                               "or a non-positive weight")
+    # a non-finite table entry stays non-finite in every higher degree, so
+    # the top degree shows whether there is one
+    if not (np.all(np.isfinite(nodes)) and np.all(weights > 0.0)
+            and np.all(np.isfinite(T[:, -1]))):
+        raise ConvergenceError(f"Gauss rule for d={d}, n={n} has a non-finite node or "
+                               "basis value, or a non-positive weight")
     tables = []
     for j in range(order + 1):
         V = np.empty((n, cols))
@@ -123,6 +129,17 @@ def _gauss_rule(d: float, n: int, cols: int, order: int):
         np.multiply(V[q:][::-1][:q], (-1.0) ** (np.arange(cols) + j), out=V[:q])
         tables.append(V)
     return nodes, weights, tables
+
+
+def _columnwise(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """table @ x for a vector x; for an (n, s) stack, one matrix-vector
+    product per column in a single batched call, so that each column of the
+    (Fortran-ordered) result is bitwise the vector's product.  A matrix
+    product of the whole stack rounds differently, and the entropy of a
+    nearly constant function turns that into 1e-12 relative."""
+    if x.ndim == 1:
+        return table @ x
+    return np.matmul(table, x.T[:, :, None])[:, :, 0].T
 
 
 class Quadrature:
@@ -186,19 +203,19 @@ class Quadrature:
         """Coefficients of the padded nodal data, truncated to n modes."""
         return self._pad_tables()["analysis"] @ values
 
-    # -- transforms ---------------------------------------------------------
+    # -- transforms (of a vector, or of an (n, s) stack of columns) -----------
 
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
-        return self._analysis @ values
+        return _columnwise(self._analysis, values)
 
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
-        return self._basis @ coeffs
+        return _columnwise(self._basis, coeffs)
 
     def derivative_values(self, coeffs: np.ndarray) -> np.ndarray:
-        return self._basis_d1 @ coeffs
+        return _columnwise(self._basis_d1, coeffs)
 
     def second_derivative_values(self, coeffs: np.ndarray) -> np.ndarray:
-        return self._basis_d2 @ coeffs
+        return _columnwise(self._basis_d2, coeffs)
 
     def __repr__(self) -> str:
         return f"Quadrature(d={self.d}, n={self.n})"
@@ -313,17 +330,23 @@ def random_band_limited(
     """Zero-mean random combination of modes 1..modes with coefficients
     decaying like 0.6^k, sup-norm ~ amplitude."""
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    modes = min(modes, quad.n - 3)
-    coeffs = np.zeros(quad.n)
-    ks = np.arange(1, modes + 1)
-    coeffs[1 : modes + 1] = rng.standard_normal(modes) * 0.6**ks
+    draws = rng.standard_normal(min(modes, quad.n - 3))
+    return GridFn.from_coeffs(quad, _band_limited(quad, draws, amplitude, even_only))
+
+
+def _band_limited(quad: Quadrature, draws: np.ndarray, amplitude, even_only: bool) -> np.ndarray:
+    """Coefficients of sum_k draws[k-1] 0.6^k phi_k over k = 1..len(draws)
+    (odd k dropped with even_only), scaled to the nodal sup-norm
+    ``amplitude``.  A (modes, s) stack of draws with s amplitudes gives the
+    (n, s) stack of their columns."""
+    modes = draws.shape[0]
+    coeffs = np.zeros((quad.n,) + draws.shape[1:])
+    coeffs[1 : modes + 1] = (draws.T * 0.6 ** np.arange(1, modes + 1)).T
     if even_only:
         coeffs[1::2] = 0.0
-    g = GridFn.from_coeffs(quad, coeffs)
-    top = float(np.abs(g.values).max())
-    if top == 0.0:
-        return g
-    return GridFn.from_coeffs(quad, coeffs * (amplitude / top))
+    top = np.abs(quad.to_values(coeffs)).max(axis=0)
+    # a zero combination stays zero
+    return coeffs * (amplitude / np.where(top > 0.0, top, np.inf))
 
 
 def random_positive(quad: Quadrature, rng, modes: int = 8, amplitude: float = 0.5) -> GridFn:

@@ -38,11 +38,25 @@ import numpy as np
 
 from .constants import Params, gamma_of_beta, kappa_from_beta
 from .discretization import GridFn, derivative, second_derivative
-from .errors import DomainError
+from .errors import DomainError, ResolutionError
 
 #: np.sum of a 1-D array without the wrapper around it (the same pairwise
 #: summation, bit for bit)
 _sum = np.add.reduce
+
+
+def _weighted(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """w * x for nodal weights w and nodal data x: a vector, or an (n, s)
+    stack of s functions as columns."""
+    return (w if x.ndim == 1 else w[:, None]) * x
+
+
+def _total(x: np.ndarray):
+    """Sum over the nodes (axis 0): a float for a vector, bitwise _sum(x),
+    and for a stack one value per column, each bitwise its vector's sum
+    (numpy sums pairwise only along a contiguous axis, hence Fortran order)."""
+    out = _sum(np.asfortranarray(x), axis=0)
+    return float(out) if out.ndim == 0 else out
 
 
 def entropy(rho: GridFn, p: float) -> float:
@@ -54,18 +68,19 @@ def entropy(rho: GridFn, p: float) -> float:
 def _entropy(w: np.ndarray, rho: np.ndarray, p: float) -> float:
     """E_p = mass^(2/p)/p int r (r^k - 1)/k with r = rho/mass, k = (2-p)/p:
     the difference of norms without its cancellation near p = 2, and at
-    k = 0 the logarithmic entropy (1/2) int rho log(rho/mass).
+    k = 0 the logarithmic entropy (1/2) int rho log(rho/mass).  An (n, s)
+    stack of densities gives the s entropies.
 
     A nodal zero contributes 0: its log r is floored at log(tiny) = -708,
     where expm1(k log r) stays finite because p >= 1 keeps |k| <= 1."""
     if p < 1.0:
         raise DomainError(f"exponent must be >= 1, got {p}")
-    wr = w * rho
-    mass = float(_sum(wr))
+    wr = _weighted(w, rho)
+    mass = _total(wr)
     log_r = np.log(np.maximum(rho / mass, np.finfo(float).tiny))
     k = (2.0 - p) / p
     power = np.expm1(k * log_r) / k if k != 0.0 else log_r
-    return mass ** (2.0 / p - 1.0) / p * float(_sum(wr * power))
+    return mass ** (2.0 / p - 1.0) / p * _total(wr * power)
 
 
 def fisher(rho: GridFn, p: float) -> float:
@@ -76,8 +91,9 @@ def fisher(rho: GridFn, p: float) -> float:
 
 
 def _dirichlet(q, fp: np.ndarray) -> float:
-    """The Dirichlet form I = int nu |f'|^2 from the nodal values of f'."""
-    return float(np.sum(q.weights * q.nu * fp**2))
+    """The Dirichlet form I = int nu |f'|^2 from the nodal values of f' (per
+    column for an (n, s) stack)."""
+    return _total(_weighted(q.weights * q.nu, fp**2))
 
 
 def deficit(rho: GridFn, p: float) -> float:
@@ -112,11 +128,19 @@ def cdc_triple(u: GridFn) -> tuple[float, float, float]:
 
 
 def _cdc_sums(q, f: np.ndarray, fp: np.ndarray, fpp: np.ndarray) -> tuple[float, float, float]:
-    """J_ff, J_fc, J_cc from the nodal values of f, f' and f''."""
+    """J_ff, J_fc, J_cc from the nodal values of f, f' and f''.
+
+    A sum that is not finite (at large d the outermost nodes' |f'|^4
+    overflows) raises ResolutionError instead of entering a report."""
     w2 = q.weights * q.nu**2
-    j_ff = float(np.sum(w2 * fpp**2))
-    j_fc = float(np.sum(w2 * fpp * fp**2 / f))
-    j_cc = float(np.sum(w2 * fp**4 / f**2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        j_ff = float(np.sum(w2 * fpp**2))
+        j_fc = float(np.sum(w2 * fpp * fp**2 / f))
+        j_cc = float(np.sum(w2 * fp**4 / f**2))
+    if not all(map(math.isfinite, (j_ff, j_fc, j_cc))):
+        raise ResolutionError(f"the dissipation integrals (J_ff, J_fc, J_cc) = "
+                              f"({j_ff:.3e}, {j_fc:.3e}, {j_cc:.3e}) are not finite at "
+                              f"d={q.d}, N={q.n}")
     return j_ff, j_fc, j_cc
 
 

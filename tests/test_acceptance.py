@@ -7,7 +7,6 @@ criterion checks are pinned here.  Run with
 lines).
 """
 
-import collections
 import math
 
 import numpy as np
@@ -199,20 +198,17 @@ def test_criterion_11_figure_data():
     of the diffusion-exponent chart)."""
     holds(checks.region_figures())
     d = 5.0
-    rows, _ = region_sweep(d, (1.0, two_star(d)), (0.0, 4.0), 201)
-    columns = collections.defaultdict(list)
-    for p, beta, m, gamma, adm, a_val, a_pos in rows:
-        columns[p].append((beta, bool(adm), m))
-    assert len(columns) == 201
+    region, _ = region_sweep(d, (1.0, two_star(d)), (0.0, 4.0), 201)
+    pt = region.point
+    assert pt.admissible.shape == (201, 201)
+    assert np.all(np.diff(region.beta) > 0.0)
     sharp = two_sharp(d)
-    # single contiguous band per column (the d = 5 denominator never vanishes)
-    for p, col in columns.items():
-        flags = [adm for _, adm, _ in sorted(col)]
-        assert sum(1 for x, y in zip(flags, flags[1:]) if x != y) <= 2
+    # single contiguous band per p row (the d = 5 denominator never vanishes)
+    for flags in pt.admissible:
+        assert np.count_nonzero(flags[1:] != flags[:-1]) <= 2
     # the m-chart statement: admissible points with m = 1 stop at the threshold
-    for p, col in columns.items():
-        for beta, adm, m in col:
-            if adm and abs(m - 1.0) < 1e-12:
-                assert p <= sharp + 1e-12
+    for p, adm, m in zip(region.p.tolist(), pt.admissible, pt.m):
+        if np.any(adm & (np.abs(m - 1.0) < 1e-12)):
+            assert p <= sharp + 1e-12
     report(11, "201x201 sweep at d=5: admissible band nonempty for every p, "
                "beta=1 (m=1) admissible exactly for p <= 2#")

@@ -69,3 +69,19 @@ def test_tracer_tells_accepted_from_rejected_steps(capsys):
     assert counters["imex.rejected"] >= 1
     assert tracer.count("flows.sample") == 3
     assert tracer.count("functionals.report") == 0
+
+
+def test_tracer_sees_the_region_sweep(tmp_path, capsys):
+    # one constants.classify span per p row, and the CSV writer recorded as
+    # a cli.emit span inside the command's _emit
+    tracer = _load("tracer").Tracer()
+    tracer.install()
+    try:
+        rc = cli.main(["region", "--d", "5", "--grid", "5", "--out", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert rc == 0
+    assert tracer.count("constants.classify") == 5
+    assert tracer.aggregates[("cli.emit", "cli.emit")][0] == 1
+    assert (tmp_path / "region.csv").read_text().count("\n") == 1 + 5 * 5

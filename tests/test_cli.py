@@ -244,6 +244,14 @@ class TestFlowCommand:
         assert rc == 3
         assert json.loads(err)["error"] == "numerical"
 
+    def test_padded_rule_failure_prints_only_the_error(self):
+        # the padded 512-point rule does not exist at d = 3000: exit 3 with
+        # the JSON error as the only stderr output, no RuntimeWarning
+        rc, _, err = run_cli("flow", "--form", "u", "--d", "3000", "--p", "2.0005",
+                             "--init", "perturb:0.1,2", "--n", "256", "--t-end", "0.01")
+        assert rc == 3
+        assert json.loads(err)["message"].startswith("Gauss rule for d=3000.0, n=512")
+
     @pytest.mark.parametrize("init", ["powerlaw:1,0.4", "conformal:1,0.3"])
     def test_initial_deficit_agrees_across_forms(self, init, capsys):
         # every form materializes the same density from a closed-form datum,

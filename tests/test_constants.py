@@ -311,34 +311,51 @@ class TestClassifyRegion:
         assert m[2] == 1.0 - 2.0 / 3.0
 
 
+def _csv_line(p, beta, pt):
+    """The region.csv line of one scalar classification."""
+    return (f"{p!r},{beta!r},{pt.m!r},{pt.gamma!r},{int(pt.admissible)},{pt.A!r},"
+            f"{int(pt.A_positive)}")
+
+
 class TestRegionSweep:
     def test_shape_and_csv(self, tmp_path):
-        rows, summary = region_sweep(5.0, (1.0, two_star(5.0)), (0.0, 4.0), 41)
-        assert len(rows) == 41 * 41
+        region, summary = region_sweep(5.0, (1.0, two_star(5.0)), (0.0, 4.0), 41)
+        assert region.p.shape == region.beta.shape == (41,)
+        for name in ("admissible", "gamma", "A", "A_positive", "m"):
+            assert getattr(region.point, name).shape == (41, 41), name
         assert summary["n_admissible"] > 0
         path = tmp_path / "region.csv"
-        region_rows_to_csv(rows, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "p,beta,m,gamma,admissible,A,A_positive"
+        region_rows_to_csv(region, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "p,beta,m,gamma,admissible,A,A_positive"
+        assert len(lines) == 1 + 41 * 41
 
     @pytest.mark.parametrize("d", [1.0, 2.0, 2.5, 3.0, 5.0])
-    def test_rows_equal_scalar_classification(self, d):
-        # one classify_region call per p row gives, bit for bit, the scalar
-        # call at every grid point; beta = 0 (m = inf) is on the grid, and
-        # below d = 3 the witness coefficient A is NaN
+    def test_rows_equal_scalar_classification(self, d, tmp_path):
+        # one classify_region call per p row, stacked, gives bit for bit the
+        # scalar call at every grid point, and so does every region.csv
+        # line; beta = 0 (m = inf) is on the grid, and below d = 3 the
+        # witness coefficient A is NaN
         p_hi = two_star(d) if math.isfinite(two_star(d)) else 9.0
-        rows, summary = region_sweep(d, (1.0, p_hi), (0.0, 4.0), 41)
-        assert len(rows) == 41 * 41
+        region, summary = region_sweep(d, (1.0, p_hi), (0.0, 4.0), 41)
+        pt = region.point
+        path = tmp_path / "region.csv"
+        region_rows_to_csv(region, path)
+        lines = path.read_text().splitlines()[1:]
+        assert len(lines) == 41 * 41
         n_admissible = 0
-        for row in rows:
-            p, beta = row[:2]
-            pt = classify_region(Params(d, p), beta)
-            expected = (p, beta, pt.m, pt.gamma, int(pt.admissible), pt.A, int(pt.A_positive))
-            assert repr(row) == repr(expected)
-            n_admissible += expected[4]
+        for i, p in enumerate(region.p.tolist()):
+            for j, beta in enumerate(region.beta.tolist()):
+                scalar = classify_region(Params(d, p), beta)
+                for name in ("m", "gamma", "A"):
+                    assert repr(getattr(pt, name)[i, j].item()) == repr(getattr(scalar, name))
+                assert pt.admissible[i, j] == scalar.admissible
+                assert pt.A_positive[i, j] == scalar.A_positive
+                assert lines[41 * i + j] == _csv_line(p, beta, scalar)
+                n_admissible += scalar.admissible
         assert summary["n_admissible"] == n_admissible
-        assert math.isinf(rows[0][2])
-        assert math.isnan(rows[0][5]) == (d < 3.0)
+        assert math.isinf(pt.m[0, 0])
+        assert math.isnan(pt.A[0, 0]) == (d < 3.0)
 
     def test_empty_grid(self):
         with pytest.raises(DomainError):

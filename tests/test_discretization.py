@@ -154,6 +154,13 @@ class TestQuadrature:
         assert np.all(quad.weights > 0.0)
         assert abs(quad.weights.sum() - 1.0) < 1e-13
 
+    def test_padded_rule_overflow_is_typed(self):
+        # the 512-point rule at d = 3000 overflows in the recurrence and the
+        # Christoffel sums: a ConvergenceError, and no overflow warning
+        # first (warnings are errors here)
+        with pytest.raises(ConvergenceError, match="d=3000.0, n=512"):
+            Quadrature(3000.0, 256)._pad_tables()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_rule_failure_is_typed(self):
         # b_k^2 underflows to 0 for k >= 2 at d = 1e300: a NaN rule is refused

@@ -7,6 +7,7 @@ from ultraflow import (
     GridFn,
     Params,
     PositivityError,
+    ResolutionError,
     beta_roots,
     cdc_triple,
     deficit,
@@ -237,6 +238,19 @@ class TestDissipation:
         base = quotient(u, 2.0)
         for p in (2.0 + 1e-6, 2.0 - 1e-6):
             assert abs(quotient(u, p) - base) <= 1e-5 * (1.0 + abs(base))
+
+    def test_overflowing_integrals_raise(self):
+        # at d = 3000 the outermost nodes' |u'|^4 overflows: the report raises
+        # a ResolutionError naming (d, N), with no overflow warning first
+        # (warnings are errors here), where it returned J_cc = inf and
+        # dF_dt_analytic = -inf
+        quad = cached_quadrature(3000.0, 256)
+        coeffs = np.zeros(quad.n)
+        coeffs[0], coeffs[2] = 1.0, 0.1
+        rho = GridFn.from_coeffs(quad, coeffs)
+        u = GridFn.from_values(quad, rho.values ** (1.0 / 2.0005))
+        with pytest.raises(ResolutionError, match=r"d=3000\.0, N=256"):
+            dissipation_heat(u, 2.0005)
 
     def test_heat_dissipation_positive_at_powerlaw_witness(self, quad5):
         # cross-module tie: at the power-law witness the report's analytic

@@ -23,6 +23,7 @@ from ultraflow import (
 )
 from ultraflow.discretization import random_band_limited, random_positive
 from ultraflow.errors import ConvergenceError
+from ultraflow.functionals import _dirichlet, _entropy
 from ultraflow.improvements import (
     MOMENT_TOL,
     constraint_residuals,
@@ -149,6 +150,51 @@ class TestProjection:
         assert np.array_equal(f.coeffs, expected.coeffs)
         assert np.array_equal(f.values, expected.values)
 
+    def test_stacked_projection_matches_columns(self):
+        # Newton on all columns at once, the bisection fallback per column:
+        # each column is the vector call's projection
+        quad = cached_quadrature(4.0, 64)
+        draws = list(_probe_draws(quad, 127))
+        singles = {}
+        for j, c in enumerate(draws):
+            try:
+                singles[j] = project_moment(quad, c, 3.0)
+            except ConvergenceError:
+                pass
+        cols = sorted(singles)
+        assert 126 in cols  # the bisection case
+        stack = np.stack([draws[j] for j in cols], axis=1)
+        f = project_moment(quad, stack, 3.0)
+        assert f.coeffs.shape == f.values.shape == stack.shape
+        for k, j in enumerate(cols):
+            scale = np.max(np.abs(singles[j].coeffs))
+            assert np.max(np.abs(f.coeffs[:, k] - singles[j].coeffs)) <= 1e-14 * scale
+            assert np.max(np.abs(f.values[:, k] - singles[j].values)) <= 1e-14 * scale
+            assert _verified(quad, draws[j], GridFn.from_coeffs(quad, f.coeffs[:, k]), 3.0)
+
+    def test_stacked_projection_raises_for_any_failed_column(self):
+        quad = cached_quadrature(4.0, 64)
+        draws = list(_probe_draws(quad, 300))
+        failed = []
+        for j, c in enumerate(draws):
+            try:
+                project_moment(quad, c, 3.0)
+            except ConvergenceError:
+                failed.append(j)
+        assert failed
+        stack = np.stack([draws[0], draws[failed[0]], draws[1]], axis=1)
+        with pytest.raises(ConvergenceError):
+            project_moment(quad, stack, 3.0)
+
+    def test_vector_is_the_one_column_stack(self):
+        # a vector keeps its bits: (n, 1) synthesis and sums are the vector's
+        quad = cached_quadrature(4.0, 64)
+        for c in list(_probe_draws(quad, 127))[-3:]:
+            f = project_moment(quad, c, 3.0)
+            g = project_moment(quad, c[:, None], 3.0)
+            assert np.array_equal(f.coeffs, g.coeffs[:, 0])
+            assert np.array_equal(f.values, g.values[:, 0])
+
     def test_bisection_fallback(self):
         # draw 126: the moment decreases along phi_1 at r = 0, so Newton
         # stops at once; the moment has three roots in the bracket [-8, 8]
@@ -270,6 +316,32 @@ class TestVerifyImproved:
         rep = verify_improved_inequality(d, p, lam, samples=200, seed=11, even_only=True)
         assert rep["min_slack"] >= 0.0
         assert rep["violations"] == 0
+
+    @pytest.mark.parametrize("even_only, lam", [(False, None), (False, 15.0), (True, 15.0)])
+    def test_stack_equals_sample_loop(self, even_only, lam):
+        # the verifier evaluates its samples as one column stack; a loop of
+        # the vector path over the same draws gives the same slacks
+        d, p, seed, samples = 4.0, 3.0, 1, 200
+        if lam is None:
+            lam = estimate_lambda_star(d, p, n=64, restarts=6, seed=0).lambda_bound
+        quad = cached_quadrature(d, 64)
+        rng = np.random.default_rng(seed)
+        slacks = []
+        for _ in range(samples):
+            amp = float(rng.uniform(0.2, 1.3))
+            c = random_band_limited(quad, rng, modes=12, amplitude=amp,
+                                    even_only=even_only).coeffs.copy()
+            c[0] = 1.0
+            f = GridFn.from_coeffs(quad, c) if even_only else project_moment(quad, c, p)
+            slacks.append(_dirichlet(quad, quad.derivative_values(f.coeffs))
+                          - lam * _entropy(quad.weights, np.abs(f.values) ** p, p))
+        rep = verify_improved_inequality(d, p, lam, samples=samples, seed=seed,
+                                         even_only=even_only)
+        assert rep["min_slack"] == pytest.approx(min(slacks), rel=1e-13, abs=0)
+        assert rep["mean_slack"] == pytest.approx(float(np.mean(slacks)), rel=1e-13, abs=0)
+        assert rep["violations"] == sum(x < 0.0 for x in slacks)
+        if lam == 15.0:  # above the constant: some samples violate
+            assert 0 < rep["violations"] < samples
 
     def test_constant_function_zero_slack(self):
         # both sides of the inequality coincide on constants
