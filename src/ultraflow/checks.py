@@ -41,11 +41,10 @@ def lemma_identities(seed=0):
             lf = GridFn.from_coeffs(quad, -quad.eigenvalues * f.coeffs)
             fp = derivative(f)
             j_ff, j_fc, j_cc = fn._cdc_sums(quad, f.values, fp, second_derivative(f))
-            w = quad.weights
-            lhs1 = float(np.sum(w * lf.values**2))
+            lhs1 = float(quad.weights @ lf.values**2)
             rhs1 = j_ff + d * fn._dirichlet(quad, fp)
             worst1 = max(worst1, abs(lhs1 - rhs1) / abs(lhs1))
-            lhs2 = float(np.sum(w * (fp**2 / f.values) * quad.nu * lf.values))
+            lhs2 = float(quad.weights @ (fp**2 / f.values * quad.nu * lf.values))
             rhs2 = d / (d + 2.0) * j_cc - 2.0 * (d - 1.0) / (d + 2.0) * j_fc
             worst2 = max(worst2, abs(lhs2 - rhs2) / max(abs(lhs2), 1e-30))
         yield f"square identity (d={d})", worst1 < 1e-9, worst1

@@ -78,10 +78,22 @@ class Params:
         return two_sharp(self.d)
 
 
+#: d or p above this overflow a float in the closed forms (d^4, d^2 p^2)
+CLOSED_FORM_MAX = 1e75
+
+
+def _closed_form_args(params: Params) -> tuple[float, float]:
+    """(d, p), refused with the parameter named above CLOSED_FORM_MAX."""
+    for name, x in (("d", params.d), ("p", params.p)):
+        if x > CLOSED_FORM_MAX:
+            raise DomainError(f"{name}={x:g} exceeds {CLOSED_FORM_MAX:g}: closed forms overflow")
+    return params.d, params.p
+
+
 def ab_coefficients(params: Params) -> tuple[float, float]:
     """Coefficients (a, b) of the dissipation quadratic gamma(beta) =
     -1 + 2 b beta - a beta^2."""
-    d, p = params.d, params.p
+    d, p = _closed_form_args(params)
     a = ((d - 1.0) ** 2 * p * p - 3.0 * (d * d + 2.0) * p + 3.0 * (d * d + 2.0 * d + 3.0)) / (
         d + 2.0
     ) ** 2
@@ -104,7 +116,7 @@ def gamma_one(params: Params) -> float:
     which equals ((d-1)/(d+2))^2 (p-1) (2#-p) for d > 1 and (p-1)/3 at d = 1,
     with no indeterminate form at d = 1.
     """
-    d, p = params.d, params.p
+    d, p = _closed_form_args(params)
     return (p - 1.0) * (2.0 * d * d + 1.0 - p * (d - 1.0) ** 2) / (d + 2.0) ** 2
 
 
@@ -127,7 +139,7 @@ class BetaRoots:
 
 def delta_of(params: Params) -> float:
     """delta(p, d) = d^2 (p^2-3p+3) - 2d (p^2-3) + (p-3)^2 = a (d+2)^2."""
-    d, p = params.d, params.p
+    d, p = _closed_form_args(params)
     return d * d * (p * p - 3.0 * p + 3.0) - 2.0 * d * (p * p - 3.0) + (p - 3.0) ** 2
 
 
@@ -204,7 +216,7 @@ def counterexample_coefficient(params: Params, beta):
 
     The cross term alpha = (d-1) beta (p-1) / (d+2) has been eliminated.
     Vanishes at beta = B_+-(p, d).  Elementwise for an ndarray of beta."""
-    d, p = params.d, params.p
+    d, p = _closed_form_args(params)
     if d < 3.0:
         raise DomainError("the counter-example coefficient needs d >= 3")
     lead = (
@@ -216,7 +228,7 @@ def counterexample_coefficient(params: Params, beta):
 def counterexample_roots(params: Params) -> tuple[float, float]:
     """Roots B_-+ = (d+2)/(d+2 -+ (d-1) sqrt((p-1)(p-2#))) of A = 0
     (returned as (B_minus, B_plus)); real only for p >= 2#."""
-    d, p = params.d, params.p
+    d, p = _closed_form_args(params)
     if d < 3.0:
         raise DomainError("the counter-example roots need d >= 3")
     rad = (p - 1.0) * (p - params.two_sharp)

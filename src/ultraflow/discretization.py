@@ -61,8 +61,9 @@ def _recurrence(d: float, kmax: int) -> np.ndarray:
     is also its limit at d = 1 (the Chebyshev weight), where the formula is 0/0.
     """
     k = np.arange(kmax + 1, dtype=float)
-    b2 = k * (k + d - 2.0)
-    b2[2:] /= (2.0 * k[2:] + d - 3.0) * (2.0 * k[2:] + d - 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # at huge d; _gauss_rule refuses it
+        b2 = k * (k + d - 2.0)
+        b2[2:] /= (2.0 * k[2:] + d - 3.0) * (2.0 * k[2:] + d - 1.0)
     b2[1] = 1.0 / (d + 1.0)
     return np.sqrt(b2)
 
@@ -83,6 +84,8 @@ def _gauss_rule(d: float, n: int, cols: int, order: int):
     mirrors them, so nodes, weights and tables have parity to the last bit.
     """
     b = _recurrence(d, n - 1)
+    if not np.all(np.isfinite(b)):
+        raise ConvergenceError(f"the recurrence for d={d} is not finite")
     h, q = (n + 1) // 2, n // 2
     block = np.zeros((h, q))
     block[np.arange(q), np.arange(q)] = b[1::2]
@@ -91,10 +94,9 @@ def _gauss_rule(d: float, n: int, cols: int, order: int):
     x = np.concatenate([np.zeros(n - 2 * q), sv[::-1]])  # the nonnegative nodes
 
     inv = np.zeros_like(b)
-    inv[1:] = 1.0 / b[1:]
-    # at large d the recurrence overflows at the outermost nodes; the check
-    # below turns that into a ConvergenceError
-    with np.errstate(over="ignore", invalid="ignore"):
+    # at large d the recurrence overflows (and b_k is 0 at huge d): see the check below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        inv[1:] = 1.0 / b[1:]
         # T[j, k] holds phi_k^(j) at x
         T = np.zeros((order + 1, cols, h))
         T[0, 0] = 1.0
@@ -129,17 +131,6 @@ def _gauss_rule(d: float, n: int, cols: int, order: int):
         np.multiply(V[q:][::-1][:q], (-1.0) ** (np.arange(cols) + j), out=V[:q])
         tables.append(V)
     return nodes, weights, tables
-
-
-def _columnwise(table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """table @ x for a vector x; for an (n, s) stack, one matrix-vector
-    product per column in a single batched call, so that each column of the
-    (Fortran-ordered) result is bitwise the vector's product.  A matrix
-    product of the whole stack rounds differently, and the entropy of a
-    nearly constant function turns that into 1e-12 relative."""
-    if x.ndim == 1:
-        return table @ x
-    return np.matmul(table, x.T[:, :, None])[:, :, 0].T
 
 
 class Quadrature:
@@ -206,16 +197,16 @@ class Quadrature:
     # -- transforms (of a vector, or of an (n, s) stack of columns) -----------
 
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
-        return _columnwise(self._analysis, values)
+        return self._analysis @ values
 
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
-        return _columnwise(self._basis, coeffs)
+        return self._basis @ coeffs
 
     def derivative_values(self, coeffs: np.ndarray) -> np.ndarray:
-        return _columnwise(self._basis_d1, coeffs)
+        return self._basis_d1 @ coeffs
 
     def second_derivative_values(self, coeffs: np.ndarray) -> np.ndarray:
-        return _columnwise(self._basis_d2, coeffs)
+        return self._basis_d2 @ coeffs
 
     def __repr__(self) -> str:
         return f"Quadrature(d={self.d}, n={self.n})"
@@ -307,7 +298,7 @@ def second_derivative(f: GridFn, check: bool = True) -> np.ndarray:
 
 
 def integral(f: GridFn) -> float:
-    return float(np.sum(f.quad.weights * f.values))
+    return float(f.quad.weights @ f.values)
 
 
 def eigenfunction(quad: Quadrature, k: int) -> GridFn:

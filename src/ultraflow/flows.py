@@ -104,7 +104,7 @@ def _density_values(form: Form, spec: FlowSpec, f: GridFn) -> np.ndarray:
 
 def conserved_quantity(quad: Quadrature, rho: np.ndarray) -> float:
     """Integral of the nodal density rho."""
-    return float(np.sum(quad.weights * rho))
+    return float(quad.weights @ rho)
 
 
 def make_state(form: Form, spec: FlowSpec, f0: GridFn, t: float = 0.0) -> FlowState:
@@ -340,7 +340,7 @@ def evolve(
         traj.E_p.append(e)
         traj.I_p.append(i)
         traj.conserved.append(conserved_quantity(st.f.quad, rho))
-        traj.moment_z.append(float(np.sum(st.f.quad.z_weights * rho)))
+        traj.moment_z.append(float(st.f.quad.z_weights @ rho))
 
     record(state)
     current, c_prev = state, None

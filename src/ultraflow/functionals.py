@@ -13,7 +13,10 @@ where E_p is the p-continuous entropy
 so F >= 0 is exactly the interpolation inequality and everything is
 continuous across p = 2 (the p = 2 value is the p -> 2 limit; texts that
 define the logarithmic entropy without the 1/2 differ from E_2 by a factor
-of two and carry the compensating factor in the inequality).
+of two and carry the compensating factor in the inequality).  On the nodes
+E_p is taken against the rule as a probability measure (see _entropy): E_p
+of a constant is 0, and the rounding defect sum w - 1 of the weights is not
+entropy.  Every nodal integral is ``w @ x``, for a vector or an (n, s) stack.
 
 ``dF_dt_analytic`` in a DissipationReport is the time derivative of the
 *unnormalized* deficit d*F (equivalently of
@@ -40,24 +43,6 @@ from .constants import Params, gamma_of_beta, kappa_from_beta
 from .discretization import GridFn, derivative, second_derivative
 from .errors import DomainError, ResolutionError
 
-#: np.sum of a 1-D array without the wrapper around it (the same pairwise
-#: summation, bit for bit)
-_sum = np.add.reduce
-
-
-def _weighted(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """w * x for nodal weights w and nodal data x: a vector, or an (n, s)
-    stack of s functions as columns."""
-    return (w if x.ndim == 1 else w[:, None]) * x
-
-
-def _total(x: np.ndarray):
-    """Sum over the nodes (axis 0): a float for a vector, bitwise _sum(x),
-    and for a stack one value per column, each bitwise its vector's sum
-    (numpy sums pairwise only along a contiguous axis, hence Fortran order)."""
-    out = _sum(np.asfortranarray(x), axis=0)
-    return float(out) if out.ndim == 0 else out
-
 
 def entropy(rho: GridFn, p: float) -> float:
     """Entropy E_p[rho], accurate uniformly in p across p = 2."""
@@ -65,22 +50,41 @@ def entropy(rho: GridFn, p: float) -> float:
     return _entropy(rho.quad.weights, rho.values, p)
 
 
-def _entropy(w: np.ndarray, rho: np.ndarray, p: float) -> float:
-    """E_p = mass^(2/p)/p int r (r^k - 1)/k with r = rho/mass, k = (2-p)/p:
-    the difference of norms without its cancellation near p = 2, and at
-    k = 0 the logarithmic entropy (1/2) int rho log(rho/mass).  An (n, s)
-    stack of densities gives the s entropies.
+def _entropy(w: np.ndarray, rho: np.ndarray, p: float):
+    """E_p = mass^(2/p)/p sum w g(r) with r = rho/mass, k = (2-p)/p and
 
-    A nodal zero contributes 0: its log r is floored at log(tiny) = -708,
-    where expm1(k log r) stays finite because p >= 1 keeps |k| <= 1."""
+        g(r) = r expm1(k log r)/k - (r - 1)    (r log r - (r - 1) at k = 0),
+
+    against the rule as a probability measure: sum w (r - 1) counts as 0, so
+    E_p of a constant is 0 and sum w - 1 is not entropy.  g and g' vanish at
+    r = 1: the mass's rounding enters at second order, and near p = 2 no
+    nearly equal norms cancel.  A nodal zero adds w_i g(0) = w_i (log r is
+    floored at log(tiny), and |k| <= 1)."""
     if p < 1.0:
         raise DomainError(f"exponent must be >= 1, got {p}")
-    wr = _weighted(w, rho)
-    mass = _total(wr)
-    log_r = np.log(np.maximum(rho / mass, np.finfo(float).tiny))
-    k = (2.0 - p) / p
-    power = np.expm1(k * log_r) / k if k != 0.0 else log_r
-    return mass ** (2.0 / p - 1.0) / p * _total(wr * power)
+    mass = w @ rho
+    return mass ** (2.0 / p) / p * (w @ _g(rho / mass, (2.0 - p) / p))
+
+
+def _g(r: np.ndarray, k: float) -> np.ndarray:
+    """g(r) of _entropy per column: where max |s| < 1e-2, s = r - 1, the
+    series s^2 sum_(j>=2) c_j s^(j-2), c_2 = (1+k)/2, c_(j+1) = c_j (k-j+1)/(j+1)
+    to a truncation below 1e-17 (|c_j| decreases as |k| <= 1); elsewhere the
+    direct form, whose cancellation costs about 1e-16/max|s| relative."""
+    s = r - 1.0
+    top = np.abs(s).max(axis=0)
+    near = top < 1e-2
+    if near.ndim and near.any() and not near.all():  # a stack of both kinds
+        g = np.empty_like(r)
+        g[:, near], g[:, ~near] = _g(r[:, near], k), _g(r[:, ~near], k)
+        return g
+    if not near.all():
+        log_r = np.log(np.maximum(r, np.finfo(float).tiny))
+        return r * (np.expm1(k * log_r) / k if k != 0.0 else log_r) - s
+    top, c = float(top.max()), [(1.0 + k) / 2.0]
+    while abs(c[-1]) * top ** (len(c) - 1) > 1e-17 * abs(c[0]):
+        c.append(c[-1] * (k - len(c)) / (len(c) + 2))
+    return s * s * np.polynomial.polynomial.polyval(s, c)
 
 
 def fisher(rho: GridFn, p: float) -> float:
@@ -91,9 +95,8 @@ def fisher(rho: GridFn, p: float) -> float:
 
 
 def _dirichlet(q, fp: np.ndarray) -> float:
-    """The Dirichlet form I = int nu |f'|^2 from the nodal values of f' (per
-    column for an (n, s) stack)."""
-    return _total(_weighted(q.weights * q.nu, fp**2))
+    """The Dirichlet form I = int nu |f'|^2 from the nodal values of f'."""
+    return (q.weights * q.nu) @ fp**2
 
 
 def deficit(rho: GridFn, p: float) -> float:
@@ -134,9 +137,9 @@ def _cdc_sums(q, f: np.ndarray, fp: np.ndarray, fpp: np.ndarray) -> tuple[float,
     overflows) raises ResolutionError instead of entering a report."""
     w2 = q.weights * q.nu**2
     with np.errstate(over="ignore", invalid="ignore"):
-        j_ff = float(np.sum(w2 * fpp**2))
-        j_fc = float(np.sum(w2 * fpp * fp**2 / f))
-        j_cc = float(np.sum(w2 * fp**4 / f**2))
+        j_ff = float(w2 @ fpp**2)
+        j_fc = float(w2 @ (fpp * fp**2 / f))
+        j_cc = float(w2 @ (fp**4 / f**2))
     if not all(map(math.isfinite, (j_ff, j_fc, j_cc))):
         raise ResolutionError(f"the dissipation integrals (J_ff, J_fc, J_cc) = "
                               f"({j_ff:.3e}, {j_fc:.3e}, {j_cc:.3e}) are not finite at "

@@ -41,7 +41,7 @@ import numpy as np
 from .constants import two_sharp, two_star
 from .discretization import GridFn, Quadrature, _band_limited, eigenfunction, random_band_limited
 from .errors import ConvergenceError, DomainError
-from .functionals import _dirichlet, _entropy, _sum, _total, _weighted
+from .functionals import _dirichlet, _entropy
 
 #: |p - 2| below this gives the antipodal constants' logarithmic limits
 P_LOG_BRANCH_TOL = 1e-9
@@ -68,7 +68,7 @@ def _quadratics(c: np.ndarray, num_w: np.ndarray, den_w: np.ndarray) -> tuple[fl
     """Numerator and denominator sum(num_w c^2), sum(den_w c^2) of a ratio of
     diagonal quadratics."""
     c2 = c**2
-    return float(_sum(num_w * c2)), float(_sum(den_w * c2))
+    return float(num_w @ c2), float(den_w @ c2)
 
 
 def rayleigh_quotient(v: GridFn) -> float:
@@ -85,7 +85,7 @@ def rayleigh_quotient(v: GridFn) -> float:
 
 def moment_of(quad: Quadrature, values: np.ndarray, p: float):
     """int z |v|^p from nodal values; per column for an (n, s) stack."""
-    return _total(_weighted(quad.z_weights, np.abs(values) ** p))
+    return quad.z_weights @ np.abs(values) ** p
 
 
 def project_moment(quad: Quadrature, coeffs: np.ndarray, p: float,
@@ -103,12 +103,11 @@ def project_moment(quad: Quadrature, coeffs: np.ndarray, p: float,
     ``coeffs`` may be an (n, s) stack of s functions as columns: Newton then
     runs on all columns at once, the columns it leaves unconverged go one by
     one through the bisection, every column is verified, and the GridFn
-    returned holds (n, s) coeffs and values.  A vector is the one-column
-    stack, bit for bit: an (n, 1) sum over the nodes is the vector's.
+    returned holds (n, s) coeffs and values.
     """
     phi1 = quad.phi1_values[:, None]
     v0 = (quad.to_values(coeffs) if values is None else values).reshape(quad.n, -1)
-    limit = MOMENT_TOL * (_total(_weighted(quad.weights, np.abs(v0) ** p)) + 1e-300)
+    limit = MOMENT_TOL * (quad.weights @ np.abs(v0) ** p + 1e-300)
     r = np.zeros(v0.shape[1])
     for _ in range(40):
         vals = v0 + r * phi1
@@ -116,7 +115,7 @@ def project_moment(quad: Quadrature, coeffs: np.ndarray, p: float,
         todo = ~(np.abs(val) <= limit)
         if not np.count_nonzero(todo):
             break
-        dg = p * _total(_weighted(quad.z_weights, np.abs(vals) ** (p - 2.0)) * vals * phi1)
+        dg = p * (quad.z_weights @ (np.abs(vals) ** (p - 2.0) * vals * phi1))
         # a column stays where it is once its step is undefined
         step = todo & (dg > 0.0) & (dg < math.inf)
         if not np.count_nonzero(step):
@@ -269,10 +268,10 @@ def _descend(quad: Quadrature, coeffs: np.ndarray, p: float, objective):
         direction = metric * grad
         mom_grad = p * quad.to_coeffs(quad.nodes * np.abs(vals) ** (p - 2.0) * vals)
         p_mom = metric * mom_grad
-        mpm = float(_sum(mom_grad * p_mom))
+        mpm = float(mom_grad @ p_mom)
         if mpm > 0.0:
-            direction -= p_mom * (float(_sum(mom_grad * direction)) / mpm)
-        gnorm = math.sqrt(max(float(_sum(grad * direction)), 0.0))
+            direction -= p_mom * (float(mom_grad @ direction) / mpm)
+        gnorm = math.sqrt(max(float(grad @ direction), 0.0))
         if gnorm < DESCENT_GTOL:
             reason = "gtol"
             break
@@ -395,10 +394,7 @@ def verify_improved_inequality(
     The samples are drawn one by one, in the order random_band_limited draws
     them (the amplitude, then the 12 normals), and evaluated as one
     (64, samples) column stack: the rescaling, the moment projection and
-    both functionals take the stack through their vector code, and column i
-    has the bits a loop over the vector path gives the i-th draw, except
-    where the array power of the mass in E_p rounds differently (about
-    1e-15 relative at most).
+    both functionals take the stack through their vector code.
 
     A violated sample is reported, not raised.  With even_only the moment
     constraint holds by parity and the draw stays in the symmetric class.
@@ -530,7 +526,7 @@ def antipodal_spectral_check(d: float, seed: int = 2) -> dict:
         g = random_band_limited(quad, rng, modes=16,
                                 amplitude=float(rng.uniform(0.2, 1.0)), even_only=True)
         c = g.coeffs
-        if float(np.sum(quad.eigenvalues * c**2)) <= 0.0:
+        if float(quad.eigenvalues @ c**2) <= 0.0:
             continue
         ratios.append(rayleigh_quotient(GridFn.from_coeffs(quad, c + np.r_[1.0, np.zeros(n - 1)])))
     mode2 = rayleigh_quotient(eigenfunction(quad, 2))

@@ -1,16 +1,27 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import Phase, example, given, settings, strategies as st
 
+from ultraflow import FlowSpec, Params
+from ultraflow import flows as fl
 from ultraflow.cli import main
+from ultraflow.discretization import random_positive
+
+from conftest import cached_quadrature, mp_entropy
 
 RUN = [sys.executable, "-m", "ultraflow.cli"]
 # the exponent each flow name accepts: heat and u are beta = 1 and take none
 BETA_ARGS = {"heat": [], "u": [], "fde": ["--beta", "1.2"], "w": ["--beta", "1.2"]}
+#: finite floats from below the domain's edge at 1: moderate ones, and any up
+#: to the largest double
+D_OR_P = st.floats(0.5, 8.0) | st.floats(0.5, sys.float_info.max)
 
 
 def run_cli(*args):
@@ -48,6 +59,42 @@ class TestConstantsCommand:
         rc, _, err = run_main(capsys, "constants", "--d", d, "--p", p)
         assert rc == 2
         assert json.loads(err)["error"] == "parameter"
+
+    @pytest.mark.parametrize("d, p, name", [("1e300", "1.5", "d"), ("1", "1e300", "p"),
+                                            ("1e100", "1.5", "d")])
+    @pytest.mark.parametrize("beta", [[], ["--beta", "1e300"]])
+    def test_overflowing_closed_forms_are_parameter_errors(self, d, p, name, beta, capsys):
+        # the closed forms square d and p: past 1e75 they would overflow
+        rc, out, err = run_main(capsys, "constants", "--d", d, "--p", p, *beta)
+        assert (rc, out) == (2, "")
+        assert json.loads(err)["message"].startswith(f"{name}=")
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True,
+              phases=(Phase.explicit, Phase.generate))
+    @given(st.tuples(D_OR_P, D_OR_P,
+                     st.none() | st.floats(allow_nan=False, allow_infinity=False)))
+    @example((1e300, 1.5, None))
+    @example((1.0, 1e300, 1e300))
+    @example((1e6, 1.0 + 1e-7, -1e300))
+    def test_any_finite_input_exits_cleanly(self, dpb):
+        # in-process, warnings are errors: no traceback and no warning for any
+        # finite d, p and beta, only a result or a typed refusal
+        d, p, beta = dpb
+        argv = ["constants", f"--d={d!r}", f"--p={p!r}"]
+        if beta is not None:
+            argv.append(f"--beta={beta!r}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 2, 3)
+        lines = err.getvalue().splitlines()
+        assert lines == [] or (len(lines) == 1 and "error" in json.loads(lines[0]))
+        if rc == 0:
+            numbers = []
+            json.loads(out.getvalue(), parse_float=lambda x: numbers.append(float(x)),
+                       parse_int=lambda x: numbers.append(float(x)),
+                       parse_constant=lambda x: numbers.append(float(x)))
+            assert all(map(math.isfinite, numbers))
 
     def test_parameter_error_exit_code(self):
         rc, _, err = run_cli("constants", "--d", "0.5", "--p", "3")
@@ -252,6 +299,31 @@ class TestFlowCommand:
         assert rc == 3
         assert json.loads(err)["message"].startswith("Gauss rule for d=3000.0, n=512")
 
+    def test_final_deficit_against_mpmath_entropy(self, tmp_path, capsys):
+        # at t = 1 the heat flow is within 1e-7 of a constant and F is about
+        # 5e-15, the small difference of I/d and E_p: an entropy whose error
+        # grows as the data flattens moves F by whole percents
+        rc, _, _ = run_main(capsys, "flow", "--form", "heat", "--d", "5", "--p", "3",
+                            "--init", "random:7,8", "--t-end", "1", "--n", "512", "--seed", "7",
+                            "--out", str(tmp_path))
+        assert rc == 0
+        f_last = json.loads((tmp_path / "flow.json").read_text())["F_last"]
+        i_last = float((tmp_path / "trajectory.csv").read_text().splitlines()[-1].split(",")[3])
+        quad = cached_quadrature(5.0, 512)
+        state = fl.make_state(fl.Form.DENSITY, FlowSpec.heat(Params(5.0, 3.0)),
+                              random_positive(quad, 7, modes=8, amplitude=0.5))
+        rho = fl.evolve(state, 1.0).final_state.f.values
+        assert f_last == pytest.approx(i_last / 5.0 - mp_entropy(quad.weights, rho, 3.0),
+                                       rel=1e-6, abs=0)
+
+    def test_huge_dimension_rule_failure_prints_only_the_error(self):
+        # at d = 1e300 the recurrence overflows and b_k underflows to 0: the
+        # rule's ConvergenceError is the only signal, with no RuntimeWarning
+        rc, _, err = run_cli("flow", "--form", "heat", "--d", "1e300", "--p", "1.5",
+                             "--init", "const:1", "--t-end", "0.01", "--n", "8")
+        assert rc == 3
+        assert json.loads(err)["message"].startswith("Gauss rule for d=1e+300, n=8")
+
     @pytest.mark.parametrize("init", ["powerlaw:1,0.4", "conformal:1,0.3"])
     def test_initial_deficit_agrees_across_forms(self, init, capsys):
         # every form materializes the same density from a closed-form datum,
@@ -274,6 +346,13 @@ class TestCounterexampleCommand:
         rep = json.loads(out)
         assert rep["second_obstruction"]["positive"] is True
         assert rep["first_obstruction"]["heat_mismatch"] > 1e-3
+
+    def test_overflowing_family_prints_only_the_error(self):
+        # at d = 1e6 the conformal datum (a + b z)^(-d) over- and underflows
+        # at the nodes: the positivity refusal is the only signal
+        rc, _, err = run_cli("counterexample", "--d", "1e6", "--p", "3", "--n", "16")
+        assert rc == 3
+        assert json.loads(err)["message"].startswith("explicit family has min nodal value")
 
     def test_out_of_window_p(self, capsys):
         rc, _, _ = run_main(capsys, "counterexample", "--d", "5", "--p", "3.0")

@@ -161,11 +161,16 @@ class TestQuadrature:
         with pytest.raises(ConvergenceError, match="d=3000.0, n=512"):
             Quadrature(3000.0, 256)._pad_tables()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_rule_failure_is_typed(self):
         # b_k^2 underflows to 0 for k >= 2 at d = 1e300: a NaN rule is refused
         with pytest.raises(ConvergenceError):
             Quadrature(1e300, 8)
+
+    def test_nonfinite_recurrence_is_typed(self):
+        # at d = 1.7e308 the recurrence's products overflow to inf / inf: a
+        # ConvergenceError before the singular values, which would not converge
+        with pytest.raises(ConvergenceError, match="recurrence for d=1.7e[+]308"):
+            Quadrature(1.7e308, 8)
 
     @settings(max_examples=20, deadline=None, database=None, derandomize=True)
     @given(d=st.floats(1.0, 100.0), n=st.integers(16, 512))

@@ -18,10 +18,10 @@ from ultraflow import (
     quotient,
     two_star,
 )
-from ultraflow.discretization import normalization_constant, random_positive
+from ultraflow.discretization import eigenfunction, normalization_constant, random_positive
 from ultraflow.functionals import _entropy, nonlinear_bracket
 
-from conftest import cached_quadrature
+from conftest import cached_quadrature, mp_entropy
 
 
 def rho_power(quad, u_vals, p):
@@ -72,13 +72,41 @@ class TestEntropy:
 
     def test_nodal_zero_contributes_nothing(self, quad5, rng):
         # |u|^p of a sign-changing u can vanish at a node; no warning (an
-        # error here) and the same value as without that node
+        # error here).  The zero adds nothing to int rho or int rho^(2/p),
+        # while its weight stays in the probability measure: the value is
+        # the 50-digit one of the same data, zeros included, and a tiny
+        # positive value in place of each zero changes nothing
         rho = random_positive(quad5, rng, modes=10, amplitude=0.5).values.copy()
         rho[[0, 7, 60]] = 0.0
-        keep = rho > 0.0
+        tiny = np.where(rho > 0.0, rho, 1e-300)
         for p in (1.0, 2.0, 3.0, 6.0):
-            assert _entropy(quad5.weights, rho, p) == pytest.approx(
-                _entropy(quad5.weights[keep], rho[keep], p), rel=1e-13)
+            e = _entropy(quad5.weights, rho, p)
+            assert e == pytest.approx(mp_entropy(quad5.weights, rho, p), rel=1e-13, abs=0)
+            assert e == pytest.approx(_entropy(quad5.weights, tiny, p), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("d", [1.0, 4.0, 7.5])
+    def test_against_mpmath_near_constants(self, d):
+        # E_p of rho = |1 + a phi_2|^p is of order a^2: neither the rounding
+        # of the mass nor that of the weights' sum may enter at first order
+        quad = cached_quadrature(d, 64)
+        phi2 = eigenfunction(quad, 2).values
+        for p in (1.0, 1.5, 2.0, 2.0 - 1e-9, 2.0 + 1e-6, 2.01, 3.0, 6.0):
+            for a in (0.6, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+                rho = np.abs(1.0 + a * phi2) ** p
+                assert _entropy(quad.weights, rho, p) == pytest.approx(
+                    mp_entropy(quad.weights, rho, p), rel=1e-11, abs=0), (p, a)
+
+    def test_stack_is_its_columns(self):
+        # columns on both sides of the series branch, in one stack
+        quad = cached_quadrature(4.0, 64)
+        amps = np.array([0.6, 1e-1, 1e-2, 1e-3, 1e-6])
+        stack = 1.0 + np.outer(eigenfunction(quad, 2).values, amps)
+        for p in (1.0, 2.0, 2.01, 3.0):
+            e = _entropy(quad.weights, stack**p, p)
+            assert e.shape == amps.shape
+            for j in range(len(amps)):
+                assert e[j] == pytest.approx(_entropy(quad.weights, stack[:, j] ** p, p),
+                                             rel=1e-14, abs=0), (p, amps[j])
 
     def test_nonnegative_on_powers(self, quad5, rng):
         # the entropy of u^p is an interpolation gap of norms, hence >= 0
