@@ -42,7 +42,7 @@ def lemma_identities(seed=0):
             fp = derivative(f)
             j_ff, j_fc, j_cc = fn._cdc_sums(quad, f.values, fp, second_derivative(f))
             lhs1 = float(quad.weights @ lf.values**2)
-            rhs1 = j_ff + d * fn._dirichlet(quad, fp)
+            rhs1 = j_ff + d * fn._dirichlet(quad, f.coeffs)
             worst1 = max(worst1, abs(lhs1 - rhs1) / abs(lhs1))
             lhs2 = float(quad.weights @ (fp**2 / f.values * quad.nu * lf.values))
             rhs2 = d / (d + 2.0) * j_cc - 2.0 * (d - 1.0) / (d + 2.0) * j_fc

@@ -159,6 +159,8 @@ def _require_positive_base(a: float, b: float):
 
 def cmd_constants(args) -> int:
     params = cs.Params(args.d, args.p)
+    if args.beta is not None and math.isnan(args.beta):  # 0 and inf have limit values; NaN has none
+        raise DomainError(f"beta={args.beta} is not a number")
     a, b = cs.ab_coefficients(params)
     out = {
         "d": args.d,

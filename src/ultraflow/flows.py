@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import FlowSpec, Params
-from .discretization import EPS_POS, GridFn, Quadrature, derivative
+from .discretization import EPS_POS, GridFn, Quadrature
 from .errors import (
     ConservationError,
     DomainError,
@@ -296,15 +296,17 @@ class Trajectory:
 
 
 def _sample_report(state: FlowState, rho: np.ndarray) -> tuple[float, float]:
-    """(E_p, I_p) at a sample from its nodal density rho.  I_p differentiates
-    u = rho^(1/p) on the density form and u = w^beta (w itself at beta = 1)
-    on the pointwise form, under the resolution check."""
+    """(E_p, I_p) at a sample from its nodal density rho.  I_p is the
+    Dirichlet form of u = rho^(1/p) on the density form and of u = w^beta
+    (w itself at beta = 1) on the pointwise form, read off u's coefficients
+    under the resolution check."""
     quad, p, beta = state.f.quad, state.params.p, state.spec.beta
     if state.form is Form.DENSITY:
         u = GridFn.from_values(quad, rho ** (1.0 / p))
     else:
         u = state.f if beta == 1.0 else GridFn.from_values(quad, state.f.values**beta)
-    return _entropy(quad.weights, rho, p), _dirichlet(quad, derivative(u))
+    u.require_resolved()
+    return _entropy(quad.weights, rho, p), _dirichlet(quad, u.coeffs)
 
 
 def evolve(

@@ -29,7 +29,8 @@ with c1 = (d-1)/(d+2) and k = b(p-2) + 1.  The heat flow is the b = 1
 member (k = p - 1, w = u = rho^(1/p)), where the bracket reads
 J_ff - 2 c1 (p-1) J_fc + d/(d+2) (p-1) J_cc.  Its sign is a fact about one
 state, which the obstructions read; a flow sample evaluates only E_p and
-I_p (flows._sample_report).
+I_p (flows._sample_report).  The Dirichlet form I = int |f'|^2 nu is read
+off the coefficients (_dirichlet), so I_p itself differentiates nothing.
 """
 
 from __future__ import annotations
@@ -91,12 +92,15 @@ def fisher(rho: GridFn, p: float) -> float:
     """int |(rho^(1/p))'|^2 nu against the measure."""
     rho.require_positive(what="density")
     u = GridFn.from_values(rho.quad, rho.values ** (1.0 / p))
-    return _dirichlet(rho.quad, derivative(u, check=False))
+    return _dirichlet(rho.quad, u.coeffs)
 
 
-def _dirichlet(q, fp: np.ndarray) -> float:
-    """The Dirichlet form I = int nu |f'|^2 from the nodal values of f'."""
-    return (q.weights * q.nu) @ fp**2
+def _dirichlet(q, c: np.ndarray) -> float:
+    """The Dirichlet form I = int nu |f'|^2 = <f, -L f> = sum lambda_k c_k^2
+    from the coefficients c of f (per column for an (n, s) stack).  On the
+    rule this is the quadrature of nu |f'|^2 without rounding: that integrand
+    has degree 2n - 2 <= 2n - 1, so the rule integrates it exactly."""
+    return q.eigenvalues @ c**2
 
 
 def deficit(rho: GridFn, p: float) -> float:
@@ -116,7 +120,8 @@ def quotient(u: GridFn, p: float) -> float:
     variance = float(np.sum(c[1:] ** 2))
     if variance < 1e-14 * max(1.0, variance + c[0] ** 2):
         raise ZeroDivisionError("quotient undefined: input is constant")
-    return _dirichlet(u.quad, derivative(u)) / _entropy(u.quad.weights, np.abs(u.values) ** p, p)
+    u.require_resolved()
+    return _dirichlet(u.quad, c) / _entropy(u.quad.weights, np.abs(u.values) ** p, p)
 
 
 def cdc_triple(u: GridFn) -> tuple[float, float, float]:
@@ -202,7 +207,7 @@ def dissipation_nonlinear(w: GridFn, p: float, beta: float) -> DissipationReport
 
 def dissipation_report(rho: np.ndarray, u: GridFn, p: float, beta: float) -> DissipationReport:
     """Report from the nodal density rho and u = rho^(1/p); u is the only
-    function differentiated.
+    function differentiated (for the J's; I_p is read off u's coefficients).
 
     The J's belong to w = u^(1/beta) = rho^(1/(beta p)) and follow from u by
     the chain rule: with s = w/(beta u),
@@ -218,7 +223,7 @@ def dissipation_report(rho: np.ndarray, u: GridFn, p: float, beta: float) -> Dis
     q = u.quad
     u.require_positive(what="dissipation input")
     up = derivative(u)
-    i = _dirichlet(q, up)
+    i = _dirichlet(q, u.coeffs)
     e = _entropy(q.weights, rho, p)
     j_ff = j_fc = j_cc = analytic = math.nan
     if not math.isinf(beta):

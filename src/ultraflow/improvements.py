@@ -73,11 +73,10 @@ def _quadratics(c: np.ndarray, num_w: np.ndarray, den_w: np.ndarray) -> tuple[fl
 
 def rayleigh_quotient(v: GridFn) -> float:
     """int (L v)^2 / int |v'|^2 nu; diagonal in the spectral basis."""
-    lam = v.quad.eigenvalues
-    num, den = _quadratics(v.coeffs, lam**2, lam)
+    den = _dirichlet(v.quad, v.coeffs)
     if den <= 0.0:
         raise ZeroDivisionError("quotient undefined for constant input")
-    return num / den
+    return float(v.quad.eigenvalues**2 @ v.coeffs**2 / den)
 
 
 # -- constraint projection ----------------------------------------------------
@@ -417,8 +416,7 @@ def verify_improved_inequality(
     else:
         f = project_moment(quad, c, p)
         c, values = f.coeffs, f.values
-    slacks = (_dirichlet(quad, quad.derivative_values(c))
-              - lam * _entropy(quad.weights, np.abs(values) ** p, p))
+    slacks = _dirichlet(quad, c) - lam * _entropy(quad.weights, np.abs(values) ** p, p)
     return {
         "d": d,
         "p": p,
@@ -526,7 +524,7 @@ def antipodal_spectral_check(d: float, seed: int = 2) -> dict:
         g = random_band_limited(quad, rng, modes=16,
                                 amplitude=float(rng.uniform(0.2, 1.0)), even_only=True)
         c = g.coeffs
-        if float(quad.eigenvalues @ c**2) <= 0.0:
+        if _dirichlet(quad, c) <= 0.0:
             continue
         ratios.append(rayleigh_quotient(GridFn.from_coeffs(quad, c + np.r_[1.0, np.zeros(n - 1)])))
     mode2 = rayleigh_quotient(eigenfunction(quad, 2))

@@ -96,6 +96,12 @@ class TestConstantsCommand:
                        parse_constant=lambda x: numbers.append(float(x)))
             assert all(map(math.isfinite, numbers))
 
+    def test_nan_beta_is_parameter_error(self, capsys):
+        # as for flow: a NaN beta selects no member of the family
+        rc, out, err = run_main(capsys, "constants", "--d", "3", "--p", "3", "--beta", "nan")
+        assert (rc, out) == (2, "")
+        assert json.loads(err) == {"error": "parameter", "message": "beta=nan is not a number"}
+
     def test_parameter_error_exit_code(self):
         rc, _, err = run_cli("constants", "--d", "0.5", "--p", "3")
         assert rc == 2

@@ -379,21 +379,21 @@ class TestSampleReports:
         _sample_report(state, state.f.values)
         return calls
 
-    def test_heat_sample_costs_two_transforms(self, rng, monkeypatch):
-        # u = rho^(1/p) analysed once, then u'
+    def test_heat_sample_costs_one_transform(self, rng, monkeypatch):
+        # u = rho^(1/p) analysed once; I_p is read off its coefficients
         calls = self._transforms(self._state("heat", rng), monkeypatch)
-        assert len(calls) == 2, calls
+        assert calls == ["to_coeffs"], calls
 
-    def test_fde_sample_costs_two_transforms(self, rng, monkeypatch):
-        # w = rho^(1/(beta p)) is never formed: I_p needs u' alone
+    def test_fde_sample_costs_one_transform(self, rng, monkeypatch):
+        # w = rho^(1/(beta p)) is never formed: I_p needs u's coefficients alone
         calls = self._transforms(self._state("fde", rng), monkeypatch)
-        assert len(calls) == 2, calls
+        assert calls == ["to_coeffs"], calls
 
-    @pytest.mark.parametrize("flow, per_sample", [("heat", 2), ("fde", 2), ("u", 1), ("w", 2)])
+    @pytest.mark.parametrize("flow, per_sample", [("heat", 1), ("fde", 1), ("u", 0), ("w", 1)])
     def test_sample_transforms_through_evolve(self, flow, per_sample, rng, monkeypatch):
         # transforms outside the stepping: a sample forms rho = w^(beta p)
-        # once and synthesizes nothing else (u = w at beta = 1, else
-        # u = w^beta analysed once; then u')
+        # once and differentiates nothing (u = w at beta = 1, else
+        # u = w^beta analysed once)
         state = self._state(flow, rng)
         stepping = []
         calls = self._counted_transforms(monkeypatch, lambda: not stepping)
@@ -413,8 +413,8 @@ class TestSampleReports:
     @pytest.mark.parametrize("flow", list(FLOWS))
     def test_unresolved_datum_raises_on_every_flow(self, flow):
         # the top mode carries 100x the resolution tolerance: every sample
-        # differentiates u under the resolution check, so evolve refuses the
-        # datum at its first sample
+        # reads I_p off u's coefficients under the resolution check, so
+        # evolve refuses the datum at its first sample
         form, beta = FLOWS[flow]
         quad = cached_quadrature(5.0, 64)
         coeffs = np.zeros(quad.n)

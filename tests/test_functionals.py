@@ -18,8 +18,8 @@ from ultraflow import (
     quotient,
     two_star,
 )
-from ultraflow.discretization import eigenfunction, normalization_constant, random_positive
-from ultraflow.functionals import _entropy, nonlinear_bracket
+from ultraflow.discretization import _band_limited, eigenfunction, normalization_constant, random_positive
+from ultraflow.functionals import _dirichlet, _entropy, nonlinear_bracket
 
 from conftest import cached_quadrature, mp_entropy
 
@@ -140,6 +140,48 @@ class TestFisher:
         u = random_positive(quad5, rng, modes=10, amplitude=0.6)
         direct = float(np.sum(quad5.weights * quad5.nu * derivative(u) ** 2))
         assert abs(fisher(rho_power(quad5, u.values, 3.3), 3.3) - direct) < 1e-11
+
+
+class TestDirichletForm:
+    @staticmethod
+    def _functions(quad, rng):
+        """A positive function and an (n, 7) stack of band-limited ones."""
+        modes = min(10, quad.n - 3)
+        u = random_positive(quad, rng, modes=modes, amplitude=0.6).coeffs
+        stack = _band_limited(quad, rng.standard_normal((modes, 7)),
+                              rng.uniform(0.2, 1.0, 7), False)
+        return u, stack
+
+    @staticmethod
+    def _mp_dirichlet(quad, c):
+        """sum lambda_k c_k^2 of the same floats in 40 digits."""
+        with mpmath.workdps(40):
+            return float(mpmath.fsum(mpmath.mpf(float(lam)) * mpmath.mpf(float(x)) ** 2
+                                     for lam, x in zip(quad.eigenvalues, c)))
+
+    @pytest.mark.parametrize("d", [1.0, 2.5, 5.0, 30.0])
+    @pytest.mark.parametrize("n", [5, 16, 64, 257])
+    def test_equals_nodal_quadrature(self, d, n, rng):
+        # nu |f'|^2 has degree 2n - 2, which the rule integrates exactly.  The
+        # nodal side carries the rule's own error: at d = 1 its weights miss
+        # the exact 1/n by up to 1.4e-11 (N = 257) and the quadrature reads
+        # up to about 2e-14 off, while the spectral side is the exact sum
+        quad = cached_quadrature(d, n)
+        for c in self._functions(quad, rng):
+            nodal = (quad.weights * quad.nu) @ quad.derivative_values(c) ** 2
+            spectral = _dirichlet(quad, c)
+            assert spectral.shape == nodal.shape
+            np.testing.assert_allclose(spectral, nodal, rtol=1e-14 if d > 1.0 else 3e-14, atol=0)
+            exact = [self._mp_dirichlet(quad, col) for col in c.reshape(n, -1).T]
+            np.testing.assert_allclose(spectral, np.reshape(exact, spectral.shape),
+                                       rtol=1e-15, atol=0)
+
+    def test_against_mpmath(self, rng):
+        quad = cached_quadrature(5.0, 512)
+        u, stack = self._functions(quad, rng)
+        for c in (u, *stack.T):
+            assert _dirichlet(quad, c) == pytest.approx(self._mp_dirichlet(quad, c),
+                                                        rel=1e-15, abs=0)
 
 
 class TestDeficitAndQuotient:

@@ -333,7 +333,7 @@ class TestVerifyImproved:
                                     even_only=even_only).coeffs.copy()
             c[0] = 1.0
             f = GridFn.from_coeffs(quad, c) if even_only else project_moment(quad, c, p)
-            slacks.append(_dirichlet(quad, quad.derivative_values(f.coeffs))
+            slacks.append(_dirichlet(quad, f.coeffs)
                           - lam * _entropy(quad.weights, np.abs(f.values) ** p, p))
         rep = verify_improved_inequality(d, p, lam, samples=samples, seed=seed,
                                          even_only=even_only)
