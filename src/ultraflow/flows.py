@@ -108,15 +108,20 @@ def conserved_quantity(quad: Quadrature, rho: np.ndarray) -> float:
 
 
 def make_state(form: Form, spec: FlowSpec, f0: GridFn, t: float = 0.0) -> FlowState:
-    """Validated initial state; computes the conserved quantity."""
+    """Validated initial state; computes the conserved quantity, which must
+    be finite (ConservationError)."""
     if form is Form.POINTWISE and spec.beta_is_infinite:
         raise DomainError(
             "the rescaled pointwise form does not exist for infinite beta; "
             "run the density form with m = 1 - 2/p instead"
         )
     f0.require_positive(what="initial datum")
-    return FlowState(t, f0, form, spec,
-                     conserved_quantity(f0.quad, _density_values(form, spec, f0)))
+    with np.errstate(over="ignore"):  # w^(beta p) past the float range: refused below
+        conserved = conserved_quantity(f0.quad, _density_values(form, spec, f0))
+    if not math.isfinite(conserved):
+        raise ConservationError(
+            f"the initial datum's conserved quantity is {conserved}, not finite", t=t)
+    return FlowState(t, f0, form, spec, conserved)
 
 
 def convert(state: FlowState, form: Form) -> FlowState:
@@ -146,30 +151,31 @@ def _full_rhs(state_form: Form, spec: FlowSpec, quad: Quadrature, c: np.ndarray)
         raise PositivityError("state lost positivity on the evaluation grid")
     if state_form is Form.DENSITY:
         m = spec.m
-        g = -lam * quad.project_padded(vals**m)
-        sigma = m * float(np.max(vals ** (m - 1.0)))
-        return g, sigma
+        vm = vals**m
+        return -lam * quad.project_padded(vm), m * (vm / vals).max()
     nl = spec.kappa * quad.padded_nu() * quad.padded_derivative(c) ** 2 / vals
     if spec.beta == 1.0:
-        return -lam * c + quad.project_padded(nl), 1.0
+        return quad.project_padded(nl) - lam * c, 1.0
     mobility = vals ** (2.0 - 2.0 * spec.beta)
-    g = quad.project_padded(mobility * (quad.padded_values(-lam * c) + nl))
-    return g, float(np.max(mobility))
+    g = quad.project_padded(mobility * (nl - quad.padded_values(lam * c)))
+    return g, mobility.max()
 
 
 def _ars222(form: Form, spec: FlowSpec, quad: Quadrature, c: np.ndarray, g0: np.ndarray,
-            sigma: float, dt: float):
-    """One ARS(2,2,2) step of dt from c, given (g0, sigma) = G(c) and its
-    stiffness bound; returns the new coefficients and the diagonal solve."""
-    lam = quad.eigenvalues
-    k1e = g0 + sigma * lam * c
-    solve = 1.0 / (1.0 + dt * _IMEX_GAMMA * sigma * lam)
+            sl: np.ndarray, dt: float):
+    """One ARS(2,2,2) step of dt from c, given g0 = G(c) and the implicit
+    diagonal sl = sigma lam of its stiffness bound; returns the new
+    coefficients and the diagonal solve.
+
+    The second stage's implicit terms fold into one: with the explicit
+    stages k1e = g0 + sl c, k2e = g1 + sl c1 and the implicit k1i = -sl c1,
+    (1 - delta) k2e + (1 - gamma) k1i = (1 - delta) g1 + (gamma - delta) sl c1,
+    and gamma - delta = 1 exactly for this tableau."""
+    solve = 1.0 / (1.0 + dt * _IMEX_GAMMA * sl)
+    k1e = g0 + sl * c
     c1 = (c + dt * _IMEX_GAMMA * k1e) * solve
-    k1i = -sigma * lam * c1
     g1, _ = _full_rhs(form, spec, quad, c1)
-    k2e = g1 + sigma * lam * c1
-    c2 = (c + dt * (_IMEX_DELTA * k1e + (1.0 - _IMEX_DELTA) * k2e + (1.0 - _IMEX_GAMMA) * k1i)) * solve
-    return c2, solve
+    return (c + dt * (_IMEX_DELTA * k1e + (1.0 - _IMEX_DELTA) * g1 + sl * c1)) * solve, solve
 
 
 def _imex_step(form: Form, spec: FlowSpec, quad: Quadrature, c: np.ndarray, dt: float):
@@ -180,16 +186,21 @@ def _imex_step(form: Form, spec: FlowSpec, quad: Quadrature, c: np.ndarray, dt: 
     start from G(c), evaluated once, so a macro step costs five right-hand
     sides.  Each step freezes sigma over its stages (a per-stage sigma would
     break the splitting consistency and drop it to first order), so every
-    solve is diagonal.  The result is ``two + damp (two - full) / 3`` with
-    ``damp`` the first half step's solve 1 / (1 + (dt/2) gamma sigma lam):
-    1 - O(dt) on resolved modes, so the local error stays O(dt^4), and
-    O(1 / (dt sigma lam)) on stiff ones, where the plain correction would
-    amplify them (see the module docstring).
+    solve is diagonal, and sigma lam is formed once per start point: at c,
+    shared by ``full`` and the first half step, and at the half step.  The
+    result is ``two + damp (two - full) / 3`` with ``damp`` the first half
+    step's solve 1 / (1 + (dt/2) gamma sigma lam): 1 - O(dt) on resolved
+    modes, so the local error stays O(dt^4), and O(1 / (dt sigma lam)) on
+    stiff ones, where the plain correction would amplify them (see the
+    module docstring).
     """
+    lam = quad.eigenvalues
     g0, sigma = _full_rhs(form, spec, quad, c)
-    full, _ = _ars222(form, spec, quad, c, g0, sigma, dt)
-    half, damp = _ars222(form, spec, quad, c, g0, sigma, 0.5 * dt)
-    two, _ = _ars222(form, spec, quad, half, *_full_rhs(form, spec, quad, half), 0.5 * dt)
+    sl = sigma * lam
+    full, _ = _ars222(form, spec, quad, c, g0, sl, dt)
+    half, damp = _ars222(form, spec, quad, c, g0, sl, 0.5 * dt)
+    g1, sigma1 = _full_rhs(form, spec, quad, half)
+    two, _ = _ars222(form, spec, quad, half, g1, sigma1 * lam, 0.5 * dt)
     return two + damp * (two - full) / 3.0
 
 
@@ -206,7 +217,7 @@ def step(state: FlowState, dt: float) -> FlowState:
     f = GridFn.from_coeffs(quad, c)
     if not f.is_positive():
         raise PositivityLossError("step lost positivity", t=state.t + dt)
-    return replace(state, t=state.t + dt, f=f)
+    return FlowState(state.t + dt, f, state.form, state.spec, state.conserved0)
 
 
 # -- adaptive segment integrator --------------------------------------------
@@ -230,7 +241,10 @@ def _advance_to(
     coefficients, as every trial is, so the datum's values -> coeffs ->
     values error is not counted as drift.  A rejected attempt is retried
     from the same state, so it passes the same coefficient array to the
-    step again.
+    step again.  An accepted step whose top modes carry more than the
+    resolution tolerance raises ResolutionError: a smaller dt cannot
+    resolve them, and an unresolved flow can drive dt toward DT_MIN over
+    hundreds of thousands of attempts.
     """
     if integrates_exactly(state.form, state.spec):
         return replace(step(state, t_target - state.t), t=t_target), dt, c_prev
@@ -264,6 +278,7 @@ def _advance_to(
                     "step size underflow (positivity or drift unreachable)", t=state.t
                 )
             continue
+        trial.f.require_resolved()
         state, c_prev = trial, c_now
         if local < 0.1 * budget and h >= dt:
             dt = min(dt * 1.3, dt_max)

@@ -53,7 +53,9 @@ def test_tracer_tells_accepted_from_rejected_steps(capsys):
     # the same coefficient array again; a loop that stops doing so would
     # skew the benchmark's step counters, not fail them.  This run rejects
     # one of its attempts.  Its three samples evaluate E_p and I_p only:
-    # one flows.sample span each, and no dissipation report.
+    # one flows.sample span each, and no dissipation report.  A macro step
+    # costs five right-hand sides, and a w right-hand side four padded
+    # matvecs (116 attempts, 580 and 2,320).
     tracer = _load("tracer").Tracer()
     tracer.install()
     try:
@@ -67,6 +69,8 @@ def test_tracer_tells_accepted_from_rejected_steps(capsys):
     counters = tracer.counters
     assert counters["imex.accepted"] + counters["imex.rejected"] == tracer.count("flows.imex")
     assert counters["imex.rejected"] >= 1
+    assert tracer.count("flows.rhs") == 5 * tracer.count("flows.imex")
+    assert tracer.count("discretization.padded") == 4 * tracer.count("flows.rhs")
     assert tracer.count("flows.sample") == 3
     assert tracer.count("functionals.report") == 0
 

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
@@ -296,6 +297,44 @@ class TestFlowCommand:
                               "--n", "32")
         assert rc == 3
         assert json.loads(err)["error"] == "numerical"
+
+    def test_unresolved_step_ends_the_run(self, capsys, monkeypatch):
+        # at N = 16 this u flow outruns the rule inside its one segment; the
+        # step loop checks each accepted step, so the run exits 3 at once
+        # instead of shrinking dt toward DT_MIN over 10^5 attempts and more
+        # (the cap turns that hang into a failure here)
+        attempts = 0
+        macro_step = fl._imex_step
+
+        def capped(*args):
+            nonlocal attempts
+            attempts += 1
+            assert attempts <= 1000, "the step loop ran on past an unresolved step"
+            return macro_step(*args)
+
+        monkeypatch.setattr(fl, "_imex_step", capped)
+        start = time.perf_counter()
+        rc, _, err = run_main(capsys, "flow", "--form", "u", "--d", "5", "--p", "3.3",
+                              "--init", "perturb:0.3,2", "--n", "16", "--t-end", "0.01",
+                              "--samples", "2")
+        assert time.perf_counter() - start < 2.0
+        assert rc == 3
+        assert json.loads(err)["message"].startswith("top modes carry")
+
+    @pytest.mark.parametrize("args", [
+        ["--form", "w", "--beta", "300", "--init", "perturb:0.3,2"],
+        ["--form", "w", "--beta", "1e4", "--init", "perturb:0.3,2"],
+        ["--form", "w", "--beta", "1e300", "--init", "perturb:0.3,2"],
+        ["--form", "w", "--beta", "1.2", "--init", "const:1e300"],
+        ["--form", "u", "--init", "const:1e300"],
+    ], ids=["w-beta-300", "w-beta-1e4", "w-beta-1e300", "w-const-1e300", "u-const-1e300"])
+    def test_overflowing_conserved_quantity_is_numerical_error(self, args, capsys):
+        # w^(beta p) overflows at the datum: exit 3 with the JSON error alone,
+        # no overflow warning (warnings are errors here)
+        rc, _, err = run_main(capsys, "flow", "--d", "5", "--p", "3.3", "--n", "16",
+                              "--t-end", "0.01", *args)
+        assert rc == 3
+        assert "conserved quantity is inf" in json.loads(err)["message"]
 
     def test_padded_rule_failure_prints_only_the_error(self):
         # the padded 512-point rule does not exist at d = 3000: exit 3 with

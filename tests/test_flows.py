@@ -58,6 +58,32 @@ def central_difference_and_analytic(state, t_end, samples, i):
     return numeric, state.spec.m * report_at(sampled).dF_dt_analytic
 
 
+def ars222_unfolded(form, spec, quad, c, g0, sigma, dt):
+    """ARS(2,2,2) with its explicit stages k1e, k2e and implicit stage k1i
+    written out, sigma lam formed where each is used: the oracle of the
+    folded second stage in ``flows._ars222``."""
+    lam = quad.eigenvalues
+    gamma = 1.0 - math.sqrt(0.5)
+    delta = 1.0 - 1.0 / (2.0 * gamma)
+    k1e = g0 + sigma * lam * c
+    solve = 1.0 / (1.0 + dt * gamma * sigma * lam)
+    c1 = (c + dt * gamma * k1e) * solve
+    k1i = -sigma * lam * c1
+    g1, _ = _full_rhs(form, spec, quad, c1)
+    k2e = g1 + sigma * lam * c1
+    return (c + dt * (delta * k1e + (1.0 - delta) * k2e + (1.0 - gamma) * k1i)) * solve, solve
+
+
+def imex_step_unfolded(form, spec, quad, c, dt):
+    """The damped, extrapolated macro step of ``flows._imex_step`` over
+    ``ars222_unfolded``."""
+    g0, sigma = _full_rhs(form, spec, quad, c)
+    full, _ = ars222_unfolded(form, spec, quad, c, g0, sigma, dt)
+    half, damp = ars222_unfolded(form, spec, quad, c, g0, sigma, 0.5 * dt)
+    two, _ = ars222_unfolded(form, spec, quad, half, *_full_rhs(form, spec, quad, half), 0.5 * dt)
+    return two + damp * (two - full) / 3.0
+
+
 class TestHeatFlow:
     def test_eigenmode_exact(self, quad5):
         eps = 0.2
@@ -190,12 +216,31 @@ class TestNonlinearFlows:
 
             monkeypatch.setattr(flows, "_full_rhs", rhs)
             assert np.all(np.abs(flows._imex_step(Form.DENSITY, None, quad, c, 1.0)) <= 1.0)
-            g0 = rhs(None, None, quad, c)
-            full, _ = flows._ars222(Form.DENSITY, None, quad, c, *g0, 1.0)
-            half, _ = flows._ars222(Form.DENSITY, None, quad, c, *g0, 0.5)
-            two, _ = flows._ars222(Form.DENSITY, None, quad, half, *rhs(None, None, quad, half), 0.5)
+            g0, _ = rhs(None, None, quad, c)
+            sl = sigma * quad.eigenvalues
+            full, _ = flows._ars222(Form.DENSITY, None, quad, c, g0, sl, 1.0)
+            half, _ = flows._ars222(Form.DENSITY, None, quad, c, g0, sl, 0.5)
+            two, _ = flows._ars222(Form.DENSITY, None, quad, half, rhs(None, None, quad, half)[0],
+                                   sl, 0.5)
             undamped = max(undamped, float(np.max(np.abs(two + (two - full) / 3.0))))
-        assert undamped > 1.6
+        assert 1.6 < undamped < 1.7
+
+    @pytest.mark.parametrize("dt", [1e-4, 1e-3])
+    @pytest.mark.parametrize("flow", ["fde", "u", "w"])
+    def test_folded_stage_matches_unfolded_tableau(self, flow, dt):
+        # gamma - delta = 1 folds the second stage's k1i and k2e together:
+        # 20 macro steps each way, from the README datum perturb:0.3,2,
+        # stay within rounding of each other
+        form, beta = FLOWS[flow]
+        quad = cached_quadrature(5.0, 64)
+        spec = FlowSpec.nonlinear(Params(5.0, 3.3), beta)
+        c = np.zeros(quad.n)
+        c[0], c[2] = 1.0, 0.3
+        folded = unfolded = c
+        for _ in range(20):
+            folded = flows._imex_step(form, spec, quad, folded, dt)
+            unfolded = imex_step_unfolded(form, spec, quad, unfolded, dt)
+            assert np.linalg.norm(folded - unfolded) <= 1e-13 * np.linalg.norm(unfolded)
 
     def test_fde_accuracy_under_default_controller(self):
         # fde at the README w point: the default controller's final F against
