@@ -60,7 +60,6 @@ from .functionals import (  # noqa: F401
 )
 from .counterexamples import (  # noqa: F401
     ExplicitFamily,
-    FamilyKind,
     first_obstruction,
     materialize,
     second_obstruction,

@@ -17,7 +17,6 @@ from . import flows as fl
 from . import functionals as fn
 from . import improvements as im
 from .discretization import GridFn, Quadrature, derivative, integral, random_positive
-from .discretization import second_derivative
 
 
 def quadrature(seed=0):
@@ -40,7 +39,7 @@ def lemma_identities(seed=0):
             f = random_positive(quad, rng, modes=12, amplitude=0.6)
             lf = GridFn.from_coeffs(quad, -quad.eigenvalues * f.coeffs)
             fp = derivative(f)
-            j_ff, j_fc, j_cc = fn._cdc_sums(quad, f.values, fp, second_derivative(f))
+            j_ff, j_fc, j_cc = fn.cdc_triple(f)
             lhs1 = float(quad.weights @ lf.values**2)
             rhs1 = j_ff + d * fn._dirichlet(quad, f.coeffs)
             worst1 = max(worst1, abs(lhs1 - rhs1) / abs(lhs1))

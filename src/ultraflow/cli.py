@@ -131,7 +131,8 @@ def parse_init(spec_str: str, quad, params: cs.Params, form: fl.Form, beta: floa
         coeffs = np.zeros(quad.n)
         coeffs[0] = 1.0
         coeffs[mode] += eps
-        return GridFn.from_coeffs(quad, coeffs)
+        with np.errstate(over="ignore"):  # a huge eps: make_state's positivity check refuses it
+            return GridFn.from_coeffs(quad, coeffs)
     if kind in ("conformal", "powerlaw"):
         a, b = _fields(spec_str, rest, "ff")
         _require_positive_base(a, b)

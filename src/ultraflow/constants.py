@@ -356,7 +356,9 @@ def region_sweep(
         raise DomainError(f"the sweep needs at least one point per axis, got {grid}")
     ps = np.linspace(p_lo, min(p_hi, ts) if math.isfinite(ts) else p_hi, grid)
     betas = np.linspace(beta_range[0], beta_range[1], grid)
-    rows = [classify_region(Params(d, p), betas) for p in ps.tolist()]
+    # extreme betas overflow to the limits the scalar calls reach in floats
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rows = [classify_region(Params(d, p), betas) for p in ps.tolist()]
     point = RegionPoint(**{f.name: np.stack([getattr(row, f.name) for row in rows])
                            for f in fields(RegionPoint)})
     summary = {

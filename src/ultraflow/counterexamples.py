@@ -30,7 +30,6 @@ in sign.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -47,29 +46,24 @@ from .constants import (
 from .discretization import GridFn, Quadrature, derivative, second_derivative
 from .errors import DomainError, PositivityError
 from .flows import Form, evolve, make_state
-from .functionals import _bracket, cdc_triple, deficit, dissipation_nonlinear
-
-
-class FamilyKind(enum.Enum):
-    CONFORMAL = "conformal"
-    POWERLAW = "powerlaw"
+from .functionals import deficit, dissipation_nonlinear
 
 
 @dataclass(frozen=True)
 class ExplicitFamily:
-    """Closed-form witness family on (-1, 1).
+    """Closed-form witness family on (-1, 1): (a + b z)^exponent.
 
-    CONFORMAL: u(z) = (a + b z)^(-(d-2)/2), the non-constant optimizers at
-    the critical exponent.  POWERLAW: w(z) = (a + b z)^(1/(1-alpha)) with
-    alpha = (d-1) beta (p-1)/(d+2) and beta the lower dissipation root,
+    ``conformal``: u(z) = (a + b z)^(-(d-2)/2), the non-constant optimizers
+    at the critical exponent.  ``powerlaw``: w(z) = (a + b z)^(1/(1-alpha))
+    with alpha = (d-1) beta (p-1)/(d+2) and beta the lower dissipation root,
     the function with w'' = alpha |w'|^2 / w used by the second obstruction.
     Requires a > |b| so the base is positive on the closed interval.
     """
 
-    kind: FamilyKind
     a: float
     b: float
     params: Params
+    exponent: float
     beta: float = math.nan
     alpha: float = math.nan
 
@@ -78,12 +72,12 @@ class ExplicitFamily:
             raise PositivityError(
                 f"need a > |b| for positivity on (-1, 1); got a={self.a}, b={self.b}"
             )
-        if self.kind is FamilyKind.CONFORMAL and self.params.d <= 2.0:
-            raise DomainError("the conformal family needs d > 2")
 
     @classmethod
     def conformal(cls, params: Params, a: float, b: float) -> "ExplicitFamily":
-        return cls(FamilyKind.CONFORMAL, a, b, params)
+        if params.d <= 2.0:
+            raise DomainError("the conformal family needs d > 2")
+        return cls(a, b, params, -(params.d - 2.0) / 2.0)
 
     @classmethod
     def powerlaw(cls, params: Params, a: float, b: float) -> "ExplicitFamily":
@@ -91,12 +85,7 @@ class ExplicitFamily:
         alpha = (params.d - 1.0) * beta * (params.p - 1.0) / (params.d + 2.0)
         if abs(alpha - 1.0) < 1e-12:
             raise DomainError("power-law exponent is singular at alpha = 1")
-        return cls(FamilyKind.POWERLAW, a, b, params, beta=beta, alpha=alpha)
-
-    def exponent(self) -> float:
-        if self.kind is FamilyKind.CONFORMAL:
-            return -(self.params.d - 2.0) / 2.0
-        return 1.0 / (1.0 - self.alpha)
+        return cls(a, b, params, 1.0 / (1.0 - alpha), beta=beta, alpha=alpha)
 
 
 def materialize(family: ExplicitFamily, quad: Quadrature) -> GridFn:
@@ -107,7 +96,7 @@ def materialize(family: ExplicitFamily, quad: Quadrature) -> GridFn:
         )
     base = family.a + family.b * quad.nodes
     with np.errstate(over="ignore", invalid="ignore"):  # at large d; refused below
-        f = GridFn.from_values(quad, base ** family.exponent())
+        f = GridFn.from_values(quad, base**family.exponent)
     f.require_positive(what="explicit family")
     f.require_resolved()
     return f
@@ -121,8 +110,8 @@ def ode_residual(w: GridFn, ratio: float) -> float:
     that inflates the raw residual at the outermost nodes.
     """
     q = w.quad
-    wp = derivative(w, check=False)
-    wpp = second_derivative(w, check=False)
+    wp = derivative(w)
+    wpp = second_derivative(w)
     return float(np.max(q.nu**2 * np.abs(wpp - ratio * wp**2 / w.values)))
 
 
@@ -260,7 +249,7 @@ def second_obstruction(d: float, p: float, a: float, b: float,
     flow from rho = f^p, f = w^beta the power-law witness:
 
       rhs            closed form (A / beta^2) * J_cc(f)
-      dFdt_analytic  minus the expanded carre-du-champ bracket at f
+      dFdt_analytic  minus the expanded carre-du-champ bracket at f (heat report)
       dFdt_numeric   Richardson-extrapolated central difference of G along
                      the exactly integrated heat flow
 
@@ -281,11 +270,10 @@ def second_obstruction(d: float, p: float, a: float, b: float,
     f = GridFn.from_values(quad, w.values**beta)
 
     a_closed = counterexample_coefficient(params, beta)
-    triple = cdc_triple(f)
-    j_cc = triple[2]
-    rhs = a_closed * j_cc / beta**2
-    # the heat flow is the beta = 1 member of the bracket
-    analytic = -_bracket(triple, quad.d, p, 1.0)[0]
+    # the heat flow is the beta = 1 member; its report's dF_dt_analytic is
+    # the derivative of d F = 2 G
+    heat = dissipation_nonlinear(f, p, 1.0)
+    rhs = a_closed * heat.J_cc / beta**2
 
     rho0 = GridFn.from_values(quad, f.values**p)
     numeric = _heat_derivative_of_halfd_deficit(rho0, params)
@@ -300,9 +288,9 @@ def second_obstruction(d: float, p: float, a: float, b: float,
         "beta_minus": beta,
         "alpha": fam.alpha,
         "A_closed_form": a_closed,
-        "J_cc": j_cc,
+        "J_cc": heat.J_cc,
         "rhs": rhs,
-        "dFdt_analytic": analytic,
+        "dFdt_analytic": heat.dF_dt_analytic / 2.0,
         "dFdt_numeric": numeric,
         "degenerate_constant_witness": degenerate,
         "positive": bool(rhs > 0.0) and not degenerate,

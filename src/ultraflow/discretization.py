@@ -10,6 +10,9 @@ respect to that measure.  In this basis the ultraspherical operator
 
 is diagonal with eigenvalues -k (k + d - 1), which is what makes the heat
 flow exactly integrable and the stiff solves in the nonlinear flows trivial.
+It also gives f'' without a table of its own: nu f'' = L f + d z f', from
+the eigenvalues and the first-derivative table.  Both derivatives refuse an
+unresolved input (RESOLUTION_TOL).
 No boundary conditions are imposed; the vanishing weight at z = +-1 does not
 require any.
 """
@@ -68,19 +71,19 @@ def _recurrence(d: float, kmax: int) -> np.ndarray:
     return np.sqrt(b2)
 
 
-def _gauss_rule(d: float, n: int, cols: int, order: int):
+def _gauss_rule(d: float, n: int, cols: int):
     """The n-point Gauss rule for nu_d and the basis tables at its nodes.
 
-    Returns the nodes, the weights, and for j = 0..order (order >= 1) the
-    C-contiguous (n, cols) table of the j-th derivatives of phi_0..phi_(cols-1).
+    Returns the nodes, the weights, and the C-contiguous (n, cols) tables of
+    the values and the first derivatives of phi_0..phi_(cols-1).
 
     The Jacobi matrix of the recurrence has a zero diagonal, so it couples
     even degrees only to odd ones: the nodes are 0 (n odd) and +- the
     singular values of its ceil(n/2) x floor(n/2) even-odd block (Golub-Welsch
     through the parity block).  The weights are the Christoffel numbers
     1 / sum_(k<n) phi_k(x_j)^2.  One recurrence over the nonnegative nodes
-    gives the values, the derivative tables (the recurrence differentiated j
-    times), and the Christoffel sums; phi_k^(j)(-x) = (-1)^(k+j) phi_k^(j)(x)
+    gives the values, the derivatives (the recurrence differentiated once),
+    and the Christoffel sums; phi_k^(j)(-x) = (-1)^(k+j) phi_k^(j)(x)
     mirrors them, so nodes, weights and tables have parity to the last bit.
     """
     b = _recurrence(d, n - 1)
@@ -97,15 +100,14 @@ def _gauss_rule(d: float, n: int, cols: int, order: int):
     # at large d the recurrence overflows (and b_k is 0 at huge d): see the check below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         inv[1:] = 1.0 / b[1:]
-        # T[j, k] holds phi_k^(j) at x
-        T = np.zeros((order + 1, cols, h))
+        # T[j, k] holds phi_k^(j) at x, j = 0, 1
+        T = np.zeros((2, cols, h))
         T[0, 0] = 1.0
         T[0, 1] = x * inv[1]
         T[1, 1] = inv[1]
-        ords = np.arange(1, order + 1, dtype=float)[:, None]
         for k in range(2, cols):
             row = x * T[:, k - 1] - b[k - 1] * T[:, k - 2]
-            row[1:] += ords * T[:-1, k - 1]
+            row[1] += T[0, k - 1]
             T[:, k] = row * inv[k]
         sums = np.einsum("kj,kj->j", T[0], T[0])
         # degrees cols..n-1 enter the Christoffel sums only
@@ -124,7 +126,7 @@ def _gauss_rule(d: float, n: int, cols: int, order: int):
         raise ConvergenceError(f"Gauss rule for d={d}, n={n} has a non-finite node or "
                                "basis value, or a non-positive weight")
     tables = []
-    for j in range(order + 1):
+    for j in (0, 1):
         V = np.empty((n, cols))
         for i in range(0, cols, 128):  # a blocked transpose: 3x faster at cols = 1024
             V[q:, i : i + 128] = T[j, i : i + 128].T
@@ -148,9 +150,7 @@ class Quadrature:
             raise DomainError(f"need at least 4 nodes, got {n}")
         self.d = float(d)
         self.n = int(n)
-        x, self.weights, (self._basis, self._basis_d1, self._basis_d2) = _gauss_rule(
-            self.d, self.n, self.n, 2
-        )
+        x, self.weights, (self._basis, self._basis_d1) = _gauss_rule(self.d, self.n, self.n)
         self.nodes = x
         # the rule for first moments int z f
         self.z_weights = self.weights * x
@@ -170,7 +170,7 @@ class Quadrature:
 
     def _pad_tables(self) -> dict[str, np.ndarray]:
         if self._padded is None:
-            x, w, (V, V1) = _gauss_rule(self.d, PAD * self.n, self.n, 1)
+            x, w, (V, V1) = _gauss_rule(self.d, PAD * self.n, self.n)
             self._padded = {
                 "x": x,
                 "w": w,
@@ -206,7 +206,12 @@ class Quadrature:
         return self._basis_d1 @ coeffs
 
     def second_derivative_values(self, coeffs: np.ndarray) -> np.ndarray:
-        return self._basis_d2 @ coeffs
+        """f'' at the nodes from L: nu f'' = L f + d z f', with L f = -lam c
+        in coefficients, so no table of second derivatives is needed."""
+        lam, z, nu = self.eigenvalues, self.nodes, self.nu
+        if coeffs.ndim == 2:
+            lam, z, nu = lam[:, None], z[:, None], nu[:, None]
+        return (self.to_values(-lam * coeffs) + self.d * z * self.derivative_values(coeffs)) / nu
 
     def __repr__(self) -> str:
         return f"Quadrature(d={self.d}, n={self.n})"
@@ -292,16 +297,15 @@ class GridFn:
         np.savetxt(path, data, delimiter=",", header="z,value", comments="", fmt="%.17g")
 
 
-def derivative(f: GridFn, check: bool = True) -> np.ndarray:
+def derivative(f: GridFn) -> np.ndarray:
     """Spectral derivative at the nodes; exact on polynomials in the resolved band."""
-    if check:
-        f.require_resolved()
+    f.require_resolved()
     return f.quad.derivative_values(f.coeffs)
 
 
-def second_derivative(f: GridFn, check: bool = True) -> np.ndarray:
-    if check:
-        f.require_resolved()
+def second_derivative(f: GridFn) -> np.ndarray:
+    """Second derivative at the nodes, from L (Quadrature.second_derivative_values)."""
+    f.require_resolved()
     return f.quad.second_derivative_values(f.coeffs)
 
 

@@ -51,12 +51,7 @@ import numpy as np
 
 from .constants import FlowSpec, Params
 from .discretization import EPS_POS, GridFn, Quadrature
-from .errors import (
-    ConservationError,
-    DomainError,
-    PositivityError,
-    PositivityLossError,
-)
+from .errors import ConservationError, DomainError, FlowError, PositivityError, PositivityLossError
 from .functionals import _dirichlet, _entropy
 
 #: defaults for the adaptive controller
@@ -143,7 +138,8 @@ def _full_rhs(state_form: Form, spec: FlowSpec, quad: Quadrature, c: np.ndarray)
 
     Nonlinearities are evaluated pointwise on the padded grid and projected
     back (dealiasing).  Raises PositivityError if the padded values touch
-    the floor.
+    the floor, and FlowError if sigma is not finite: a power of the state
+    (rho^m, or the mobility w^(2-2 beta)) passed the float range.
     """
     lam = quad.eigenvalues
     vals = quad.padded_values(c)
@@ -151,14 +147,19 @@ def _full_rhs(state_form: Form, spec: FlowSpec, quad: Quadrature, c: np.ndarray)
         raise PositivityError("state lost positivity on the evaluation grid")
     if state_form is Form.DENSITY:
         m = spec.m
-        vm = vals**m
-        return -lam * quad.project_padded(vm), m * (vm / vals).max()
-    nl = spec.kappa * quad.padded_nu() * quad.padded_derivative(c) ** 2 / vals
-    if spec.beta == 1.0:
-        return quad.project_padded(nl) - lam * c, 1.0
-    mobility = vals ** (2.0 - 2.0 * spec.beta)
-    g = quad.project_padded(mobility * (nl - quad.padded_values(lam * c)))
-    return g, mobility.max()
+        power = vals**m
+        sigma = m * (power / vals).max()
+    else:
+        nl = spec.kappa * quad.padded_nu() * quad.padded_derivative(c) ** 2 / vals
+        if spec.beta == 1.0:
+            return quad.project_padded(nl) - lam * c, 1.0
+        power = vals ** (2.0 - 2.0 * spec.beta)  # the mobility
+        sigma = power.max()
+    if not sigma < math.inf:  # also NaN, from inf / inf
+        raise FlowError(f"the stiffness bound is {sigma}: a power of the state overflows")
+    if state_form is Form.DENSITY:
+        return -lam * quad.project_padded(power), sigma
+    return quad.project_padded(power * (nl - quad.padded_values(lam * c))), sigma
 
 
 def _ars222(form: Form, spec: FlowSpec, quad: Quadrature, c: np.ndarray, g0: np.ndarray,
@@ -257,7 +258,8 @@ def _advance_to(
         h = min(dt, dt_max, t_target - state.t)
         budget = 0.5 * tol_cons * h / horizon + noise_floor
         try:
-            trial = step(state, h)
+            with np.errstate(over="ignore"):  # a power past the float range: _full_rhs refuses it
+                trial = step(state, h)
         except (PositivityError, PositivityLossError):
             trial = None
         if trial is not None:

@@ -27,9 +27,11 @@ nonlinear flow, in its own clock, evaluated at w with rho = w^(b p):
 
 with c1 = (d-1)/(d+2) and k = b(p-2) + 1.  The heat flow is the b = 1
 member (k = p - 1, w = u = rho^(1/p)), where the bracket reads
-J_ff - 2 c1 (p-1) J_fc + d/(d+2) (p-1) J_cc.  Its sign is a fact about one
-state, which the obstructions read; a flow sample evaluates only E_p and
-I_p (flows._sample_report).  The Dirichlet form I = int |f'|^2 nu is read
+J_ff - 2 c1 (p-1) J_fc + d/(d+2) (p-1) J_cc.  The J's of w are evaluated
+once, by the chain rule from u = w^beta (_carre_du_champ), behind
+cdc_triple, the reports and nonlinear_bracket.  The bracket's sign is a fact
+about one state, which the obstructions read; a flow sample evaluates only
+E_p and I_p (flows._sample_report).  The Dirichlet form I = int |f'|^2 nu is read
 off the coefficients (_dirichlet), so I_p itself differentiates nothing.
 """
 
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import Params, gamma_of_beta, kappa_from_beta
-from .discretization import GridFn, derivative, second_derivative
+from .discretization import GridFn
 from .errors import DomainError, ResolutionError
 
 
@@ -131,20 +133,33 @@ def cdc_triple(u: GridFn) -> tuple[float, float, float]:
     J_cc = int |u'|^4 / u^2 nu^2.
     """
     u.require_positive(what="carre-du-champ input")
-    return _cdc_sums(u.quad, u.values, derivative(u, check=False),
-                     second_derivative(u, check=False))
+    u.require_resolved()
+    return _carre_du_champ(u, 1.0)
 
 
-def _cdc_sums(q, f: np.ndarray, fp: np.ndarray, fpp: np.ndarray) -> tuple[float, float, float]:
-    """J_ff, J_fc, J_cc from the nodal values of f, f' and f''.
+def _carre_du_champ(u: GridFn, beta: float) -> tuple[float, float, float]:
+    """J_ff, J_fc, J_cc of w = u^(1/beta) from u' and u'' (u positive and
+    resolved; callers check), the only evaluation of the J's.
 
-    A sum that is not finite (at large d the outermost nodes' |f'|^4
-    overflows) raises ResolutionError instead of entering a report."""
+    The chain rule with s = w/(beta u) gives
+
+        w' = s u',   w'' = s (u'' + (1/beta - 1) u'^2/u),
+
+    which keeps the shape of u at any beta (w itself tends to 1 as beta
+    grows and holds that shape only in its digits past 1/beta).  At
+    beta = 1, s = 1 and the correction vanishes, to the bit.  A sum that is
+    not finite (at large d the outermost nodes' |w'|^4 overflows) raises
+    ResolutionError instead of entering a report."""
+    q = u.quad
+    up, upp = q.derivative_values(u.coeffs), q.second_derivative_values(u.coeffs)
     w2 = q.weights * q.nu**2
     with np.errstate(over="ignore", invalid="ignore"):
-        j_ff = float(w2 @ fpp**2)
-        j_fc = float(w2 @ (fpp * fp**2 / f))
-        j_cc = float(w2 @ (fp**4 / f**2))
+        w = u.values ** (1.0 / beta)
+        s = w / (beta * u.values)
+        wp, wpp = s * up, s * (upp + (1.0 / beta - 1.0) * up**2 / u.values)
+        j_ff = float(w2 @ wpp**2)
+        j_fc = float(w2 @ (wpp * wp**2 / w))
+        j_cc = float(w2 @ (wp**4 / w**2))
     if not all(map(math.isfinite, (j_ff, j_fc, j_cc))):
         raise ResolutionError(f"the dissipation integrals (J_ff, J_fc, J_cc) = "
                               f"({j_ff:.3e}, {j_fc:.3e}, {j_cc:.3e}) are not finite at "
@@ -154,13 +169,15 @@ def _cdc_sums(q, f: np.ndarray, fp: np.ndarray, fpp: np.ndarray) -> tuple[float,
 
 def nonlinear_bracket(w: GridFn, p: float, beta: float) -> tuple[float, float]:
     """Dissipation quadratic form of the rescaled nonlinear flow at w, in
-    expanded and completed-square form; beta = 1 is the heat flow.
+    expanded and completed-square form, on the J's of
+    ``dissipation_nonlinear(w, p, beta)``; beta = 1 is the heat flow.
 
     Both are evaluated from the same three integrals; they agree exactly
     when the completed square's remainder coefficient is gamma(beta), so
     their agreement checks the closed form of gamma against the bracket.
     """
-    return _bracket(cdc_triple(w), w.quad.d, p, beta)
+    rep = dissipation_nonlinear(w, p, beta)
+    return _bracket((rep.J_ff, rep.J_fc, rep.J_cc), w.quad.d, p, beta)
 
 
 def _bracket(triple, d: float, p: float, beta: float) -> tuple[float, float]:
@@ -207,32 +224,20 @@ def dissipation_nonlinear(w: GridFn, p: float, beta: float) -> DissipationReport
 
 def dissipation_report(rho: np.ndarray, u: GridFn, p: float, beta: float) -> DissipationReport:
     """Report from the nodal density rho and u = rho^(1/p); u is the only
-    function differentiated (for the J's; I_p is read off u's coefficients).
-
-    The J's belong to w = u^(1/beta) = rho^(1/(beta p)) and follow from u by
-    the chain rule: with s = w/(beta u),
-
-        w' = s u',   w'' = s (u'' + (1/beta - 1) u'^2/u),
-
-    which keeps the shape of rho at any beta (w itself tends to 1 as beta
-    grows and holds that shape only in its digits past 1/beta).  At
-    beta = 1, s = 1 and the correction vanishes; at infinite beta the
-    dissipation fields are NaN.  dF_dt_analytic = -2 beta^2 times the
+    function differentiated (for the J's, which belong to
+    w = u^(1/beta) = rho^(1/(beta p)) and follow from u by the chain rule in
+    _carre_du_champ; I_p is read off u's coefficients).  At infinite beta
+    the dissipation fields are NaN.  dF_dt_analytic = -2 beta^2 times the
     expanded bracket.
     """
     q = u.quad
     u.require_positive(what="dissipation input")
-    up = derivative(u)
+    u.require_resolved()
     i = _dirichlet(q, u.coeffs)
     e = _entropy(q.weights, rho, p)
     j_ff = j_fc = j_cc = analytic = math.nan
     if not math.isinf(beta):
-        upp = second_derivative(u, check=False)
-        w = u.values ** (1.0 / beta)
-        s = w / (beta * u.values)
-        j_ff, j_fc, j_cc = triple = _cdc_sums(
-            q, w, s * up, s * (upp + (1.0 / beta - 1.0) * up**2 / u.values)
-        )
+        j_ff, j_fc, j_cc = triple = _carre_du_champ(u, beta)
         analytic = -2.0 * beta * beta * _bracket(triple, q.d, p, beta)[0]
     return DissipationReport(E_p=e, I_p=i, F=i / q.d - e, J_ff=j_ff, J_fc=j_fc, J_cc=j_cc,
                              dF_dt_analytic=analytic)

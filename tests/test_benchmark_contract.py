@@ -89,3 +89,20 @@ def test_tracer_sees_the_region_sweep(tmp_path, capsys):
     assert tracer.count("constants.classify") == 5
     assert tracer.aggregates[("cli.emit", "cli.emit")][0] == 1
     assert (tmp_path / "region.csv").read_text().count("\n") == 1 + 5 * 5
+
+
+def test_tracer_sees_the_obstruction_reports(capsys):
+    # each obstruction reads its J's from a dissipation report: two in the
+    # first obstruction (the heat and the nonlinear flow) and the heat
+    # report in the second; no carre-du-champ triple is evaluated on its own
+    tracer = _load("tracer").Tracer()
+    tracer.install()
+    try:
+        rc = cli.main(["counterexample", "--d", "5", "--p", "3.25", "--n", "32"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert rc == 0
+    assert tracer.count("counterexamples.obstruction") == 2
+    assert tracer.count("functionals.report") == 3
+    assert tracer.count("functionals.cdc") == 0

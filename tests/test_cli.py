@@ -10,7 +10,7 @@ import time
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from ultraflow import FlowSpec, Params
+from ultraflow import FlowSpec, Params, classify_region
 from ultraflow import flows as fl
 from ultraflow.cli import main
 from ultraflow.discretization import random_positive
@@ -147,6 +147,23 @@ class TestRegionCommand:
         rc, _, err = run_main(capsys, "region", "--d", "3", *args)
         assert rc == 2
         assert json.loads(err)["error"] == "parameter"
+
+    @pytest.mark.parametrize("flag", ["--beta-max=1e300", "--beta-min=-1e300",
+                                      "--beta-min=1.7e308", "--beta-min=5e-324"])
+    def test_extreme_beta_range_matches_scalar_calls(self, flag, tmp_path, capsys):
+        # beta^2 or 1/beta overflows: the sweep reaches the limits that the
+        # scalar calls reach in Python floats, cell for cell, and warns of
+        # nothing (warnings are errors here)
+        rc, _, err = run_main(capsys, "region", "--d", "5", "--grid", "3", flag,
+                              "--out", str(tmp_path))
+        assert (rc, err) == (0, "")
+        lines = (tmp_path / "region.csv").read_text().splitlines()[1:]
+        assert len(lines) == 9
+        for line in lines:
+            p, beta = map(float, line.split(",")[:2])
+            pt = classify_region(Params(5.0, p), beta)
+            assert line == (f"{p!r},{beta!r},{pt.m!r},{pt.gamma!r},{int(pt.admissible)},"
+                            f"{pt.A!r},{int(pt.A_positive)}")
 
     def test_beta_curves(self, tmp_path, capsys):
         rc, _, _ = run_main(capsys, "region", "--d", "3", "--curves", "3,4,5,6,7,8,9,10",
@@ -335,6 +352,28 @@ class TestFlowCommand:
                               "--t-end", "0.01", *args)
         assert rc == 3
         assert "conserved quantity is inf" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("args", [["--form", "fde", "--m", "5"],
+                                      ["--form", "fde", "--beta", "1e-3"],
+                                      ["--form", "w", "--beta", "1e-3"]],
+                             ids=["fde-m-5", "fde-beta-1e-3", "w-beta-1e-3"])
+    def test_overflowing_power_in_the_step_is_numerical_error(self, args, capsys):
+        # the conserved quantity is finite, but the right-hand side's power
+        # (rho^m, or the mobility w^(2-2 beta)) overflows at this datum: the
+        # first step ends the run with exit 3 and the JSON error alone, no
+        # overflow warning and no halving toward the step-size floor
+        rc, out, err = run_main(capsys, "flow", "--d", "5", "--p", "3.3", "--init", "const:1e300",
+                                "--t-end", "0.01", "--n", "16", *args)
+        assert (rc, out) == (3, "")
+        assert json.loads(err)["message"].endswith("a power of the state overflows")
+
+    def test_overflowing_perturbation_is_refused_as_nonpositive(self, capsys):
+        # the synthesis of 1 + eps phi_2 overflows to -inf at some nodes;
+        # the datum's positivity check refuses it, with no matmul warning
+        rc, out, err = run_main(capsys, "flow", "--form", "heat", "--d", "5", "--p", "3",
+                                "--init", "perturb:1.7e308,2", "--t-end", "0.01", "--n", "16")
+        assert (rc, out) == (3, "")
+        assert json.loads(err)["message"].startswith("initial datum has min nodal value")
 
     def test_padded_rule_failure_prints_only_the_error(self):
         # the padded 512-point rule does not exist at d = 3000: exit 3 with

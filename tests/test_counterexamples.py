@@ -11,6 +11,7 @@ from ultraflow import (
     PositivityError,
     beta_roots,
     deficit,
+    dissipation_nonlinear,
     first_obstruction,
     materialize,
     second_obstruction,
@@ -135,6 +136,18 @@ class TestSecondObstruction:
         for d, p, b in cases:
             rep = second_obstruction(d, p, 1.0, b)
             assert rep["dFdt_numeric"] == pytest.approx(rep["rhs"], rel=1e-4), (d, p, b)
+
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_reads_the_heat_report(self, n):
+        # J_cc and the expanded bracket come from the heat flow's dissipation
+        # report at f = w^beta (its dF_dt_analytic is that of d F = 2 G)
+        quad = cached_quadrature(5.0, n)
+        rep = second_obstruction(5.0, 3.25, 1.0, 0.4, quad)
+        fam = ExplicitFamily.powerlaw(Params(5.0, 3.25), 1.0, 0.4)
+        f = GridFn.from_values(quad, materialize(fam, quad).values ** fam.beta)
+        heat = dissipation_nonlinear(f, 3.25, 1.0)
+        assert rep["J_cc"] == heat.J_cc
+        assert rep["dFdt_analytic"] == heat.dF_dt_analytic / 2.0
 
     def test_degenerate_b0_flagged(self):
         rep = second_obstruction(5.0, 3.25, 1.0, 0.0)

@@ -247,6 +247,18 @@ class TestCdcTriple:
         assert j_fc == pytest.approx(alpha * j_cc, rel=1e-9)
         assert j_ff == pytest.approx(alpha**2 * j_cc, rel=1e-9)
 
+    def test_unresolved_input_is_refused(self, quad5):
+        # 1 + 1e-6 phi_(N-1): positive, with 1e-6 of the norm in the top
+        # modes, above the 1e-8 that every derivative accepts
+        coeffs = np.zeros(quad5.n)
+        coeffs[0], coeffs[-1] = 1.0, 1e-6
+        u = GridFn.from_coeffs(quad5, coeffs)
+        with pytest.raises(ResolutionError):
+            cdc_triple(u)
+        for beta in (1.0, 1.2):
+            with pytest.raises(ResolutionError):
+                nonlinear_bracket(u, 3.3, beta)
+
     def test_cauchy_schwarz(self, quad5, rng):
         for _ in range(20):
             u = random_positive(quad5, rng, modes=10, amplitude=0.7)
