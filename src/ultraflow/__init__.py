@@ -44,7 +44,6 @@ from .flows import (  # noqa: F401
     Trajectory,
     evolve,
     make_state,
-    moment_decay_check,
     step,
 )
 from .functionals import (  # noqa: F401
@@ -63,13 +62,10 @@ from .counterexamples import (  # noqa: F401
     first_obstruction,
     materialize,
     second_obstruction,
-    sign_certificate,
-    verify_exact_solution,
 )
 from .improvements import (  # noqa: F401
     ImprovementEstimate,
     antipodal_constants,
-    antipodal_spectral_check,
     estimate_lambda_star,
     improved_constant,
     logsob_improvement,

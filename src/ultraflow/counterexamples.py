@@ -7,7 +7,7 @@ nonlinear flow moves inside the family, but the heat flow moves off it, so
 the deficit cannot decrease monotonically from such data.  The family is
 written once here: its coth/csch motion under critical fast diffusion
 (``conformal_coefficients``), the rate of that motion and its residual
-against L of a density, which ``verify_exact_solution`` and the first
+against L of a density, which ``checks.exact_solution`` and the first
 obstruction share.
 
 Second obstruction (between the two thresholds): with beta the lower root of
@@ -103,16 +103,15 @@ def materialize(family: ExplicitFamily, quad: Quadrature) -> GridFn:
 
 
 def ode_residual(w: GridFn, ratio: float) -> float:
-    """Max nodal residual of w'' = ratio * |w'|^2 / w, weighted by nu^2.
+    """L^2(nu) norm of the residual of w'' = ratio * |w'|^2 / w, weighted by nu^2.
 
     The nu^2 weight is the one under which the residual enters every
-    dissipation integral; it also suppresses the basis-derivative roundoff
-    that inflates the raw residual at the outermost nodes.
-    """
+    dissipation integral.  The norm of the measure discounts the outermost
+    nodes, where the basis derivatives lose accuracy at large d (at d = 30,
+    N = 128, z = +-0.991 carries the weight 2.4e-27)."""
     q = w.quad
-    wp = derivative(w)
-    wpp = second_derivative(w)
-    return float(np.max(q.nu**2 * np.abs(wpp - ratio * wp**2 / w.values)))
+    r = q.nu**2 * (second_derivative(w) - ratio * derivative(w) ** 2 / w.values)
+    return math.sqrt(q.weights @ r**2)
 
 
 def conformal_coefficients(d: float, omega: float, t0: float, t: float) -> tuple[float, float]:
@@ -138,44 +137,6 @@ def _family_residual(quad: Quadrature, a: float, b: float, g: GridFn) -> float:
     rate = d * (d - 1.0) * b * (b + a * z) * (a + b * z) ** (-(d + 1.0))
     lg = GridFn.from_coeffs(quad, -quad.eigenvalues * g.coeffs)
     return math.sqrt(quad.weights @ (rate - lg.values) ** 2)
-
-
-def verify_exact_solution(d: float, omega: float, t0: float, t_end: float) -> dict:
-    """Residual of the (a + b z)^(-d) family under the critical fast
-    diffusion (m = 1 - 1/d) and under the plain heat operator, at 9 times on
-    128 nodes.
-
-    The time derivative is analytic from the ODE system; the spatial
-    operator is evaluated spectrally.  Residuals are measured in the norm of
-    L^2 of the measure (the natural norm here; it also damps the spectral
-    roundoff that the vanishing boundary weight amplifies at the outermost
-    nodes).  Returns the max residual over the time grid under fast
-    diffusion (small), the min residual under the heat operator (order one:
-    the family is not heat-invariant), and the worst error in the first
-    integral a^2 - b^2 = omega^2.
-    """
-    if d < 3.0:
-        raise DomainError("the exact family needs d >= 3")
-    quad = Quadrature(d, 128)
-    fde_resids, heat_resids, ident = [], [], []
-    for t in np.linspace(0.0, t_end, 9):
-        a, b = conformal_coefficients(d, omega, t0, float(t))
-        ident.append(abs(a * a - b * b - omega * omega))
-        if a <= abs(b):
-            raise PositivityError("family left the positivity cone a > |b|")
-        base = a + b * quad.nodes
-        rho = GridFn.from_values(quad, base ** (-float(d)))
-        rho_m = GridFn.from_values(quad, base ** (-(d - 1.0)))
-        fde_resids.append(_family_residual(quad, a, b, rho_m))
-        heat_resids.append(_family_residual(quad, a, b, rho))
-    return {
-        "d": d,
-        "omega": omega,
-        "t0": t0,
-        "max_fde_residual": max(fde_resids),
-        "min_heat_residual": min(heat_resids),
-        "max_identity_error": max(ident),
-    }
 
 
 def first_obstruction(d: float, a: float, b: float, quad: Quadrature | None = None) -> dict:
@@ -236,7 +197,8 @@ def first_obstruction(d: float, a: float, b: float, quad: Quadrature | None = No
     fvals = evolve(state, 0.25, samples=26).F
     report["F_initial"] = fvals[0]
     report["F_max"] = max(fvals)
-    report["F_increases"] = bool(max(fvals) > fvals[0] + 1e-9)
+    # F is homogeneous of degree 2 in u: the rise is judged against int u^2
+    report["F_increases"] = bool(max(fvals) > fvals[0] + 1e-9 * (quad.weights @ u.values**2))
     return report
 
 
@@ -323,18 +285,3 @@ def _heat_derivative_of_halfd_deficit(rho0: GridFn, params: Params) -> float:
     d1, d2 = stencil(dt), stencil(dt / 2.0)
     # 4th-order stencil: one halving removes the leading error term
     return (16.0 * d2 - d1) / 15.0
-
-
-def sign_certificate(d: float) -> list[tuple]:
-    """Rows (d, p, beta_minus, A) over a 100-point p-grid strictly inside the
-    obstruction window; A must be positive throughout."""
-    lo, hi = two_sharp(d), two_star(d)
-    if not math.isfinite(hi) or lo >= hi:
-        raise DomainError(f"no obstruction window for d={d}")
-    rows = []
-    for i in range(100):
-        p = lo + (hi - lo) * (i + 0.5) / 100
-        params = Params(d, p)
-        beta = beta_roots(params).minus
-        rows.append((d, p, beta, counterexample_coefficient(params, beta)))
-    return rows

@@ -369,33 +369,3 @@ def evolve(
         record(current)
     traj.final_state = current
     return traj
-
-
-# -- moment decay ------------------------------------------------------------
-
-
-def moment_decay_check(state: FlowState, t_end: float) -> dict:
-    """Track M(t) = int z u^p at 26 samples along the pointwise heat flow and
-    compare with the exponential law M(0) e^(-d t).
-
-    The default step controller chooses the steps.  At p = 1 the conserved
-    quantity is the mass, which every step keeps exactly, so the drift
-    budget never limits dt and only the sample spacing does: the law then
-    holds with a 3-6x margin on 1e-7 (1.7e-8 to 3.1e-8 at d = 5, 12 and 30),
-    until the step controller controls the local error itself.
-    """
-    if state.form is not Form.POINTWISE or state.spec.beta != 1.0:
-        raise DomainError("moment decay check runs on the pointwise heat form")
-    d = state.f.quad.d
-    traj = evolve(state, t_end, samples=26)
-    m0 = traj.moment_z[0]
-    ts = np.asarray(traj.times)
-    ms = np.asarray(traj.moment_z)
-    law = m0 * np.exp(-d * (ts - ts[0]))
-    return {
-        "times": ts.tolist(),
-        "moment": ms.tolist(),
-        "M0": m0,
-        "max_dev_from_law": float(np.max(np.abs(ms - law))),
-        "max_abs_moment": float(np.max(np.abs(ms))),
-    }

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import two_sharp, two_star
-from .discretization import GridFn, Quadrature, _band_limited, eigenfunction, random_band_limited
+from .discretization import GridFn, Quadrature, _band_limited, random_band_limited
 from .errors import ConvergenceError, DomainError
 from .functionals import _dirichlet, _entropy
 
@@ -508,33 +508,4 @@ def antipodal_constants(d: float, p: float) -> dict:
         "beta": beta,
         "lambda_star_antipodal": lambda_star_antipodal,
         "gap_lower_bound": gap_lower_bound,
-    }
-
-
-def antipodal_spectral_check(d: float, seed: int = 2) -> dict:
-    """On even functions the quotient int (L f)^2 / int |f'|^2 nu is at least
-    2(d+1), with equality at the degree-2 eigenfunction; the odd direction z
-    drops it to d.  Sampled over 100 random even functions of 16 modes on 64
-    nodes."""
-    n = 64
-    quad = Quadrature(d, n)
-    rng = np.random.default_rng(seed)
-    ratios = []
-    for _ in range(100):
-        g = random_band_limited(quad, rng, modes=16,
-                                amplitude=float(rng.uniform(0.2, 1.0)), even_only=True)
-        c = g.coeffs
-        if _dirichlet(quad, c) <= 0.0:
-            continue
-        ratios.append(rayleigh_quotient(GridFn.from_coeffs(quad, c + np.r_[1.0, np.zeros(n - 1)])))
-    mode2 = rayleigh_quotient(eigenfunction(quad, 2))
-    odd = rayleigh_quotient(eigenfunction(quad, 1))
-    return {
-        "d": d,
-        "N": n,
-        "samples": len(ratios),
-        "min_ratio": min(ratios),
-        "threshold": 2.0 * (d + 1.0),
-        "mode2_ratio": mode2,
-        "odd_ratio": odd,
     }

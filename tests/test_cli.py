@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -6,12 +7,14 @@ import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from ultraflow import FlowSpec, Params, classify_region
 from ultraflow import flows as fl
+from ultraflow.checks import SUITES
 from ultraflow.cli import main
 from ultraflow.discretization import random_positive
 
@@ -438,6 +441,15 @@ class TestCounterexampleCommand:
         assert rc == 3
         assert json.loads(err)["message"].startswith("explicit family has min nodal value")
 
+    @pytest.mark.parametrize("b, rises", [("0", False), ("1e-31", True)])
+    def test_rise_of_F_is_scale_free(self, b, rises, capsys):
+        # F is of degree 2 in u: at a = 1e-30 the constant datum's F is
+        # 6.2e30 and its rounding moves F by more than an absolute 1e-9
+        rc, out, _ = run_main(capsys, "counterexample", "--d", "4", "--a", "1e-30", "--b", b,
+                              "--n", "16")
+        assert rc == 0
+        assert json.loads(out)["first_obstruction"]["F_increases"] is rises
+
     def test_out_of_window_p(self, capsys):
         rc, _, _ = run_main(capsys, "counterexample", "--d", "5", "--p", "3.0")
         assert rc == 2
@@ -496,9 +508,12 @@ def test_malformed_seed_is_parameter_error(argv, seed, capsys):
     assert "argument --seed: expected a whole number >= 0" in err
 
 
-#: sha256 of the 43 result lines of ``verify all``, one per line, as the
-#: suites printed them before their checks moved to ``ultraflow.checks``
+#: sha256 of the first 43 result lines of ``verify all``, one per line, as
+#: the suites printed them before their checks moved to ``ultraflow.checks``
 VERIFY_ALL_RESULTS_SHA256 = "e7cde44cd6a9b0b0e42c3970d73a324242f4376550cc41906bda1975e98bf03a"
+#: sha256 of the 17 result lines after them: closed-forms, nonlinear-monotone
+#: and improvement
+VERIFY_NEW_RESULTS_SHA256 = "1c3523f84a48c467298f0da141be3c50b387d44b01ace02dd2d6703ebaedec6b"
 
 
 class TestVerifyCommand:
@@ -513,17 +528,20 @@ class TestVerifyCommand:
         rc, out, _ = run_main(capsys, "verify", "all", "--seed", "7")
         assert rc == 0
         lines = out.splitlines()
-        assert lines[0] == "1..43"
+        assert lines[0] == "1..60"
         results, diagnostics = lines[1::2], lines[2::2]
-        assert len(lines) == 1 + 2 * 43
-        text = "".join(line + "\n" for line in results)
-        assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_ALL_RESULTS_SHA256
+        assert len(lines) == 1 + 2 * 60
+        for pinned, sha256 in ((results[:43], VERIFY_ALL_RESULTS_SHA256),
+                               (results[43:], VERIFY_NEW_RESULTS_SHA256)):
+            text = "".join(line + "\n" for line in pinned)
+            assert hashlib.sha256(text.encode()).hexdigest() == sha256
         for line in diagnostics:
             label, _, value = line.rpartition(" ")
             assert label == "# measured" and math.isfinite(float(value))
 
     @pytest.mark.parametrize(
-        "suite", ["quadrature", "lemma-identities", "exact-solution", "antipodal", "region-figures"]
+        "suite", ["quadrature", "lemma-identities", "exact-solution", "antipodal", "region-figures",
+                  "closed-forms", "nonlinear-monotone", "improvement"]
     )
     @pytest.mark.parametrize("flag", ["--d", "--p"])
     def test_suite_without_dimension_refuses_d_and_p(self, suite, flag, capsys):
@@ -554,6 +572,23 @@ class TestVerifyCommand:
         rc, out, _ = run_main(capsys, "verify", "moment-decay", "--d", "1.5", "--p", p)
         assert rc == 0
         assert out.splitlines()[1].startswith("ok 1")
+
+
+def test_acceptance_criteria_are_checks():
+    # every acceptance criterion is a ``verify`` claim: it asserts nothing
+    # outside ``holds`` and runs at least one generator of ``checks.SUITES``
+    tree = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    suites = {check.__name__ for check in SUITES.values()}
+    criteria = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("test_criterion_")]
+    assert len(criteria) == 11
+    for criterion in criteria:
+        nodes = list(ast.walk(criterion))
+        assert not any(isinstance(node, ast.Assert) for node in nodes), criterion.name
+        called = {node.func.attr for node in nodes
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and isinstance(node.func.value, ast.Name) and node.func.value.id == "checks"}
+        assert called & suites, criterion.name
 
 
 class TestInProcessEntry:

@@ -357,6 +357,14 @@ class TestRegionSweep:
         assert math.isinf(pt.m[0, 0])
         assert math.isnan(pt.A[0, 0]) == (d < 3.0)
 
+    def test_one_admissible_band_per_row(self):
+        # the d = 5 denominator never vanishes, so every p row of the
+        # 201 x 201 figure sweep changes admissibility at most twice
+        region, _ = region_sweep(5.0, (1.0, two_star(5.0)), (0.0, 4.0), 201)
+        assert np.all(np.diff(region.beta) > 0.0)
+        for flags in region.point.admissible:
+            assert np.count_nonzero(flags[1:] != flags[:-1]) <= 2
+
     def test_empty_grid(self):
         with pytest.raises(DomainError):
             region_sweep(5.0, (1.0, 3.0), (0.0, 4.0), 0)

@@ -15,8 +15,6 @@ from ultraflow import (
     first_obstruction,
     materialize,
     second_obstruction,
-    sign_certificate,
-    two_sharp,
     two_star,
 )
 from ultraflow.counterexamples import ode_residual
@@ -92,6 +90,11 @@ class TestFirstObstruction:
             assert rep["heat_mismatch"] >= 1e-3
             assert rep["ode_residual"] <= 1e-9
 
+    def test_ode_residual_where_the_measure_sees_it(self):
+        # the nu^2-weighted nodal maximum read 0.53 at d = 30, from the node
+        # z = +-0.991 whose weight is 2.4e-27
+        assert first_obstruction(30.0, 1.0, 0.4)["ode_residual"] <= 1e-9
+
     def test_constant_datum_all_zero(self):
         # at d = 3 the exact family stands still at b = 0
         for d in (4.0, 3.0):
@@ -161,12 +164,3 @@ class TestSecondObstruction:
         with pytest.raises(DomainError):
             second_obstruction(5.0, two_star(5.0), 1.0, 0.4)  # at the edge
 
-
-class TestSignCertificate:
-    @pytest.mark.parametrize("d", [3.0, 4.0, 5.0, 8.0])
-    def test_positive_on_window(self, d):
-        rows = sign_certificate(d)
-        assert len(rows) == 100
-        assert min(r[3] for r in rows) > 0.0
-        lo, hi = two_sharp(d), two_star(d)
-        assert all(lo < r[1] < hi for r in rows)

@@ -19,9 +19,7 @@ from ultraflow import (
     evolve,
     fisher,
     make_state,
-    moment_decay_check,
     step,
-    verify_exact_solution,
 )
 from ultraflow.discretization import RESOLUTION_TOL, random_positive
 from ultraflow.errors import PositivityLossError, ResolutionError
@@ -29,7 +27,7 @@ from ultraflow import checks, flows
 from ultraflow.counterexamples import conformal_coefficients
 from ultraflow.flows import _full_rhs, _sample_report, convert
 
-from conftest import cached_quadrature
+from conftest import cached_quadrature, holds
 
 
 def heat_state(quad, d, p, f0, form=Form.DENSITY):
@@ -511,8 +509,7 @@ class TestMomentDecay:
         quad = cached_quadrature(4.0, 64)
         u0 = GridFn.from_values(quad, 1.0 + 0.3 * quad.nodes**2)
         st = heat_state(quad, 4.0, 3.0, u0, form=Form.POINTWISE)
-        rep = moment_decay_check(st, 1.0)
-        assert rep["max_abs_moment"] <= 1e-11
+        assert np.max(np.abs(evolve(st, 1.0, samples=26).moment_z)) <= 1e-11
 
     def test_zeroed_moment_stays_zero(self):
         from scipy.optimize import brentq
@@ -527,8 +524,7 @@ class TestMomentDecay:
         r = brentq(mom, -0.5, 0.5, xtol=1e-15)
         u0 = GridFn.from_values(quad, 1.0 + (0.1 + r) * z + 0.05 * z**2)
         st = heat_state(quad, 4.0, 3.0, u0, form=Form.POINTWISE)
-        rep = moment_decay_check(st, 1.0)
-        assert rep["max_abs_moment"] <= 1e-10
+        assert np.max(np.abs(evolve(st, 1.0, samples=26).moment_z)) <= 1e-10
 
     def test_check_takes_few_steps(self, monkeypatch):
         # the step controller, not a dt cap, chooses the steps: 192 measured
@@ -541,7 +537,7 @@ class TestMomentDecay:
             return macro_step(*args)
 
         monkeypatch.setattr(flows, "_imex_step", counted)
-        assert all(passed for _, passed, _ in checks.moment_decay())
+        holds(checks.moment_decay())
         assert attempts <= 400
 
     @pytest.mark.parametrize("d", [5.0, 12.0, 30.0])
@@ -551,12 +547,6 @@ class TestMomentDecay:
         ((_, passed, dev),) = checks.moment_decay(d=d, p=1.0)
         assert passed, dev
 
-    def test_requires_pointwise_form(self, quad5, rng):
-        rho0 = random_positive(quad5, rng, modes=6)
-        st = heat_state(quad5, 5.0, 3.0, rho0)
-        with pytest.raises(DomainError):
-            moment_decay_check(st, 0.5)
-
 
 class TestExactSolution:
     def test_hyperbolic_identity(self):
@@ -564,10 +554,6 @@ class TestExactSolution:
             a, b = conformal_coefficients(4.0, 1.3, 0.4, float(t))
             assert a * a - b * b == pytest.approx(1.3**2, rel=1e-13)
             assert a > abs(b)
-
-    def test_rejects_flat_dimensions(self):
-        with pytest.raises(DomainError):
-            verify_exact_solution(2.0, 1.0, 0.5, 1.0)
 
     def test_rejects_bad_integration_constants(self):
         with pytest.raises(DomainError):

@@ -11,7 +11,6 @@ from ultraflow import (
     GridFn,
     Quadrature,
     antipodal_constants,
-    antipodal_spectral_check,
     eigenfunction,
     estimate_lambda_star,
     improved_constant,
@@ -21,6 +20,7 @@ from ultraflow import (
     two_star,
     verify_improved_inequality,
 )
+from ultraflow import checks
 from ultraflow.discretization import random_band_limited, random_positive
 from ultraflow.errors import ConvergenceError
 from ultraflow.functionals import _dirichlet, _entropy
@@ -32,7 +32,7 @@ from ultraflow.improvements import (
     project_moment,
 )
 
-from conftest import cached_quadrature
+from conftest import cached_quadrature, holds
 
 
 class TestQuotients:
@@ -433,10 +433,7 @@ class TestAntipodalConstants:
 
 class TestAntipodalSpectral:
     def test_even_class_threshold(self):
-        rep = antipodal_spectral_check(3.0, seed=7)
-        assert rep["min_ratio"] >= rep["threshold"] - 1e-9
-        assert rep["mode2_ratio"] == pytest.approx(rep["threshold"], abs=1e-10)
-        assert rep["odd_ratio"] == pytest.approx(3.0, abs=1e-10)
+        holds(checks.antipodal(seed=7))
 
     def test_equality_only_at_mode2(self):
         quad = cached_quadrature(3.0, 64)
