@@ -316,10 +316,7 @@ def cmd_flow(args) -> int:
         "conservation_drift": max(abs(c - traj.conserved[0]) for c in traj.conserved),
     }
     params_record = vars_args(args)
-    params_record["scheme"] = (
-        "exact-diagonal" if fl.integrates_exactly(form, spec)
-        else "imex-ars222-doubled-damped-richardson"
-    )
+    params_record["scheme"] = "exact-diagonal" if fl.integrates_exactly(form, spec) else "etdrk4"
     manifest = RunManifest(
         "flow",
         params_record,

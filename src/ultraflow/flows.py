@@ -21,18 +21,12 @@ form by one rule, rho = w^(beta p) with the clock t = s / m, which
 
 The density form at beta = 1 integrates exactly in coefficient space
 (diagonal exponential of L); ``integrates_exactly`` says when.  Every other
-case takes third-order macro steps: the two-stage, second-order IMEX scheme
-ARS(2,2,2), whose implicit half is sigma*L with a scalar stiffness bound
-sigma frozen per step (so every implicit solve is diagonal), taken once with
-dt and twice with dt/2 and combined by local Richardson extrapolation.  The
-extrapolation is damped mode by mode with the half step's diagonal solve.
-On c' = -a lam c with implicit part sigma lam and r = a/sigma in (0, 1],
-plain ARS(2,2,2) keeps |R| < 1, but the undamped combination grows a stiff
-mode: for r in [0.38, 0.79] |R| exceeds 1 once z = dt sigma lam is large
-(from z = 45 at r = 0.58, where |R| reaches 1.67, and from z = 91 at
-r = 0.76).  The damped one keeps |R| <= 1 and the local error O(dt^4).
-dt adapts under a conservation-drift budget and a positivity guard (steps
-are rejected, never clamped).
+case takes fourth-order ETDRK4 steps (Cox and Matthews 2002) on the split
+c' = G(c) = -sigma lam c + N(c), whose diagonal linear part is exact with
+the scalar stiffness bound sigma frozen per step.  A scan of c' = -r sigma
+lam c over r in [0.01, 1] and z = -dt sigma lam in [-1e9, -1e-3] keeps the
+amplification factor |R| <= 1.  dt adapts under a conservation-drift budget
+and a positivity guard (steps are rejected, never clamped).
 
 The pointwise right-hand side branches on beta = 1, an input it reads, not
 a separate flow.  There the mobility w^(2-2b) is 1 and sigma is 1, so L w
@@ -59,8 +53,14 @@ TOL_CONS = 1e-9
 TOL_MONO = 1e-9
 DT_MIN = 1e-12
 
-_IMEX_GAMMA = 1.0 - math.sqrt(0.5)
-_IMEX_DELTA = 1.0 - 1.0 / (2.0 * _IMEX_GAMMA)
+#: Taylor coefficients of phi1(z/2) and the ETDRK4 weights f1, f2, f3 in z^k,
+#: k = 0..17, each the p(k) listed below over (k + 3)!
+_SERIES = np.array([[0.5**k * (k + 2) * (k + 3), (k + 1) ** 2, k + 1, 1 - k]
+                    for k in range(18)]).T / [math.factorial(k + 3) for k in range(18)]
+#: the same in closed form over y, y^2, y^3 (y = 1/z), these times e^z, and
+#: y e^(z/2): f1 = -y^2 - 4 y^3 + e^z (y - 3 y^2 + 4 y^3), and so on
+_CLOSED = np.array([[-2, 0, 0, 0, 0, 0, 2], [0, -1, -4, 1, -3, 4, 0],
+                    [0, 1, 2, 0, 1, -2, 0], [-1, -3, -4, 0, -1, 4, 0]], dtype=float)
 
 
 class Form(enum.Enum):
@@ -88,7 +88,7 @@ class FlowState:
 
 def integrates_exactly(form: Form, spec: FlowSpec) -> bool:
     """The heat density form steps by the exact diagonal exponential of L;
-    every other case by ARS(2,2,2)."""
+    every other case by ETDRK4."""
     return form is Form.DENSITY and spec.beta == 1.0
 
 
@@ -134,7 +134,7 @@ def convert(state: FlowState, form: Form) -> FlowState:
 
 
 def _full_rhs(state_form: Form, spec: FlowSpec, quad: Quadrature, c: np.ndarray):
-    """(G(c), stiffness bound sigma) for the IMEX-stepped flows.
+    """(G(c), stiffness bound sigma) for the ETDRK4-stepped flows.
 
     Nonlinearities are evaluated pointwise on the padded grid and projected
     back (dealiasing).  Raises PositivityError if the padded values touch
@@ -162,51 +162,50 @@ def _full_rhs(state_form: Form, spec: FlowSpec, quad: Quadrature, c: np.ndarray)
     return quad.project_padded(power * (nl - quad.padded_values(lam * c))), sigma
 
 
-def _ars222(form: Form, spec: FlowSpec, quad: Quadrature, c: np.ndarray, g0: np.ndarray,
-            sl: np.ndarray, dt: float):
-    """One ARS(2,2,2) step of dt from c, given g0 = G(c) and the implicit
-    diagonal sl = sigma lam of its stiffness bound; returns the new
-    coefficients and the diagonal solve.
-
-    The second stage's implicit terms fold into one: with the explicit
-    stages k1e = g0 + sl c, k2e = g1 + sl c1 and the implicit k1i = -sl c1,
-    (1 - delta) k2e + (1 - gamma) k1i = (1 - delta) g1 + (gamma - delta) sl c1,
-    and gamma - delta = 1 exactly for this tableau."""
-    solve = 1.0 / (1.0 + dt * _IMEX_GAMMA * sl)
-    k1e = g0 + sl * c
-    c1 = (c + dt * _IMEX_GAMMA * k1e) * solve
-    g1, _ = _full_rhs(form, spec, quad, c1)
-    return (c + dt * (_IMEX_DELTA * k1e + (1.0 - _IMEX_DELTA) * g1 + sl * c1)) * solve, solve
+def _etdrk4_weights(z: np.ndarray):
+    """(e^(z/2), phi1(z/2), f1, f2, f3) at z <= 0 of ascending |z|, with
+    phi1(x) = (e^x - 1)/x and the ETDRK4 weights f1 = (-4 - z + e^z (4 - 3z +
+    z^2))/z^3, f2 = (2 + z + e^z (z - 2))/z^3, f3 = (-4 - 3z - z^2 + e^z (4 - z))/z^3:
+    Taylor series on the prefix |z| < 1, closed forms in 1/z beyond it."""
+    j = int(np.count_nonzero(z > -1.0))
+    e_half = np.exp(0.5 * z)
+    powers = np.empty((_SERIES.shape[1], j))
+    powers[0], powers[1:] = 1.0, z[:j]
+    np.multiply.accumulate(powers[1:], axis=0, out=powers[1:])
+    basis = np.empty((7, z.size - j))
+    basis[:3] = 1.0 / z[j:]
+    np.multiply.accumulate(basis[:3], axis=0, out=basis[:3])
+    basis[3:6], basis[6] = basis[:3] * e_half[j:] ** 2, basis[0] * e_half[j:]
+    # closed forms in 1/z stay finite where z^2 e^z is 0 * inf; stacked
+    # vector-matrix products are one BLAS gemv each, no buffered gemm
+    rows = np.concatenate((_SERIES[:, None] @ powers, _CLOSED[:, None] @ basis), axis=2)
+    return (e_half, *rows[:, 0])
 
 
 def _imex_step(form: Form, spec: FlowSpec, quad: Quadrature, c: np.ndarray, dt: float):
-    """One third-order macro step of dt: ARS(2,2,2) doubled, with damped
-    local Richardson extrapolation.
-
-    ``full`` is one ARS(2,2,2) step of dt and ``two`` two steps of dt/2; both
-    start from G(c), evaluated once, so a macro step costs five right-hand
-    sides.  Each step freezes sigma over its stages (a per-stage sigma would
-    break the splitting consistency and drop it to first order), so every
-    solve is diagonal, and sigma lam is formed once per start point: at c,
-    shared by ``full`` and the first half step, and at the half step.  The
-    result is ``two + damp (two - full) / 3`` with ``damp`` the first half
-    step's solve 1 / (1 + (dt/2) gamma sigma lam): 1 - O(dt) on resolved
-    modes, so the local error stays O(dt^4), and O(1 / (dt sigma lam)) on
-    stiff ones, where the plain correction would amplify them (see the
-    module docstring).
-    """
-    lam = quad.eigenvalues
+    """One ETDRK4 step of dt from c (Cox and Matthews 2002): four right-hand
+    sides, all split by the first one's sigma.  With E = e^(z/2), phi =
+    phi1(z/2) and z = -dt sigma lam, the stages a = E c + (dt/2) phi N(c),
+    b = E c + (dt/2) phi N(a), d = E a + (dt/2) phi (2 N(b) - N(c)) give
+    E^2 c + dt (f1 N(c) + 2 f2 (N(a) + N(b)) + f3 N(d)).  The name is kept
+    for perfbench/tracer.py, which wraps it."""
     g0, sigma = _full_rhs(form, spec, quad, c)
-    sl = sigma * lam
-    full, _ = _ars222(form, spec, quad, c, g0, sl, dt)
-    half, damp = _ars222(form, spec, quad, c, g0, sl, 0.5 * dt)
-    g1, sigma1 = _full_rhs(form, spec, quad, half)
-    two, _ = _ars222(form, spec, quad, half, g1, sigma1 * lam, 0.5 * dt)
-    return two + damp * (two - full) / 3.0
+    sl = sigma * quad.eigenvalues
+    e_half, phi, f1, f2, f3 = _etdrk4_weights(-dt * sl)
+    half = 0.5 * dt * phi
+    n0 = g0 + sl * c
+    ec = e_half * c
+    a = ec + half * n0
+    na = _full_rhs(form, spec, quad, a)[0] + sl * a
+    b = ec + half * na
+    nb = _full_rhs(form, spec, quad, b)[0] + sl * b
+    d = e_half * a + half * (2.0 * nb - n0)
+    nd = _full_rhs(form, spec, quad, d)[0] + sl * d
+    return e_half * ec + dt * (f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nd)
 
 
 def step(state: FlowState, dt: float) -> FlowState:
-    """Advance one step, exactly or by one IMEX macro step
+    """Advance one step, exactly or by one ETDRK4 step
     (``integrates_exactly``).  Raises if positivity is lost."""
     if dt <= 0.0:
         raise DomainError(f"dt must be positive, got {dt}")
@@ -233,7 +232,7 @@ def _advance_to(
     horizon: float,
     c_prev: float | None,
 ) -> tuple[FlowState, float, float | None]:
-    """Step from state to t_target, exactly in one hop or by IMEX macro steps
+    """Step from state to t_target, exactly in one hop or by ETDRK4 steps
     under the drift budget; returns the state at t_target, the next dt and
     the drift baseline for the next segment.
 

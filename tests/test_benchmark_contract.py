@@ -52,16 +52,16 @@ def test_tracer_tells_accepted_from_rejected_steps(capsys):
     # the tracer infers a rejected IMEX attempt from the step loop passing
     # the same coefficient array again; a loop that stops doing so would
     # skew the benchmark's step counters, not fail them.  This run rejects
-    # one of its attempts.  Its three samples evaluate E_p and I_p only:
-    # one flows.sample span each, and no dissipation report.  A macro step
-    # costs five right-hand sides, and a w right-hand side four padded
-    # matvecs (116 attempts, 580 and 2,320).
+    # two of its attempts.  Its three samples evaluate E_p and I_p only:
+    # one flows.sample span each, and no dissipation report.  An ETDRK4 step
+    # costs four right-hand sides, and a w right-hand side four padded
+    # matvecs (79 attempts, 316 and 1,264).
     tracer = _load("tracer").Tracer()
     tracer.install()
     try:
         rc = cli.main(["flow", "--form", "w", "--d", "5", "--p", "3.3",
                        "--beta", "1.2126712652", "--init", "perturb:0.3,2",
-                       "--t-end", "0.02", "--n", "64", "--samples", "3"])
+                       "--t-end", "0.1", "--n", "64", "--samples", "3"])
     finally:
         tracer.uninstall()
     capsys.readouterr()
@@ -69,7 +69,7 @@ def test_tracer_tells_accepted_from_rejected_steps(capsys):
     counters = tracer.counters
     assert counters["imex.accepted"] + counters["imex.rejected"] == tracer.count("flows.imex")
     assert counters["imex.rejected"] >= 1
-    assert tracer.count("flows.rhs") == 5 * tracer.count("flows.imex")
+    assert tracer.count("flows.rhs") == 4 * tracer.count("flows.imex")
     assert tracer.count("discretization.padded") == 4 * tracer.count("flows.rhs")
     assert tracer.count("flows.sample") == 3
     assert tracer.count("functionals.report") == 0

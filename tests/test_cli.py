@@ -324,13 +324,13 @@ class TestFlowCommand:
         # instead of shrinking dt toward DT_MIN over 10^5 attempts and more
         # (the cap turns that hang into a failure here)
         attempts = 0
-        macro_step = fl._imex_step
+        imex_step = fl._imex_step
 
         def capped(*args):
             nonlocal attempts
             attempts += 1
             assert attempts <= 1000, "the step loop ran on past an unresolved step"
-            return macro_step(*args)
+            return imex_step(*args)
 
         monkeypatch.setattr(fl, "_imex_step", capped)
         start = time.perf_counter()
