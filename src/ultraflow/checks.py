@@ -233,17 +233,30 @@ def nonlinear_monotone(seed=0):
            held and traj.monotone_decreasing_F(), float(np.max(np.diff(traj.F))))
 
 
+#: (d, p) of the search below 2(d+1), with a non-integer d and p near 2*
+SEARCH_GRID = ((4.0, 3.0), (5.0, 3.0), (3.0, 4.0), (6.0, 2.5), (4.5, 3.0), (4.0, 3.9))
+
+
 def improvement(seed=0):
     """lambda* at d = 4, p = 3 (64 nodes, 16 restarts), the improved
     constant it gives, and the smallest slack of that constant's inequality
-    over 500 random samples drawn at ``seed + 3``."""
+    over 500 random samples drawn at ``seed + 3``; then, on SEARCH_GRID,
+    (smallest of 16 searched values - 2(d+1)) / 2(d+1), where a failed
+    start (NaN) fails too."""
     d, p = 4.0, 3.0
-    lam_star = im.estimate_lambda_star(d, p, n=64, restarts=16, seed=seed).lambda_star
+    est = im.estimate_lambda_star(d, p, n=64, restarts=16, seed=seed)
+    lam_star = est.lambda_star
     yield "lambda* in (d, 2(d+1)]", d < lam_star <= 2.0 * (d + 1.0) + 1e-6, lam_star
     lam = im.improved_constant(d, p, lam_star)
     yield "improved constant above d", lam > d, lam
     slack = im.verify_improved_inequality(d, p, lam, samples=500, seed=seed + 3)["min_slack"]
     yield "improved inequality slack >= 0 (500 samples)", slack >= 0.0, slack
+    for d, p in SEARCH_GRID:
+        if (d, p) != (4.0, 3.0):
+            est = im.estimate_lambda_star(d, p, n=64, restarts=16, seed=seed)
+        bound = 2.0 * (d + 1.0)
+        gap = (float(np.min(est.restart_values)) - bound) / bound
+        yield f"no searched start below 2(d+1) (d={d}, p={p})", gap >= -1e-12, gap
 
 
 #: suite name -> check, in the order ``verify all`` runs them

@@ -354,7 +354,7 @@ def cmd_improve(args) -> int:
             args.d, args.p, est.lambda_bound, samples=args.samples, seed=args.seed
         )
     manifest = RunManifest("improve", vars_args(args), {}, args.n, args.seed)
-    _emit(_json_safe(out), args, manifest, {"minimizer.csv": est.minimizer.to_csv})
+    _emit(_json_safe(out), args, manifest)
     return 0
 
 

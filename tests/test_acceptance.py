@@ -77,11 +77,13 @@ def test_criterion_08_moment_decay():
 
 
 def test_criterion_09_lambda_star():
-    """Constrained quotient estimate in (d, 2(d+1)], a bound above d, and a
-    500-sample empirical verification with nonnegative slack."""
-    lam_star, lam, slack = holds(checks.improvement(seed=0)).values()
-    report(9, f"lambda* estimate {lam_star:.6f} in (4, 10]; bound "
-              f"{lam:.4f} > 4; min slack {slack:.3e} >= 0 over 500 samples")
+    """Constrained quotient in (d, 2(d+1)], a bound above d, a 500-sample
+    empirical verification with nonnegative slack, and no searched start
+    below the closed form 2(d+1) on six (d, p)."""
+    lam_star, lam, slack, *gaps = holds(checks.improvement(seed=0)).values()
+    report(9, f"lambda* {lam_star:.6f} in (4, 10]; bound {lam:.4f} > 4; min slack "
+              f"{slack:.3e} >= 0 over 500 samples; searched values >= 2(d+1) "
+              f"(smallest relative gap {min(gaps):.1e}) on {len(gaps)} (d, p)")
 
 
 def test_criterion_10_closed_form_constants():

@@ -5,6 +5,7 @@ makes a rename or deletion of any of those names fail the test suite, not
 only a traced benchmark run."""
 
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
@@ -106,3 +107,21 @@ def test_tracer_sees_the_obstruction_reports(capsys):
     assert tracer.count("counterexamples.obstruction") == 2
     assert tracer.count("functionals.report") == 3
     assert tracer.count("functionals.cdc") == 0
+
+
+def test_tracer_sees_the_search(capsys):
+    # the descent counter reads ImprovementEstimate.iterations, the sum of
+    # the searched steps: one estimate_lambda_star span, the projections
+    # inside its search and the verifier after it
+    tracer = _load("tracer").Tracer()
+    tracer.install()
+    try:
+        rc = cli.main(["improve", "--d", "4", "--p", "3", "--restarts", "2", "--samples", "20"])
+    finally:
+        tracer.uninstall()
+    rep = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert tracer.count("improvements.descent") == 1
+    assert tracer.counters["descent.iters"] == sum(rep["restart_iterations"])
+    assert tracer.count("improvements.project") >= 1
+    assert tracer.count("improvements.verify") == 1

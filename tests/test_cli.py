@@ -42,6 +42,23 @@ def run_main(capsys, *args):
     return rc, captured.out, captured.err
 
 
+def assert_exits_cleanly(argv):
+    """In-process, where warnings are errors: exit 0, 2 or 3, stderr empty or
+    one JSON error line, and every number of an exit-0 output finite."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2, 3)
+    lines = err.getvalue().splitlines()
+    assert lines == [] or (len(lines) == 1 and "error" in json.loads(lines[0]))
+    if rc == 0:
+        numbers = []
+        json.loads(out.getvalue(), parse_float=lambda x: numbers.append(float(x)),
+                   parse_int=lambda x: numbers.append(float(x)),
+                   parse_constant=lambda x: numbers.append(float(x)))
+        assert all(map(math.isfinite, numbers))
+
+
 class TestConstantsCommand:
     def test_gamma1_vanishes_at_sharp(self, capsys):
         rc, out, _ = run_main(capsys, "constants", "--d", "5", "--p", "3.1875")
@@ -87,18 +104,7 @@ class TestConstantsCommand:
         argv = ["constants", f"--d={d!r}", f"--p={p!r}"]
         if beta is not None:
             argv.append(f"--beta={beta!r}")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(argv)
-        assert rc in (0, 2, 3)
-        lines = err.getvalue().splitlines()
-        assert lines == [] or (len(lines) == 1 and "error" in json.loads(lines[0]))
-        if rc == 0:
-            numbers = []
-            json.loads(out.getvalue(), parse_float=lambda x: numbers.append(float(x)),
-                       parse_int=lambda x: numbers.append(float(x)),
-                       parse_constant=lambda x: numbers.append(float(x)))
-            assert all(map(math.isfinite, numbers))
+        assert_exits_cleanly(argv)
 
     def test_nan_beta_is_parameter_error(self, capsys):
         # as for flow: a NaN beta selects no member of the family
@@ -493,6 +499,41 @@ class TestImproveCommand:
         assert rc == 2
         assert json.loads(err)["error"] == "parameter"
 
+    @pytest.mark.parametrize("restarts", ["-1", "-3"])
+    def test_negative_restarts_is_parameter_error(self, restarts, capsys):
+        rc, out, err = run_main(capsys, "improve", "--d", "4", "--p", "3",
+                                "--restarts", restarts)
+        assert (rc, out) == (2, "")
+        assert json.loads(err) == {"error": "parameter",
+                                   "message": f"need restarts >= 0, got {restarts}"}
+
+    @pytest.mark.parametrize("restarts", [0, 1])
+    def test_restarts_is_the_searched_count(self, restarts, tmp_path, capsys):
+        # no search is the closed form 2(d+1); the output lists no minimizer
+        rc, _, _ = run_main(capsys, "improve", "--d", "4", "--p", "3", "--restarts",
+                            str(restarts), "--samples", "20", "--out", str(tmp_path))
+        assert rc == 0
+        rep = json.loads((tmp_path / "improve.json").read_text())
+        assert rep["restarts"] == len(rep["restart_values"]) == restarts
+        assert (rep["lambda_star"], rep["lambda_bound"]) == (10.0, 5.5)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["artifacts"] == ["improve.json"]
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True,
+              phases=(Phase.explicit, Phase.generate))
+    @given(st.tuples(D_OR_P, D_OR_P, st.integers(0, 2), st.integers(1, 20),
+                     st.integers(0, 2**32)))
+    @example((2.0, 1000.0, 2, 20, 0))  # the search's moment gradient overflows
+    @example((1.01, 1000.0, 2, 20, 0))
+    @example((1.01, 1000.0, 0, 20, 0))  # the verifier's p-th power overflows
+    @example((2.0, 1e10, 2, 20, 0))  # the projection's p-th power overflows
+    @example((1.0, 3.0, 2, 20, 0))  # the improved constant's limit at d = 1
+    @example((4.0, 3.0, -1, 20, 0))
+    def test_any_finite_input_exits_cleanly(self, args):
+        d, p, restarts, samples, seed = args
+        assert_exits_cleanly(["improve", f"--d={d!r}", f"--p={p!r}", f"--restarts={restarts}",
+                              f"--samples={samples}", f"--seed={seed}"])
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -512,8 +553,10 @@ def test_malformed_seed_is_parameter_error(argv, seed, capsys):
 #: the suites printed them before their checks moved to ``ultraflow.checks``
 VERIFY_ALL_RESULTS_SHA256 = "e7cde44cd6a9b0b0e42c3970d73a324242f4376550cc41906bda1975e98bf03a"
 #: sha256 of the 17 result lines after them: closed-forms, nonlinear-monotone
-#: and improvement
+#: and improvement's first three claims
 VERIFY_NEW_RESULTS_SHA256 = "1c3523f84a48c467298f0da141be3c50b387d44b01ace02dd2d6703ebaedec6b"
+#: sha256 of the last 6 result lines: improvement's search claims
+VERIFY_SEARCH_RESULTS_SHA256 = "8d812586bf187245c270b08f1b8e129d46f9ef549a0845da47994402a21ad7b0"
 
 
 class TestVerifyCommand:
@@ -528,11 +571,12 @@ class TestVerifyCommand:
         rc, out, _ = run_main(capsys, "verify", "all", "--seed", "7")
         assert rc == 0
         lines = out.splitlines()
-        assert lines[0] == "1..60"
+        assert lines[0] == "1..66"
         results, diagnostics = lines[1::2], lines[2::2]
-        assert len(lines) == 1 + 2 * 60
+        assert len(lines) == 1 + 2 * 66
         for pinned, sha256 in ((results[:43], VERIFY_ALL_RESULTS_SHA256),
-                               (results[43:], VERIFY_NEW_RESULTS_SHA256)):
+                               (results[43:60], VERIFY_NEW_RESULTS_SHA256),
+                               (results[60:], VERIFY_SEARCH_RESULTS_SHA256)):
             text = "".join(line + "\n" for line in pinned)
             assert hashlib.sha256(text.encode()).hexdigest() == sha256
         for line in diagnostics:

@@ -20,13 +20,12 @@ from ultraflow import (
     two_star,
     verify_improved_inequality,
 )
-from ultraflow import checks
+from ultraflow import checks, improvements
 from ultraflow.discretization import random_band_limited, random_positive
 from ultraflow.errors import ConvergenceError
 from ultraflow.functionals import _dirichlet, _entropy
 from ultraflow.improvements import (
     MOMENT_TOL,
-    constraint_residuals,
     moment_of,
     project_feasible,
     project_moment,
@@ -114,10 +113,9 @@ class TestProjection:
         f = project_feasible(quad, g.coeffs, 3.0)
         # the descent takes the returned values as the synthesis of c
         assert np.array_equal(f.values, quad.to_values(f.coeffs))
-        res = constraint_residuals(quad, f.coeffs, 3.0)
-        assert res["mass"] <= 1e-13
-        assert res["moment"] <= 1e-10
-        assert res["positivity_min"] >= 0.0
+        assert abs(f.coeffs[0] - 1.0) <= 1e-13
+        assert abs(moment_of(quad, f.values, 3.0)) <= 1e-10
+        assert f.values.min() >= 0.0
 
     def test_no_unverified_projection(self):
         # on strongly sign-changing input an expanding bracket can grow until
@@ -219,27 +217,20 @@ class TestProjection:
 
 class TestLambdaStar:
     def test_estimate_d4_p3(self):
+        # the searched values sit a few ulps above 2(d+1), so lambda* is the
+        # closed form exactly, and the improved constant its value 5.5
         est = estimate_lambda_star(4.0, 3.0, n=64, restarts=8, seed=0)
-        assert 4.0 < est.lambda_star <= 2.0 * 5.0 + 1e-6
-        assert est.lambda_bound > 4.0
-        assert est.constraint_residuals["moment"] <= 1e-9
-        assert est.constraint_residuals["mass"] <= 1e-12
-        assert est.constraint_residuals["positivity_min"] >= 0.0
-        # the relaxed quotient of the same feasible set cannot exceed the
-        # curvature quotient's achieved value by the square-expansion bound
-        assert est.relaxed_value <= est.lambda_star + 1e-6
+        assert est.lambda_star == est.upper_bound == 10.0
+        assert est.lambda_bound == 5.5
 
     def test_restart_telemetry(self):
-        # one entry per start, the two second-mode starts first: they sit at
-        # the 2(d+1) upper bound, where the projected gradient vanishes
+        # one entry per random start; iterations counts the searched steps
         est = estimate_lambda_star(4.0, 3.0, n=64, restarts=8, seed=0)
+        assert est.restarts == 8
         assert len(est.restart_values) == len(est.restart_iterations) == 8
         assert len(est.restart_reasons) == 8
-        assert est.lambda_star == min(est.restart_values)
-        assert est.restart_iterations[:2] == (1, 1)
-        assert est.restart_reasons[:2] == ("gtol", "gtol")
-        assert est.restart_values[:2] == pytest.approx((10.0, 10.0), abs=1e-12)
-        assert sum(est.restart_iterations) <= est.iterations
+        assert est.lambda_star == min(est.upper_bound, *est.restart_values)
+        assert sum(est.restart_iterations) == est.iterations
         out = est.to_dict()
         assert out["restart_values"] == list(est.restart_values)
         assert out["restart_iterations"] == list(est.restart_iterations)
@@ -248,10 +239,28 @@ class TestLambdaStar:
     def test_random_starts_converge(self):
         # in the metric of the numerator every random start meets the
         # gradient test, at 2(d+1), in a few dozen steps
-        est = estimate_lambda_star(4.0, 3.0, n=64, restarts=8, seed=0)
-        assert est.restart_reasons == ("gtol",) * 8
-        assert est.restart_values == pytest.approx((10.0,) * 8, abs=1e-12)
+        est = estimate_lambda_star(4.0, 3.0, n=64, restarts=6, seed=0)
+        assert est.restart_reasons == ("gtol",) * 6
+        assert est.restart_values == pytest.approx((10.0,) * 6, abs=1e-12)
         assert est.iterations <= 240
+
+    def test_no_search_is_the_closed_form(self):
+        est = estimate_lambda_star(4.0, 3.0, n=64, restarts=0, seed=0)
+        assert (est.lambda_star, est.lambda_bound, est.iterations) == (10.0, 5.5, 0)
+        assert est.restart_values == est.restart_iterations == est.restart_reasons == ()
+
+    def test_search_below_the_closed_form_is_reported(self, monkeypatch):
+        # a searched value below 2(d+1) becomes lambda*, and the search
+        # claims of the improvement suite fail on it
+        def below(quad, coeffs, p):
+            return 2.0 * (quad.d + 1.0) - 0.5, 1, "gtol"
+
+        monkeypatch.setattr(improvements, "_descend", below)
+        assert estimate_lambda_star(4.0, 3.0, n=64, restarts=2, seed=0).lambda_star == 9.5
+        results = list(checks.improvement(seed=0))
+        failed = [claim for claim, passed, _ in results if not passed]
+        assert failed == [claim for claim, _, _ in results[3:]]
+        assert len(failed) == len(checks.SEARCH_GRID)
 
     def test_upper_bound_mechanism(self):
         # a pure even second-mode perturbation is feasible and realizes the
@@ -270,6 +279,8 @@ class TestLambdaStar:
             estimate_lambda_star(4.0, 2.0, n=64)
         with pytest.raises(DomainError):
             estimate_lambda_star(4.0, 3.0, n=32)
+        with pytest.raises(DomainError):
+            estimate_lambda_star(4.0, 3.0, n=64, restarts=-1)
 
 
 class TestImprovedConstant:
@@ -292,6 +303,16 @@ class TestImprovedConstant:
     def test_range_error(self):
         with pytest.raises(DomainError):
             improved_constant(4.0, two_sharp(4.0) + 0.01, 5.0)
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 20.0])
+    def test_d1_is_the_limit(self, p):
+        # 2# is infinite at d = 1, where the constant is lambda* itself; the
+        # expanded form is continuous there and agrees with the factored one
+        assert improved_constant(1.0, p, 4.0) == 4.0
+        assert improved_constant(1.0 + 1e-7, p, 4.0) == pytest.approx(4.0, abs=1e-6)
+        for d in (1.0 + 1e-7, 1.001, 1.5):
+            factored = d + (d - 1.0) ** 2 / (d * (d + 2.0)) * (two_sharp(d) - p) * (4.0 - d)
+            assert improved_constant(d, p, 4.0) == pytest.approx(factored, rel=1e-12)
 
 
 class TestVerifyImproved:
@@ -342,6 +363,17 @@ class TestVerifyImproved:
         assert rep["violations"] == sum(x < 0.0 for x in slacks)
         if lam == 15.0:  # above the constant: some samples violate
             assert 0 < rep["violations"] < samples
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 6.0, 20.0])
+    def test_d1_limit_holds(self, p):
+        rep = verify_improved_inequality(1.0, p, improved_constant(1.0, p, 4.0), samples=500)
+        assert rep["violations"] == 0
+        assert rep["min_slack"] >= 0.0
+
+    def test_overflowing_power_is_convergence_error(self):
+        # |f|^1000 of the samples at d = 1.01 passes the float range
+        with pytest.raises(ConvergenceError):
+            verify_improved_inequality(1.01, 1000.0, 4.0, samples=4)
 
     def test_constant_function_zero_slack(self):
         # both sides of the inequality coincide on constants
