@@ -20,7 +20,9 @@ form by one rule, rho = w^(beta p) with the clock t = s / m, which
 ``convert`` applies in either direction.
 
 The density form at beta = 1 integrates exactly in coefficient space
-(diagonal exponential of L); ``integrates_exactly`` says when.  Every other
+(diagonal exponential of L); ``integrates_exactly`` says when.  ``evolve``
+then forms the coefficients of all its samples at once and synthesizes
+them in one (n, n) x (n, samples - 1) product.  Every other
 case takes fourth-order ETDRK4 steps (Cox and Matthews 2002) on the split
 c' = G(c) = -sigma lam c + N(c), whose diagonal linear part is exact with
 the scalar stiffness bound sigma frozen per step.  A scan of c' = -r sigma
@@ -232,9 +234,9 @@ def _advance_to(
     horizon: float,
     c_prev: float | None,
 ) -> tuple[FlowState, float, float | None]:
-    """Step from state to t_target, exactly in one hop or by ETDRK4 steps
-    under the drift budget; returns the state at t_target, the next dt and
-    the drift baseline for the next segment.
+    """Step from state to t_target by ETDRK4 steps under the drift budget;
+    returns the state at t_target, the next dt and the drift baseline for
+    the next segment.  The exact flow never comes here (``evolve``).
 
     The baseline ``c_prev`` is the conserved quantity of the last accepted
     step, or None on the first segment.  It is then synthesized from the
@@ -246,8 +248,6 @@ def _advance_to(
     resolve them, and an unresolved flow can drive dt toward DT_MIN over
     hundreds of thousands of attempts.
     """
-    if integrates_exactly(state.form, state.spec):
-        return replace(step(state, t_target - state.t), t=t_target), dt, c_prev
     quad = state.f.quad
     noise_floor = 1e-15 * max(1.0, abs(state.conserved0))
     if c_prev is None:
@@ -333,9 +333,11 @@ def evolve(
     tol_cons: float = TOL_CONS,
 ) -> Trajectory:
     """Integrate to t_end, recording ``samples`` evenly spaced snapshots
-    (endpoints included); each evaluates E_p and I_p once.  Step errors
-    propagate with the failing time attached, and a sample whose top modes
-    carry more than the resolution tolerance raises ResolutionError."""
+    (endpoints included); each evaluates E_p and I_p once.  The exact flow
+    synthesizes all its later samples in one product; every other flow
+    steps from sample to sample.  Step errors propagate with the failing
+    time attached, and a sample whose top modes carry more than the
+    resolution tolerance raises ResolutionError."""
     if not (math.isfinite(t_end) and t_end > state.t):
         raise DomainError(f"t_end must be finite and exceed the current time, got {t_end}")
     if samples < 2:
@@ -344,27 +346,45 @@ def evolve(
         raise DomainError(f"dt_max must be positive, got {dt_max}")
     if not 0.0 < tol_cons < math.inf:
         raise DomainError(f"tol_cons must be positive and finite, got {tol_cons}")
-    horizon = t_end - state.t
     times = np.linspace(state.t, t_end, samples)
-    dt = min(dt_max, horizon / max(8 * (samples - 1), 64))
-    d = state.f.quad.d
+    quad = state.f.quad
     traj = Trajectory(state.form, [], [], [], [], [], [], state)
 
     def record(st: FlowState):
         rho = _density_values(st.form, st.spec, st.f)
         e, i = _sample_report(st, rho)
         traj.times.append(st.t)
-        traj.F.append(i / d - e)
+        traj.F.append(i / quad.d - e)
         traj.E_p.append(e)
         traj.I_p.append(i)
-        traj.conserved.append(conserved_quantity(st.f.quad, rho))
-        traj.moment_z.append(float(st.f.quad.z_weights @ rho))
+        traj.conserved.append(conserved_quantity(quad, rho))
+        traj.moment_z.append(float(quad.z_weights @ rho))
 
-    record(state)
-    current, c_prev = state, None
-    for t_next in times[1:]:
-        current, dt, c_prev = _advance_to(current, float(t_next), dt, dt_max, tol_cons, horizon,
-                                          c_prev)
-        record(current)
+    current = state
+    if integrates_exactly(state.form, state.spec):
+        # the later samples' coefficients c0 e^(-lam (t_k - t_0)) as one
+        # stack, synthesized by one product; each sample is then guarded
+        # and recorded in order, so an earlier failure wins
+        coeffs = np.multiply.outer(quad.eigenvalues, state.t - times[1:])
+        np.exp(coeffs, out=coeffs)
+        coeffs *= state.f.coeffs[:, None]
+        values = quad.to_values(coeffs)
+        record(state)
+        for k, t in enumerate(times[1:].tolist()):
+            # a strided column rounds the sample's sums differently
+            f = GridFn(quad, np.ascontiguousarray(values[:, k]), coeffs[:, k].copy())
+            if not f.is_positive():
+                raise PositivityLossError("the flow lost positivity", t=t)
+            current = FlowState(t, f, state.form, state.spec, state.conserved0)
+            record(current)
+    else:
+        horizon = t_end - state.t
+        dt = min(dt_max, horizon / max(8 * (samples - 1), 64))
+        c_prev = None
+        record(state)
+        for t_next in times[1:]:
+            current, dt, c_prev = _advance_to(current, float(t_next), dt, dt_max, tol_cons,
+                                              horizon, c_prev)
+            record(current)
     traj.final_state = current
     return traj

@@ -89,17 +89,28 @@ def moment_of(quad: Quadrature, values: np.ndarray, p: float):
     return quad.z_weights @ np.abs(values) ** p
 
 
+def _moment_and_limit(quad: Quadrature, values: np.ndarray, p: float, cap):
+    """(int z |v|^p, its tolerance) from one power of the values: MOMENT_TOL
+    int |v|^p, but at most ``cap``; per column for an (n, s) stack."""
+    power = np.abs(values) ** p
+    return quad.z_weights @ power, np.minimum(cap, MOMENT_TOL * (quad.weights @ power + 1e-300))
+
+
 def project_moment(quad: Quadrature, coeffs: np.ndarray, p: float,
                    values: np.ndarray | None = None) -> GridFn:
     """Shift along the first eigenfunction until int z |v|^p = 0.
 
     Newton on v0 + r phi1 (v0 the input's nodal values: ``values`` if the
     caller holds them, else synthesized once), with a bisection fallback on
-    an expanding bracket.  The shift is returned only if the moment of the
-    synthesized result is within MOMENT_TOL of int |v0|^p; otherwise
-    ConvergenceError (on strongly sign-changing input the bracket can grow
-    until the moment is round-off, whose sign flips are no root).  With
-    ``values`` given, that synthesis is the only transform.
+    an expanding bracket.  Each iterate v is judged against MOMENT_TOL
+    times the smaller of its own int |v|^p and the input's int |v0|^p, and
+    the shift is returned only if the synthesized result passes that test;
+    otherwise ConvergenceError.  Both scales matter: at large p a shift can
+    shrink int |v|^p by many orders of magnitude, so the input's scale
+    alone accepts a moment far from 0; on strongly sign-changing input the
+    bracket can grow until |r phi1|^p, whose moment vanishes by parity,
+    swamps v0, so the result's scale alone accepts a moment that is no
+    root.  With ``values`` given, that synthesis is the only transform.
 
     ``coeffs`` may be an (n, s) stack of s functions as columns: Newton then
     runs on all columns at once, the columns it leaves unconverged go one by
@@ -110,13 +121,13 @@ def project_moment(quad: Quadrature, coeffs: np.ndarray, p: float,
     v0 = (quad.to_values(coeffs) if values is None else values).reshape(quad.n, -1)
     # a p-th power past the float range: refused below, with the moments
     with np.errstate(over="ignore", invalid="ignore"):
-        limit = MOMENT_TOL * (quad.weights @ np.abs(v0) ** p + 1e-300)
-        if not np.isfinite(limit).all():
+        cap = MOMENT_TOL * (quad.weights @ np.abs(v0) ** p + 1e-300)
+        if not np.isfinite(cap).all():
             raise ConvergenceError(f"int |v|^p is not finite at p = {p:g}")
         r = np.zeros(v0.shape[1])
         for _ in range(40):
             vals = v0 + r * phi1
-            val = moment_of(quad, vals, p)
+            val, limit = _moment_and_limit(quad, vals, p, cap)
             todo = ~(np.abs(val) <= limit)
             if not np.count_nonzero(todo):
                 break
@@ -127,11 +138,12 @@ def project_moment(quad: Quadrature, coeffs: np.ndarray, p: float,
                 break
             r -= np.divide(val, dg, out=np.zeros_like(r), where=step)
         for j in todo.nonzero()[0]:
-            r[j] = _bisect_moment(quad, v0[:, j], p, limit[j])
+            r[j] = _bisect_moment(quad, v0[:, j], p, cap[j])
         shifted = coeffs.copy()
         shifted[1] += r.reshape(coeffs.shape[1:])
         f = GridFn(quad, quad.to_values(shifted), shifted)
-        residual = np.abs(moment_of(quad, f.values.reshape(quad.n, -1), p))
+        residual, limit = _moment_and_limit(quad, f.values.reshape(quad.n, -1), p, cap)
+        residual = np.abs(residual)
     failed = ~(residual <= limit)
     if np.count_nonzero(failed):
         j = np.argmax(failed)
@@ -140,23 +152,27 @@ def project_moment(quad: Quadrature, coeffs: np.ndarray, p: float,
     return f
 
 
-def _bisect_moment(quad: Quadrature, v0: np.ndarray, p: float, limit: float) -> float:
-    """A shift r with |int z |v0 + r phi1|^p| <= limit, by bisection on an
-    expanding bracket (the fallback of project_moment)."""
+def _bisect_moment(quad: Quadrature, v0: np.ndarray, p: float, cap: float) -> float:
+    """A shift r whose v = v0 + r phi1 has |int z |v|^p| within the
+    tolerance of project_moment, by bisection on an expanding bracket (its
+    fallback)."""
 
     def g(r):
-        return moment_of(quad, v0 + r * quad.phi1_values, p)
+        return _moment_and_limit(quad, v0 + r * quad.phi1_values, p, cap)
 
     lo, hi = -1.0, 1.0
     for _ in range(60):
-        if g(lo) < 0.0 < g(hi):
+        if g(lo)[0] < 0.0 < g(hi)[0]:
             break
         lo *= 2.0
         hi *= 2.0
     else:
         raise ConvergenceError("moment projection failed to bracket a root")
     r = 0.5 * (lo + hi)
-    while lo < r < hi and abs(val := g(r)) > limit:
+    while lo < r < hi:
+        val, limit = g(r)
+        if abs(val) <= limit:
+            break
         if val < 0.0:
             lo = r
         else:

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import ultraflow
-from ultraflow import cli, functionals
+from ultraflow import cli, flows, functionals
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -74,6 +74,29 @@ def test_tracer_tells_accepted_from_rejected_steps(capsys):
     assert tracer.count("discretization.padded") == 4 * tracer.count("flows.rhs")
     assert tracer.count("flows.sample") == 3
     assert tracer.count("functionals.report") == 0
+
+
+def test_tracer_sees_one_synthesis_of_the_heat_samples(capsys, monkeypatch):
+    # the exact heat flow takes no step: its five samples are five
+    # flows.sample spans, and the four after the datum are synthesized by
+    # one stacked product, the one transform evolve calls outside them.
+    # Every other transform is of one vector, 2 n^2 flops each (n = 64)
+    tracer = _load("tracer").Tracer()
+    tracer.install()
+    monkeypatch.setattr(flows, "evolve", tracer.span("flows.evolve", flows.evolve))
+    try:
+        rc = cli.main(["flow", "--form", "heat", "--d", "5", "--p", "3", "--init", "random:3,8",
+                       "--t-end", "1", "--n", "64", "--samples", "5"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert rc == 0
+    assert tracer.count("flows.sample") == 5
+    assert tracer.count("flows.imex") == 0
+    assert tracer.count("flows.controller") == 0
+    assert tracer.aggregates[("discretization.xform", "flows.evolve")][0] == 1
+    xforms = tracer.count("discretization.xform")
+    assert tracer.counters["flop.discretization.xform"] == 2 * 64 * 64 * (xforms - 1 + 4)
 
 
 def test_tracer_sees_the_region_sweep(tmp_path, capsys):

@@ -492,6 +492,21 @@ class TestImproveCommand:
         assert 4.0 < rep["lambda_star"] <= 10.0 + 1e-6
         assert rep["verify"]["violations"] == 0
 
+    def test_large_p_finds_nothing_below_the_closed_form(self, capsys):
+        # the moment projection judged its result on the input's int |v|^p,
+        # which a shift at p = 1000 shrinks by orders of magnitude: the
+        # search accepted infeasible iterates and reported 2.00025 < 2(d+1)
+        rc, out, err = run_main(capsys, "improve", "--d", "2", "--p", "1000",
+                                "--restarts", "16")
+        if rc == 3:
+            assert json.loads(err)["error"] == "numerical"
+            return
+        assert rc == 0
+        rep = json.loads(out)
+        assert rep["lambda_star"] == rep["upper_bound"] == 6.0
+        searched = [v for v in rep["restart_values"] if v != "nan"]
+        assert searched and min(searched) >= 6.0 * (1.0 - 1e-13), searched
+
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_malformed_samples_is_parameter_error(self, samples, capsys):
         rc, _, err = run_main(capsys, "improve", "--d", "4", "--p", "3", "--restarts", "2",

@@ -109,6 +109,63 @@ class TestHeatFlow:
         assert numeric == pytest.approx(analytic, rel=1e-2)
 
 
+class TestExactSamples:
+    """The exact heat flow synthesizes all its later samples in one product
+    and then guards and records them one by one, in order."""
+
+    @pytest.mark.parametrize("n", [128, 512])
+    def test_stacked_samples_match_stepped_ones(self, n, rng):
+        # against one exact step per sample segment and the same report:
+        # within 1e-14 of each column's largest magnitude
+        quad = cached_quadrature(5.0, n)
+        state = heat_state(quad, 5.0, 3.0, random_positive(quad, rng, modes=8, amplitude=0.5))
+        traj = evolve(state, 1.0, samples=11)
+        rows, st = [], state
+        for k, t in enumerate(traj.times):
+            if k:
+                st = step(st, t - st.t)
+            rho = st.f.values
+            e, i = _sample_report(st, rho)
+            rows.append((i / 5.0 - e, e, i, flows.conserved_quantity(quad, rho),
+                         quad.z_weights @ rho))
+        expected = np.array(rows)
+        got = np.column_stack([traj.F, traj.E_p, traj.I_p, traj.conserved, traj.moment_z])
+        assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected).max(axis=0))
+        final = traj.final_state
+        assert final.t == 1.0
+        assert np.max(np.abs(final.f.values - st.f.values)) <= 1e-14 * np.abs(st.f.values).max()
+
+    @staticmethod
+    def _dipping_datum(top=0.0):
+        """1 + 1e4 r at the 16 nodes, r vanishing at all but the last three:
+        1e4 r dips below -1 between the nodes, and the flow carries the dip
+        onto them from t = 0.0013 to 0.0039 (p = 1, so the report is of rho
+        itself).  ``top`` adds that much of the norm to the top mode."""
+        quad = cached_quadrature(5.0, 16)
+        x = quad.nodes
+        r = np.prod([x - xi for xi in x[:-3]], axis=0)
+        coeffs = quad.to_coeffs(1.0 + 1e4 * r)
+        coeffs[-1] += top * np.linalg.norm(coeffs)
+        return heat_state(quad, 5.0, 1.0, GridFn.from_coeffs(quad, coeffs))
+
+    def test_positivity_loss_at_the_first_failing_sample(self):
+        state = self._dipping_datum()
+        times = np.linspace(0.0, 0.004, 5)
+        with pytest.raises(PositivityLossError) as err:
+            evolve(state, 0.004, samples=5)
+        assert err.value.t == times[2]
+        # the sample before it is recorded and positive
+        assert evolve(state, times[1], samples=2).final_state.f.is_positive()
+
+    def test_earlier_resolution_error_wins(self):
+        # the datum is unresolved and the later samples lose positivity:
+        # the datum's sample is recorded first
+        state = self._dipping_datum(top=100.0 * RESOLUTION_TOL)
+        assert state.f.resolution_fraction() > RESOLUTION_TOL
+        with pytest.raises(ResolutionError):
+            evolve(state, 0.004, samples=5)
+
+
 class TestNonlinearFlows:
     def test_w_flow_monotone_and_conserving(self, quad5, rng):
         params = Params(5.0, 3.3)
@@ -418,7 +475,8 @@ class TestSampleReports:
     def test_sample_transforms_through_evolve(self, flow, per_sample, rng, monkeypatch):
         # transforms outside the stepping: a sample forms rho = w^(beta p)
         # once and differentiates nothing (u = w at beta = 1, else
-        # u = w^beta analysed once)
+        # u = w^beta analysed once).  The exact heat flow takes no step: one
+        # stacked synthesis of its later samples, then one analysis a sample
         state = self._state(flow, rng)
         stepping = []
         calls = self._counted_transforms(monkeypatch, lambda: not stepping)
@@ -433,7 +491,8 @@ class TestSampleReports:
 
         monkeypatch.setattr(flows, "_advance_to", stepped)
         evolve(state, 0.002, samples=3, dt_max=2e-4)
-        assert len(calls) == 3 * per_sample, calls
+        synthesis = ["to_values"] if flow == "heat" else []
+        assert calls == synthesis + ["to_coeffs"] * (3 * per_sample), calls
 
     @pytest.mark.parametrize("flow", list(FLOWS))
     def test_unresolved_datum_raises_on_every_flow(self, flow):
