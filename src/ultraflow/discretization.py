@@ -332,8 +332,7 @@ def random_band_limited(
 ) -> GridFn:
     """Zero-mean random combination of modes 1..modes with coefficients
     decaying like 0.6^k, sup-norm ~ amplitude."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    draws = rng.standard_normal(min(modes, quad.n - 3))
+    draws = np.random.default_rng(rng).standard_normal(min(modes, quad.n - 3))
     return GridFn.from_coeffs(quad, _band_limited(quad, draws, amplitude, even_only))
 
 
@@ -353,7 +352,9 @@ def _band_limited(quad: Quadrature, draws: np.ndarray, amplitude, even_only: boo
 
 
 def random_positive(quad: Quadrature, rng, modes: int = 8, amplitude: float = 0.5) -> GridFn:
-    """1 + random band-limited perturbation, bounded below by 0.3."""
-    amplitude = min(amplitude, 0.7)
-    g = random_band_limited(quad, rng, modes, amplitude)
-    return GridFn.from_coeffs(quad, g.coeffs + GridFn.constant(quad, 1.0).coeffs)
+    """1 + the perturbation random_band_limited draws from the same rng
+    (amplitude at most 0.7), bounded below by 0.3."""
+    draws = np.random.default_rng(rng).standard_normal(min(modes, quad.n - 3))
+    coeffs = _band_limited(quad, draws, min(amplitude, 0.7), False)
+    coeffs[0] = 1.0
+    return GridFn.from_coeffs(quad, coeffs)

@@ -19,22 +19,15 @@ this is what makes its first integral exact and maps it onto the density
 form by one rule, rho = w^(beta p) with the clock t = s / m, which
 ``convert`` applies in either direction.
 
-The density form at beta = 1 integrates exactly in coefficient space
-(diagonal exponential of L); ``integrates_exactly`` says when.  ``evolve``
-then forms the coefficients of all its samples at once and synthesizes
-them in one (n, n) x (n, samples - 1) product.  Every other
-case takes fourth-order ETDRK4 steps (Cox and Matthews 2002) on the split
+The heat flow integrates exactly in either form (``integrates_exactly``):
+``_exact`` runs its density form, from rho0 = u0^p on the pointwise form,
+and synthesizes all the requested times in one product.  Every other case
+takes fourth-order ETDRK4 steps (Cox and Matthews 2002) on the split
 c' = G(c) = -sigma lam c + N(c), whose diagonal linear part is exact with
 the scalar stiffness bound sigma frozen per step.  A scan of c' = -r sigma
 lam c over r in [0.01, 1] and z = -dt sigma lam in [-1e9, -1e-3] keeps the
 amplification factor |R| <= 1.  dt adapts under a conservation-drift budget
 and a positivity guard (steps are rejected, never clamped).
-
-The pointwise right-hand side branches on beta = 1, an input it reads, not
-a separate flow.  There the mobility w^(2-2b) is 1 and sigma is 1, so L w
-stays in coefficient space instead of costing a padded synthesis, and no
-power is taken.  The general branch just above beta = 1 agrees with it to
-rounding, and a test pins that.
 """
 
 from __future__ import annotations
@@ -69,7 +62,7 @@ class Form(enum.Enum):
     DENSITY = "density"
     POINTWISE = "pointwise"
     # the name perfbench/workloads.py reads; the benchmark change of ROADMAP
-    # item 1 drops it
+    # item 2 drops it
     U_LINEAR = "pointwise"
 
 
@@ -89,9 +82,9 @@ class FlowState:
 
 
 def integrates_exactly(form: Form, spec: FlowSpec) -> bool:
-    """The heat density form steps by the exact diagonal exponential of L;
-    every other case by ETDRK4."""
-    return form is Form.DENSITY and spec.beta == 1.0
+    """The heat flow (beta = 1) in either form runs the exact diagonal
+    exponential of L (``_exact``); every other case takes ETDRK4 steps."""
+    return spec.beta == 1.0
 
 
 def _density_values(form: Form, spec: FlowSpec, f: GridFn) -> np.ndarray:
@@ -153,8 +146,6 @@ def _full_rhs(state_form: Form, spec: FlowSpec, quad: Quadrature, c: np.ndarray)
         sigma = m * (power / vals).max()
     else:
         nl = spec.kappa * quad.padded_nu() * quad.padded_derivative(c) ** 2 / vals
-        if spec.beta == 1.0:
-            return quad.project_padded(nl) - lam * c, 1.0
         power = vals ** (2.0 - 2.0 * spec.beta)  # the mobility
         sigma = power.max()
     if not sigma < math.inf:  # also NaN, from inf / inf
@@ -206,19 +197,43 @@ def _imex_step(form: Form, spec: FlowSpec, quad: Quadrature, c: np.ndarray, dt: 
     return e_half * ec + dt * (f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nd)
 
 
+def _exact(state: FlowState, times: np.ndarray):
+    """The heat flow's states at the increasing times: the density
+    coefficients c0 e^(-lam (t - state.t)) as one stack, synthesized now;
+    each state is guarded, and read as u = rho^(1/p) on the pointwise form,
+    when the iterator reaches it, so an earlier failure wins."""
+    quad, p, pointwise = state.f.quad, state.params.p, state.form is Form.POINTWISE
+    c0 = quad.to_coeffs(state.f.values**p) if pointwise else state.f.coeffs
+    with np.errstate(over="ignore"):  # at a huge time the exponent is -inf: e^(-inf) = 0
+        coeffs = np.multiply.outer(quad.eigenvalues, state.t - times)
+    np.exp(coeffs, out=coeffs)
+    coeffs *= c0[:, None]
+    values = quad.to_values(coeffs)
+
+    def states():
+        for k, t in enumerate(times.tolist()):
+            # a strided column rounds the sample's sums differently
+            f = GridFn(quad, np.ascontiguousarray(values[:, k]), coeffs[:, k].copy())
+            if not f.is_positive():
+                raise PositivityLossError("the flow lost positivity", t=t)
+            if pointwise:
+                f = GridFn.from_values(quad, f.values ** (1.0 / p))
+            yield FlowState(t, f, state.form, state.spec, state.conserved0)
+
+    return states()
+
+
 def step(state: FlowState, dt: float) -> FlowState:
     """Advance one step, exactly or by one ETDRK4 step
     (``integrates_exactly``).  Raises if positivity is lost."""
     if dt <= 0.0:
         raise DomainError(f"dt must be positive, got {dt}")
-    quad = state.f.quad
     if integrates_exactly(state.form, state.spec):
-        c = state.f.coeffs * np.exp(-quad.eigenvalues * dt)
-    else:
-        c = _imex_step(state.form, state.spec, quad, state.f.coeffs, dt)
-    f = GridFn.from_coeffs(quad, c)
+        return next(_exact(state, np.array([state.t + dt])))
+    quad = state.f.quad
+    f = GridFn.from_coeffs(quad, _imex_step(state.form, state.spec, quad, state.f.coeffs, dt))
     if not f.is_positive():
-        raise PositivityLossError("step lost positivity", t=state.t + dt)
+        raise PositivityLossError("the flow lost positivity", t=state.t + dt)
     return FlowState(state.t + dt, f, state.form, state.spec, state.conserved0)
 
 
@@ -333,9 +348,9 @@ def evolve(
     tol_cons: float = TOL_CONS,
 ) -> Trajectory:
     """Integrate to t_end, recording ``samples`` evenly spaced snapshots
-    (endpoints included); each evaluates E_p and I_p once.  The exact flow
-    synthesizes all its later samples in one product; every other flow
-    steps from sample to sample.  Step errors propagate with the failing
+    (endpoints included); each evaluates E_p and I_p once.  The heat flow,
+    in either form, synthesizes all its later samples in one product
+    (``_exact``); every other flow steps from sample to sample.  Step errors propagate with the failing
     time attached, and a sample whose top modes carry more than the
     resolution tolerance raises ResolutionError."""
     if not (math.isfinite(t_end) and t_end > state.t):
@@ -360,31 +375,16 @@ def evolve(
         traj.conserved.append(conserved_quantity(quad, rho))
         traj.moment_z.append(float(quad.z_weights @ rho))
 
-    current = state
-    if integrates_exactly(state.form, state.spec):
-        # the later samples' coefficients c0 e^(-lam (t_k - t_0)) as one
-        # stack, synthesized by one product; each sample is then guarded
-        # and recorded in order, so an earlier failure wins
-        coeffs = np.multiply.outer(quad.eigenvalues, state.t - times[1:])
-        np.exp(coeffs, out=coeffs)
-        coeffs *= state.f.coeffs[:, None]
-        values = quad.to_values(coeffs)
-        record(state)
-        for k, t in enumerate(times[1:].tolist()):
-            # a strided column rounds the sample's sums differently
-            f = GridFn(quad, np.ascontiguousarray(values[:, k]), coeffs[:, k].copy())
-            if not f.is_positive():
-                raise PositivityLossError("the flow lost positivity", t=t)
-            current = FlowState(t, f, state.form, state.spec, state.conserved0)
-            record(current)
-    else:
-        horizon = t_end - state.t
+    def stepped():
+        current, horizon, c_prev = state, t_end - state.t, None
         dt = min(dt_max, horizon / max(8 * (samples - 1), 64))
-        c_prev = None
-        record(state)
-        for t_next in times[1:]:
-            current, dt, c_prev = _advance_to(current, float(t_next), dt, dt_max, tol_cons,
-                                              horizon, c_prev)
-            record(current)
-    traj.final_state = current
+        for t in times[1:].tolist():
+            current, dt, c_prev = _advance_to(current, t, dt, dt_max, tol_cons, horizon, c_prev)
+            yield current
+
+    later = _exact(state, times[1:]) if integrates_exactly(state.form, state.spec) else stepped()
+    record(state)
+    for current in later:
+        record(current)
+        traj.final_state = current
     return traj

@@ -99,6 +99,27 @@ def test_tracer_sees_one_synthesis_of_the_heat_samples(capsys, monkeypatch):
     assert tracer.counters["flop.discretization.xform"] == 2 * 64 * 64 * (xforms - 1 + 4)
 
 
+def test_tracer_sees_one_synthesis_of_the_u_samples(capsys):
+    # the u form runs the same exact flow, from rho0 = u0^p: no step, five
+    # flows.sample spans, and one stacked product of the four later
+    # samples among transforms of one vector, 2 n^2 flops each (n = 64)
+    tracer = _load("tracer").Tracer()
+    tracer.install()
+    try:
+        rc = cli.main(["flow", "--form", "u", "--d", "5", "--p", "3", "--init", "random:3,8",
+                       "--t-end", "1", "--n", "64", "--samples", "5"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert rc == 0
+    assert tracer.count("flows.sample") == 5
+    assert tracer.count("flows.imex") == 0
+    assert tracer.count("flows.controller") == 0
+    assert tracer.count("flows.rhs") == 0
+    xforms = tracer.count("discretization.xform")
+    assert tracer.counters["flop.discretization.xform"] == 2 * 64 * 64 * (xforms - 1 + 4)
+
+
 def test_tracer_sees_the_region_sweep(tmp_path, capsys):
     # one constants.classify span per p row, and the CSV writer recorded as
     # a cli.emit span inside the command's _emit

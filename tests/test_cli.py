@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -274,18 +275,44 @@ class TestFlowCommand:
         assert json.loads(err)["error"] == "parameter"
 
     def test_fde_at_beta_one_is_the_exact_heat_flow(self, tmp_path, capsys):
+        # fde at beta 1 is heat, and w at beta 1 or m 1 is u, to the last bit
         runs = {}
-        for form in ("heat", "fde"):
-            rc = main(["flow", "--form", form, "--d", "5", "--p", "3", "--beta", "1",
-                       "--init", "random:1,8", "--t-end", "0.1", "--out", str(tmp_path / form)])
+        for name, args in {"heat": ["heat"], "fde": ["fde", "--beta", "1"], "u": ["u"],
+                           "w-beta": ["w", "--beta", "1"], "w-m": ["w", "--m", "1"]}.items():
+            out = tmp_path / name
+            rc = main(["flow", "--form", *args, "--d", "5", "--p", "3", "--init", "random:1,8",
+                       "--t-end", "0.1", "--out", str(out)])
             assert rc == 0
-            runs[form] = [json.loads((tmp_path / form / name).read_text())
-                          for name in ("flow.json", "manifest.json")]
+            flow, manifest = (json.loads((out / f).read_text())
+                              for f in ("flow.json", "manifest.json"))
+            assert manifest["params"]["scheme"] == "exact-diagonal", name
+            runs[name] = (flow["F_first"], flow["F_last"], (out / "trajectory.csv").read_bytes())
         capsys.readouterr()
-        (heat, heat_manifest), (fde, fde_manifest) = runs["heat"], runs["fde"]
-        assert (fde["F_first"], fde["F_last"]) == (heat["F_first"], heat["F_last"])
-        assert fde_manifest["params"]["scheme"] == heat_manifest["params"]["scheme"]
-        assert fde_manifest["params"]["scheme"] == "exact-diagonal"
+        assert runs["fde"][:2] == runs["heat"][:2]
+        assert runs["w-beta"] == runs["u"] and runs["w-m"] == runs["u"]
+
+    @pytest.mark.parametrize("args", [["heat"], ["u"], ["fde", "--beta", "1"], ["w", "--beta", "1"]],
+                             ids=["heat", "u", "fde-beta-1", "w-beta-1"])
+    def test_heat_flow_takes_no_step(self, args, capsys, monkeypatch):
+        # every name of the beta = 1 flow runs it exactly: no ETDRK4 step
+        def refused(*args):
+            raise AssertionError("the heat flow took a step")
+
+        monkeypatch.setattr(fl, "_imex_step", refused)
+        rc, _, err = run_main(capsys, "flow", "--form", *args, "--d", "5", "--p", "3.3",
+                              "--init", "random:1,8", "--t-end", "0.1", "--n", "64")
+        assert (rc, err) == (0, "")
+
+    @pytest.mark.parametrize("form", ["heat", "u"])
+    def test_huge_horizon_is_the_mean(self, form, capsys):
+        # lam t overflows to inf in every mode but the first, e^(-inf) = 0:
+        # exit 0 with nothing on stderr, also with warnings as errors
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_main(capsys, "flow", "--form", form, "--d", "5", "--p", "3",
+                                    "--init", "const:1", "--t-end", "1e308", "--n", "16")
+        assert (rc, err) == (0, "")
+        assert abs(json.loads(out)["F_last"]) <= 1e-15
 
     @pytest.mark.parametrize("form", ["w", "fde", "heat"])
     @pytest.mark.parametrize("dt_max", ["0", "-1"])
@@ -325,7 +352,7 @@ class TestFlowCommand:
         assert json.loads(err)["error"] == "numerical"
 
     def test_unresolved_step_ends_the_run(self, capsys, monkeypatch):
-        # at N = 16 this u flow outruns the rule inside its one segment; the
+        # at N = 16 this w flow outruns the rule in its first step; the
         # step loop checks each accepted step, so the run exits 3 at once
         # instead of shrinking dt toward DT_MIN over 10^5 attempts and more
         # (the cap turns that hang into a failure here)
@@ -340,9 +367,10 @@ class TestFlowCommand:
 
         monkeypatch.setattr(fl, "_imex_step", capped)
         start = time.perf_counter()
-        rc, _, err = run_main(capsys, "flow", "--form", "u", "--d", "5", "--p", "3.3",
-                              "--init", "perturb:0.3,2", "--n", "16", "--t-end", "0.01",
-                              "--samples", "2")
+        rc, _, err = run_main(capsys, "flow", "--form", "w", "--beta", "3", "--d", "5",
+                              "--p", "3.3", "--init", "perturb:0.1,2", "--n", "16",
+                              "--t-end", "0.01", "--samples", "2")
+        assert attempts >= 1
         assert time.perf_counter() - start < 2.0
         assert rc == 3
         assert json.loads(err)["message"].startswith("top modes carry")
@@ -387,8 +415,9 @@ class TestFlowCommand:
     def test_padded_rule_failure_prints_only_the_error(self):
         # the padded 512-point rule does not exist at d = 3000: exit 3 with
         # the JSON error as the only stderr output, no RuntimeWarning
-        rc, _, err = run_cli("flow", "--form", "u", "--d", "3000", "--p", "2.0005",
-                             "--init", "perturb:0.1,2", "--n", "256", "--t-end", "0.01")
+        rc, _, err = run_cli("flow", "--form", "w", "--beta", "1.5", "--d", "3000",
+                             "--p", "2.0005", "--init", "perturb:0.1,2", "--n", "256",
+                             "--t-end", "0.01")
         assert rc == 3
         assert json.loads(err)["message"].startswith("Gauss rule for d=3000.0, n=512")
 

@@ -21,6 +21,7 @@ from ultraflow import (
 from ultraflow.discretization import (
     even_moment,
     normalization_constant,
+    random_band_limited,
     random_positive,
 )
 from ultraflow.errors import ConvergenceError, DomainError
@@ -205,6 +206,28 @@ class TestGridFn:
         back = GridFn.from_values(quad5, GridFn.from_coeffs(quad5, f.coeffs).values)
         err = np.sqrt(np.sum(quad5.weights * (back.values - f.values) ** 2))
         assert err < 1e-11
+
+    @pytest.mark.parametrize("seed, modes, amplitude", [(0, 8, 0.5), (3, 20, 0.9), (7, 61, 0.3)])
+    def test_random_positive_is_one_plus_the_band_limited_draw(self, seed, modes, amplitude,
+                                                               quad5, monkeypatch):
+        # bitwise the constant 1 plus the zero-mean draw of the same seed,
+        # capped at amplitude 0.7, from two syntheses: the scaling's and the
+        # datum's
+        g = random_band_limited(quad5, seed, modes, min(amplitude, 0.7))
+        expected = GridFn.from_coeffs(quad5, g.coeffs + GridFn.constant(quad5, 1.0).coeffs)
+        syntheses = 0
+        to_values = Quadrature.to_values
+
+        def counted(quad, coeffs):
+            nonlocal syntheses
+            syntheses += 1
+            return to_values(quad, coeffs)
+
+        monkeypatch.setattr(Quadrature, "to_values", counted)
+        f = random_positive(quad5, seed, modes=modes, amplitude=amplitude)
+        assert syntheses == 2
+        assert np.array_equal(f.coeffs, expected.coeffs)
+        assert np.array_equal(f.values, expected.values)
 
     def test_positivity_flag(self, quad5):
         f = GridFn.from_values(quad5, quad5.nodes)  # sign changing
