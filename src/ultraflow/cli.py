@@ -481,6 +481,10 @@ def main(argv=None) -> int:
     except UltraflowError as exc:
         print(json.dumps({"error": "numerical", "message": str(exc)}), file=sys.stderr)
         return 3
+    except MemoryError as exc:  # an array past the memory, such as --samples 1e15
+        print(json.dumps({"error": "memory", "message": str(exc) or "out of memory"}),
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

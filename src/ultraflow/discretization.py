@@ -269,32 +269,47 @@ class GridFn:
 
     def resolution_fraction(self) -> float:
         """Fraction of the weighted norm carried by the top two modes."""
-        # np.linalg.norm is sqrt(x @ x), to the bit; np.vdot computes the same
-        # x @ x faster and returns inf on overflow without a warning
-        c = self.coeffs
-        norm2 = np.vdot(c, c)
-        if norm2 == math.inf:  # coefficients past 1e154: scale them first
-            with np.errstate(invalid="ignore"):  # an infinite one gives NaN
-                c = c / np.abs(c).max()
-            norm2 = np.vdot(c, c)
-        if norm2 == 0.0:
-            return 0.0
-        top = c[-2:]
-        return math.sqrt(np.vdot(top, top)) / math.sqrt(norm2)
+        return resolution_fraction(self.coeffs)
 
     def require_resolved(self):
-        frac = self.resolution_fraction()
-        if frac > RESOLUTION_TOL:
-            raise ResolutionError(
-                f"top modes carry {frac:.2e} of the norm (tolerance {RESOLUTION_TOL:.1e}); "
-                "increase the quadrature order"
-            )
+        require_resolved(self.coeffs)
 
     # -- serialization -------------------------------------------------------
 
     def to_csv(self, path):
         data = np.column_stack([self.quad.nodes, self.values])
         np.savetxt(path, data, delimiter=",", header="z,value", comments="", fmt="%.17g")
+
+
+def resolution_fraction(coeffs: np.ndarray):
+    """Fraction of the weighted norm carried by the top two modes of one
+    coefficient vector (a float), or of each column of an (n, s) stack (an
+    array of s)."""
+    if coeffs.ndim == 2:
+        return np.array([resolution_fraction(c) for c in coeffs.T])
+    # np.linalg.norm is sqrt(x @ x), to the bit; np.vdot computes the same
+    # x @ x faster and returns inf on overflow without a warning
+    norm2 = np.vdot(coeffs, coeffs)
+    if norm2 == math.inf:  # coefficients past 1e154: scale them first
+        with np.errstate(invalid="ignore"):  # an infinite one gives NaN
+            coeffs = coeffs / np.abs(coeffs).max()
+        norm2 = np.vdot(coeffs, coeffs)
+    if norm2 == 0.0:
+        return 0.0
+    top = coeffs[-2:]
+    return math.sqrt(np.vdot(top, top)) / math.sqrt(norm2)
+
+
+def require_resolved(coeffs: np.ndarray):
+    """Raise ResolutionError where the top two modes of the coefficients (of
+    any column of a stack) carry more than RESOLUTION_TOL of the norm; the
+    message gives the first failing column's fraction."""
+    for frac in np.atleast_1d(resolution_fraction(coeffs)).tolist():
+        if frac > RESOLUTION_TOL:
+            raise ResolutionError(
+                f"top modes carry {frac:.2e} of the norm (tolerance {RESOLUTION_TOL:.1e}); "
+                "increase the quadrature order"
+            )
 
 
 def derivative(f: GridFn) -> np.ndarray:

@@ -21,7 +21,9 @@ form by one rule, rho = w^(beta p) with the clock t = s / m, which
 
 The heat flow integrates exactly in either form (``integrates_exactly``):
 ``_exact`` runs its density form, from rho0 = u0^p on the pointwise form,
-and synthesizes all the requested times in one product.  Every other case
+and synthesizes the requested times in blocks of at most _BLOCK, one
+product each; ``evolve`` reports each block with one analysis of the
+stacked u = rho^(1/p) (``_sample_report``).  Every other case
 takes fourth-order ETDRK4 steps (Cox and Matthews 2002) on the split
 c' = G(c) = -sigma lam c + N(c), whose diagonal linear part is exact with
 the scalar stiffness bound sigma frozen per step.  A scan of c' = -r sigma
@@ -39,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import FlowSpec, Params
-from .discretization import EPS_POS, GridFn, Quadrature
+from .discretization import EPS_POS, GridFn, Quadrature, require_resolved
 from .errors import ConservationError, DomainError, FlowError, PositivityError, PositivityLossError
 from .functionals import _dirichlet, _entropy
 
@@ -47,6 +49,9 @@ from .functionals import _dirichlet, _entropy
 TOL_CONS = 1e-9
 TOL_MONO = 1e-9
 DT_MIN = 1e-12
+#: the exact flow synthesizes and records its samples in blocks of at most
+#: this many, which bounds its working memory whatever the sample count
+_BLOCK = 64
 
 #: Taylor coefficients of phi1(z/2) and the ETDRK4 weights f1, f2, f3 in z^k,
 #: k = 0..17, each the p(k) listed below over (k + 3)!
@@ -198,29 +203,40 @@ def _imex_step(form: Form, spec: FlowSpec, quad: Quadrature, c: np.ndarray, dt: 
 
 
 def _exact(state: FlowState, times: np.ndarray):
-    """The heat flow's states at the increasing times: the density
-    coefficients c0 e^(-lam (t - state.t)) as one stack, synthesized now;
-    each state is guarded, and read as u = rho^(1/p) on the pointwise form,
-    when the iterator reaches it, so an earlier failure wins."""
-    quad, p, pointwise = state.f.quad, state.params.p, state.form is Form.POINTWISE
-    c0 = quad.to_coeffs(state.f.values**p) if pointwise else state.f.coeffs
-    with np.errstate(over="ignore"):  # at a huge time the exponent is -inf: e^(-inf) = 0
-        coeffs = np.multiply.outer(quad.eigenvalues, state.t - times)
-    np.exp(coeffs, out=coeffs)
-    coeffs *= c0[:, None]
-    values = quad.to_values(coeffs)
+    """The heat flow's density at the increasing times, in blocks of at most
+    _BLOCK samples: each block's coefficients c0 e^(-lam (t - state.t)) are
+    one stack, synthesized in one product.  A block yields its samples up to
+    the first one that is not positive, as their times, the (n, k) stack of
+    their nodal values and the coefficients of the last one; the first
+    non-positive sample raises PositivityLossError when the iterator passes
+    them, so an earlier failure of the caller wins."""
+    quad, pointwise = state.f.quad, state.form is Form.POINTWISE
+    c0 = quad.to_coeffs(state.f.values**state.params.p) if pointwise else state.f.coeffs
+    for start in range(0, times.size, _BLOCK):
+        ts = times[start : start + _BLOCK]
+        with np.errstate(over="ignore"):  # at a huge time the exponent is -inf: e^(-inf) = 0
+            coeffs = np.multiply.outer(quad.eigenvalues, state.t - ts)
+        np.exp(coeffs, out=coeffs)
+        coeffs *= c0[:, None]
+        values = quad.to_values(coeffs)
+        positive = values.min(axis=0) > EPS_POS
+        k = ts.size if positive.all() else int(positive.argmin())
+        if k:  # the block keeps only the last column of its coefficients
+            last, coeffs = coeffs[:, k - 1].copy(), None
+            yield ts[:k], values[:, :k], last
+        if k < ts.size:
+            raise PositivityLossError("the flow lost positivity", t=float(ts[k]))
 
-    def states():
-        for k, t in enumerate(times.tolist()):
-            # a strided column rounds the sample's sums differently
-            f = GridFn(quad, np.ascontiguousarray(values[:, k]), coeffs[:, k].copy())
-            if not f.is_positive():
-                raise PositivityLossError("the flow lost positivity", t=t)
-            if pointwise:
-                f = GridFn.from_values(quad, f.values ** (1.0 / p))
-            yield FlowState(t, f, state.form, state.spec, state.conserved0)
 
-    return states()
+def _exact_state(state: FlowState, t: float, rho: np.ndarray, c: np.ndarray) -> FlowState:
+    """The exact flow's state at t from its density's nodal values (a column
+    of a block) and coefficients, read as u = rho^(1/p) on the pointwise
+    form."""
+    # a strided column rounds the sample's sums differently
+    f = GridFn(state.f.quad, np.ascontiguousarray(rho), c)
+    if state.form is Form.POINTWISE:
+        f = GridFn.from_values(f.quad, f.values ** (1.0 / state.params.p))
+    return FlowState(float(t), f, state.form, state.spec, state.conserved0)
 
 
 def step(state: FlowState, dt: float) -> FlowState:
@@ -229,7 +245,8 @@ def step(state: FlowState, dt: float) -> FlowState:
     if dt <= 0.0:
         raise DomainError(f"dt must be positive, got {dt}")
     if integrates_exactly(state.form, state.spec):
-        return next(_exact(state, np.array([state.t + dt])))
+        ts, rho, c = next(_exact(state, np.array([state.t + dt])))
+        return _exact_state(state, ts[0], rho[:, 0], c)
     quad = state.f.quad
     f = GridFn.from_coeffs(quad, _imex_step(state.form, state.spec, quad, state.f.coeffs, dt))
     if not f.is_positive():
@@ -316,28 +333,34 @@ class Trajectory:
     moment_z: list[float]
     final_state: FlowState
 
+    def columns(self) -> tuple[list[float], ...]:
+        return self.times, self.F, self.E_p, self.I_p, self.conserved, self.moment_z
+
     def monotone_decreasing_F(self) -> bool:
         return all(f1 <= f0 + TOL_MONO for f0, f1 in zip(self.F, self.F[1:]))
 
     def to_csv(self, path):
         with open(path, "w") as fh:
             fh.write("t,F,E_p,I_p,conserved,moment_z\n")
-            for row in zip(self.times, self.F, self.E_p, self.I_p, self.conserved, self.moment_z):
+            for row in zip(*self.columns()):
                 fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-def _sample_report(state: FlowState, rho: np.ndarray) -> tuple[float, float]:
-    """(E_p, I_p) at a sample from its nodal density rho.  I_p is the
-    Dirichlet form of u = rho^(1/p) on the density form and of u = w^beta
-    (w itself at beta = 1) on the pointwise form, read off u's coefficients
-    under the resolution check."""
+def _sample_report(state: FlowState, rho: np.ndarray):
+    """(E_p, I_p) from a sample's nodal density rho, or two arrays of s from
+    an (n, s) stack of the exact flow's densities.  I_p is the Dirichlet form
+    of u = rho^(1/p), read off u's coefficients under the resolution check
+    (per column: the first unresolved one raises).  A single pointwise
+    sample forms u = w^beta from its state instead (w itself at beta = 1);
+    a stack is analysed in one product."""
     quad, p, beta = state.f.quad, state.params.p, state.spec.beta
-    if state.form is Form.DENSITY:
-        u = GridFn.from_values(quad, rho ** (1.0 / p))
+    e = _entropy(quad.weights, rho, p)  # first, so its temporaries and u are not held at once
+    if rho.ndim == 2 or state.form is Form.DENSITY:
+        c = quad.to_coeffs(rho ** (1.0 / p))
     else:
-        u = state.f if beta == 1.0 else GridFn.from_values(quad, state.f.values**beta)
-    u.require_resolved()
-    return _entropy(quad.weights, rho, p), _dirichlet(quad, u.coeffs)
+        c = state.f.coeffs if beta == 1.0 else quad.to_coeffs(state.f.values**beta)
+    require_resolved(c)
+    return e, _dirichlet(quad, c)
 
 
 def evolve(
@@ -349,10 +372,13 @@ def evolve(
 ) -> Trajectory:
     """Integrate to t_end, recording ``samples`` evenly spaced snapshots
     (endpoints included); each evaluates E_p and I_p once.  The heat flow,
-    in either form, synthesizes all its later samples in one product
-    (``_exact``); every other flow steps from sample to sample.  Step errors propagate with the failing
+    in either form, synthesizes its later samples in blocks of at most
+    _BLOCK (``_exact``) and records each block with one stacked report;
+    every other flow steps from sample to sample and records each one
+    alone, as it does the datum.  Step errors propagate with the failing
     time attached, and a sample whose top modes carry more than the
-    resolution tolerance raises ResolutionError."""
+    resolution tolerance raises ResolutionError: the first failing sample
+    decides, and at one sample positivity is checked first."""
     if not (math.isfinite(t_end) and t_end > state.t):
         raise DomainError(f"t_end must be finite and exceed the current time, got {t_end}")
     if samples < 2:
@@ -365,26 +391,23 @@ def evolve(
     quad = state.f.quad
     traj = Trajectory(state.form, [], [], [], [], [], [], state)
 
-    def record(st: FlowState):
-        rho = _density_values(st.form, st.spec, st.f)
+    def record(ts, st: FlowState, rho: np.ndarray):
+        """Appends the samples at ts: one (rho a vector) or a stack's columns."""
         e, i = _sample_report(st, rho)
-        traj.times.append(st.t)
-        traj.F.append(i / quad.d - e)
-        traj.E_p.append(e)
-        traj.I_p.append(i)
-        traj.conserved.append(conserved_quantity(quad, rho))
-        traj.moment_z.append(float(quad.z_weights @ rho))
+        rows = np.array([ts, i / quad.d - e, e, i, quad.weights @ rho, quad.z_weights @ rho])
+        for column, x in zip(traj.columns(), rows.reshape(6, -1).tolist()):
+            column.extend(x)
 
-    def stepped():
-        current, horizon, c_prev = state, t_end - state.t, None
-        dt = min(dt_max, horizon / max(8 * (samples - 1), 64))
-        for t in times[1:].tolist():
-            current, dt, c_prev = _advance_to(current, t, dt, dt_max, tol_cons, horizon, c_prev)
-            yield current
-
-    later = _exact(state, times[1:]) if integrates_exactly(state.form, state.spec) else stepped()
-    record(state)
-    for current in later:
-        record(current)
-        traj.final_state = current
+    record(state.t, state, _density_values(state.form, state.spec, state.f))
+    if integrates_exactly(state.form, state.spec):
+        for ts, rho, c in _exact(state, times[1:]):
+            record(ts, state, rho)
+        traj.final_state = _exact_state(state, ts[-1], rho[:, -1], c)
+        return traj
+    current, horizon, c_prev = state, t_end - state.t, None
+    dt = min(dt_max, horizon / max(8 * (samples - 1), 64))
+    for t in times[1:].tolist():
+        current, dt, c_prev = _advance_to(current, t, dt, dt_max, tol_cons, horizon, c_prev)
+        record(t, current, _density_values(current.form, current.spec, current.f))
+    traj.final_state = current
     return traj

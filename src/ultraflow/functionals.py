@@ -82,8 +82,16 @@ def _g(r: np.ndarray, k: float) -> np.ndarray:
         g[:, near], g[:, ~near] = _g(r[:, near], k), _g(r[:, ~near], k)
         return g
     if not near.all():
-        log_r = np.log(np.maximum(r, np.finfo(float).tiny))
-        return r * (np.expm1(k * log_r) / k if k != 0.0 else log_r) - s
+        # r expm1(k log r)/k - s, in place: a stack's columns are large
+        g = np.maximum(r, np.finfo(float).tiny)
+        np.log(g, out=g)
+        if k != 0.0:
+            g *= k
+            np.expm1(g, out=g)
+            g /= k
+        g *= r
+        g -= s
+        return g
     top, c = float(top.max()), [(1.0 + k) / 2.0]
     while abs(c[-1]) * top ** (len(c) - 1) > 1e-17 * abs(c[0]):
         c.append(c[-1] * (k - len(c)) / (len(c) + 2))

@@ -76,48 +76,53 @@ def test_tracer_tells_accepted_from_rejected_steps(capsys):
     assert tracer.count("functionals.report") == 0
 
 
-def test_tracer_sees_one_synthesis_of_the_heat_samples(capsys, monkeypatch):
-    # the exact heat flow takes no step: its five samples are five
-    # flows.sample spans, and the four after the datum are synthesized by
-    # one stacked product, the one transform evolve calls outside them.
-    # Every other transform is of one vector, 2 n^2 flops each (n = 64)
+def _exact_flow_spans(form, monkeypatch):
+    """Runs ``flow --form <form> ... --n 64 --samples 5`` under a tracer,
+    with a ``flows.evolve`` span around the flow, checks that it took no
+    step, and returns the tracer."""
     tracer = _load("tracer").Tracer()
     tracer.install()
     monkeypatch.setattr(flows, "evolve", tracer.span("flows.evolve", flows.evolve))
     try:
-        rc = cli.main(["flow", "--form", "heat", "--d", "5", "--p", "3", "--init", "random:3,8",
+        rc = cli.main(["flow", "--form", form, "--d", "5", "--p", "3", "--init", "random:3,8",
                        "--t-end", "1", "--n", "64", "--samples", "5"])
     finally:
         tracer.uninstall()
-    capsys.readouterr()
     assert rc == 0
-    assert tracer.count("flows.sample") == 5
-    assert tracer.count("flows.imex") == 0
-    assert tracer.count("flows.controller") == 0
-    assert tracer.aggregates[("discretization.xform", "flows.evolve")][0] == 1
-    xforms = tracer.count("discretization.xform")
-    assert tracer.counters["flop.discretization.xform"] == 2 * 64 * 64 * (xforms - 1 + 4)
-
-
-def test_tracer_sees_one_synthesis_of_the_u_samples(capsys):
-    # the u form runs the same exact flow, from rho0 = u0^p: no step, five
-    # flows.sample spans, and one stacked product of the four later
-    # samples among transforms of one vector, 2 n^2 flops each (n = 64)
-    tracer = _load("tracer").Tracer()
-    tracer.install()
-    try:
-        rc = cli.main(["flow", "--form", "u", "--d", "5", "--p", "3", "--init", "random:3,8",
-                       "--t-end", "1", "--n", "64", "--samples", "5"])
-    finally:
-        tracer.uninstall()
-    capsys.readouterr()
-    assert rc == 0
-    assert tracer.count("flows.sample") == 5
     assert tracer.count("flows.imex") == 0
     assert tracer.count("flows.controller") == 0
     assert tracer.count("flows.rhs") == 0
+    return tracer
+
+
+def test_tracer_sees_one_synthesis_of_the_heat_samples(capsys, monkeypatch):
+    # the exact heat flow takes no step: the datum is one flows.sample span
+    # and the four later samples, one block, are another.  In evolve the
+    # block is one stacked synthesis, and in its sample span one stacked
+    # analysis next to the datum's; every other transform is of one
+    # vector, 2 n^2 flops each (n = 64)
+    tracer = _exact_flow_spans("heat", monkeypatch)
+    capsys.readouterr()
+    assert tracer.count("flows.sample") == 2
+    assert tracer.aggregates[("discretization.xform", "flows.evolve")][0] == 1
+    assert tracer.aggregates[("discretization.xform", "flows.sample")][0] == 2
     xforms = tracer.count("discretization.xform")
-    assert tracer.counters["flop.discretization.xform"] == 2 * 64 * 64 * (xforms - 1 + 4)
+    assert tracer.counters["flop.discretization.xform"] == 2 * 64 * 64 * (xforms - 2 + 2 * 4)
+
+
+def test_tracer_sees_one_synthesis_of_the_u_samples(capsys, monkeypatch):
+    # the u form runs the same exact flow, from rho0 = u0^p: the datum
+    # (which reads u = w and transforms nothing) and the block are two
+    # flows.sample spans.  In evolve the analysis of rho0, one stacked
+    # synthesis and the final state's analysis of u; in the block's
+    # sample span one stacked analysis
+    tracer = _exact_flow_spans("u", monkeypatch)
+    capsys.readouterr()
+    assert tracer.count("flows.sample") == 2
+    assert tracer.aggregates[("discretization.xform", "flows.evolve")][0] == 3
+    assert tracer.aggregates[("discretization.xform", "flows.sample")][0] == 1
+    xforms = tracer.count("discretization.xform")
+    assert tracer.counters["flop.discretization.xform"] == 2 * 64 * 64 * (xforms - 2 + 2 * 4)
 
 
 def test_tracer_sees_the_region_sweep(tmp_path, capsys):

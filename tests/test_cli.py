@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -27,6 +28,8 @@ BETA_ARGS = {"heat": [], "u": [], "fde": ["--beta", "1.2"], "w": ["--beta", "1.2
 #: finite floats from below the domain's edge at 1: moderate ones, and any up
 #: to the largest double
 D_OR_P = st.floats(0.5, 8.0) | st.floats(0.5, sys.float_info.max)
+#: moderate finite floats of either sign, and any finite double
+FINITE = st.floats(-1.0, 8.0) | st.floats(allow_nan=False, allow_infinity=False)
 
 
 def run_cli(*args):
@@ -43,9 +46,10 @@ def run_main(capsys, *args):
     return rc, captured.out, captured.err
 
 
-def assert_exits_cleanly(argv):
+def assert_exits_cleanly(argv, artifact=None):
     """In-process, where warnings are errors: exit 0, 2 or 3, stderr empty or
-    one JSON error line, and every number of an exit-0 output finite."""
+    one JSON error line, and every number of an exit-0 output finite: of
+    stdout, or of the JSON file ``artifact`` that the command writes."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
@@ -54,7 +58,8 @@ def assert_exits_cleanly(argv):
     assert lines == [] or (len(lines) == 1 and "error" in json.loads(lines[0]))
     if rc == 0:
         numbers = []
-        json.loads(out.getvalue(), parse_float=lambda x: numbers.append(float(x)),
+        text = out.getvalue() if artifact is None else Path(artifact).read_text()
+        json.loads(text, parse_float=lambda x: numbers.append(float(x)),
                    parse_int=lambda x: numbers.append(float(x)),
                    parse_constant=lambda x: numbers.append(float(x)))
         assert all(map(math.isfinite, numbers))
@@ -174,6 +179,28 @@ class TestRegionCommand:
             pt = classify_region(Params(5.0, p), beta)
             assert line == (f"{p!r},{beta!r},{pt.m!r},{pt.gamma!r},{int(pt.admissible)},"
                             f"{pt.A!r},{int(pt.A_positive)}")
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True,
+              phases=(Phase.explicit, Phase.generate))
+    @given(st.tuples(st.floats(1.0, 8.0) | FINITE, st.floats(1.0, 3.0) | FINITE,
+                     st.none() | st.floats(1.0, 3.0) | FINITE, FINITE, FINITE,
+                     st.integers(-1, 5), st.none() | st.lists(FINITE, min_size=1, max_size=3)))
+    @example((5.0, 1.0, None, 0.0, 4.0, 5, None))
+    @example((5.0, 1.0, None, 0.0, 4.0, 5, [3.0, 1e300]))
+    def test_any_finite_input_exits_cleanly(self, args):
+        # a sweep or root curves from any finite range: a result whose
+        # region.json holds only finite numbers, or a typed refusal.  The
+        # moderate draws of d, p-min and p-max put the sweep in its domain
+        # often enough to reach exit 0
+        d, p_min, p_max, beta_min, beta_max, grid, curves = args
+        with tempfile.TemporaryDirectory() as out:
+            argv = ["region", f"--d={d!r}", f"--p-min={p_min!r}", f"--beta-min={beta_min!r}",
+                    f"--beta-max={beta_max!r}", f"--grid={grid}", f"--out={out}"]
+            if p_max is not None:
+                argv.append(f"--p-max={p_max!r}")
+            if curves is not None:
+                argv.append("--curves=" + ",".join(map(repr, curves)))
+            assert_exits_cleanly(argv, artifact=Path(out, "region.json"))
 
     def test_beta_curves(self, tmp_path, capsys):
         rc, _, _ = run_main(capsys, "region", "--d", "3", "--curves", "3,4,5,6,7,8,9,10",
@@ -350,6 +377,16 @@ class TestFlowCommand:
                               "--n", "32")
         assert rc == 3
         assert json.loads(err)["error"] == "numerical"
+
+    def test_out_of_memory_is_one_json_error_line(self, capsys):
+        # 1e15 sample times ask np.linspace for 7.11 PiB, which fails at once
+        rc, out, err = run_main(capsys, "flow", "--form", "heat", "--d", "5", "--p", "3",
+                                "--init", "random:1,4", "--t-end", "0.1", "--n", "16",
+                                "--samples", "1000000000000000")
+        assert (rc, out) == (3, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "memory"
 
     def test_unresolved_step_ends_the_run(self, capsys, monkeypatch):
         # at N = 16 this w flow outruns the rule in its first step; the

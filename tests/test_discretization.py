@@ -19,10 +19,13 @@ from ultraflow import (
     second_derivative,
 )
 from ultraflow.discretization import (
+    RESOLUTION_TOL,
     even_moment,
     normalization_constant,
     random_band_limited,
     random_positive,
+    require_resolved,
+    resolution_fraction,
 )
 from ultraflow.errors import ConvergenceError, DomainError
 
@@ -316,6 +319,21 @@ class TestOperators:
         f = GridFn.from_coeffs(quad5, coeffs)
         with pytest.raises(ResolutionError):
             derivative(f)
+
+    def test_resolution_check_per_column(self, quad5, rng):
+        # a stack's fractions are its columns' own, and the check refuses a
+        # stack for any one column: here only the last, whose top mode
+        # carries 100x the tolerance (a zero column carries none)
+        resolved = random_positive(quad5, rng, modes=8).coeffs
+        unresolved = resolved.copy()
+        unresolved[-1] = 100.0 * RESOLUTION_TOL * np.linalg.norm(resolved)
+        stack = np.column_stack([resolved, np.zeros(quad5.n), unresolved])
+        fractions = [GridFn.from_coeffs(quad5, c).resolution_fraction() for c in stack.T]
+        assert resolution_fraction(stack).tolist() == fractions
+        assert fractions[1] == 0.0 and fractions[2] > RESOLUTION_TOL
+        require_resolved(stack[:, :2])
+        with pytest.raises(ResolutionError):
+            require_resolved(stack)
 
     def test_self_adjointness(self, quad5, rng):
         f = random_positive(quad5, rng, modes=12)
