@@ -15,7 +15,8 @@ Three ingredients:
   weights (a Sobolev gradient, Neuberger 1997): in raw coefficients the
   weights lam_k^2 span about N^4 and the steps stall; in that metric a unit
   step is close to inverse iteration and a random start reaches 2(d+1) in
-  about 30 steps.  Each start reports why it stopped;
+  about 30 steps.  The starts descend in lockstep as one stack, in blocks
+  of 64, and each column stops on its own and reports why;
 
 * the affine transfer of that value into an improved constant
   d + (d-1)^2/(d(d+2)) (2# - p)(lambda* - d) for the moment-constrained
@@ -61,16 +62,18 @@ FEASIBLE_ROUNDS = 6
 #: norms of about 2.6e-8 down, so a smaller tolerance is met by chance only
 DESCENT_MAX_ITER = 400
 DESCENT_GTOL = 4e-8
+#: starts descended together as one stack; bounds the search's working memory
+SEARCH_BLOCK = 64
 
 
 # -- quotients in coefficient space ------------------------------------------
 
 
-def _quadratics(c: np.ndarray, num_w: np.ndarray, den_w: np.ndarray) -> tuple[float, float]:
+def _quadratics(c: np.ndarray, num_w: np.ndarray, den_w: np.ndarray):
     """Numerator and denominator sum(num_w c^2), sum(den_w c^2) of a ratio of
-    diagonal quadratics."""
+    diagonal quadratics; per column for an (n, s) stack."""
     c2 = c**2
-    return float(num_w @ c2), float(den_w @ c2)
+    return num_w @ c2, den_w @ c2
 
 
 def rayleigh_quotient(v: GridFn) -> float:
@@ -184,21 +187,40 @@ def _bisect_moment(quad: Quadrature, v0: np.ndarray, p: float, cap: float) -> fl
 def project_feasible(quad: Quadrature, coeffs: np.ndarray, p: float) -> GridFn:
     """Alternate mass normalization (c_0 = 1), nodal clipping at the
     positivity floor, and the moment shift.  Returns the projected function,
-    as project_moment does."""
-    c = coeffs.copy()
+    as project_moment does.  An (n, s) stack runs the rounds per column: a
+    column is clipped where its own minimum is below the floor and done once
+    its values are nonnegative; any failing column raises."""
+    c = coeffs.reshape(quad.n, -1).copy()
     c[0] = 1.0
     vals = quad.to_values(c)
+    todo = np.arange(c.shape[1])
     for _ in range(FEASIBLE_ROUNDS):
-        if vals.min() < CLIP_FLOOR:
-            c = quad.to_coeffs(np.maximum(vals, CLIP_FLOOR))
-            c[0] = 1.0
-            vals = None
+        cj, vj = c[:, todo], vals[:, todo]
+        clip = vj.min(axis=0) < CLIP_FLOOR
+        if np.count_nonzero(clip):
+            cj[:, clip] = quad.to_coeffs(np.maximum(vj[:, clip], CLIP_FLOOR))
+            cj[0, clip] = 1.0
+            vj[:, clip] = quad.to_values(cj[:, clip])
         # the shift moves c_1 only, so the mass stays exactly 1
-        f = project_moment(quad, c, p, vals)
-        c, vals = f.coeffs, f.values
-        if vals.min() >= 0.0:
+        f = project_moment(quad, cj, p, vj)
+        c[:, todo], vals[:, todo] = f.coeffs, f.values
+        todo = todo[f.values.min(axis=0) < 0.0]
+        if not todo.size:
             break
-    return f
+    return GridFn(quad, vals.reshape(coeffs.shape), c.reshape(coeffs.shape))
+
+
+def _project_columns(quad: Quadrature, coeffs: np.ndarray, p: float):
+    """project_feasible of an (n, s) stack as (coeffs, values, failed); where
+    it raises ConvergenceError, column by column, a failed column as NaN."""
+    try:
+        f = project_feasible(quad, coeffs, p)
+        return f.coeffs, f.values, np.zeros(coeffs.shape[1], bool)
+    except ConvergenceError:
+        if coeffs.shape[1] == 1:
+            return *np.full((2,) + coeffs.shape, math.nan), np.ones(1, bool)
+    parts = [_project_columns(quad, coeffs[:, j : j + 1], p) for j in range(coeffs.shape[1])]
+    return tuple(np.concatenate(x, axis=-1) for x in zip(*parts))
 
 
 # -- constrained minimization --------------------------------------------------
@@ -217,8 +239,9 @@ class ImprovementEstimate:
     stopped: "gtol" (the gradient test was met), "line-search" (no trial
     step decreased the quotient), "positivity-clip" (the same, at an
     iterate with a nodal minimum at or below CLIP_FLOOR), "max-iter", or
-    "projection-failed" (value NaN, 0 steps).  iterations is the sum of the
-    searched steps.
+    "projection-failed" (value NaN, 0 steps); each start stops on its own,
+    also where the starts descend as one stack.  iterations is the sum of
+    the searched steps.
     """
 
     d: float
@@ -260,48 +283,68 @@ def _descend(quad: Quadrature, coeffs: np.ndarray, p: float):
     """Projected descent on the log of the curvature quotient
     sum(lam^2 c^2) / sum(lam c^2), in the metric of the numerator: mode
     k >= 1 is scaled by P_k = num / (2 lam_k^2), mode 0 stays at 1.
-    Returns the value reached, the steps taken and the reason it stopped
-    (see ImprovementEstimate); raises ConvergenceError where a projection
-    fails or the moment gradient is not finite."""
+    ``coeffs`` is an (n, s) stack of starts, descended in lockstep: the
+    columns still descending project their first trials in one stack, and
+    the 24 halvings of those whose first trial fails in one more, taking the
+    first that decreases the quotient, as a trial-by-trial search does.
+    Returns each column's value, steps and reason (see ImprovementEstimate);
+    a column whose projection raises ConvergenceError, or whose moment
+    gradient is not finite, ends alone as "projection-failed"."""
     num_w, den_w = quad.eigenvalues**2, quad.eigenvalues
-    f = project_feasible(quad, coeffs, p)
-    c, vals = f.coeffs, f.values
+    c, vals, failed = _project_columns(quad, coeffs, p)
     num, den = _quadratics(c, num_w, den_w)
-    cur = num / den if den > 0.0 else math.inf
-    inv_w = np.r_[0.0, 0.5 / num_w[1:]]
-    step = 1.0
-    reason = "max-iter"
-    for iters in range(1, DESCENT_MAX_ITER + 1):
-        grad = 2.0 * (num_w * c) / num - 2.0 * (den_w * c) / den
-        metric = num * inv_w
+    cur = np.divide(num, den, out=np.full_like(num, math.inf), where=den > 0.0)
+    inv_w = np.r_[0.0, 0.5 / num_w[1:]][:, None]
+    step, iters = np.ones(c.shape[1]), np.zeros(c.shape[1], int)
+    # a column descends while its reason is "max-iter"
+    reasons = np.where(failed, "projection-failed", "max-iter")
+    for it in range(1, DESCENT_MAX_ITER + 1):
+        on = (reasons == "max-iter").nonzero()[0]
+        if not on.size:
+            break
+        iters[on] = it
+        grad = (2.0 * (num_w[:, None] * c[:, on]) / num[on]
+                - 2.0 * (den_w[:, None] * c[:, on]) / den[on])
+        metric = num[on] * inv_w
         # P-orthogonal to the moment gradient; mode 0 is fixed by P_0 = 0
         direction = metric * grad
-        with np.errstate(over="ignore", invalid="ignore"):  # a huge p: refused below
-            mom_grad = p * quad.to_coeffs(quad.nodes * np.abs(vals) ** (p - 2.0) * vals)
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge p: failed below
+            v = vals[:, on]
+            mom_grad = p * quad.to_coeffs(quad.nodes[:, None] * np.abs(v) ** (p - 2.0) * v)
             p_mom = metric * mom_grad
-            mpm = float(mom_grad @ p_mom)
-        if not math.isfinite(mpm):
-            raise ConvergenceError(f"moment gradient is not finite at p = {p:g}")
-        if mpm > 0.0:
-            direction -= p_mom * (float(mom_grad @ direction) / mpm)
-        gnorm = math.sqrt(max(float(grad @ direction), 0.0))
-        if gnorm < DESCENT_GTOL:
-            reason = "gtol"
-            break
-        s = step
-        for _ in range(25):
-            trial = project_feasible(quad, c - s * direction, p)
-            tnum, tden = _quadratics(trial.coeffs, num_w, den_w)
-            if tden > 0.0 and tnum / tden < cur - 1e-15:
-                c, vals = trial.coeffs, trial.values
-                num, den, cur = tnum, tden, tnum / tden
-                step = min(s * 1.5, 1.0)
+            mpm = np.einsum("ij,ij->j", mom_grad, p_mom)
+            shift = np.einsum("ij,ij->j", mom_grad, direction)
+            direction -= p_mom * np.divide(shift, mpm, out=np.zeros_like(mpm), where=mpm > 0.0)
+            gnorm = np.sqrt(np.maximum(np.einsum("ij,ij->j", grad, direction), 0.0))
+        reasons[on[gnorm < DESCENT_GTOL]] = "gtol"
+        reasons[on[~np.isfinite(mpm)]] = "projection-failed"
+        keep = reasons[on] == "max-iter"
+        on, direction = on[keep], direction[:, keep]
+        # the first trial of every column, then the 24 halvings of those it failed
+        for first, count in ((0, 1), (1, 24)):
+            if not on.size:
                 break
-            s *= 0.5
-        else:
-            reason = "positivity-clip" if vals.min() <= CLIP_FLOOR else "line-search"
-            break
-    return cur, iters, reason
+            s = step[on] * 0.5 ** np.arange(first, first + count)[:, None]
+            trials = c[:, None, on] - s * direction[:, None, :]
+            tc, tv, tfail = _project_columns(quad, trials.reshape(quad.n, -1), p)
+            tnum, tden = _quadratics(tc, num_w, den_w)
+            tq = np.divide(tnum, tden, out=np.full_like(tnum, math.nan), where=tden > 0.0)
+            better, tfail = tq.reshape(count, -1) < cur[on] - 1e-15, tfail.reshape(count, -1)
+            # the first trial that decreases the quotient or raises decides
+            k, cols = (better | tfail).argmax(axis=0), np.arange(on.size)
+            took, lost = better[k, cols], tfail[k, cols]
+            j, pick = on[took], (k * on.size + cols)[took]
+            c[:, j], vals[:, j] = tc[:, pick], tv[:, pick]
+            num[j], den[j], cur[j] = tnum[pick], tden[pick], tq[pick]
+            step[j] = np.minimum(s[k[took], took] * 1.5, 1.0)
+            reasons[on[lost]] = "projection-failed"
+            on, direction = on[~(took | lost)], direction[:, ~(took | lost)]
+        # no trial decreased the quotient
+        clipped = vals[:, on].min(axis=0) <= CLIP_FLOOR
+        reasons[on] = np.where(clipped, "positivity-clip", "line-search")
+    failed = reasons == "projection-failed"
+    cur[failed], iters[failed] = math.nan, 0
+    return cur.tolist(), iters.tolist(), reasons.tolist()
 
 
 def estimate_lambda_star(
@@ -311,10 +354,10 @@ def estimate_lambda_star(
 
     2(d+1) is the closed-form value of the feasible v = 1 + eps phi_2.  The
     search runs ``restarts`` projected descents of the curvature quotient
-    from random feasible band-limited perturbations of 1; a start that
-    raises ConvergenceError ends as "projection-failed".  The result must
-    exceed d by a strictly positive margin, which is asserted as an outcome
-    check, never assumed.
+    from random feasible band-limited perturbations of 1, drawn one by one
+    and descended as stacks of at most SEARCH_BLOCK; a start whose
+    projection raises ConvergenceError ends as "projection-failed".  The
+    result must exceed d by a strictly positive margin, an outcome check.
     """
     if not (2.0 < p) or not (p < two_star(d)):
         raise DomainError(f"need 2 < p < 2* = {two_star(d):.6g}, got {p}")
@@ -325,16 +368,13 @@ def estimate_lambda_star(
     quad = Quadrature(d, n)
     rng = np.random.default_rng(seed)
     values, iterations, reasons = [], [], []
-    for _ in range(restarts):
+    for first in range(0, restarts, SEARCH_BLOCK):
         # project_feasible sets the mass coefficient c_0 to 1
-        g = random_band_limited(quad, rng, modes=min(10, n // 4), amplitude=float(rng.uniform(0.2, 0.8)))
-        try:
-            val, iters, reason = _descend(quad, g.coeffs, p)
-        except ConvergenceError:
-            val, iters, reason = math.nan, 0, "projection-failed"
-        values.append(val)
-        iterations.append(iters)
-        reasons.append(reason)
+        starts = [random_band_limited(quad, rng, modes=min(10, n // 4),
+                                      amplitude=float(rng.uniform(0.2, 0.8))).coeffs
+                  for _ in range(min(SEARCH_BLOCK, restarts - first))]
+        block = _descend(quad, np.column_stack(starts), p)
+        values, iterations, reasons = (a + b for a, b in zip((values, iterations, reasons), block))
     upper_bound = 2.0 * (d + 1.0)
     # fmin skips the NaN of a failed start
     lambda_star = float(np.fmin.reduce(values, initial=upper_bound))

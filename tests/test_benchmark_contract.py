@@ -174,3 +174,18 @@ def test_tracer_sees_the_search(capsys):
     assert tracer.counters["descent.iters"] == sum(rep["restart_iterations"])
     assert tracer.count("improvements.project") >= 1
     assert tracer.count("improvements.verify") == 1
+
+
+def test_tracer_sees_the_stacked_search(capsys):
+    # the 16 starts are descended as one stack: one stacked projection per
+    # line-search round (35 here), where one start at a time took 484
+    tracer = _load("tracer").Tracer()
+    tracer.install()
+    try:
+        rc = cli.main(["improve", "--d", "4", "--p", "3", "--restarts", "16", "--seed", "3"])
+    finally:
+        tracer.uninstall()
+    rep = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert tracer.count("improvements.project") <= 60
+    assert tracer.counters["descent.iters"] == sum(rep["restart_iterations"]) == 455

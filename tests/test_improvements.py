@@ -1,6 +1,9 @@
+import json
 import math
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +35,10 @@ from ultraflow.improvements import (
 )
 
 from conftest import cached_quadrature, holds
+
+#: restart_* of the search at checks.SEARCH_GRID x seeds 0 and 3, 16 starts
+#: each, as a start-by-start descent gave them
+SEARCH_PINS = json.loads((Path(__file__).parent / "search_pins.json").read_text())
 
 
 class TestQuotients:
@@ -119,6 +126,20 @@ class TestProjection:
         assert abs(f.coeffs[0] - 1.0) <= 1e-13
         assert abs(moment_of(quad, f.values, 3.0)) <= 1e-10
         assert f.values.min() >= 0.0
+
+    def test_stack_is_each_column_projected(self):
+        # each column runs its own rounds: at these draws the columns of
+        # amplitude 1.4 and 2.5 are clipped and take five rounds, the others one
+        quad = cached_quadrature(4.0, 64)
+        rng = np.random.default_rng(3)
+        cols = [random_band_limited(quad, rng, modes=10, amplitude=a).coeffs
+                for a in (0.3, 1.4, 0.7, 2.5, 0.5)]
+        f = project_feasible(quad, np.column_stack(cols), 3.0)
+        assert f.coeffs.shape == f.values.shape == (64, 5)
+        for j, c in enumerate(cols):
+            one = project_feasible(quad, c, 3.0)
+            assert f.coeffs[:, j] == pytest.approx(one.coeffs, rel=0, abs=1e-13)
+            assert f.values[:, j] == pytest.approx(one.values, rel=0, abs=1e-13)
 
     def test_no_unverified_projection(self):
         # on strongly sign-changing input an expanding bracket can grow until
@@ -274,9 +295,11 @@ class TestLambdaStar:
 
     def test_search_below_the_closed_form_is_reported(self, monkeypatch):
         # a searched value below 2(d+1) becomes lambda*, and the search
-        # claims of the improvement suite fail on it
+        # claims of the improvement suite fail on it; _descend takes the
+        # (n, s) stack of starts and returns one entry per column
         def below(quad, coeffs, p):
-            return 2.0 * (quad.d + 1.0) - 0.5, 1, "gtol"
+            s = coeffs.shape[1]
+            return [2.0 * (quad.d + 1.0) - 0.5] * s, [1] * s, ["gtol"] * s
 
         monkeypatch.setattr(improvements, "_descend", below)
         assert estimate_lambda_star(4.0, 3.0, n=64, restarts=2, seed=0).lambda_star == 9.5
@@ -284,6 +307,66 @@ class TestLambdaStar:
         failed = [claim for claim, passed, _ in results if not passed]
         assert failed == [claim for claim, _, _ in results[3:]]
         assert len(failed) == len(checks.SEARCH_GRID)
+
+    @pytest.mark.parametrize("pin", SEARCH_PINS,
+                             ids=[f"{p['d']}-{p['p']}-{p['seed']}" for p in SEARCH_PINS])
+    def test_search_matches_the_pinned_starts(self, pin):
+        # the lockstep stack takes each start's steps and stops it for the
+        # same reason as a start-by-start descent; the values move by rounding
+        est = estimate_lambda_star(pin["d"], pin["p"], n=64, restarts=16, seed=pin["seed"])
+        assert est.restart_iterations == tuple(pin["restart_iterations"])
+        assert est.restart_reasons == tuple(pin["restart_reasons"])
+        assert list(est.restart_values) == pytest.approx(pin["restart_values"], rel=1e-13, abs=0)
+        np.testing.assert_array_equal([est.lambda_star, est.lambda_bound],
+                                      [pin["lambda_star"], pin["lambda_bound"]])
+
+    @pytest.mark.parametrize("after", [0, 12])
+    def test_failing_projection_ends_its_start_alone(self, monkeypatch, after):
+        # one even start among random ones keeps its odd coefficients below
+        # 1e-18 along the descent, where the others' stay above 2e-9 as they
+        # approach 1 + eps phi_2, which marks its column: a project_moment
+        # that raises on it from call ``after`` on (at the first projection,
+        # or after some steps) makes the stack fall back to column by column,
+        # and that start alone ends as projection-failed
+        quad = cached_quadrature(4.0, 64)
+        rng = np.random.default_rng(5)
+        cols = [random_band_limited(quad, rng, modes=10, amplitude=0.5).coeffs for _ in range(6)]
+        cols.insert(2, random_band_limited(quad, rng, modes=10, amplitude=0.5,
+                                           even_only=True).coeffs)
+        stack = np.column_stack(cols)
+        ref_values, ref_iters, ref_reasons = improvements._descend(quad, stack, 3.0)
+        assert ref_reasons[2] == "gtol" and ref_iters[2] > 12
+        original, calls = improvements.project_moment, []
+
+        def failing(quad, coeffs, p, values=None):
+            c = coeffs.reshape(quad.n, -1)
+            calls.append(c.shape[1])
+            if len(calls) > after and (np.abs(c[1::2]).max(axis=0) < 1e-14).any():
+                raise ConvergenceError("the marked column")
+            return original(quad, coeffs, p, values)
+
+        monkeypatch.setattr(improvements, "project_moment", failing)
+        values, iters, reasons = improvements._descend(quad, stack, 3.0)
+        assert math.isnan(values[2]) and (iters[2], reasons[2]) == (0, "projection-failed")
+        assert calls.count(1) >= 7  # the fallback projected each column alone
+        others = [0, 1, 3, 4, 5, 6]
+        assert [iters[j] for j in others] == [ref_iters[j] for j in others]
+        assert [reasons[j] for j in others] == [ref_reasons[j] for j in others]
+        assert [values[j] for j in others] == pytest.approx([ref_values[j] for j in others],
+                                                            rel=1e-13, abs=0)
+
+    def test_working_memory_is_bounded_by_the_block(self):
+        # 256 starts go as four blocks of 64; one block's (64, 24 x 64)
+        # stack of halvings is 0.75 MB, and the 256 starts descended as one
+        # stack would peak above 5 MB
+        tracemalloc.start()
+        try:
+            est = estimate_lambda_star(4.0, 3.0, n=64, restarts=256, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(est.restart_values) == 256
+        assert peak < 3.5 * 2**20, peak
 
     def test_upper_bound_mechanism(self):
         # a pure even second-mode perturbation is feasible and realizes the
