@@ -242,16 +242,17 @@ def improvement(seed=0):
     (smallest of 16 searched values - 2(d+1)) / 2(d+1), where a failed
     start (NaN) fails too."""
     d, p = 4.0, 3.0
-    est = im.estimate_lambda_star(d, p, n=64, restarts=16, seed=seed)
+    quad = Quadrature(d, 64)
+    est = im.estimate_lambda_star(quad, p, restarts=16, seed=seed)
     lam_star = est.lambda_star
     yield "lambda* in (d, 2(d+1)]", d < lam_star <= 2.0 * (d + 1.0) + 1e-6, lam_star
     lam = im.improved_constant(d, p, lam_star)
     yield "improved constant above d", lam > d, lam
-    slack = im.verify_improved_inequality(d, p, lam, samples=500, seed=seed + 3)["min_slack"]
+    slack = im.verify_improved_inequality(quad, p, lam, samples=500, seed=seed + 3)["min_slack"]
     yield "improved inequality slack >= 0 (500 samples)", slack >= 0.0, slack
     for d, p in SEARCH_GRID:
         if (d, p) != (4.0, 3.0):
-            est = im.estimate_lambda_star(d, p, n=64, restarts=16, seed=seed)
+            est = im.estimate_lambda_star(Quadrature(d, 64), p, restarts=16, seed=seed)
         bound = 2.0 * (d + 1.0)
         gap = (float(np.min(est.restart_values)) - bound) / bound
         yield f"no searched start below 2(d+1) (d={d}, p={p})", gap >= -1e-12, gap

@@ -72,19 +72,18 @@ def _recurrence(d: float, kmax: int) -> np.ndarray:
 
 
 def _gauss_rule(d: float, n: int, cols: int):
-    """The n-point Gauss rule for nu_d and the basis tables at its nodes.
+    """The n-point Gauss rule for nu_d and the basis values at its nodes.
 
-    Returns the nodes, the weights, and the C-contiguous (n, cols) tables of
-    the values and the first derivatives of phi_0..phi_(cols-1).
+    Returns the nodes, the weights, and the C-contiguous (n, cols) table of
+    the values of phi_0..phi_(cols-1).
 
     The Jacobi matrix of the recurrence has a zero diagonal, so it couples
     even degrees only to odd ones: the nodes are 0 (n odd) and +- the
     singular values of its ceil(n/2) x floor(n/2) even-odd block (Golub-Welsch
     through the parity block).  The weights are the Christoffel numbers
     1 / sum_(k<n) phi_k(x_j)^2.  One recurrence over the nonnegative nodes
-    gives the values, the derivatives (the recurrence differentiated once),
-    and the Christoffel sums; phi_k^(j)(-x) = (-1)^(k+j) phi_k^(j)(x)
-    mirrors them, so nodes, weights and tables have parity to the last bit.
+    gives the values and the Christoffel sums; phi_k(-x) = (-1)^k phi_k(x)
+    mirrors them, so nodes, weights and table have parity to the last bit.
     """
     b = _recurrence(d, n - 1)
     if not np.all(np.isfinite(b)):
@@ -96,22 +95,12 @@ def _gauss_rule(d: float, n: int, cols: int):
     sv = np.linalg.svd(block, compute_uv=False)
     x = np.concatenate([np.zeros(n - 2 * q), sv[::-1]])  # the nonnegative nodes
 
-    inv = np.zeros_like(b)
     # at large d the recurrence overflows (and b_k is 0 at huge d): see the check below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        inv[1:] = 1.0 / b[1:]
-        # T[j, k] holds phi_k^(j) at x, j = 0, 1
-        T = np.zeros((2, cols, h))
-        T[0, 0] = 1.0
-        T[0, 1] = x * inv[1]
-        T[1, 1] = inv[1]
-        for k in range(2, cols):
-            row = x * T[:, k - 1] - b[k - 1] * T[:, k - 2]
-            row[1] += T[0, k - 1]
-            T[:, k] = row * inv[k]
-        sums = np.einsum("kj,kj->j", T[0], T[0])
+        T, inv = _rows(x, b, cols), 1.0 / b
+        sums = np.einsum("kj,kj->j", T, T)
         # degrees cols..n-1 enter the Christoffel sums only
-        p0, p1 = T[0, cols - 2], T[0, cols - 1]
+        p0, p1 = T[cols - 2], T[cols - 1]
         for k in range(cols, n):
             p0, p1 = p1, (x * p1 - b[k - 1] * p0) * inv[k]
             sums += p1 * p1
@@ -121,26 +110,53 @@ def _gauss_rule(d: float, n: int, cols: int):
     weights = np.concatenate([w[::-1][:q], w])
     # a non-finite table entry stays non-finite in every higher degree, so
     # the top degree shows whether there is one
-    if not (np.all(np.isfinite(nodes)) and np.all(weights > 0.0)
-            and np.all(np.isfinite(T[:, -1]))):
+    if not (np.all(np.isfinite(nodes)) and np.all(weights > 0.0) and np.all(np.isfinite(T[-1]))):
         raise ConvergenceError(f"Gauss rule for d={d}, n={n} has a non-finite node or "
                                "basis value, or a non-positive weight")
-    tables = []
-    for j in (0, 1):
-        V = np.empty((n, cols))
-        for i in range(0, cols, 128):  # a blocked transpose: 3x faster at cols = 1024
-            V[q:, i : i + 128] = T[j, i : i + 128].T
-        np.multiply(V[q:][::-1][:q], (-1.0) ** (np.arange(cols) + j), out=V[:q])
-        tables.append(V)
-    return nodes, weights, tables
+    return nodes, weights, _mirrored(T, n, 0)
+
+
+def _rows(x: np.ndarray, b: np.ndarray, cols: int, values: np.ndarray | None = None) -> np.ndarray:
+    """Rows phi_k(x), k < cols; given those as ``values``, rows phi_k'(x) from
+    the recurrence differentiated: b_k phi_k' = x phi_(k-1)' - b_(k-1) phi_(k-2)' + phi_(k-1)."""
+    inv, tmp = 1.0 / b, np.empty_like(x)
+    T = np.zeros((cols, len(x)))
+    T[0], T[1] = (1.0, x * inv[1]) if values is None else (0.0, inv[1])
+    for k in range(2, cols):
+        row = np.multiply(x, T[k - 1], out=T[k])
+        row -= np.multiply(b[k - 1], T[k - 2], out=tmp)
+        if values is not None:
+            row += values[k - 1]
+        row *= inv[k]
+    return T
+
+
+def _mirrored(T: np.ndarray, n: int, j: int) -> np.ndarray:
+    """The C-contiguous (n, cols) table of phi_k^(j), mirrored from its rows T[k]."""
+    cols, h = T.shape
+    V = np.empty((n, cols))
+    for i in range(0, cols, 128):  # a blocked transpose: 3x faster at cols = 1024
+        V[n - h :, i : i + 128] = T[i : i + 128].T
+    np.multiply(V[n - h :][::-1][: n - h], (-1.0) ** (np.arange(cols) + j), out=V[: n - h])
+    return V
+
+
+def _derivative_table(d: float, nodes: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The first derivatives of the values table V of the rule at these nodes."""
+    n, cols = V.shape
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        T = _rows(nodes[n // 2 :], _recurrence(d, cols - 1), cols, V[n // 2 :].T)
+    if not np.all(np.isfinite(T[-1])):
+        raise ConvergenceError(f"the derivative table for d={d}, n={n} is not finite")
+    return _mirrored(T, n, 1)
 
 
 class Quadrature:
     """Gauss-Jacobi rule and orthonormal-basis tables for the measure nu_d.
 
-    Immutable after construction; instances are safe to share across threads
-    and across any number of grid functions.  ``n`` nodes integrate
-    polynomials of degree <= 2n-1 exactly against the weight.
+    One N x N table of basis values serves synthesis and, transposed,
+    analysis; derivative tables and the padded rule are built on first use (a
+    thread race only builds the same bits twice).  Exact to degree 2n - 1.
     """
 
     def __init__(self, d: float, n: int):
@@ -150,17 +166,15 @@ class Quadrature:
             raise DomainError(f"need at least 4 nodes, got {n}")
         self.d = float(d)
         self.n = int(n)
-        x, self.weights, (self._basis, self._basis_d1) = _gauss_rule(self.d, self.n, self.n)
-        self.nodes = x
+        self.nodes, self.weights, self._basis = _gauss_rule(self.d, self.n, self.n)
+        self._basis_d1: np.ndarray | None = None
         # the rule for first moments int z f
-        self.z_weights = self.weights * x
-        self.nu = 1.0 - x * x
+        self.z_weights = self.weights * self.nodes
+        self.nu = 1.0 - self.nodes * self.nodes
 
         # nodal values of the first eigenfunction (proportional to z): column 1
         # of the synthesis table, bitwise equal to synthesizing e_1
         self.phi1_values = self._basis[:, 1].copy()
-        # analysis matrix: coeffs = analysis @ values
-        self._analysis = self._basis.T * self.weights
         lam = np.arange(n, dtype=float)
         self.eigenvalues = lam * (lam + d - 1.0)
 
@@ -170,39 +184,38 @@ class Quadrature:
 
     def _pad_tables(self) -> dict[str, np.ndarray]:
         if self._padded is None:
-            x, w, (V, V1) = _gauss_rule(self.d, PAD * self.n, self.n)
-            self._padded = {
-                "x": x,
-                "w": w,
-                "nu": 1.0 - x * x,
-                "synth": V,
-                "synth_d1": V1,
-                "analysis": V.T * w,
-            }
+            x, w, V = _gauss_rule(self.d, PAD * self.n, self.n)
+            self._padded = {"x": x, "w": w, "nu": 1.0 - x * x, "synth": V, "synth_d1": None}
         return self._padded
 
     def padded_values(self, coeffs: np.ndarray) -> np.ndarray:
         return self._pad_tables()["synth"] @ coeffs
 
     def padded_derivative(self, coeffs: np.ndarray) -> np.ndarray:
-        return self._pad_tables()["synth_d1"] @ coeffs
+        pad = self._pad_tables()
+        if pad["synth_d1"] is None:
+            pad["synth_d1"] = _derivative_table(self.d, pad["x"], pad["synth"])
+        return pad["synth_d1"] @ coeffs
 
     def padded_nu(self) -> np.ndarray:
         return self._pad_tables()["nu"]
 
     def project_padded(self, values: np.ndarray) -> np.ndarray:
         """Coefficients of the padded nodal data, truncated to n modes."""
-        return self._pad_tables()["analysis"] @ values
+        pad = self._pad_tables()
+        return pad["synth"].T @ (pad["w"] * values.T).T
 
     # -- transforms (of a vector, or of an (n, s) stack of columns) -----------
 
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
-        return self._analysis @ values
+        return self._basis.T @ (self.weights * values.T).T
 
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
         return self._basis @ coeffs
 
     def derivative_values(self, coeffs: np.ndarray) -> np.ndarray:
+        if self._basis_d1 is None:
+            self._basis_d1 = _derivative_table(self.d, self.nodes, self._basis)
         return self._basis_d1 @ coeffs
 
     def second_derivative_values(self, coeffs: np.ndarray) -> np.ndarray:
@@ -284,9 +297,15 @@ class GridFn:
 def resolution_fraction(coeffs: np.ndarray):
     """Fraction of the weighted norm carried by the top two modes of one
     coefficient vector (a float), or of each column of an (n, s) stack (an
-    array of s)."""
-    if coeffs.ndim == 2:
-        return np.array([resolution_fraction(c) for c in coeffs.T])
+    array of s, each within 1e-15 relative of its column's own fraction)."""
+    if coeffs.ndim == 2:  # one square per row: pairwise row sums, as accurate as vdot
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = np.square(coeffs.T, order="C")
+            over = sq.sum(axis=1) == math.inf  # columns past 1e154: scale them first
+            sq[over] = np.square(coeffs[:, over] / np.abs(coeffs[:, over]).max(axis=0)).T
+            norm2 = sq.sum(axis=1)
+            frac = np.sqrt(sq[:, -2:].sum(axis=1)) / np.sqrt(norm2)
+        return np.where(norm2 == 0.0, 0.0, frac)
     # np.linalg.norm is sqrt(x @ x), to the bit; np.vdot computes the same
     # x @ x faster and returns inf on overflow without a warning
     norm2 = np.vdot(coeffs, coeffs)

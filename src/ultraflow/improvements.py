@@ -92,10 +92,9 @@ def moment_of(quad: Quadrature, values: np.ndarray, p: float):
     return quad.z_weights @ np.abs(values) ** p
 
 
-def _moment_and_limit(quad: Quadrature, values: np.ndarray, p: float, cap):
-    """(int z |v|^p, its tolerance) from one power of the values: MOMENT_TOL
-    int |v|^p, but at most ``cap``; per column for an (n, s) stack."""
-    power = np.abs(values) ** p
+def _moment_and_limit(quad: Quadrature, power: np.ndarray, cap):
+    """(int z |v|^p, its tolerance) from the power |v|^p of the values:
+    MOMENT_TOL int |v|^p, but at most ``cap``; per column for an (n, s) stack."""
     return quad.z_weights @ power, np.minimum(cap, MOMENT_TOL * (quad.weights @ power + 1e-300))
 
 
@@ -124,13 +123,16 @@ def project_moment(quad: Quadrature, coeffs: np.ndarray, p: float,
     v0 = (quad.to_values(coeffs) if values is None else values).reshape(quad.n, -1)
     # a p-th power past the float range: refused below, with the moments
     with np.errstate(over="ignore", invalid="ignore"):
-        cap = MOMENT_TOL * (quad.weights @ np.abs(v0) ** p + 1e-300)
+        power = np.abs(v0) ** p
+        cap = MOMENT_TOL * (quad.weights @ power + 1e-300)
         if not np.isfinite(cap).all():
             raise ConvergenceError(f"int |v|^p is not finite at p = {p:g}")
         r = np.zeros(v0.shape[1])
-        for _ in range(40):
+        for i in range(40):
             vals = v0 + r * phi1
-            val, limit = _moment_and_limit(quad, vals, p, cap)
+            # at r = 0 that is v0's power, in the C order of vals, so its sums round alike
+            power = np.abs(vals) ** p if i else np.ascontiguousarray(power)
+            val, limit = _moment_and_limit(quad, power, cap)
             todo = ~(np.abs(val) <= limit)
             if not np.count_nonzero(todo):
                 break
@@ -145,7 +147,7 @@ def project_moment(quad: Quadrature, coeffs: np.ndarray, p: float,
         shifted = coeffs.copy()
         shifted[1] += r.reshape(coeffs.shape[1:])
         f = GridFn(quad, quad.to_values(shifted), shifted)
-        residual, limit = _moment_and_limit(quad, f.values.reshape(quad.n, -1), p, cap)
+        residual, limit = _moment_and_limit(quad, np.abs(f.values.reshape(quad.n, -1)) ** p, cap)
         residual = np.abs(residual)
     failed = ~(residual <= limit)
     if np.count_nonzero(failed):
@@ -161,7 +163,7 @@ def _bisect_moment(quad: Quadrature, v0: np.ndarray, p: float, cap: float) -> fl
     fallback)."""
 
     def g(r):
-        return _moment_and_limit(quad, v0 + r * quad.phi1_values, p, cap)
+        return _moment_and_limit(quad, np.abs(v0 + r * quad.phi1_values) ** p, cap)
 
     lo, hi = -1.0, 1.0
     for _ in range(60):
@@ -348,9 +350,9 @@ def _descend(quad: Quadrature, coeffs: np.ndarray, p: float):
 
 
 def estimate_lambda_star(
-    d: float, p: float, n: int = 64, restarts: int = 16, seed: int = 0
+    quad: Quadrature, p: float, restarts: int = 16, seed: int = 0
 ) -> ImprovementEstimate:
-    """lambda* = min(2(d+1), smallest searched value).
+    """lambda* = min(2(d+1), smallest searched value) on the rule ``quad``.
 
     2(d+1) is the closed-form value of the feasible v = 1 + eps phi_2.  The
     search runs ``restarts`` projected descents of the curvature quotient
@@ -359,13 +361,13 @@ def estimate_lambda_star(
     projection raises ConvergenceError ends as "projection-failed".  The
     result must exceed d by a strictly positive margin, an outcome check.
     """
+    d, n = quad.d, quad.n
     if not (2.0 < p) or not (p < two_star(d)):
         raise DomainError(f"need 2 < p < 2* = {two_star(d):.6g}, got {p}")
     if n < 64:
         raise DomainError("need at least 64 modes")
     if restarts < 0:
         raise DomainError(f"need restarts >= 0, got {restarts}")
-    quad = Quadrature(d, n)
     rng = np.random.default_rng(seed)
     values, iterations, reasons = [], [], []
     for first in range(0, restarts, SEARCH_BLOCK):
@@ -414,7 +416,7 @@ def improved_constant(d: float, p: float, lambda_star: float) -> float:
 
 
 def verify_improved_inequality(
-    d: float,
+    quad: Quadrature,
     p: float,
     lam: float,
     samples: int = 500,
@@ -423,12 +425,13 @@ def verify_improved_inequality(
 ) -> dict:
     """Empirical check of  I >= lam E_p[|f|^p], that is of
     int |f'|^2 nu >= lam/(p-2) (||f||_p^2 - ||f||_2^2), over random
-    moment-projected test functions of 12 modes on 64 nodes; the slack is
-    I - lam E_p with both sides from the functionals module.
+    moment-projected test functions of 12 modes on the nodes of ``quad`` (64
+    of them in the CLI and the checks); the slack is I - lam E_p with both
+    sides from the functionals module.
 
     The samples are drawn one by one, in the order random_band_limited draws
     them (the amplitude, then the 12 normals), and evaluated as one
-    (64, samples) column stack: the rescaling, the moment projection and
+    (n, samples) column stack: the rescaling, the moment projection and
     both functionals take the stack through their vector code.
 
     A violated sample is reported, not raised.  With even_only the moment
@@ -436,7 +439,6 @@ def verify_improved_inequality(
     """
     if samples < 1:
         raise DomainError(f"need at least one sample, got {samples}")
-    quad = Quadrature(d, 64)
     rng = np.random.default_rng(seed)
     amplitudes = np.empty(samples)
     draws = np.empty((12, samples))
@@ -457,7 +459,7 @@ def verify_improved_inequality(
     if not np.isfinite(slacks).all():
         raise ConvergenceError(f"a slack is not finite at p = {p:g}")
     return {
-        "d": d,
+        "d": quad.d,
         "p": p,
         "lambda": lam,
         "samples": samples,

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from ultraflow import FlowSpec, Params, classify_region
+from ultraflow import FlowSpec, Params, Quadrature, classify_region
 from ultraflow import flows as fl
 from ultraflow.checks import SUITES
 from ultraflow.cli import main
@@ -572,6 +572,22 @@ class TestImproveCommand:
         assert rep["lambda_star"] == rep["upper_bound"] == 6.0
         searched = [v for v in rep["restart_values"] if v != "nan"]
         assert searched and min(searched) >= 6.0 * (1.0 - 1e-13), searched
+
+    @pytest.mark.parametrize("n, builds", [(64, 1), (128, 2)])
+    def test_search_and_verifier_share_the_rule(self, n, builds, monkeypatch, capsys):
+        # the verifier draws on 64 nodes: at the default --n it reuses the
+        # search's rule, and any other --n builds one more
+        sizes, init = [], Quadrature.__init__
+
+        def counted(quad, d, m):
+            sizes.append(m)
+            init(quad, d, m)
+
+        monkeypatch.setattr(Quadrature, "__init__", counted)
+        rc, out, _ = run_main(capsys, "improve", "--d", "4", "--p", "3", "--restarts", "2",
+                              "--samples", "20", "--n", str(n))
+        assert rc == 0 and "verify" in json.loads(out)
+        assert sizes == [n, 64][:builds]
 
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_malformed_samples_is_parameter_error(self, samples, capsys):

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -84,14 +85,16 @@ class TestQuadrature:
         # phi_k^(j)(-z) = (-1)^(k+j) phi_k^(j)(z) exactly (up to the sign of
         # a zero), in the plain and the padded rule, and every table is
         # C-contiguous: the memory layout of a table decides the BLAS path,
-        # and with it the last bits, of every transform built on it
+        # and with it the last bits, of every transform built on it.  The
+        # derivative tables are built on first use, so a derivative builds them
         quad = cached_quadrature(d, n)
         pad = quad._pad_tables()
         for x, w in ((quad.nodes, quad.weights), (pad["x"], pad["w"])):
             assert np.array_equal(x[::-1], -x) and np.array_equal(w[::-1], w)
         k = np.arange(n)
-        tables = [(quad._basis, 0), (quad._basis_d1, 1),
-                  (quad.second_derivative_values(np.eye(n)), 2),
+        second = quad.second_derivative_values(np.eye(n))
+        quad.padded_derivative(np.zeros(n))
+        tables = [(quad._basis, 0), (quad._basis_d1, 1), (second, 2),
                   (pad["synth"], 0), (pad["synth_d1"], 1)]
         for table, j in tables:
             assert table.flags.c_contiguous
@@ -201,6 +204,63 @@ class TestQuadrature:
                 Quadrature(d, 32)
         with pytest.raises(DomainError):
             Quadrature(3.0, 3)
+
+
+class TestTables:
+    def test_rule_holds_one_table(self):
+        # the values table alone, 8 MiB at n = 1024; the build peaks at
+        # 14.2 MiB (the half-rule recurrence and the parity block's SVD)
+        tracemalloc.start()
+        try:
+            quad = Quadrature(5.0, 1024)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert quad._basis_d1 is None and quad._padded is None
+        assert held <= 8.5 * 2**20, held
+        assert peak < 16 * 2**20, peak
+
+    @pytest.mark.parametrize("n", [5, 64, 128, 256])
+    @pytest.mark.parametrize("d", [1.0, 2.5, 5.0, 30.0])
+    def test_derivative_tables_against_the_lowering_identity(self, d, n):
+        # an oracle independent of the differentiated recurrence the tables
+        # are built from: nu phi_k' = (2k+d-1) b_k phi_(k-1) - k z phi_k,
+        # column by column to 1e-13 of the two terms' size (6.3e-14 at
+        # (2.5, 256), the worst measured), in the plain and the padded rule
+        quad = cached_quadrature(d, n)
+        quad.derivative_values(np.zeros(n))
+        quad.padded_derivative(np.zeros(n))
+        pad = quad._pad_tables()
+        k = np.arange(n)
+        b, j = np.zeros(n), k[2:]
+        b[1] = 1.0 / np.sqrt(d + 1.0)
+        b[2:] = np.sqrt(j * (j + d - 2.0) / ((2 * j + d - 3.0) * (2 * j + d - 1.0)))
+        for z, values, slopes in ((quad.nodes, quad._basis, quad._basis_d1),
+                                  (pad["x"], pad["synth"], pad["synth_d1"])):
+            lowered = np.zeros_like(values)
+            lowered[:, 1:] = (2 * k[1:] + d - 1.0) * b[1:] * values[:, :-1]
+            raised = k * z[:, None] * values
+            err = np.abs((1.0 - z * z)[:, None] * slopes - (lowered - raised))
+            size = (np.abs(lowered) + np.abs(raised)).max(axis=0)
+            assert np.all(err <= 1e-13 * size)
+
+    @pytest.mark.parametrize("d, n", [(1.0, 64), (5.0, 128), (5.0, 1024), (30.0, 64)])
+    def test_analysis_reads_the_synthesis_table(self, d, n):
+        # to_coeffs and project_padded weight the values and apply the
+        # transposed synthesis table; an analysis matrix basis.T * weights
+        # gives the same coefficients to 1e-15 of each column's largest
+        # (5.8e-16 measured)
+        quad = Quadrature(d, n)
+        pad = quad._pad_tables()
+        rng = np.random.default_rng(0)
+        for transform, table, w in ((quad.to_coeffs, quad._basis, quad.weights),
+                                    (quad.project_padded, pad["synth"], pad["w"])):
+            for x in (rng.standard_normal(table.shape[0]),
+                      rng.standard_normal((table.shape[0], 5))):
+                ref = (table.T * w) @ x
+                got = transform(x)
+                assert got.shape == ref.shape
+                assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref).max(axis=0))
 
 
 class TestGridFn:
@@ -334,6 +394,22 @@ class TestOperators:
         require_resolved(stack[:, :2])
         with pytest.raises(ResolutionError):
             require_resolved(stack)
+
+    def test_stack_fractions_match_the_column_loop(self, quad5, rng):
+        # one pass over a stack: a column whose squared norm overflows is
+        # rescaled alone, as the vector path rescales it, and a zero column
+        # carries no fraction
+        stack = np.column_stack([random_positive(quad5, rng, modes=8).coeffs
+                                 for _ in range(6)])
+        stack[-2:] = 1e-9 * rng.standard_normal((2, 6))
+        stack[-1, 4] = 1e-5
+        stack[:, 1] *= 1e200
+        stack[:, 2] = 0.0
+        fractions = resolution_fraction(stack)
+        loop = np.array([resolution_fraction(c) for c in stack.T])
+        assert np.vdot(stack[:, 1], stack[:, 1]) == np.inf and fractions[2] == loop[2] == 0.0
+        assert loop[1] > 0.0 and loop[4] > RESOLUTION_TOL
+        assert fractions == pytest.approx(loop, rel=1e-15, abs=0)
 
     def test_self_adjointness(self, quad5, rng):
         f = random_positive(quad5, rng, modes=12)

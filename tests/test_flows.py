@@ -391,6 +391,25 @@ class TestNonlinearFlows:
         assert max(abs(c - traj.conserved[0]) for c in traj.conserved) <= 1e-9
 
 
+class TestTablesOnFirstUse:
+    def test_flows_build_only_the_tables_they_read(self, rng):
+        # the exact heat flow and the density form take no derivative; the
+        # w form takes its derivative on the padded grid only
+        params = Params(5.0, 3.3)
+        runs = [(256, Form.DENSITY, FlowSpec.heat(params)),
+                (64, Form.DENSITY, FlowSpec.nonlinear(params, beta_roots(params).minus)),
+                (64, Form.POINTWISE, FlowSpec.nonlinear(params, beta_roots(params).minus))]
+        built = []
+        for n, form, spec in runs:
+            quad = Quadrature(5.0, n)
+            f0 = random_positive(quad, rng, modes=8, amplitude=0.4)
+            evolve(make_state(form, spec, f0), 0.1, samples=5)
+            pad = quad._padded
+            built.append((quad._basis_d1 is not None,
+                          pad is not None, pad is not None and pad["synth_d1"] is not None))
+        assert built == [(False, False, False), (False, True, False), (False, True, True)]
+
+
 class TestFormEquivalence:
     def test_u_linear_matches_heat_density(self, rng):
         quad = cached_quadrature(4.0, 96)

@@ -263,13 +263,13 @@ class TestLambdaStar:
     def test_estimate_d4_p3(self):
         # the searched values sit a few ulps above 2(d+1), so lambda* is the
         # closed form exactly, and the improved constant its value 5.5
-        est = estimate_lambda_star(4.0, 3.0, n=64, restarts=8, seed=0)
+        est = estimate_lambda_star(cached_quadrature(4.0, 64), 3.0, restarts=8, seed=0)
         assert est.lambda_star == est.upper_bound == 10.0
         assert est.lambda_bound == 5.5
 
     def test_restart_telemetry(self):
         # one entry per random start; iterations counts the searched steps
-        est = estimate_lambda_star(4.0, 3.0, n=64, restarts=8, seed=0)
+        est = estimate_lambda_star(cached_quadrature(4.0, 64), 3.0, restarts=8, seed=0)
         assert est.restarts == 8
         assert len(est.restart_values) == len(est.restart_iterations) == 8
         assert len(est.restart_reasons) == 8
@@ -283,13 +283,13 @@ class TestLambdaStar:
     def test_random_starts_converge(self):
         # in the metric of the numerator every random start meets the
         # gradient test, at 2(d+1), in a few dozen steps
-        est = estimate_lambda_star(4.0, 3.0, n=64, restarts=6, seed=0)
+        est = estimate_lambda_star(cached_quadrature(4.0, 64), 3.0, restarts=6, seed=0)
         assert est.restart_reasons == ("gtol",) * 6
         assert est.restart_values == pytest.approx((10.0,) * 6, abs=1e-12)
         assert est.iterations <= 240
 
     def test_no_search_is_the_closed_form(self):
-        est = estimate_lambda_star(4.0, 3.0, n=64, restarts=0, seed=0)
+        est = estimate_lambda_star(cached_quadrature(4.0, 64), 3.0, restarts=0, seed=0)
         assert (est.lambda_star, est.lambda_bound, est.iterations) == (10.0, 5.5, 0)
         assert est.restart_values == est.restart_iterations == est.restart_reasons == ()
 
@@ -302,7 +302,8 @@ class TestLambdaStar:
             return [2.0 * (quad.d + 1.0) - 0.5] * s, [1] * s, ["gtol"] * s
 
         monkeypatch.setattr(improvements, "_descend", below)
-        assert estimate_lambda_star(4.0, 3.0, n=64, restarts=2, seed=0).lambda_star == 9.5
+        est = estimate_lambda_star(cached_quadrature(4.0, 64), 3.0, restarts=2, seed=0)
+        assert est.lambda_star == 9.5
         results = list(checks.improvement(seed=0))
         failed = [claim for claim, passed, _ in results if not passed]
         assert failed == [claim for claim, _, _ in results[3:]]
@@ -313,7 +314,8 @@ class TestLambdaStar:
     def test_search_matches_the_pinned_starts(self, pin):
         # the lockstep stack takes each start's steps and stops it for the
         # same reason as a start-by-start descent; the values move by rounding
-        est = estimate_lambda_star(pin["d"], pin["p"], n=64, restarts=16, seed=pin["seed"])
+        est = estimate_lambda_star(cached_quadrature(pin["d"], 64), pin["p"], restarts=16,
+                                   seed=pin["seed"])
         assert est.restart_iterations == tuple(pin["restart_iterations"])
         assert est.restart_reasons == tuple(pin["restart_reasons"])
         assert list(est.restart_values) == pytest.approx(pin["restart_values"], rel=1e-13, abs=0)
@@ -361,7 +363,7 @@ class TestLambdaStar:
         # stack would peak above 5 MB
         tracemalloc.start()
         try:
-            est = estimate_lambda_star(4.0, 3.0, n=64, restarts=256, seed=0)
+            est = estimate_lambda_star(Quadrature(4.0, 64), 3.0, restarts=256, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -382,11 +384,11 @@ class TestLambdaStar:
 
     def test_range_checks(self):
         with pytest.raises(DomainError):
-            estimate_lambda_star(4.0, 2.0, n=64)
+            estimate_lambda_star(cached_quadrature(4.0, 64), 2.0)
         with pytest.raises(DomainError):
-            estimate_lambda_star(4.0, 3.0, n=32)
+            estimate_lambda_star(cached_quadrature(4.0, 32), 3.0)
         with pytest.raises(DomainError):
-            estimate_lambda_star(4.0, 3.0, n=64, restarts=-1)
+            estimate_lambda_star(cached_quadrature(4.0, 64), 3.0, restarts=-1)
 
 
 class TestImprovedConstant:
@@ -423,14 +425,16 @@ class TestImprovedConstant:
 
 class TestVerifyImproved:
     def test_passes_with_derived_constant(self):
-        est = estimate_lambda_star(4.0, 3.0, n=64, restarts=6, seed=0)
-        rep = verify_improved_inequality(4.0, 3.0, est.lambda_bound, samples=500, seed=1)
+        quad = cached_quadrature(4.0, 64)
+        est = estimate_lambda_star(quad, 3.0, restarts=6, seed=0)
+        rep = verify_improved_inequality(quad, 3.0, est.lambda_bound, samples=500, seed=1)
         assert rep["min_slack"] >= 0.0
         assert rep["violations"] == 0
 
     def test_even_class_with_antipodal_constant(self):
         lam = antipodal_constants(4.0, 3.0)["prop_const"]
-        rep = verify_improved_inequality(4.0, 3.0, lam, samples=200, seed=2, even_only=True)
+        rep = verify_improved_inequality(cached_quadrature(4.0, 64), 3.0, lam, samples=200, seed=2,
+                                         even_only=True)
         assert rep["min_slack"] >= 0.0
 
     @pytest.mark.parametrize("d", [3.0, 4.0, 5.0])
@@ -440,7 +444,8 @@ class TestVerifyImproved:
         # every (d, p) in the validity range
         assert p < two_sharp(d)
         lam = antipodal_constants(d, p)["prop_const"]
-        rep = verify_improved_inequality(d, p, lam, samples=200, seed=11, even_only=True)
+        rep = verify_improved_inequality(cached_quadrature(d, 64), p, lam, samples=200, seed=11,
+                                         even_only=True)
         assert rep["min_slack"] >= 0.0
         assert rep["violations"] == 0
 
@@ -449,9 +454,9 @@ class TestVerifyImproved:
         # the verifier evaluates its samples as one column stack; a loop of
         # the vector path over the same draws gives the same slacks
         d, p, seed, samples = 4.0, 3.0, 1, 200
-        if lam is None:
-            lam = estimate_lambda_star(d, p, n=64, restarts=6, seed=0).lambda_bound
         quad = cached_quadrature(d, 64)
+        if lam is None:
+            lam = estimate_lambda_star(quad, p, restarts=6, seed=0).lambda_bound
         rng = np.random.default_rng(seed)
         slacks = []
         for _ in range(samples):
@@ -462,7 +467,7 @@ class TestVerifyImproved:
             f = GridFn.from_coeffs(quad, c) if even_only else project_moment(quad, c, p)
             slacks.append(_dirichlet(quad, f.coeffs)
                           - lam * _entropy(quad.weights, np.abs(f.values) ** p, p))
-        rep = verify_improved_inequality(d, p, lam, samples=samples, seed=seed,
+        rep = verify_improved_inequality(quad, p, lam, samples=samples, seed=seed,
                                          even_only=even_only)
         assert rep["min_slack"] == pytest.approx(min(slacks), rel=1e-13, abs=0)
         assert rep["mean_slack"] == pytest.approx(float(np.mean(slacks)), rel=1e-13, abs=0)
@@ -470,16 +475,29 @@ class TestVerifyImproved:
         if lam == 15.0:  # above the constant: some samples violate
             assert 0 < rep["violations"] < samples
 
+    def test_improvement_suite_builds_one_rule_per_point(self, monkeypatch):
+        # the verifier runs on the search's rule at (4, 3)
+        built, init = [], Quadrature.__init__
+
+        def counted(quad, d, n):
+            built.append((d, n))
+            init(quad, d, n)
+
+        monkeypatch.setattr(Quadrature, "__init__", counted)
+        holds(checks.improvement(seed=0))
+        assert built == [(d, 64) for d, _ in checks.SEARCH_GRID]
+
     @pytest.mark.parametrize("p", [2.5, 3.0, 6.0, 20.0])
     def test_d1_limit_holds(self, p):
-        rep = verify_improved_inequality(1.0, p, improved_constant(1.0, p, 4.0), samples=500)
+        rep = verify_improved_inequality(cached_quadrature(1.0, 64), p,
+                                         improved_constant(1.0, p, 4.0), samples=500)
         assert rep["violations"] == 0
         assert rep["min_slack"] >= 0.0
 
     def test_overflowing_power_is_convergence_error(self):
         # |f|^1000 of the samples at d = 1.01 passes the float range
         with pytest.raises(ConvergenceError):
-            verify_improved_inequality(1.01, 1000.0, 4.0, samples=4)
+            verify_improved_inequality(cached_quadrature(1.01, 64), 1000.0, 4.0, samples=4)
 
     def test_constant_function_zero_slack(self):
         # both sides of the inequality coincide on constants
