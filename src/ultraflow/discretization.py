@@ -4,7 +4,9 @@ The measure is the probability measure ``nu_d(z) dz = Z_d^{-1} (1-z^2)^{d/2-1} d
 (the z-marginal of the uniform measure on the d-sphere, d >= 1 real).  Grid
 functions are stored both as nodal values at Gauss-Jacobi points and as
 coefficients in the Gegenbauer (symmetric Jacobi) basis orthonormal with
-respect to that measure.  In this basis the ultraspherical operator
+respect to that measure.  The nodes are square roots of the eigenvalues of a
+symmetric tridiagonal matrix, each polished by one Newton step on the
+recurrence.  In this basis the ultraspherical operator
 
     L f = (1 - z^2) f'' - d z f'
 
@@ -79,32 +81,49 @@ def _gauss_rule(d: float, n: int, cols: int):
 
     The Jacobi matrix of the recurrence has a zero diagonal, so it couples
     even degrees only to odd ones: the nodes are 0 (n odd) and +- the
-    singular values of its ceil(n/2) x floor(n/2) even-odd block (Golub-Welsch
-    through the parity block).  The weights are the Christoffel numbers
-    1 / sum_(k<n) phi_k(x_j)^2.  One recurrence over the nonnegative nodes
-    gives the values and the Christoffel sums; phi_k(-x) = (-1)^k phi_k(x)
-    mirrors them, so nodes, weights and table have parity to the last bit.
+    square roots of the eigenvalues of B^T B, tridiagonal, with B its
+    ceil(n/2) x floor(n/2) even-odd block (Golub-Welsch through the parity
+    block).  The root loses digits near 0, so one Newton step on phi_n, by
+    nu phi_k' = (2k+d-1) b_k phi_(k-1) - k x phi_k, polishes each node, and
+    the same identity moves the values table to it, to first order.  From
+    that table: the weights 1 / sum_(k<n) phi_k(x_j)^2, or, when it stops
+    short of degree n - 1, nu / ((2n+d-1) b_n^2 phi_(n-1)^2) (Christoffel-
+    Darboux).  phi_k(-x) = (-1)^k phi_k(x) mirrors the nonnegative nodes'
+    values, so nodes, weights and table have parity to the last bit.
     """
-    b = _recurrence(d, n - 1)
+    b = _recurrence(d, n)
     if not np.all(np.isfinite(b)):
         raise ConvergenceError(f"the recurrence for d={d} is not finite")
-    h, q = (n + 1) // 2, n // 2
-    block = np.zeros((h, q))
-    block[np.arange(q), np.arange(q)] = b[1::2]
-    block[np.arange(1, h), np.arange(h - 1)] = b[2::2]
-    sv = np.linalg.svd(block, compute_uv=False)
-    x = np.concatenate([np.zeros(n - 2 * q), sv[::-1]])  # the nonnegative nodes
+    q = n // 2
+    odd, even = b[1:n:2], b[2:n:2]  # B[i, i] = b_(2i+1), B[i, i-1] = b_(2i)
+    btb = np.diag(odd * odd + np.append(even * even, 0.0)[:q])
+    btb[np.arange(1, q), np.arange(q - 1)] = even[: q - 1] * odd[1:]  # all eigvalsh reads
+    x2 = np.linalg.eigvalsh(btb)
+    del btb
 
     # at large d the recurrence overflows (and b_k is 0 at huge d): see the check below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = np.concatenate([np.zeros(n - 2 * q), np.sqrt(x2)])  # the nonnegative nodes
         T, inv = _rows(x, b, cols), 1.0 / b
-        sums = np.einsum("kj,kj->j", T, T)
-        # degrees cols..n-1 enter the Christoffel sums only
         p0, p1 = T[cols - 2], T[cols - 1]
-        for k in range(cols, n):
-            p0, p1 = p1, (x * p1 - b[k - 1] * p0) * inv[k]
-            sums += p1 * p1
-        w = 1.0 / sums
+        for j in range(cols, n):
+            p0, p1 = p1, (x * p1 - b[j - 1] * p0) * inv[j]
+        pn = (x * p1 - b[n - 1] * p0) * inv[n]
+        k, nu = np.arange(n + 1), 1.0 - x * x
+        lower = (2.0 * k + d - 1.0) * b  # nu phi_k' = lower_k phi_(k-1) - k x phi_k
+        delta = -pn * nu / (lower[n] * p1 - n * x * pn)
+        step = delta / nu
+        if cols < n:  # phi_(n-1) at the polished nodes, before p0 can move with T
+            p1 += step * (lower[n - 1] * p0 - (n - 1) * x * p1)
+        for i in range(cols, 1, -64):  # in row blocks, top down: each reads unmoved rows
+            lo = max(i - 64, 1)
+            moved = lower[lo:i, None] * T[lo - 1 : i - 1]
+            moved -= k[lo:i, None] * np.multiply(x, T[lo:i])
+            moved *= step
+            T[lo:i] += moved
+        x += delta
+        w = (1.0 / np.einsum("kj,kj->j", T, T) if cols == n
+             else (1.0 - x * x) / (lower[n] * b[n] * p1 * p1))
 
     nodes = np.concatenate([-x[::-1][:q], x])
     weights = np.concatenate([w[::-1][:q], w])

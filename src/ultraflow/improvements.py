@@ -107,13 +107,14 @@ def project_moment(quad: Quadrature, coeffs: np.ndarray, p: float,
     an expanding bracket.  Each iterate v is judged against MOMENT_TOL
     times the smaller of its own int |v|^p and the input's int |v0|^p, and
     the shift is returned only if the synthesized result passes that test;
-    otherwise ConvergenceError.  Both scales matter: at large p a shift can
-    shrink int |v|^p by many orders of magnitude, so the input's scale
-    alone accepts a moment far from 0; on strongly sign-changing input the
-    bracket can grow until |r phi1|^p, whose moment vanishes by parity,
-    swamps v0, so the result's scale alone accepts a moment that is no
-    root.  With ``values`` given, that synthesis is the only transform.
-
+    otherwise ConvergenceError.  The search stops at half the tolerance, as
+    the result's values round differently from v0 + r phi1.  Both scales
+    matter: at large p a shift can shrink int |v|^p by many orders of
+    magnitude, so the input's scale alone accepts a moment far from 0; on
+    strongly sign-changing input the bracket can grow until |r phi1|^p,
+    whose moment vanishes by parity, swamps v0, so the result's scale alone
+    accepts a moment that is no root.  With ``values`` given, that synthesis
+    is the only transform.
     ``coeffs`` may be an (n, s) stack of s functions as columns: Newton then
     runs on all columns at once, the columns it leaves unconverged go one by
     one through the bisection, every column is verified, and the GridFn
@@ -133,7 +134,7 @@ def project_moment(quad: Quadrature, coeffs: np.ndarray, p: float,
             # at r = 0 that is v0's power, in the C order of vals, so its sums round alike
             power = np.abs(vals) ** p if i else np.ascontiguousarray(power)
             val, limit = _moment_and_limit(quad, power, cap)
-            todo = ~(np.abs(val) <= limit)
+            todo = ~(np.abs(val) <= 0.5 * limit)
             if not np.count_nonzero(todo):
                 break
             dg = p * (quad.z_weights @ (np.abs(vals) ** (p - 2.0) * vals * phi1))
@@ -158,7 +159,7 @@ def project_moment(quad: Quadrature, coeffs: np.ndarray, p: float,
 
 
 def _bisect_moment(quad: Quadrature, v0: np.ndarray, p: float, cap: float) -> float:
-    """A shift r whose v = v0 + r phi1 has |int z |v|^p| within the
+    """A shift r whose v = v0 + r phi1 has |int z |v|^p| within half the
     tolerance of project_moment, by bisection on an expanding bracket (its
     fallback)."""
 
@@ -176,7 +177,7 @@ def _bisect_moment(quad: Quadrature, v0: np.ndarray, p: float, cap: float) -> fl
     r = 0.5 * (lo + hi)
     while lo < r < hi:
         val, limit = g(r)
-        if abs(val) <= limit:
+        if abs(val) <= 0.5 * limit:
             break
         if val < 0.0:
             lo = r

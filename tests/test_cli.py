@@ -573,6 +573,20 @@ class TestImproveCommand:
         searched = [v for v in rep["restart_values"] if v != "nan"]
         assert searched and min(searched) >= 6.0 * (1.0 - 1e-13), searched
 
+    @pytest.mark.parametrize("argv", [
+        ["--d", "4", "--p", "3", "--restarts", "16", "--seed", "51"],
+        ["--d", "4", "--p", "3", "--restarts", "16", "--seed", "135"],
+        ["--d", "2.5", "--p", "3.5", "--restarts", "8", "--seed", "2"],
+    ])
+    def test_projection_at_the_tolerance_edge(self, argv, capsys):
+        # the moment Newton stopped within the tolerance on v0 + r phi1, and
+        # the synthesized result then missed it by 1 ulp of the tolerance
+        # (1.209e-13 > 1.208e-13): these exited 3 before the search stopped
+        # at half the tolerance
+        rc, out, err = run_main(capsys, "improve", *argv)
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["verify"]["violations"] == 0
+
     @pytest.mark.parametrize("n, builds", [(64, 1), (128, 2)])
     def test_search_and_verifier_share_the_rule(self, n, builds, monkeypatch, capsys):
         # the verifier draws on 64 nodes: at the default --n it reuses the

@@ -21,6 +21,10 @@ from ultraflow import (
 )
 from ultraflow.discretization import (
     RESOLUTION_TOL,
+    _gauss_rule,
+    _mirrored,
+    _recurrence,
+    _rows,
     even_moment,
     normalization_constant,
     random_band_limited,
@@ -40,6 +44,37 @@ def ultraspherical(f):
 
 def inner(f, g):
     return float(np.sum(f.quad.weights * f.values * g.values))
+
+
+def svd_rule(d, n, cols):
+    """The Gauss rule from the singular values of the Jacobi matrix's
+    even-odd block and the Christoffel sums of the recurrence at them: the
+    rule _gauss_rule replaces, kept as its oracle."""
+    b = _recurrence(d, n - 1)
+    if not np.all(np.isfinite(b)):
+        raise ConvergenceError(f"the recurrence for d={d} is not finite")
+    h, q = (n + 1) // 2, n // 2
+    block = np.zeros((h, q))
+    block[np.arange(q), np.arange(q)] = b[1::2]
+    block[np.arange(1, h), np.arange(h - 1)] = b[2::2]
+    x = np.concatenate([np.zeros(n - 2 * q), np.linalg.svd(block, compute_uv=False)[::-1]])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        T = _rows(x, b, cols)
+        sums = np.einsum("kj,kj->j", T, T)
+        p0, p1 = T[cols - 2], T[cols - 1]
+        for k in range(cols, n):
+            p0, p1 = p1, (x * p1 - b[k - 1] * p0) / b[k]
+            sums += p1 * p1
+        w = 1.0 / sums
+    nodes, weights = np.concatenate([-x[::-1][:q], x]), np.concatenate([w[::-1][:q], w])
+    if not (np.all(np.isfinite(nodes)) and np.all(weights > 0.0) and np.all(np.isfinite(T[-1]))):
+        raise ConvergenceError(f"Gauss rule for d={d}, n={n} failed")
+    return nodes, weights, _mirrored(T, n, 0)
+
+
+def orthonormality_error(rule):
+    x, w, V = rule
+    return np.abs((V.T * w) @ V - np.eye(V.shape[1])).max()
 
 
 def nu_density(d):
@@ -176,7 +211,7 @@ class TestQuadrature:
 
     def test_nonfinite_recurrence_is_typed(self):
         # at d = 1.7e308 the recurrence's products overflow to inf / inf: a
-        # ConvergenceError before the singular values, which would not converge
+        # ConvergenceError before the eigenvalue solve, which would not converge
         with pytest.raises(ConvergenceError, match="recurrence for d=1.7e[+]308"):
             Quadrature(1.7e308, 8)
 
@@ -189,6 +224,30 @@ class TestQuadrature:
         assert np.all(np.diff(x) > 0) and np.all(w > 0.0)
         assert abs(w.sum() - 1.0) <= 1e-13
         assert abs(float(w @ x**2) - 1.0 / (d + 1.0)) <= 1e-12
+
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @given(d=st.floats(1.0, 100.0), n=st.integers(16, 512), padded=st.booleans())
+    def test_rule_against_the_svd_oracle(self, d, n, padded):
+        # the eigenvalue solve and its Newton polish, plain (cols = n) or as a
+        # padded rule (cols = n // 2, Christoffel-Darboux weights)
+        cols = n // 2 if padded else n
+        try:
+            ref = svd_rule(d, n, cols)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                _gauss_rule(d, n, cols)
+            return
+        x, w, _ = rule = _gauss_rule(d, n, cols)
+        assert np.max(np.abs(x - ref[0])) <= 1e-15
+        assert np.all(w > 0.0) and abs(w.sum() - 1.0) <= 1e-14
+        assert orthonormality_error(rule) <= max(orthonormality_error(ref), 1e-13)
+
+    @pytest.mark.parametrize("d, n", [(1.0, 64), (5.0, 257), (30.0, 128)])
+    def test_rule_builds_take_no_svd(self, d, n, monkeypatch):
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+        Quadrature(d, n)._pad_tables()
+        assert calls == []
 
     def test_cli_import_leaves_out_scipy(self):
         # in a fresh interpreter: the test modules import SciPy as an oracle
@@ -209,7 +268,7 @@ class TestQuadrature:
 class TestTables:
     def test_rule_holds_one_table(self):
         # the values table alone, 8 MiB at n = 1024; the build peaks at
-        # 14.2 MiB (the half-rule recurrence and the parity block's SVD)
+        # 12.5 MiB (the half-rule recurrence and its mirrored table)
         tracemalloc.start()
         try:
             quad = Quadrature(5.0, 1024)

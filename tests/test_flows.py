@@ -118,10 +118,15 @@ class TestExactSamples:
     @pytest.mark.parametrize("n", [128, 512])
     def test_stacked_samples_match_stepped_ones(self, n, rng):
         # against one exact step from the datum to each sample and the same
-        # report of one vector, on both forms: within 1e-14 of each column's
-        # largest magnitude with one block, and within 1e-13 with three,
-        # whose early samples still carry top modes that the stacked and the
-        # single analysis of u round differently (3.6e-14 on F at n = 512)
+        # report of one vector, on both forms.  With one block: within a
+        # rounding bound, n eps / 4 of each column's scale.  The scale is
+        # the column's largest magnitude, but |I|/d + |E| for F = I/d - E,
+        # which cancels, and the mass for the moment int z rho.  Over the
+        # datum seeds 0-29 and the fixture's, at n = 128 and 512, the worst
+        # error is 0.16 n eps of the scale.  Within 1e-13 of each column's
+        # largest with three blocks, whose early samples still carry top
+        # modes that the stacked and the single analysis of u round
+        # differently (3.6e-14 on F at n = 512)
         quad = cached_quadrature(5.0, n)
         datum = random_positive(quad, rng, modes=8, amplitude=0.5)
         for form in (Form.DENSITY, Form.POINTWISE):
@@ -138,8 +143,14 @@ class TestExactSamples:
                 expected = np.array(rows)
                 got = np.column_stack([traj.F, traj.E_p, traj.I_p, traj.conserved,
                                        traj.moment_z])
-                tol = 1e-14 if samples == 11 else 1e-13
-                assert np.all(np.abs(got - expected) <= tol * np.abs(expected).max(axis=0))
+                size = np.abs(expected).max(axis=0)
+                if samples == 11:
+                    f_terms = (np.abs(expected[:, 2]) / 5.0 + np.abs(expected[:, 1])).max()
+                    tol = 0.25 * n * np.finfo(float).eps * np.array(
+                        [f_terms, size[1], size[2], size[3], size[3]])
+                else:
+                    tol = 1e-13 * size
+                assert np.all(np.abs(got - expected) <= tol)
                 final = traj.final_state
                 assert (final.t, final.form) == (1.0, form)
                 scale = np.abs(st.f.values).max()
