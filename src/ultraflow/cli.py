@@ -287,21 +287,13 @@ def cmd_flow(args) -> int:
     else:
         if args.beta is None and args.m is None:
             raise DomainError("nonlinear forms need --beta or --m")
-        spec = (
-            cs.FlowSpec.nonlinear(params, args.beta)
-            if args.beta is not None
-            else cs.FlowSpec.nonlinear_from_m(params, args.m)
-        )
+        spec = (cs.FlowSpec.nonlinear(params, args.beta) if args.beta is not None
+                else cs.FlowSpec.nonlinear_from_m(params, args.m))
     quad = Quadrature(args.d, args.n)
     f0 = parse_init(args.init, quad, params, form, spec.beta)
     state = fl.make_state(form, spec, f0)
-    traj = fl.evolve(
-        state,
-        args.t_end,
-        samples=args.samples,
-        dt_max=args.dt_max,
-        tol_cons=args.tol_cons,
-    )
+    traj = fl.evolve(state, args.t_end, samples=args.samples, dt_max=args.dt_max,
+                     tol_cons=args.tol_cons)
     out = {
         "form": args.form,
         "d": args.d,

@@ -204,20 +204,18 @@ class Quadrature:
     def _pad_tables(self) -> dict[str, np.ndarray]:
         if self._padded is None:
             x, w, V = _gauss_rule(self.d, PAD * self.n, self.n)
-            self._padded = {"x": x, "w": w, "nu": 1.0 - x * x, "synth": V, "synth_d1": None}
+            self._padded = {"x": x, "w": w, "synth": V, "synth_d1": None}
         return self._padded
 
     def padded_values(self, coeffs: np.ndarray) -> np.ndarray:
         return self._pad_tables()["synth"] @ coeffs
 
     def padded_derivative(self, coeffs: np.ndarray) -> np.ndarray:
+        """f' on the padded grid (no flow calls it; perfbench/tracer.py wraps it)."""
         pad = self._pad_tables()
         if pad["synth_d1"] is None:
             pad["synth_d1"] = _derivative_table(self.d, pad["x"], pad["synth"])
         return pad["synth_d1"] @ coeffs
-
-    def padded_nu(self) -> np.ndarray:
-        return self._pad_tables()["nu"]
 
     def project_padded(self, values: np.ndarray) -> np.ndarray:
         """Coefficients of the padded nodal data, truncated to n modes."""

@@ -8,28 +8,33 @@ pointwise form:
     DENSITY    d rho/dt = L rho^m                              int rho
     POINTWISE  d w/ds   = w^(2-2b) (L w + k nu |w'|^2 / w)     int w^(b p)
 
-The heat flow is the beta = 1 member (m = 1, kappa = p - 1, w = u):
+The heat flow is the beta = 1 member (m = 1, kappa = p - 1, w = u).  The
+CLI names these four cases fde, w, heat and u.  The pointwise form, with
+the gradient weight nu = 1 - z^2, is the density form read through
+rho = w^(beta p) on the clock s = m t (``convert``).  So one flow runs both,
+on the family's own clock s:
 
-    DENSITY    d rho/dt = L rho                                int rho
-    POINTWISE  d u/dt   = L u + (p-1) nu |u'|^2 / u            int u^p
+    rho_s = L phi_m(rho),    phi_m(rho) = expm1(m log rho) / m    (log rho at m = 0),
 
-The CLI names these four cases fde, w, heat and u.  The pointwise form
-carries the gradient weight nu = 1 - z^2 (the intrinsic gradient squared);
-this is what makes its first integral exact and maps it onto the density
-form by one rule, rho = w^(beta p) with the clock t = s / m, which
-``convert`` applies in either direction.
+forward-parabolic for every m, since phi_m' = rho^(m-1) > 0.  A pointwise
+state reads its density through w = rho^(1/(beta p)) at the same s; a
+density state reads it at t = s / m, so at m = 0 it stands still, and at
+m < 0, where d rho/dt = L rho^m runs backward, it is refused (DomainError).
+A run converts its datum to rho once and its final state back once, and
+every sample reports from rho.
 
-The heat flow integrates exactly in either form (``integrates_exactly``):
-``_exact`` runs its density form, from rho0 = u0^p on the pointwise form,
-and synthesizes the requested times in blocks of at most _BLOCK, one
-product each; ``evolve`` reports each block with one analysis of the
-stacked u = rho^(1/p) (``_sample_report``).  Every other case
-takes fourth-order ETDRK4 steps (Cox and Matthews 2002) on the split
+The heat flow (beta = 1, s = t) integrates exactly (``integrates_exactly``):
+``_exact`` synthesizes the requested times in blocks of at most _BLOCK, one
+product each, and ``evolve`` reports each block with one analysis of the
+stacked u = rho^(1/p) (``_sample_report``).  Every other member takes
+fourth-order ETDRK4 steps (Cox and Matthews 2002) on the split
 c' = G(c) = -sigma lam c + N(c), whose diagonal linear part is exact with
-the scalar stiffness bound sigma frozen per step.  A scan of c' = -r sigma
-lam c over r in [0.01, 1] and z = -dt sigma lam in [-1e9, -1e-3] keeps the
-amplification factor |R| <= 1.  dt adapts under a conservation-drift budget
-and a positivity guard (steps are rejected, never clamped).
+the scalar stiffness bound sigma = max phi_m' frozen per step.  A scan of
+c' = -r sigma lam c over r in [0.01, 1] and z = -dt sigma lam in
+[-1e9, -1e-3] keeps the amplification factor |R| <= 1.  The step size
+comes from a local-error estimate (Hairer and Wanner, Solving ODEs II,
+IV.8), a positivity guard rejects steps (never clamps them), and the drift
+of the conserved quantity is checked at each sample.
 """
 
 from __future__ import annotations
@@ -45,9 +50,13 @@ from .discretization import EPS_POS, GridFn, Quadrature, require_resolved
 from .errors import ConservationError, DomainError, FlowError, PositivityError, PositivityLossError
 from .functionals import _dirichlet, _entropy
 
-#: defaults for the adaptive controller
+#: defaults: the drift of the conserved quantity a run may show, the rise of
+#: F that still counts as nonincreasing, a step's local-error estimate
+#: relative to the state's coefficient 2-norm, and the step size (on the
+#: clock s) below which the controller gives up
 TOL_CONS = 1e-9
 TOL_MONO = 1e-9
+TOL_STEP = 1e-7
 DT_MIN = 1e-12
 #: the exact flow synthesizes and records its samples in blocks of at most
 #: this many, which bounds its working memory whatever the sample count
@@ -121,43 +130,59 @@ def make_state(form: Form, spec: FlowSpec, f0: GridFn, t: float = 0.0) -> FlowSt
 
 def convert(state: FlowState, form: Form) -> FlowState:
     """The same solution in another form of its flow: rho = w^(beta p), and
-    the density clock t is the pointwise clock s divided by m."""
-    spec, f = state.spec, state.f
-    t = state.t if state.form is Form.DENSITY else state.t / spec.m
-    if form is not state.form:
-        e = spec.beta * spec.params.p
-        f = GridFn.from_values(f.quad, f.values ** (e if form is Form.DENSITY else 1.0 / e))
-    return make_state(form, spec, f, t if form is Form.DENSITY else spec.m * t)
+    the density clock t is the pointwise clock s divided by m, which does
+    not exist at m = 0, where the density form stands still (DomainError)."""
+    if form is state.form:
+        return state
+    m = state.spec.m
+    if m == 0.0:
+        raise DomainError("at m = 0 the density clock t = s/m does not exist")
+    t = state.t / m if form is Form.DENSITY else m * state.t
+    return make_state(form, state.spec, _from_density(form, state.spec, _density(state)), t)
+
+
+def _clock_rate(state: FlowState) -> float:
+    """ds/dt: 1 on the pointwise form, m on the density form (not m < 0)."""
+    rate = 1.0 if state.form is Form.POINTWISE else state.spec.m
+    if rate < 0.0:
+        raise DomainError(f"d rho/dt = L rho^m runs backward at m = {rate} < 0; "
+                          "the pointwise form runs this member forward")
+    return rate
+
+
+def _density(state: FlowState) -> GridFn:
+    f = state.f
+    return f if state.form is Form.DENSITY else GridFn.from_values(
+        f.quad, _density_values(state.form, state.spec, f))
+
+
+def _from_density(form: Form, spec: FlowSpec, rho: GridFn) -> GridFn:
+    """What a state of this form holds for the density rho: rho, or w."""
+    if form is Form.DENSITY:
+        return rho
+    return GridFn.from_values(rho.quad, rho.values ** (1.0 / (spec.beta * spec.params.p)))
 
 
 # -- right-hand sides in coefficient space ---------------------------------
 
 
-def _full_rhs(state_form: Form, spec: FlowSpec, quad: Quadrature, c: np.ndarray):
-    """(G(c), stiffness bound sigma) for the ETDRK4-stepped flows.
-
-    Nonlinearities are evaluated pointwise on the padded grid and projected
-    back (dealiasing).  Raises PositivityError if the padded values touch
-    the floor, and FlowError if sigma is not finite: a power of the state
-    (rho^m, or the mobility w^(2-2 beta)) passed the float range.
-    """
-    lam = quad.eigenvalues
+def _full_rhs(spec: FlowSpec, quad: Quadrature, c: np.ndarray):
+    """(G(c), stiffness bound sigma) of rho_s = L phi_m(rho) in coefficients:
+    phi_m on the padded grid, projected back (dealiasing), and sigma the
+    largest phi_m' = rho^(m-1), at an end of the range.  Raises
+    PositivityError if the padded values touch the floor, and FlowError if
+    rho^m <= sigma max rho is not finite: a power of the state overflows."""
     vals = quad.padded_values(c)
-    if vals.min() <= EPS_POS:
+    lo, hi = vals.min(), vals.max()
+    if lo <= EPS_POS:
         raise PositivityError("state lost positivity on the evaluation grid")
-    if state_form is Form.DENSITY:
-        m = spec.m
-        power = vals**m
-        sigma = m * (power / vals).max()
-    else:
-        nl = spec.kappa * quad.padded_nu() * quad.padded_derivative(c) ** 2 / vals
-        power = vals ** (2.0 - 2.0 * spec.beta)  # the mobility
-        sigma = power.max()
-    if not sigma < math.inf:  # also NaN, from inf / inf
+    m = spec.m
+    sigma = max(lo ** (m - 1.0), hi ** (m - 1.0))
+    if not sigma * hi < math.inf:  # also NaN
         raise FlowError(f"the stiffness bound is {sigma}: a power of the state overflows")
-    if state_form is Form.DENSITY:
-        return -lam * quad.project_padded(power), sigma
-    return quad.project_padded(power * (nl - quad.padded_values(lam * c))), sigma
+    log_rho = np.log(vals)
+    phi = np.expm1(m * log_rho) / m if m else log_rho
+    return -quad.eigenvalues * quad.project_padded(phi), sigma
 
 
 def _etdrk4_weights(z: np.ndarray):
@@ -181,141 +206,119 @@ def _etdrk4_weights(z: np.ndarray):
 
 
 def _imex_step(form: Form, spec: FlowSpec, quad: Quadrature, c: np.ndarray, dt: float):
-    """One ETDRK4 step of dt from c (Cox and Matthews 2002): four right-hand
-    sides, all split by the first one's sigma.  With E = e^(z/2), phi =
-    phi1(z/2) and z = -dt sigma lam, the stages a = E c + (dt/2) phi N(c),
-    b = E c + (dt/2) phi N(a), d = E a + (dt/2) phi (2 N(b) - N(c)) give
-    E^2 c + dt (f1 N(c) + 2 f2 (N(a) + N(b)) + f3 N(d)).  The name is kept
-    for perfbench/tracer.py, which wraps it."""
-    g0, sigma = _full_rhs(form, spec, quad, c)
+    """One ETDRK4 step of dt from c (Cox and Matthews 2002) and the 2-norm
+    of its local-error estimate.  Four right-hand sides, all split by the
+    first one's sigma: with E = e^(z/2), phi = phi1(z/2) and z = -dt sigma
+    lam, the stages a = E c + (dt/2) phi N(c), b = E c + (dt/2) phi N(a),
+    d = E a + (dt/2) phi (2 N(b) - N(c)) give E^2 c + dt (f1 N(c) + 2 f2
+    (N(a) + N(b)) + f3 N(d)).  The embedded ETD2 value E^2 c + dt (phi1(z)
+    N(c) + phi2(z) (N(d) - N(c))) differs from it by 2 dt f2 (N(a) + N(b) -
+    N(c) - N(d)), as f1 - phi1 + phi2 = f3 - phi2 = -2 f2.  ``form`` is not
+    read; perfbench/tracer.py wraps the step by this name and signature."""
+    g0, sigma = _full_rhs(spec, quad, c)
     sl = sigma * quad.eigenvalues
     e_half, phi, f1, f2, f3 = _etdrk4_weights(-dt * sl)
     half = 0.5 * dt * phi
     n0 = g0 + sl * c
     ec = e_half * c
     a = ec + half * n0
-    na = _full_rhs(form, spec, quad, a)[0] + sl * a
+    na = _full_rhs(spec, quad, a)[0] + sl * a
     b = ec + half * na
-    nb = _full_rhs(form, spec, quad, b)[0] + sl * b
+    nb = _full_rhs(spec, quad, b)[0] + sl * b
     d = e_half * a + half * (2.0 * nb - n0)
-    nd = _full_rhs(form, spec, quad, d)[0] + sl * d
-    return e_half * ec + dt * (f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nd)
+    nd = _full_rhs(spec, quad, d)[0] + sl * d
+    ab, w2 = na + nb, 2.0 * dt * f2
+    error = w2 * (ab - n0 - nd)
+    return e_half * ec + dt * (f1 * n0 + f3 * nd) + w2 * ab, math.sqrt(error @ error)
 
 
-def _exact(state: FlowState, times: np.ndarray):
-    """The heat flow's density at the increasing times, in blocks of at most
-    _BLOCK samples: each block's coefficients c0 e^(-lam (t - state.t)) are
-    one stack, synthesized in one product.  A block yields its samples up to
-    the first one that is not positive, as their times, the (n, k) stack of
-    their nodal values and the coefficients of the last one; the first
-    non-positive sample raises PositivityLossError when the iterator passes
-    them, so an earlier failure of the caller wins."""
-    quad, pointwise = state.f.quad, state.form is Form.POINTWISE
-    c0 = quad.to_coeffs(state.f.values**state.params.p) if pointwise else state.f.coeffs
+def _exact(rho: GridFn, t0: float, times: np.ndarray):
+    """The heat flow's density from rho at t0, at the increasing times, in
+    blocks of at most _BLOCK samples: each block's coefficients
+    c0 e^(-lam (t - t0)) are one stack, synthesized in one product.  A
+    block yields its samples up to the first one that is not positive, as
+    their times, the (n, k) stack of their nodal values and the density of
+    the last one; the first non-positive sample raises
+    PositivityLossError when the iterator passes them, so an earlier
+    failure of the caller wins."""
+    quad = rho.quad
     for start in range(0, times.size, _BLOCK):
         ts = times[start : start + _BLOCK]
         with np.errstate(over="ignore"):  # at a huge time the exponent is -inf: e^(-inf) = 0
-            coeffs = np.multiply.outer(quad.eigenvalues, state.t - ts)
+            coeffs = np.multiply.outer(quad.eigenvalues, t0 - ts)
         np.exp(coeffs, out=coeffs)
-        coeffs *= c0[:, None]
+        coeffs *= rho.coeffs[:, None]
         values = quad.to_values(coeffs)
         positive = values.min(axis=0) > EPS_POS
         k = ts.size if positive.all() else int(positive.argmin())
-        if k:  # the block keeps only the last column of its coefficients
-            last, coeffs = coeffs[:, k - 1].copy(), None
+        if k:  # the block keeps only the last column of its coefficients; a
+            # strided column rounds the sample's sums differently
+            last = GridFn(quad, np.ascontiguousarray(values[:, k - 1]), coeffs[:, k - 1].copy())
+            coeffs = None
             yield ts[:k], values[:, :k], last
         if k < ts.size:
             raise PositivityLossError("the flow lost positivity", t=float(ts[k]))
 
 
-def _exact_state(state: FlowState, t: float, rho: np.ndarray, c: np.ndarray) -> FlowState:
-    """The exact flow's state at t from its density's nodal values (a column
-    of a block) and coefficients, read as u = rho^(1/p) on the pointwise
-    form."""
-    # a strided column rounds the sample's sums differently
-    f = GridFn(state.f.quad, np.ascontiguousarray(rho), c)
-    if state.form is Form.POINTWISE:
-        f = GridFn.from_values(f.quad, f.values ** (1.0 / state.params.p))
-    return FlowState(float(t), f, state.form, state.spec, state.conserved0)
-
-
 def step(state: FlowState, dt: float) -> FlowState:
-    """Advance one step, exactly or by one ETDRK4 step
+    """Advance one step of dt on the state's clock: one exact step of the
+    heat flow, or one ETDRK4 step of the density over s = dt ds/dt
     (``integrates_exactly``).  Raises if positivity is lost."""
     if dt <= 0.0:
         raise DomainError(f"dt must be positive, got {dt}")
+    rho, t = _density(state), state.t + dt
     if integrates_exactly(state.form, state.spec):
-        ts, rho, c = next(_exact(state, np.array([state.t + dt])))
-        return _exact_state(state, ts[0], rho[:, 0], c)
-    quad = state.f.quad
-    f = GridFn.from_coeffs(quad, _imex_step(state.form, state.spec, quad, state.f.coeffs, dt))
-    if not f.is_positive():
-        raise PositivityLossError("the flow lost positivity", t=state.t + dt)
-    return FlowState(state.t + dt, f, state.form, state.spec, state.conserved0)
+        rho = next(_exact(rho, state.t, np.array([t])))[2]
+        return replace(state, t=t, f=_from_density(state.form, state.spec, rho))
+    c, _ = _imex_step(state.form, state.spec, rho.quad, rho.coeffs, _clock_rate(state) * dt)
+    rho = GridFn.from_coeffs(rho.quad, c)
+    if not rho.is_positive():
+        raise PositivityLossError("the flow lost positivity", t=t)
+    return replace(state, t=t, f=_from_density(state.form, state.spec, rho))
 
 
 # -- adaptive segment integrator --------------------------------------------
 
 
-def _advance_to(
-    state: FlowState,
-    t_target: float,
-    dt: float,
-    dt_max: float,
-    tol_cons: float,
-    horizon: float,
-    c_prev: float | None,
-) -> tuple[FlowState, float, float | None]:
-    """Step from state to t_target by ETDRK4 steps under the drift budget;
-    returns the state at t_target, the next dt and the drift baseline for
-    the next segment.  The exact flow never comes here (``evolve``).
+def _advance_to(spec: FlowSpec, rho: GridFn, s: float, s_target: float, h: float,
+                h_max: float) -> tuple[GridFn, float]:
+    """Step the density rho from s to s_target on the clock s by ETDRK4
+    steps of at most h_max; returns the density at s_target and the next
+    step size.  The exact flow never comes here (``evolve``).
 
-    The baseline ``c_prev`` is the conserved quantity of the last accepted
-    step, or None on the first segment.  It is then synthesized from the
-    coefficients, as every trial is, so the datum's values -> coeffs ->
-    values error is not counted as drift.  A rejected attempt is retried
-    from the same state, so it passes the same coefficient array to the
-    step again.  An accepted step whose top modes carry more than the
-    resolution tolerance raises ResolutionError: a smaller dt cannot
-    resolve them, and an unresolved flow can drive dt toward DT_MIN over
-    hundreds of thousands of attempts.
-    """
-    quad = state.f.quad
-    noise_floor = 1e-15 * max(1.0, abs(state.conserved0))
-    if c_prev is None:
-        c_prev = conserved_quantity(
-            quad, _density_values(state.form, state.spec, GridFn.from_coeffs(quad, state.f.coeffs)))
-    while state.t < t_target - 1e-14 * max(1.0, abs(t_target)):
-        h = min(dt, dt_max, t_target - state.t)
-        budget = 0.5 * tol_cons * h / horizon + noise_floor
+    A step is accepted when its local-error estimate, the distance of the
+    embedded ETD2 value in the coefficient 2-norm (the L2(nu) norm), is at
+    most TOL_STEP times the norm of the state it starts from.  The next
+    step scales by 0.9 (tol/error)^(1/3) (Hairer and Wanner, IV.8) within
+    [0.2, 5], not above 1 after a rejection; a step that loses positivity
+    (or whose estimate is NaN) halves, and one cut short to land on s_target
+    keeps the size it was cut from unless its own estimate allows more.  A rejected attempt passes
+    the same coefficient array to the step again.  An accepted step whose
+    top modes carry more than the resolution tolerance raises
+    ResolutionError: a smaller step cannot resolve them."""
+    quad, grow = rho.quad, 5.0
+    while s < s_target - 1e-14 * max(1.0, abs(s_target)):
+        full = min(h, h_max)
+        dt = min(full, s_target - s)
         try:
             with np.errstate(over="ignore"):  # a power past the float range: _full_rhs refuses it
-                trial = step(state, h)
-        except (PositivityError, PositivityLossError):
-            trial = None
-        if trial is not None:
-            c_now = conserved_quantity(quad, _density_values(state.form, state.spec, trial.f))
-            local = abs(c_now - c_prev)
-            cumulative = abs(c_now - state.conserved0)
-            if local > budget:
-                trial = None
-            elif cumulative > tol_cons:
-                raise ConservationError(
-                    f"conserved quantity drifted by {cumulative:.3e} > {tol_cons:.1e}",
-                    t=trial.t,
-                )
-        if trial is None:
-            dt *= 0.5
-            if dt < DT_MIN:
-                raise PositivityLossError(
-                    "step size underflow (positivity or drift unreachable)", t=state.t
-                )
+                c, error = _imex_step(Form.DENSITY, spec, quad, rho.coeffs, dt)
+            trial = GridFn.from_coeffs(quad, c)
+        except PositivityError:
+            trial, error = None, math.inf
+        tol = TOL_STEP * math.sqrt(rho.coeffs @ rho.coeffs)
+        scale = 0.9 * (tol / error) ** (1.0 / 3.0) if error else math.inf
+        positive = trial is not None and trial.is_positive()
+        if positive and error <= tol:
+            trial.require_resolved()
+            h = max(dt * min(grow, scale), h if dt < full else 0.0)
+            rho, s, grow = trial, s + dt, 5.0
             continue
-        trial.f.require_resolved()
-        state, c_prev = trial, c_now
-        if local < 0.1 * budget and h >= dt:
-            dt = min(dt * 1.3, dt_max)
-    return replace(state, t=t_target), dt, c_prev
+        h, grow = dt * (max(0.2, scale) if positive and error > tol else 0.5), 1.0
+        if h < DT_MIN:
+            raise PositivityLossError(
+                "step size underflow (positivity or local error unreachable)", t=s)
+    return rho, h
 
 
 @dataclass
@@ -348,17 +351,13 @@ class Trajectory:
 
 def _sample_report(state: FlowState, rho: np.ndarray):
     """(E_p, I_p) from a sample's nodal density rho, or two arrays of s from
-    an (n, s) stack of the exact flow's densities.  I_p is the Dirichlet form
-    of u = rho^(1/p), read off u's coefficients under the resolution check
-    (per column: the first unresolved one raises).  A single pointwise
-    sample forms u = w^beta from its state instead (w itself at beta = 1);
-    a stack is analysed in one product."""
-    quad, p, beta = state.f.quad, state.params.p, state.spec.beta
+    an (n, s) stack of the exact flow's densities; ``state`` is the run's
+    datum, which gives the rule and p.  I_p is the Dirichlet form of
+    u = rho^(1/p), read off u's coefficients under the resolution check
+    (per column: the first unresolved one raises)."""
+    quad, p = state.f.quad, state.params.p
     e = _entropy(quad.weights, rho, p)  # first, so its temporaries and u are not held at once
-    if rho.ndim == 2 or state.form is Form.DENSITY:
-        c = quad.to_coeffs(rho ** (1.0 / p))
-    else:
-        c = state.f.coeffs if beta == 1.0 else quad.to_coeffs(state.f.values**beta)
+    c = quad.to_coeffs(rho ** (1.0 / p))
     require_resolved(c)
     return e, _dirichlet(quad, c)
 
@@ -371,15 +370,17 @@ def evolve(
     tol_cons: float = TOL_CONS,
 ) -> Trajectory:
     """Integrate to t_end, recording ``samples`` evenly spaced snapshots
-    (endpoints included); each evaluates E_p and I_p once.  The heat flow,
-    in either form, synthesizes its later samples in blocks of at most
-    _BLOCK (``_exact``) and records each block with one stacked report;
-    every other flow steps from sample to sample and records each one
-    alone, as it does the datum.  Step errors propagate with the failing
-    time attached, and a sample whose top modes carry more than the
-    resolution tolerance raises ResolutionError: the first failing sample
-    decides, and at one sample positivity is checked first."""
-    if not (math.isfinite(t_end) and t_end > state.t):
+    (endpoints included); each evaluates E_p and I_p once, from the density.
+    The heat flow, in either form, synthesizes its later samples in blocks
+    of at most _BLOCK (``_exact``) and records each block with one stacked
+    report; every other flow steps its density on the clock s from sample
+    to sample (dt_max caps the steps on the state's clock) and records each
+    one alone, as it does the datum, once its conserved quantity is within
+    tol_cons of the datum's.  Step errors propagate with the failing time
+    attached, and a sample whose top modes carry more than the resolution
+    tolerance raises ResolutionError: the first failing sample decides, and
+    at one sample positivity is checked first."""
+    if not (math.isfinite(t_end) and 0.0 < t_end - state.t < math.inf):
         raise DomainError(f"t_end must be finite and exceed the current time, got {t_end}")
     if samples < 2:
         raise DomainError("need at least 2 samples (both endpoints)")
@@ -387,27 +388,36 @@ def evolve(
         raise DomainError(f"dt_max must be positive, got {dt_max}")
     if not 0.0 < tol_cons < math.inf:
         raise DomainError(f"tol_cons must be positive and finite, got {tol_cons}")
-    times = np.linspace(state.t, t_end, samples)
-    quad = state.f.quad
+    rate = _clock_rate(state)
+    if not rate * (t_end - state.t) < math.inf:
+        raise DomainError(f"the flow's clock s = {rate} t passes the float range at t_end = {t_end}")
+    with np.errstate(over="ignore"):  # in the last time only, which linspace sets to t_end
+        times = np.linspace(state.t, t_end, samples)
+    rho = _density(state)
+    quad = rho.quad
     traj = Trajectory(state.form, [], [], [], [], [], [], state)
 
-    def record(ts, st: FlowState, rho: np.ndarray):
-        """Appends the samples at ts: one (rho a vector) or a stack's columns."""
-        e, i = _sample_report(st, rho)
-        rows = np.array([ts, i / quad.d - e, e, i, quad.weights @ rho, quad.z_weights @ rho])
+    def record(ts, values: np.ndarray):
+        """Appends the samples at ts: one (values a vector) or a stack's columns."""
+        e, i = _sample_report(state, values)
+        rows = np.array([ts, i / quad.d - e, e, i, quad.weights @ values, quad.z_weights @ values])
         for column, x in zip(traj.columns(), rows.reshape(6, -1).tolist()):
             column.extend(x)
 
-    record(state.t, state, _density_values(state.form, state.spec, state.f))
+    record(state.t, rho.values)
     if integrates_exactly(state.form, state.spec):
-        for ts, rho, c in _exact(state, times[1:]):
-            record(ts, state, rho)
-        traj.final_state = _exact_state(state, ts[-1], rho[:, -1], c)
-        return traj
-    current, horizon, c_prev = state, t_end - state.t, None
-    dt = min(dt_max, horizon / max(8 * (samples - 1), 64))
-    for t in times[1:].tolist():
-        current, dt, c_prev = _advance_to(current, t, dt, dt_max, tol_cons, horizon, c_prev)
-        record(t, current, _density_values(current.form, current.spec, current.f))
-    traj.final_state = current
+        for ts, values, rho in _exact(rho, state.t, times[1:]):
+            record(ts, values)
+    else:
+        # m = 0 on the density form: s stands still, and so does the state
+        s, h_max = (rate * (times - state.t)).tolist(), rate * dt_max if rate else math.inf
+        h = min(h_max, s[-1] / 64)
+        for k, t in enumerate(times[1:].tolist(), start=1):
+            rho, h = _advance_to(state.spec, rho, s[k - 1], s[k], h, h_max)
+            record(t, rho.values)
+            drift = abs(traj.conserved[-1] - state.conserved0)
+            if drift > tol_cons:
+                raise ConservationError(
+                    f"conserved quantity drifted by {drift:.3e} > {tol_cons:.1e}", t=t)
+    traj.final_state = replace(state, t=float(t_end), f=_from_density(state.form, state.spec, rho))
     return traj

@@ -39,6 +39,13 @@ def run_cli(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def run_cli_warnings_as_errors(*args):
+    """As ``run_cli``, with every warning turned into an error."""
+    proc = subprocess.run([sys.executable, "-W", "error", *RUN[1:], *args],
+                          capture_output=True, text=True, timeout=600)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def run_main(capsys, *args):
     """The command in-process through ``main``."""
     rc = main(list(args))
@@ -496,6 +503,85 @@ class TestFlowCommand:
             first[form] = json.loads(capsys.readouterr().out)["F_first"]
         for form, value in first.items():
             assert value == pytest.approx(first["heat"], rel=1e-12), form
+
+    def test_last_sample_time_at_the_float_limit(self):
+        # the evenly spaced times overflow only in their last element, which
+        # is t_end itself: no overflow warning, also with warnings as errors
+        rc, _, err = run_cli_warnings_as_errors(
+            "flow", "--form", "heat", "--d", "1", "--p", "3.3", "--init", "perturb:0.3,2",
+            "--t-end", "1.7976931348623157e308", "--n", "32", "--samples", "15")
+        assert (rc, err) == (0, "")
+
+    @pytest.mark.parametrize("exponent", [["--m", "-0.32"], ["--beta", "-0.04"]])
+    def test_backward_density_form_is_parameter_error(self, exponent, capsys):
+        # at m < 0 d rho/dt = L rho^m runs backward; the pointwise form runs
+        # the same member forward on its own clock (d = 1: m = -0.32 is
+        # admissible)
+        argv = ["flow", "--d", "1", "--p", "39.3", *exponent, "--init", "perturb:0.1,2",
+                "--t-end", "0.01", "--n", "64"]
+        rc, _, err = run_main(capsys, *argv, "--form", "fde")
+        assert rc == 2
+        assert "runs backward" in json.loads(err)["message"]
+        rc, out, err = run_main(capsys, *argv, "--form", "w")
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["m"] < 0.0
+
+    def test_density_form_stands_still_at_m_zero(self, capsys):
+        # d rho/dt = L rho^0 = 0, while w moves on its clock s
+        argv = ["flow", "--d", "2", "--p", "3", "--beta", "-2", "--init", "perturb:0.1,2",
+                "--t-end", "0.01", "--n", "64"]
+        rc, out, _ = run_main(capsys, *argv, "--form", "fde")
+        assert rc == 0
+        report = json.loads(out)
+        assert report["m"] == 0.0 and report["F_last"] == report["F_first"]
+        rc, out, _ = run_main(capsys, *argv, "--form", "w")
+        assert rc == 0
+        report = json.loads(out)
+        assert report["F_last"] < report["F_first"]
+
+    #: (d, p) below the critical exponent 2d/(d-2) mostly, where flows run
+    MODERATE_D, MODERATE_P = st.floats(1.0, 5.0), st.floats(1.0, 3.3)
+    #: --beta or --m, the critical m = 1 - 2/p (infinite beta) or m = 0
+    EXPONENT = (st.sampled_from(["critical", "zero"])
+                | st.tuples(st.sampled_from(["--beta", "--m"]), st.floats(-2.0, 3.0) | FINITE))
+    #: the heat flow's names without an exponent, the others with one, and
+    #: any name with or without one
+    FORM_EXPONENT = (st.tuples(st.sampled_from(["heat", "u"]), st.none())
+                     | st.tuples(st.sampled_from(["fde", "w"]), EXPONENT)
+                     | st.tuples(st.sampled_from(sorted(BETA_ARGS)), st.none() | EXPONENT))
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True,
+              phases=(Phase.explicit, Phase.generate))
+    @given(st.tuples(FORM_EXPONENT, MODERATE_D | MODERATE_D | D_OR_P,
+                     MODERATE_P | MODERATE_P | D_OR_P,
+                     st.floats(1e-4, 0.1) | FINITE, st.integers(2, 20), st.integers(4, 64),
+                     st.none() | st.integers(0, 4),
+                     st.tuples(st.just("const"), st.floats(0.1, 4.0) | FINITE)
+                     | st.tuples(st.just("perturb"), st.floats(-0.3, 0.3) | FINITE,
+                                 st.integers(0, 6) | st.integers(0, 70))
+                     | st.tuples(st.just("random"), st.integers(0, 2**32),
+                                 st.integers(0, 6) | st.integers(0, 70))))
+    @example((("w", ("--beta", -0.04)), 1.0, 39.3, 0.01, 2, 64, None, ("perturb", 0.1, 2)))
+    @example((("w", ("--beta", -2.0)), 2.0, 3.0, 0.01, 2, 64, 1, ("perturb", 0.1, 2)))
+    @example((("fde", "zero"), 2.0, 3.0, 0.01, 2, 64, 3, ("perturb", 0.1, 2)))
+    @example((("fde", "critical"), 1.0, 3.0, 0.01, 2, 64, None, ("perturb", 0.1, 2)))
+    @example((("heat", None), 1.0, 3.3, sys.float_info.max, 15, 32, None, ("perturb", 0.3, 2)))
+    def test_any_finite_input_exits_cleanly(self, args):
+        # t_end / dt_max = 10^decades is at most 1e4, which bounds the
+        # steps: a --dt-max of 1e-300 steps on without end
+        (form, exponent), d, p, t_end, samples, n, decades, init = args
+        argv = ["flow", f"--form={form}", f"--d={d!r}", f"--p={p!r}", f"--t-end={t_end!r}",
+                f"--samples={samples}", f"--n={n}", f"--init={init[0]}:{','.join(map(repr, init[1:]))}"]
+        if exponent == "critical":
+            argv.append(f"--m={1.0 - 2.0 / p!r}")  # the infinite-beta member
+        elif exponent == "zero":
+            argv.append("--m=0.0")
+        elif exponent is not None:
+            argv.append(f"{exponent[0]}={exponent[1]!r}")
+        if decades is not None:
+            argv.append(f"--dt-max={abs(t_end) / 10**decades!r}")
+        with tempfile.TemporaryDirectory() as out:
+            assert_exits_cleanly(argv + [f"--out={out}"], Path(out) / "flow.json")
 
 
 class TestCounterexampleCommand:

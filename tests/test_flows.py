@@ -16,6 +16,7 @@ from ultraflow import (
     PositivityError,
     Quadrature,
     beta_roots,
+    classify_region,
     dissipation_nonlinear,
     dissipation_report,
     entropy,
@@ -37,14 +38,18 @@ def heat_state(quad, d, p, f0, form=Form.DENSITY):
     return make_state(form, FlowSpec.heat(Params(d, p)), f0)
 
 
+def density_report(quad, rho, p, beta):
+    """The dissipation report of the nodal density rho, through u = rho^(1/p)."""
+    return dissipation_report(rho, GridFn.from_values(quad, rho ** (1.0 / p)), p, beta)
+
+
 def report_at(state):
-    """The dissipation report at a flow state, from the variable it evolves:
+    """The dissipation report at a flow state, from the function it holds:
     u = rho^(1/p) on the density form, w itself on the pointwise form."""
     p, beta = state.params.p, state.spec.beta
     if state.form is Form.POINTWISE:
         return dissipation_nonlinear(state.f, p, beta)
-    u = GridFn.from_values(state.f.quad, state.f.values ** (1.0 / p))
-    return dissipation_report(state.f.values, u, p, beta)
+    return density_report(state.f.quad, state.f.values, p, beta)
 
 
 def central_difference_and_analytic(state, t_end, samples, i):
@@ -302,19 +307,21 @@ class TestNonlinearFlows:
         assert 14.0 <= ratio <= 18.0  # order 4: 16 per halving (15.3 measured)
 
     def test_density_form_is_fourth_order(self):
-        # halving dt_max cuts the coefficient error 16x (16.0 measured)
+        # fixed steps, since the local-error controller sets evolve's:
+        # halving dt cuts the coefficient error 16x
         quad = cached_quadrature(5.0, 64)
         params = Params(5.0, 3.3)
         spec = FlowSpec.nonlinear(params, beta_roots(params).minus)
         rho0 = random_positive(quad, np.random.default_rng(7), modes=8, amplitude=0.5)
-        st = make_state(Form.DENSITY, spec, rho0)
 
-        def final(dt_max):
-            traj = evolve(st, 0.4, samples=2, dt_max=dt_max)
-            return traj.final_state.f.coeffs
+        def final(steps):
+            st = make_state(Form.DENSITY, spec, rho0)
+            for _ in range(steps):
+                st = step(st, 0.4 / steps)
+            return st.f.coeffs
 
-        ref = final(1.25e-4)
-        errs = [np.linalg.norm(final(h) - ref) for h in (4e-3, 2e-3, 1e-3)]
+        ref = final(3200)
+        errs = [np.linalg.norm(final(k) - ref) for k in (100, 200, 400)]
         for coarse, fine in zip(errs, errs[1:]):
             assert coarse / fine >= 14.0
 
@@ -327,11 +334,11 @@ class TestNonlinearFlows:
         quad = SimpleNamespace(eigenvalues=x / sigma)  # dt = 1
         c = np.ones_like(x)
         for r in np.linspace(0.01, 1.0, 100):
-            def rhs(form, spec, q, x, r=r):
+            def rhs(spec, q, x, r=r):
                 return -r * sigma * q.eigenvalues * x, sigma
 
             monkeypatch.setattr(flows, "_full_rhs", rhs)
-            amplification[round(r, 2)] = flows._imex_step(Form.DENSITY, None, quad, c, 1.0)
+            amplification[round(r, 2)] = flows._imex_step(Form.DENSITY, None, quad, c, 1.0)[0]
             assert np.all(np.abs(amplification[round(r, 2)]) <= 1.0)
         assert np.max(np.abs(amplification[1.0] - np.exp(-x))) <= 1e-15
         assert amplification[0.5][-1] == pytest.approx(-0.125)
@@ -378,10 +385,11 @@ class TestNonlinearFlows:
         fine = evolve(st, 0.4, dt_max=1e-4).F[-1]
         assert default == pytest.approx(fine, rel=1e-5)
 
-    @pytest.mark.parametrize("beta, cap", [(1.2126712652, 1400), (1.0, 0)], ids=["w", "u"])
+    @pytest.mark.parametrize("beta, cap", [(1.2126712652, 1000), (1.0, 0)], ids=["w", "u"])
     def test_readme_runs_take_few_right_hand_sides(self, beta, cap, monkeypatch):
-        # the README w run at t = 0.4: 1,188 right-hand sides measured; the
-        # u run is the heat flow, integrated exactly with none
+        # the README w run at t = 0.4: 868 right-hand sides measured, where
+        # the drift budget of the pointwise integrator took 1,188; the u
+        # run is the heat flow, integrated exactly with none
         quad = cached_quadrature(5.0, 128)
         spec = FlowSpec.nonlinear(Params(5.0, 3.3), beta)
         coeffs = np.zeros(quad.n)
@@ -402,10 +410,24 @@ class TestNonlinearFlows:
         assert max(abs(c - traj.conserved[0]) for c in traj.conserved) <= 1e-9
 
 
+    def test_readme_w_accuracy_is_set_by_the_tolerance(self):
+        # the README w run's final F at 2, 13 and 50 samples: the sample
+        # spacing no longer sets the step, so they agree to 1e-7, and each
+        # is within 1e-8 of a run at dt_max = 2e-5 (4.1e-9 at most measured)
+        quad = cached_quadrature(5.0, 128)
+        spec = FlowSpec.nonlinear(Params(5.0, 3.3), 1.2126712652)
+        coeffs = np.zeros(quad.n)
+        coeffs[0], coeffs[2] = 1.0, 0.3
+        st = make_state(Form.POINTWISE, spec, GridFn.from_coeffs(quad, coeffs))
+        finals = [evolve(st, 0.4, samples=k).F[-1] for k in (2, 13, 50)]
+        assert max(finals) - min(finals) <= 1e-7 * max(finals)
+        assert finals == pytest.approx([5.385112648977728e-05] * 3, rel=1e-8, abs=0.0)
+
+
 class TestTablesOnFirstUse:
     def test_flows_build_only_the_tables_they_read(self, rng):
-        # the exact heat flow and the density form take no derivative; the
-        # w form takes its derivative on the padded grid only
+        # no flow takes a derivative: the exact heat flow builds no padded
+        # rule, and the w form steps its density, as fde does
         params = Params(5.0, 3.3)
         runs = [(256, Form.DENSITY, FlowSpec.heat(params)),
                 (64, Form.DENSITY, FlowSpec.nonlinear(params, beta_roots(params).minus)),
@@ -418,7 +440,7 @@ class TestTablesOnFirstUse:
             pad = quad._padded
             built.append((quad._basis_d1 is not None,
                           pad is not None, pad is not None and pad["synth_d1"] is not None))
-        assert built == [(False, False, False), (False, True, False), (False, True, True)]
+        assert built == [(False, False, False), (False, True, False), (False, True, False)]
 
 
 class TestFormEquivalence:
@@ -436,24 +458,33 @@ class TestFormEquivalence:
         assert diff <= 1e-13
 
     def test_w_nonlinear_matches_fde_with_m_clock(self, rng):
+        # w is the density flow read through w = rho^(1/(beta p)): at m > 0
+        # it is fde at the clock t = s/m, sample by sample.  At m <= 0,
+        # inside the admissible region when d < 2, fde does not run forward;
+        # the final F of w there is that of the earlier integrator of the
+        # pointwise equation itself (mobility and gradient term, to 2e-13
+        # at these points), an independent oracle
         quad = cached_quadrature(5.0, 96)
         params = Params(5.0, 3.3)
-        beta = beta_roots(params).minus
-        spec = FlowSpec.nonlinear(params, beta)
+        spec = FlowSpec.nonlinear(params, beta_roots(params).minus)
         w0 = random_positive(quad, rng, modes=6, amplitude=0.4)
         t_rho = 0.1
-        st_w = make_state(Form.POINTWISE, spec, w0)
-        traj_w = evolve(st_w, spec.m * t_rho, samples=5, dt_max=2e-4)
-        rho0 = GridFn.from_values(quad, w0.values ** (beta * params.p))
-        st_r = make_state(Form.DENSITY, spec, rho0)
-        traj_r = evolve(st_r, t_rho, samples=5, dt_max=2e-4)
-        diff = np.sqrt(
-            np.sum(
-                quad.weights
-                * (traj_w.final_state.f.values ** (beta * params.p) - traj_r.final_state.f.values) ** 2
-            )
-        )
-        assert diff <= 1e-7
+        traj_w = evolve(make_state(Form.POINTWISE, spec, w0), spec.m * t_rho, samples=5)
+        rho0 = GridFn.from_values(quad, w0.values ** (spec.beta * params.p))
+        traj_r = evolve(make_state(Form.DENSITY, spec, rho0), t_rho, samples=5)
+        assert traj_w.F == pytest.approx(traj_r.F, rel=1e-13, abs=0.0)
+        assert traj_w.conserved == pytest.approx(traj_r.conserved, rel=1e-13, abs=0.0)
+
+        for d, p, beta, eps, f_last in [(1.0, 39.3, -0.04, 0.1, 4.5145809331863946e-05),
+                                        (2.0, 3.0, -2.0, 0.1, 0.06792010843203321),
+                                        (1.8, 2.3, -6.665, 0.05, 0.21097795243167355)]:
+            quad = cached_quadrature(d, 64)
+            spec = FlowSpec.nonlinear(Params(d, p), beta)
+            assert spec.m <= 0.0 and classify_region(spec.params, beta).admissible
+            coeffs = np.zeros(quad.n)
+            coeffs[0], coeffs[2] = 1.0, eps  # perturb:eps,2
+            state = make_state(Form.POINTWISE, spec, GridFn.from_coeffs(quad, coeffs))
+            assert evolve(state, 0.01).F[-1] == pytest.approx(f_last, rel=1e-11, abs=0.0)
 
     def test_density_form_report_carries_clock_factor(self, rng):
         # the analytic dissipation lives on the rescaled-flow clock; on a
@@ -467,17 +498,35 @@ class TestFormEquivalence:
         numeric, analytic = central_difference_and_analytic(state, 0.08, 81, 40)
         assert numeric == pytest.approx(analytic, rel=1e-2)
 
-    def test_general_pointwise_rhs_next_to_beta_one(self, rng):
-        # the pointwise right-hand side (mobility w^(2-2b), L w synthesized)
-        # one ulp above beta = 1 agrees with its value at beta = 1 to rounding
-        quad = cached_quadrature(5.0, 128)
-        params = Params(5.0, 3.0)
+    def test_rhs_next_to_m_zero(self, rng):
+        # L phi_m(rho), phi_m = expm1(m log rho)/m, next to m = 0 (d = 2,
+        # p = 3, beta = -2) agrees with L log rho at m = 0 to rounding, on
+        # either side
+        quad = cached_quadrature(2.0, 128)
+        params = Params(2.0, 3.0)
         c = random_positive(quad, rng, modes=10, amplitude=0.6).coeffs
-        g1, sigma1 = _full_rhs(Form.POINTWISE, FlowSpec.heat(params), quad, c)
-        beta = np.nextafter(1.0, 2.0)
-        g, sigma = _full_rhs(Form.POINTWISE, FlowSpec.nonlinear(params, beta), quad, c)
-        assert sigma == pytest.approx(sigma1, rel=1e-13)
-        assert np.max(np.abs(g - g1)) <= 1e-13 * np.max(np.abs(g1))
+        spec0 = FlowSpec.nonlinear(params, -2.0)
+        assert spec0.m == 0.0
+        g0, sigma0 = _full_rhs(spec0, quad, c)
+        for beta in (-2.0 * (1.0 - 1e-14), -2.0 * (1.0 + 1e-14)):
+            spec = FlowSpec.nonlinear(params, beta)
+            assert 0.0 < abs(spec.m) < 1e-14
+            g, sigma = _full_rhs(spec, quad, c)
+            assert sigma == pytest.approx(sigma0, rel=1e-13)
+            assert np.max(np.abs(g - g0)) <= 1e-13 * np.max(np.abs(g0))
+
+    def test_conversion_has_no_clock_at_m_zero(self, rng):
+        # d = 2, p = 3, beta = -2 is admissible with m = 0: the density
+        # form stands still there, and t = s/m does not exist
+        quad = cached_quadrature(2.0, 64)
+        spec = FlowSpec.nonlinear(Params(2.0, 3.0), -2.0)
+        assert spec.m == 0.0
+        st_w = make_state(Form.POINTWISE, spec, random_positive(quad, rng, modes=6, amplitude=0.4))
+        with pytest.raises(DomainError, match="t = s/m"):
+            convert(st_w, Form.DENSITY)
+        with pytest.raises(DomainError, match="t = s/m"):
+            convert(make_state(Form.DENSITY, spec, st_w.f), Form.POINTWISE)
+        assert convert(st_w, Form.POINTWISE) is st_w
 
     def test_conversion_helpers_roundtrip(self, quad5, rng):
         params = Params(5.0, 3.3)
@@ -522,31 +571,36 @@ class TestSampleReports:
 
     @pytest.mark.parametrize("flow", list(FLOWS))
     def test_trajectory_values_are_the_reports(self, flow, rng, monkeypatch):
-        # bitwise at the datum, and at every sample of a stepped flow, whose
-        # states the recorder passes to _sample_report.  The exact flow's
-        # later samples are the stacked report of their block, bitwise; a
-        # column of that product sums in another order than the report of
-        # one vector, so against report_at they agree to rounding
+        # every sample reports from its density, with the datum's rule and p:
+        # bitwise the report of that density at the datum, and at every
+        # sample of a stepped flow, whose densities the recorder passes to
+        # _sample_report.  The exact flow's later samples are the stacked
+        # report of their block, bitwise.  The final state, read back in
+        # the run's form, agrees with the last sample to rounding: a column
+        # of the stacked product sums in another order than the report of
+        # one vector, and w = rho^(1/(beta p)) is rounded once more
         state = self._state(flow, rng)
         seen = []
         report = flows._sample_report
         monkeypatch.setattr(flows, "_sample_report",
-                            lambda st, rho: seen.append(st) or report(st, rho))
+                            lambda st, rho: seen.append((st, rho)) or report(st, rho))
         traj = evolve(state, 0.004, samples=4, dt_max=2e-4)
-        assert seen[0] is state
-        if not flows.integrates_exactly(state.form, state.spec):
-            assert len(seen) == 4 and seen[-1] is traj.final_state
-            for k, st in enumerate(seen):
-                rep = report_at(st)
-                assert (traj.E_p[k], traj.I_p[k], traj.F[k]) == (rep.E_p, rep.I_p, rep.F)
-            return
-        rep = report_at(state)
+        assert all(st is state for st, _ in seen)
+        quad, p, beta = state.f.quad, state.params.p, state.spec.beta
+        rho0 = flows._density_values(state.form, state.spec, state.f)
+        rep = density_report(quad, rho0, p, beta)
         assert (traj.E_p[0], traj.I_p[0], traj.F[0]) == (rep.E_p, rep.I_p, rep.F)
+        if flows.integrates_exactly(state.form, state.spec):
+            (ts, rho, _), = flows._exact(flows._density(state), state.t, np.array(traj.times[1:]))
+            e, i = _sample_report(state, rho)
+            assert (traj.E_p[1:], traj.I_p[1:], traj.F[1:]) == (list(e), list(i), list(i / 5.0 - e))
+        else:
+            assert len(seen) == 4
+            for k, (_, rho) in enumerate(seen):
+                rep = density_report(quad, rho, p, beta)
+                assert (traj.E_p[k], traj.I_p[k], traj.F[k]) == (rep.E_p, rep.I_p, rep.F)
         rep = report_at(traj.final_state)
         last = np.array([traj.E_p[-1], traj.I_p[-1], traj.F[-1]])
-        (ts, rho, _), = flows._exact(state, np.array(traj.times[1:]))
-        e, i = _sample_report(state, rho)
-        assert (traj.E_p[1:], traj.I_p[1:], traj.F[1:]) == (list(e), list(i), list(i / 5.0 - e))
         assert np.all(np.abs(last - (rep.E_p, rep.I_p, rep.F)) <= 5e-14 * traj.I_p[0])
 
     @pytest.mark.parametrize("flow", ["heat", "u"])
@@ -600,15 +654,15 @@ class TestSampleReports:
         calls = self._transforms(self._state("fde", rng), monkeypatch)
         assert calls == ["to_coeffs"], calls
 
-    @pytest.mark.parametrize("flow, per_sample", [("heat", 1), ("fde", 1), ("u", 0), ("w", 1)])
+    @pytest.mark.parametrize("flow, per_sample", [("heat", 1), ("fde", 1), ("u", 1), ("w", 1)])
     def test_sample_transforms_through_evolve(self, flow, per_sample, rng, monkeypatch):
-        # transforms outside the stepping: a sample of one vector forms
-        # rho = w^(beta p) once and differentiates nothing (u = w at
-        # beta = 1, else u = w^beta analysed once), which is the datum's
-        # cost and every sample's on a stepped flow.  The heat flow takes no
-        # step: its later samples are one block, one stacked synthesis and
-        # one stacked analysis of u = rho^(1/p); the u form adds the analysis
-        # of rho0 = u0^p before them and of the final u after them
+        # transforms outside the stepping: a sample of one vector analyses
+        # u = rho^(1/p) once and differentiates nothing, which is the
+        # datum's cost and every sample's on a stepped flow.  The heat flow
+        # takes no step: its later samples are one block, one stacked
+        # synthesis and one stacked analysis of u = rho^(1/p).  A pointwise
+        # form adds the analysis of rho0 = w0^(beta p) before the datum's
+        # and of the final w after the last sample
         state = self._state(flow, rng)
         stepping = []
         calls = self._counted_transforms(monkeypatch, lambda: not stepping)
@@ -624,7 +678,8 @@ class TestSampleReports:
         monkeypatch.setattr(flows, "_advance_to", stepped)
         evolve(state, 0.002, samples=3, dt_max=2e-4)
         later = {"heat": ["to_values", "to_coeffs"],
-                 "u": ["to_coeffs", "to_values", "to_coeffs", "to_coeffs"]}
+                 "u": ["to_coeffs", "to_values", "to_coeffs", "to_coeffs"],
+                 "w": ["to_coeffs"] * 4}
         expected = ["to_coeffs"] * per_sample + later.get(flow, ["to_coeffs"] * (2 * per_sample))
         assert calls == expected, calls
 
@@ -642,11 +697,11 @@ class TestSampleReports:
         with pytest.raises(ResolutionError):
             evolve(state, 0.002, samples=3, dt_max=2e-4)
 
-    @pytest.mark.parametrize("flow", ["fde", "u", "w"])
-    def test_drift_baseline_synthesized_once(self, flow, rng, monkeypatch):
-        # every completed step synthesizes its trial once; the drift
-        # baseline is synthesized once per evolve and then carried from the
-        # last accepted step, not once per sample segment
+    @pytest.mark.parametrize("flow", ["fde", "w"])
+    def test_each_step_synthesizes_its_trial_once(self, flow, rng, monkeypatch):
+        # every completed step synthesizes its trial once, for its
+        # positivity check; the sample and its drift check read those
+        # values, and nothing else is synthesized
         state = self._state(flow, rng)
         steps = 0
         imex_step = flows._imex_step
@@ -660,7 +715,8 @@ class TestSampleReports:
         monkeypatch.setattr(flows, "_imex_step", counted)
         calls = self._counted_transforms(monkeypatch)
         evolve(state, 0.002, samples=5, dt_max=2e-4)
-        assert calls.count("to_values") == steps + 1, (calls.count("to_values"), steps)
+        assert steps >= 10
+        assert calls.count("to_values") == steps, (calls.count("to_values"), steps)
 
     @pytest.mark.parametrize("beta", [beta_roots(Params(5.0, 3.3)).minus, 1e4, 1e7])
     def test_dissipation_integrals_at_large_beta(self, beta):
@@ -766,4 +822,4 @@ class TestGuards:
         with pytest.raises(PositivityError):
             step(st, 1e-4)
         with pytest.raises((PositivityLossError, PositivityError)):
-            flows._advance_to(st, 0.5, 0.5 / 64, math.inf, flows.TOL_CONS, 0.5, None)
+            flows._advance_to(spec, rho0, 0.0, 0.5 * spec.m, 0.5 * spec.m / 64, math.inf)
