@@ -210,7 +210,7 @@ def nonlinear_monotone(seed=0):
     drift, and the largest rise along the infinite-beta member (d = 3,
     p = 6, m = 2/3, the critical fast diffusion)."""
     params = cs.Params(5.0, 3.3)
-    spec = cs.FlowSpec.nonlinear(params, cs.beta_roots(params).minus)
+    spec = cs.FlowSpec(params, cs.beta_roots(params).minus)
     quad = Quadrature(5.0, 128)
     rng = np.random.default_rng(seed)
     monotone = True

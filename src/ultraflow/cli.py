@@ -287,7 +287,7 @@ def cmd_flow(args) -> int:
     else:
         if args.beta is None and args.m is None:
             raise DomainError("nonlinear forms need --beta or --m")
-        spec = (cs.FlowSpec.nonlinear(params, args.beta) if args.beta is not None
+        spec = (cs.FlowSpec(params, args.beta) if args.beta is not None
                 else cs.FlowSpec.nonlinear_from_m(params, args.m))
     quad = Quadrature(args.d, args.n)
     f0 = parse_init(args.init, quad, params, form, spec.beta)
@@ -308,7 +308,7 @@ def cmd_flow(args) -> int:
         "conservation_drift": max(abs(c - traj.conserved[0]) for c in traj.conserved),
     }
     params_record = vars_args(args)
-    params_record["scheme"] = "exact-diagonal" if fl.integrates_exactly(form, spec) else "etdrk4"
+    params_record["scheme"] = "exact-diagonal" if fl.integrates_exactly(spec) else "etdrk4"
     manifest = RunManifest(
         "flow",
         params_record,

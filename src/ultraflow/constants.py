@@ -243,8 +243,8 @@ def counterexample_roots(params: Params) -> tuple[float, float]:
 @dataclass(frozen=True)
 class FlowSpec:
     """Member of the nonlinear-diffusion family, selected by beta: the
-    exponent m = 1 + (2/p)(1/beta - 1) and kappa = beta (p-2) + 1 follow
-    from it.  The heat flow is the beta = 1 member (m = 1, kappa = p - 1).
+    exponent m = 1 + (2/p)(1/beta - 1) follows from it.  The heat flow is
+    the beta = 1 member (m = 1).
 
     The d = 3, p = 6 family is represented with beta = inf and m = 1 - 2/p
     (the pointwise rescaled form does not exist there; the density form does).
@@ -262,24 +262,16 @@ class FlowSpec:
         return m_from_beta(self.params, self.beta)
 
     @property
-    def kappa(self) -> float:
-        return kappa_from_beta(self.params, self.beta)
-
-    @property
     def beta_is_infinite(self) -> bool:
         return math.isinf(self.beta)
 
     @classmethod
     def heat(cls, params: Params) -> "FlowSpec":
-        return cls.nonlinear(params, 1.0)
-
-    @classmethod
-    def nonlinear(cls, params: Params, beta: float) -> "FlowSpec":
-        return cls(params, beta)
+        return cls(params, 1.0)
 
     @classmethod
     def nonlinear_from_m(cls, params: Params, m: float) -> "FlowSpec":
-        return cls.nonlinear(params, beta_from_m(params, m))
+        return cls(params, beta_from_m(params, m))
 
 
 @dataclass(frozen=True)

@@ -41,11 +41,6 @@ PAD = 2
 RESOLUTION_TOL = 1e-8
 
 
-def normalization_constant(d: float) -> float:
-    """Z_d = sqrt(pi) Gamma(d/2) / Gamma((d+1)/2), the mass of (1-z^2)^(d/2-1)."""
-    return math.exp(0.5 * math.log(math.pi) + math.lgamma(d / 2.0) - math.lgamma((d + 1) / 2.0))
-
-
 def even_moment(d: float, j: int) -> float:
     """Exact value of the integral of z^(2j) against the probability measure.
 
@@ -274,10 +269,6 @@ class GridFn:
         return cls(quad, quad.to_values(coeffs), coeffs)
 
     @classmethod
-    def from_function(cls, quad: Quadrature, fn) -> "GridFn":
-        return cls.from_values(quad, fn(quad.nodes))
-
-    @classmethod
     def constant(cls, quad: Quadrature, c: float) -> "GridFn":
         coeffs = np.zeros(quad.n)
         coeffs[0] = c
@@ -296,10 +287,6 @@ class GridFn:
             raise PositivityError(
                 f"{what} has min nodal value {self.min_value():.3e} <= {EPS_POS:.1e}"
             )
-
-    def resolution_fraction(self) -> float:
-        """Fraction of the weighted norm carried by the top two modes."""
-        return resolution_fraction(self.coeffs)
 
     def require_resolved(self):
         require_resolved(self.coeffs)

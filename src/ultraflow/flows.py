@@ -2,8 +2,7 @@
 conservation and monotonicity instrumentation.
 
 Every flow is a member of the family selected by a ``FlowSpec`` (beta, with
-m and kappa derived from it).  Each member has a density form and a
-pointwise form:
+m derived from it).  Each member has a density form and a pointwise form:
 
     DENSITY    d rho/dt = L rho^m                              int rho
     POINTWISE  d w/ds   = w^(2-2b) (L w + k nu |w'|^2 / w)     int w^(b p)
@@ -11,8 +10,8 @@ pointwise form:
 The heat flow is the beta = 1 member (m = 1, kappa = p - 1, w = u).  The
 CLI names these four cases fde, w, heat and u.  The pointwise form, with
 the gradient weight nu = 1 - z^2, is the density form read through
-rho = w^(beta p) on the clock s = m t (``convert``).  So one flow runs both,
-on the family's own clock s:
+rho = w^(beta p) on the clock s = m t (``_clock_rate``).  So one flow runs
+both, on the family's own clock s:
 
     rho_s = L phi_m(rho),    phi_m(rho) = expm1(m log rho) / m    (log rho at m = 0),
 
@@ -95,7 +94,7 @@ class FlowState:
         return self.spec.params
 
 
-def integrates_exactly(form: Form, spec: FlowSpec) -> bool:
+def integrates_exactly(spec: FlowSpec) -> bool:
     """The heat flow (beta = 1) in either form runs the exact diagonal
     exponential of L (``_exact``); every other case takes ETDRK4 steps."""
     return spec.beta == 1.0
@@ -106,14 +105,9 @@ def _density_values(form: Form, spec: FlowSpec, f: GridFn) -> np.ndarray:
     return f.values if form is Form.DENSITY else f.values ** (spec.beta * spec.params.p)
 
 
-def conserved_quantity(quad: Quadrature, rho: np.ndarray) -> float:
-    """Integral of the nodal density rho."""
-    return float(quad.weights @ rho)
-
-
-def make_state(form: Form, spec: FlowSpec, f0: GridFn, t: float = 0.0) -> FlowState:
-    """Validated initial state; computes the conserved quantity, which must
-    be finite (ConservationError)."""
+def make_state(form: Form, spec: FlowSpec, f0: GridFn) -> FlowState:
+    """Validated initial state at t = 0; computes the conserved quantity,
+    which must be finite (ConservationError)."""
     if form is Form.POINTWISE and spec.beta_is_infinite:
         raise DomainError(
             "the rescaled pointwise form does not exist for infinite beta; "
@@ -121,24 +115,11 @@ def make_state(form: Form, spec: FlowSpec, f0: GridFn, t: float = 0.0) -> FlowSt
         )
     f0.require_positive(what="initial datum")
     with np.errstate(over="ignore"):  # w^(beta p) past the float range: refused below
-        conserved = conserved_quantity(f0.quad, _density_values(form, spec, f0))
+        conserved = float(f0.quad.weights @ _density_values(form, spec, f0))
     if not math.isfinite(conserved):
         raise ConservationError(
-            f"the initial datum's conserved quantity is {conserved}, not finite", t=t)
-    return FlowState(t, f0, form, spec, conserved)
-
-
-def convert(state: FlowState, form: Form) -> FlowState:
-    """The same solution in another form of its flow: rho = w^(beta p), and
-    the density clock t is the pointwise clock s divided by m, which does
-    not exist at m = 0, where the density form stands still (DomainError)."""
-    if form is state.form:
-        return state
-    m = state.spec.m
-    if m == 0.0:
-        raise DomainError("at m = 0 the density clock t = s/m does not exist")
-    t = state.t / m if form is Form.DENSITY else m * state.t
-    return make_state(form, state.spec, _from_density(form, state.spec, _density(state)), t)
+            f"the initial datum's conserved quantity is {conserved}, not finite", t=0.0)
+    return FlowState(0.0, f0, form, spec, conserved)
 
 
 def _clock_rate(state: FlowState) -> float:
@@ -260,23 +241,6 @@ def _exact(rho: GridFn, t0: float, times: np.ndarray):
             raise PositivityLossError("the flow lost positivity", t=float(ts[k]))
 
 
-def step(state: FlowState, dt: float) -> FlowState:
-    """Advance one step of dt on the state's clock: one exact step of the
-    heat flow, or one ETDRK4 step of the density over s = dt ds/dt
-    (``integrates_exactly``).  Raises if positivity is lost."""
-    if dt <= 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
-    rho, t = _density(state), state.t + dt
-    if integrates_exactly(state.form, state.spec):
-        rho = next(_exact(rho, state.t, np.array([t])))[2]
-        return replace(state, t=t, f=_from_density(state.form, state.spec, rho))
-    c, _ = _imex_step(state.form, state.spec, rho.quad, rho.coeffs, _clock_rate(state) * dt)
-    rho = GridFn.from_coeffs(rho.quad, c)
-    if not rho.is_positive():
-        raise PositivityLossError("the flow lost positivity", t=t)
-    return replace(state, t=t, f=_from_density(state.form, state.spec, rho))
-
-
 # -- adaptive segment integrator --------------------------------------------
 
 
@@ -327,7 +291,6 @@ class Trajectory:
     F = I_p/d - E_p, its two terms, the conserved quantity and the z-moment
     of the density."""
 
-    form: Form
     times: list[float]
     F: list[float]
     E_p: list[float]
@@ -374,7 +337,8 @@ def evolve(
     The heat flow, in either form, synthesizes its later samples in blocks
     of at most _BLOCK (``_exact``) and records each block with one stacked
     report; every other flow steps its density on the clock s from sample
-    to sample (dt_max caps the steps on the state's clock) and records each
+    to sample (dt_max caps the steps on the state's clock; a cap below
+    DT_MIN on the clock s is refused, DomainError) and records each
     one alone, as it does the datum, once its conserved quantity is within
     tol_cons of the datum's.  Step errors propagate with the failing time
     attached, and a sample whose top modes carry more than the resolution
@@ -391,11 +355,15 @@ def evolve(
     rate = _clock_rate(state)
     if not rate * (t_end - state.t) < math.inf:
         raise DomainError(f"the flow's clock s = {rate} t passes the float range at t_end = {t_end}")
+    # m = 0 on the density form: s stands still, and so does the state
+    h_max = rate * dt_max if rate else math.inf
+    if h_max < DT_MIN:  # the controller gives up below DT_MIN
+        raise DomainError(f"dt_max caps the steps on the clock s at {h_max:.3e} < {DT_MIN:.0e}")
     with np.errstate(over="ignore"):  # in the last time only, which linspace sets to t_end
         times = np.linspace(state.t, t_end, samples)
     rho = _density(state)
     quad = rho.quad
-    traj = Trajectory(state.form, [], [], [], [], [], [], state)
+    traj = Trajectory([], [], [], [], [], [], state)
 
     def record(ts, values: np.ndarray):
         """Appends the samples at ts: one (values a vector) or a stack's columns."""
@@ -405,12 +373,11 @@ def evolve(
             column.extend(x)
 
     record(state.t, rho.values)
-    if integrates_exactly(state.form, state.spec):
+    if integrates_exactly(state.spec):
         for ts, values, rho in _exact(rho, state.t, times[1:]):
             record(ts, values)
     else:
-        # m = 0 on the density form: s stands still, and so does the state
-        s, h_max = (rate * (times - state.t)).tolist(), rate * dt_max if rate else math.inf
+        s = (rate * (times - state.t)).tolist()
         h = min(h_max, s[-1] / 64)
         for k, t in enumerate(times[1:].tolist(), start=1):
             rho, h = _advance_to(state.spec, rho, s[k - 1], s[k], h, h_max)

@@ -87,11 +87,6 @@ def rayleigh_quotient(v: GridFn) -> float:
 # -- constraint projection ----------------------------------------------------
 
 
-def moment_of(quad: Quadrature, values: np.ndarray, p: float):
-    """int z |v|^p from nodal values; per column for an (n, s) stack."""
-    return quad.z_weights @ np.abs(values) ** p
-
-
 def _moment_and_limit(quad: Quadrature, power: np.ndarray, cap):
     """(int z |v|^p, its tolerance) from the power |v|^p of the values:
     MOMENT_TOL int |v|^p, but at most ``cap``; per column for an (n, s) stack."""

@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from ultraflow import Quadrature
+from ultraflow.discretization import Quadrature
 
 # pytest puts src/ on sys.path (pyproject.toml); the tests that start a fresh
 # interpreter need it on that interpreter's path too
@@ -19,6 +20,16 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 @functools.lru_cache(maxsize=32)
 def cached_quadrature(d: float, n: int):
     return Quadrature(d, n)
+
+
+def normalization_constant(d: float) -> float:
+    """Z_d = sqrt(pi) Gamma(d/2) / Gamma((d+1)/2), the mass of (1-z^2)^(d/2-1)."""
+    return math.exp(0.5 * math.log(math.pi) + math.lgamma(d / 2.0) - math.lgamma((d + 1) / 2.0))
+
+
+def moment_of(quad, values: np.ndarray, p: float):
+    """int z |v|^p from nodal values; per column for an (n, s) stack."""
+    return quad.z_weights @ np.abs(values) ** p
 
 
 def holds(results) -> dict:

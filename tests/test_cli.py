@@ -14,11 +14,11 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from ultraflow import FlowSpec, Params, Quadrature, classify_region
 from ultraflow import flows as fl
 from ultraflow.checks import SUITES
 from ultraflow.cli import main
-from ultraflow.discretization import random_positive
+from ultraflow.constants import FlowSpec, Params, classify_region
+from ultraflow.discretization import Quadrature, random_positive
 
 from conftest import cached_quadrature, mp_entropy
 
@@ -217,7 +217,7 @@ class TestRegionCommand:
         assert lines[0] == "d,p,beta_minus,beta_plus"
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["artifacts"] == ["beta_curves.csv", "region.json"]
-        from ultraflow import Params, beta_roots, two_sharp
+        from ultraflow.constants import Params, beta_roots, two_sharp
 
         # above p = 2 the lower-root curves are ordered upward in d, and each
         # crosses beta = 1 exactly at that dimension's threshold exponent
@@ -349,9 +349,12 @@ class TestFlowCommand:
         assert abs(json.loads(out)["F_last"]) <= 1e-15
 
     @pytest.mark.parametrize("form", ["w", "fde", "heat"])
-    @pytest.mark.parametrize("dt_max", ["0", "-1"])
+    @pytest.mark.parametrize("dt_max", ["0", "-1", "1e-300"])
     def test_nonpositive_dt_max_is_parameter_error(self, form, dt_max, capsys):
-        # a zero step never advances the clock, a negative one underflows
+        # a zero step never advances the clock, a negative one underflows,
+        # and a cap below flows.DT_MIN, where the controller gives up, is
+        # refused up front: steps of 1e-300 pass the local-error test, and
+        # the clock never gets anywhere
         rc, _, err = run_main(capsys, "flow", "--form", form, "--d", "5", "--p", "3.3",
                               *BETA_ARGS[form], "--init", "const:1", "--t-end", "0.1",
                               "--n", "32", "--dt-max", dt_max)
@@ -568,7 +571,8 @@ class TestFlowCommand:
     @example((("heat", None), 1.0, 3.3, sys.float_info.max, 15, 32, None, ("perturb", 0.3, 2)))
     def test_any_finite_input_exits_cleanly(self, args):
         # t_end / dt_max = 10^decades is at most 1e4, which bounds the
-        # steps: a --dt-max of 1e-300 steps on without end
+        # steps: a --dt-max below flows.DT_MIN is refused, but one just
+        # above it with a long --t-end would still take about 1e16 steps
         (form, exponent), d, p, t_end, samples, n, decades, init = args
         argv = ["flow", f"--form={form}", f"--d={d!r}", f"--p={p!r}", f"--t-end={t_end!r}",
                 f"--samples={samples}", f"--n={n}", f"--init={init[0]}:{','.join(map(repr, init[1:]))}"]

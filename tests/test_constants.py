@@ -3,29 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from ultraflow import (
-    DomainError,
+from ultraflow.constants import (
+    GAMMA_TIE_TOL,
     FlowSpec,
     Params,
+    ab_coefficients,
     beta_roots,
     classify_region,
     counterexample_coefficient,
     counterexample_roots,
+    delta_of,
     gamma_discriminant,
     gamma_of_beta,
     gamma_one,
+    kappa_from_beta,
+    m_from_beta,
+    region_rows_to_csv,
     region_sweep,
     two_sharp,
     two_star,
 )
-from ultraflow.constants import (
-    GAMMA_TIE_TOL,
-    ab_coefficients,
-    delta_of,
-    kappa_from_beta,
-    m_from_beta,
-    region_rows_to_csv,
-)
+from ultraflow.errors import DomainError
 
 
 class TestParams:
@@ -201,14 +199,14 @@ class TestCounterexampleCoefficient:
 class TestFlowSpec:
     def test_heat(self):
         spec = FlowSpec.heat(Params(5.0, 3.0))
-        assert (spec.beta, spec.m, spec.kappa) == (1.0, 1.0, 2.0)
+        assert (spec.beta, spec.m, kappa_from_beta(spec.params, spec.beta)) == (1.0, 1.0, 2.0)
 
     def test_nonlinear_consistency(self):
         params = Params(5.0, 3.3)
         beta = beta_roots(params).minus
-        spec = FlowSpec.nonlinear(params, beta)
+        spec = FlowSpec(params, beta)
         assert spec.m == pytest.approx(1.0 + (2.0 / 3.3) * (1.0 / beta - 1.0), abs=1e-16)
-        assert spec.kappa == pytest.approx(beta * 1.3 + 1.0, abs=1e-15)
+        assert kappa_from_beta(spec.params, spec.beta) == pytest.approx(beta * 1.3 + 1.0, abs=1e-15)
 
     def test_critical_m(self):
         # at the critical exponent the double root gives m = 1 - 1/d
@@ -233,7 +231,7 @@ class TestFlowSpec:
 
     def test_degenerate_rejected(self):
         with pytest.raises(DomainError):
-            FlowSpec.nonlinear(Params(5.0, 3.0), 0.0)
+            FlowSpec(Params(5.0, 3.0), 0.0)
 
     def test_kappa_conventions(self):
         params = Params(5.0, 3.0)

@@ -3,22 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from ultraflow import (
-    DomainError,
+from ultraflow.constants import Params, beta_roots, two_star
+from ultraflow.counterexamples import (
     ExplicitFamily,
-    GridFn,
-    Params,
-    PositivityError,
-    beta_roots,
-    deficit,
-    dissipation_nonlinear,
     first_obstruction,
     materialize,
+    ode_residual,
     second_obstruction,
-    two_star,
 )
-from ultraflow.counterexamples import ode_residual
-from ultraflow.discretization import derivative, second_derivative
+from ultraflow.discretization import GridFn, derivative, second_derivative
+from ultraflow.errors import DomainError, PositivityError
+from ultraflow.functionals import deficit, dissipation_nonlinear
 
 from conftest import cached_quadrature
 

@@ -9,32 +9,27 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as adaptive_quad
 from scipy.special import eval_jacobi, roots_jacobi
 
-from ultraflow import (
-    GridFn,
-    PositivityError,
-    Quadrature,
-    ResolutionError,
-    derivative,
-    eigenfunction,
-    integral,
-    second_derivative,
-)
 from ultraflow.discretization import (
     RESOLUTION_TOL,
+    GridFn,
+    Quadrature,
     _gauss_rule,
     _mirrored,
     _recurrence,
     _rows,
+    derivative,
+    eigenfunction,
     even_moment,
-    normalization_constant,
+    integral,
     random_band_limited,
     random_positive,
     require_resolved,
     resolution_fraction,
+    second_derivative,
 )
-from ultraflow.errors import ConvergenceError, DomainError
+from ultraflow.errors import ConvergenceError, DomainError, PositivityError, ResolutionError
 
-from conftest import cached_quadrature
+from conftest import cached_quadrature, normalization_constant
 
 
 def ultraspherical(f):
@@ -410,7 +405,7 @@ class TestOperators:
     def test_analytic_derivative_oracle(self):
         # relative to the derivative's sup, which the basis conditioning sets
         quad = cached_quadrature(3.0, 80)
-        f = GridFn.from_function(quad, lambda z: (1 + z / 2) ** -3.0)
+        f = GridFn.from_values(quad, (1 + quad.nodes / 2) ** -3.0)
         exact = -1.5 * (1 + quad.nodes / 2) ** -4.0
         err = np.max(np.abs(derivative(f) - exact))
         assert err / np.max(np.abs(exact)) < 1e-9
@@ -422,7 +417,7 @@ class TestOperators:
         # where the basis conditioning sets it, and 7.1e-13 under the nu^2
         # weight the dissipation integrals carry
         quad = cached_quadrature(3.0, 80)
-        f = GridFn.from_function(quad, lambda z: (1 + z / 2) ** -3.0)
+        f = GridFn.from_values(quad, (1 + quad.nodes / 2) ** -3.0)
         exact = 3.0 * (1 + quad.nodes / 2) ** -5.0
         scales = np.array([1.0, -2.0, 0.5])
         stack = quad.second_derivative_values(np.outer(f.coeffs, scales)) / scales
@@ -447,7 +442,7 @@ class TestOperators:
         unresolved = resolved.copy()
         unresolved[-1] = 100.0 * RESOLUTION_TOL * np.linalg.norm(resolved)
         stack = np.column_stack([resolved, np.zeros(quad5.n), unresolved])
-        fractions = [GridFn.from_coeffs(quad5, c).resolution_fraction() for c in stack.T]
+        fractions = [resolution_fraction(c) for c in stack.T]
         assert resolution_fraction(stack).tolist() == fractions
         assert fractions[1] == 0.0 and fractions[2] > RESOLUTION_TOL
         require_resolved(stack[:, :2])

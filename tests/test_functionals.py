@@ -3,25 +3,23 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as adaptive_quad
 
-from ultraflow import (
-    GridFn,
-    Params,
-    PositivityError,
-    ResolutionError,
-    beta_roots,
+from ultraflow.constants import Params, beta_roots, two_star
+from ultraflow.discretization import GridFn, _band_limited, eigenfunction, random_positive
+from ultraflow.errors import PositivityError, ResolutionError
+from ultraflow.functionals import (
+    _dirichlet,
+    _entropy,
     cdc_triple,
     deficit,
     dissipation_heat,
     dissipation_nonlinear,
     entropy,
     fisher,
+    nonlinear_bracket,
     quotient,
-    two_star,
 )
-from ultraflow.discretization import _band_limited, eigenfunction, normalization_constant, random_positive
-from ultraflow.functionals import _dirichlet, _entropy, nonlinear_bracket
 
-from conftest import cached_quadrature, mp_entropy
+from conftest import cached_quadrature, mp_entropy, normalization_constant
 
 
 def rho_power(quad, u_vals, p):
@@ -44,7 +42,7 @@ class TestEntropy:
         d = 4.0
         p = two_star(d)
         quad = cached_quadrature(d, 128)
-        rho = GridFn.from_function(quad, lambda z: (1 + z / 2) ** -d)
+        rho = GridFn.from_values(quad, (1 + quad.nodes / 2) ** -d)
         z_d = normalization_constant(d)
         dens = lambda z: (1 - z * z) ** (d / 2 - 1) / z_d
         mass = adaptive_quad(lambda z: (1 + z / 2) ** -d * dens(z), -1, 1,
@@ -135,7 +133,7 @@ class TestFisher:
             assert fisher(rho, 3.0) == pytest.approx(eps**2 * int_nu, rel=1e-12)
 
     def test_power_consistency(self, quad5, rng):
-        from ultraflow import derivative
+        from ultraflow.discretization import derivative
 
         u = random_positive(quad5, rng, modes=10, amplitude=0.6)
         direct = float(np.sum(quad5.weights * quad5.nu * derivative(u) ** 2))
@@ -199,7 +197,7 @@ class TestDeficitAndQuotient:
     def test_conformal_family_saturates(self, d, b):
         p = two_star(d)
         quad = cached_quadrature(d, 128)
-        u = GridFn.from_function(quad, lambda z: (1 + b * z) ** (-(d - 2) / 2))
+        u = GridFn.from_values(quad, (1 + b * quad.nodes) ** (-(d - 2) / 2))
         assert abs(deficit(rho_power(quad, u.values, p), p)) <= 1e-8
 
     def test_quotient_limit_is_d(self, quad5):
@@ -242,7 +240,7 @@ class TestCdcTriple:
         # w = (a + b z)^(1/(1-alpha)) satisfies w'' = alpha |w'|^2/w, so
         # J_fc = alpha J_cc and J_ff = alpha^2 J_cc
         alpha = 0.6
-        w = GridFn.from_function(quad5, lambda z: (1 + 0.4 * z) ** (1 / (1 - alpha)))
+        w = GridFn.from_values(quad5, (1 + 0.4 * quad5.nodes) ** (1 / (1 - alpha)))
         j_ff, j_fc, j_cc = cdc_triple(w)
         assert j_fc == pytest.approx(alpha * j_cc, rel=1e-9)
         assert j_ff == pytest.approx(alpha**2 * j_cc, rel=1e-9)
@@ -305,7 +303,7 @@ class TestDissipation:
         d = 5.0
         p = two_star(d)
         beta = (d - 2.0) / (d - 3.0)
-        w = GridFn.from_function(quad5, lambda z: (1 + 0.4 * z) ** (-(d - 3) / 2))
+        w = GridFn.from_values(quad5, (1 + 0.4 * quad5.nodes) ** (-(d - 3) / 2))
         rep = dissipation_nonlinear(w, p, beta)
         assert abs(rep.dF_dt_analytic) <= 1e-8
 
@@ -337,12 +335,12 @@ class TestDissipation:
     def test_heat_dissipation_positive_at_powerlaw_witness(self, quad5):
         # cross-module tie: at the power-law witness the report's analytic
         # derivative equals 2 (A / beta^2) J_cc, a strictly positive value
-        from ultraflow import beta_roots, counterexample_coefficient
+        from ultraflow.constants import beta_roots, counterexample_coefficient
 
         params = Params(5.0, 3.25)
         beta = beta_roots(params).minus
         alpha = 4.0 * beta * 2.25 / 7.0
-        w = GridFn.from_function(quad5, lambda z: (1 + 0.4 * z) ** (1.0 / (1.0 - alpha)))
+        w = GridFn.from_values(quad5, (1 + 0.4 * quad5.nodes) ** (1.0 / (1.0 - alpha)))
         f = GridFn.from_values(quad5, w.values**beta)
         rep = dissipation_heat(f, 3.25)
         expected = 2.0 * counterexample_coefficient(params, beta) * rep.J_cc / beta**2

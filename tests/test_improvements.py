@@ -9,32 +9,30 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from ultraflow import (
-    DomainError,
+from ultraflow import checks, improvements
+from ultraflow.constants import two_sharp, two_star
+from ultraflow.discretization import (
     GridFn,
     Quadrature,
-    antipodal_constants,
     eigenfunction,
-    estimate_lambda_star,
-    improved_constant,
-    logsob_improvement,
-    rayleigh_quotient,
-    two_sharp,
-    two_star,
-    verify_improved_inequality,
+    random_band_limited,
+    random_positive,
 )
-from ultraflow import checks, improvements
-from ultraflow.discretization import random_band_limited, random_positive
-from ultraflow.errors import ConvergenceError
+from ultraflow.errors import ConvergenceError, DomainError
 from ultraflow.functionals import _dirichlet, _entropy
 from ultraflow.improvements import (
     MOMENT_TOL,
-    moment_of,
+    antipodal_constants,
+    estimate_lambda_star,
+    improved_constant,
+    logsob_improvement,
     project_feasible,
     project_moment,
+    rayleigh_quotient,
+    verify_improved_inequality,
 )
 
-from conftest import cached_quadrature, holds
+from conftest import cached_quadrature, holds, moment_of
 
 #: restart_* of the search at checks.SEARCH_GRID x seeds 0 and 3, 16 starts
 #: each, as a start-by-start descent gave them
