@@ -135,24 +135,15 @@ def parse_init(spec_str: str, quad, params: cs.Params, form: fl.Form, beta: floa
             return GridFn.from_coeffs(quad, coeffs)
     if kind in ("conformal", "powerlaw"):
         a, b = _fields(spec_str, rest, "ff")
-        _require_positive_base(a, b)
         if kind == "conformal":
-            family = cx.ExplicitFamily.conformal(params, a, b)
-            e = p
+            exponent, e = cx.conformal_exponent(params.d), p
         else:
-            family = cx.ExplicitFamily.powerlaw(params, a, b)
-            e = family.beta * p
-        g = cx.materialize(family, quad)
+            beta_minus, _, exponent = cx.powerlaw(params)
+            e = beta_minus * p
+        g = cx.witness(quad, a, b, exponent)
         power = e if form is fl.Form.DENSITY else e / (beta * p)
         return GridFn.from_values(quad, g.values**power)
     raise DomainError(f"unknown init spec {spec_str!r}")
-
-
-def _require_positive_base(a: float, b: float):
-    """The closed-form witnesses are powers of a + b z: positive on the
-    interval exactly when a > |b|; a must be finite."""
-    if not (math.isfinite(a) and a > abs(b)):
-        raise DomainError(f"need a finite a > |b| for a + b z > 0 on (-1, 1); got a={a}, b={b}")
 
 
 # -- commands -------------------------------------------------------------------
@@ -325,7 +316,7 @@ def cmd_flow(args) -> int:
 def cmd_counterexample(args) -> int:
     if not 1.0 <= args.d < math.inf:  # as Params, which only --p builds here
         raise DomainError(f"dimension must be finite and >= 1, got {args.d}")
-    _require_positive_base(args.a, args.b)
+    cx.require_base(args.a, args.b)
     out = {"d": args.d, "a": args.a, "b": args.b}
     quad = Quadrature(args.d, args.n)
     if args.d >= 3:

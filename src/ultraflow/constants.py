@@ -109,23 +109,44 @@ def gamma_of_beta(params: Params, beta):
     return -1.0 + 2.0 * b * beta - a * beta * beta
 
 
-def gamma_one(params: Params) -> float:
-    """gamma(1), the heat-flow dissipation coefficient.
+def two_sharp_gap(d: float, p: float) -> float:
+    """(d-1)^2 (2# - p), evaluated as its expansion 2d^2 + 1 - p (d-1)^2:
+    finite at d = 1, where 2# is infinite and the product has the limit 3."""
+    return 2.0 * d * d + 1.0 - p * (d - 1.0) ** 2
 
-    Evaluated from the expansion (p-1) (2d^2 + 1 - p (d-1)^2) / (d+2)^2,
-    which equals ((d-1)/(d+2))^2 (p-1) (2#-p) for d > 1 and (p-1)/3 at d = 1,
-    with no indeterminate form at d = 1.
-    """
+
+def gamma_one(params: Params) -> float:
+    """gamma(1), the heat-flow dissipation coefficient
+    (p-1) (d-1)^2 (2#-p) / (d+2)^2, through ``two_sharp_gap``: (p-1)/3 at
+    d = 1.  The factored form keeps its relative accuracy near p = 2#, where
+    the quadratic's own -1 + 2b - a cancels."""
     d, p = _closed_form_args(params)
-    return (p - 1.0) * (2.0 * d * d + 1.0 - p * (d - 1.0) ** 2) / (d + 2.0) ** 2
+    return (p - 1.0) * two_sharp_gap(d, p) / (d + 2.0) ** 2
+
+
+def _reduced_discriminant(d: float, p: float) -> float:
+    """b^2 - a = d (p-1) (d-2)(2*-p) / (d+2)^2, exactly 0 at p = 2* and at
+    p = 1; where 2* is infinite (d <= 2), (d-2)(2*-p) reads 2d - p(d-2)."""
+    x = 2.0 * d - p * (d - 2.0) if d <= 2.0 else (d - 2.0) * (two_star(d) - p)
+    return d * (p - 1.0) * x / (d + 2.0) ** 2
 
 
 def gamma_discriminant(params: Params) -> float:
     """Discriminant (2b)^2 - 4a of the quadratic gamma; equals
     (4d/(d+2)^2) (p-1) (2d - p(d-2)).  Nonnegative on 1 <= p <= 2* when
     d >= 3, and for every p >= 1 when d < 3."""
-    a, b = ab_coefficients(params)
-    return 4.0 * (b * b - a)
+    d, p = _closed_form_args(params)
+    return 4.0 * _reduced_discriminant(d, p)
+
+
+def _quadratic_roots(a: float, b: float, red: float) -> tuple[float, float]:
+    """(b -+ sqrt(red))/a, the roots of a x^2 - 2 b x + 1 = 0 with
+    red = b^2 - a >= 0, as 1/q and q/a, q = b + sign(b) sqrt(red), so that
+    neither subtracts nearly equal numbers; q/a is infinite at a = 0."""
+    root = math.sqrt(red)
+    q = b + root if b >= 0.0 else b - root
+    near, far = 1.0 / q, (math.inf if a == 0.0 else q / a)
+    return (near, far) if b >= 0.0 else (far, near)
 
 
 @dataclass(frozen=True)
@@ -139,43 +160,26 @@ class BetaRoots:
 
 def delta_of(params: Params) -> float:
     """delta(p, d) = d^2 (p^2-3p+3) - 2d (p^2-3) + (p-3)^2 = a (d+2)^2."""
-    d, p = _closed_form_args(params)
-    return d * d * (p * p - 3.0 * p + 3.0) - 2.0 * d * (p * p - 3.0) + (p - 3.0) ** 2
+    return ab_coefficients(params)[0] * (params.d + 2.0) ** 2
 
 
 def beta_roots(params: Params) -> BetaRoots:
-    """Both roots of gamma(beta) = 0.
-
-    For d >= 3 this is the displayed closed form with radicand
-    d (d-2) (p-1) (2*-p); for d < 3 the equivalent (b +- sqrt(b^2-a))/a route
-    is used (the critical exponent is infinite there and the reduced
-    discriminant (p-1)(2d - p(d-2))d/(d+2)^2 stays nonnegative for p >= 1).
-    When delta = 0 the equation degenerates to a linear one: the finite root
-    is returned in ``minus`` and ``plus`` is the signed infinity it escapes to.
-    """
-    d, p = params.d, params.p
+    """Both roots (b -+ sqrt(b^2-a))/a of gamma(beta) = 0, for every d >= 1,
+    from the factored b^2 - a: the finite root keeps its digits near
+    delta = 0 and the double root at 2* stays double.  When delta = 0 the
+    equation degenerates to a linear one: the finite root is returned in
+    ``minus`` and ``plus`` is the signed infinity it escapes to."""
     a, b = ab_coefficients(params)
-    delta = delta_of(params)
+    d, p = params.d, params.p
+    delta = a * (d + 2.0) ** 2
     if abs(delta) <= DELTA_ZERO_TOL * max(1.0, d**2 * p**2):
         if b == 0.0:
             raise DomainError("gamma is constant: no roots")
         return BetaRoots(minus=1.0 / (2.0 * b), plus=math.copysign(math.inf, b), delta=0.0)
-    if d >= 3.0:
-        rad = d * (d - 2.0) * (p - 1.0) * (params.two_star - p)
-        if rad < -1e-13 * max(1.0, d**4):
-            raise DomainError(f"negative radicand at d={d}, p={p}")
-        root = math.sqrt(max(rad, 0.0))
-        num = d * d - d * (p - 5.0) - 2.0 * p + 6.0
-        return BetaRoots(
-            minus=(num - (d + 2.0) * root) / delta,
-            plus=(num + (d + 2.0) * root) / delta,
-            delta=delta,
-        )
-    red = b * b - a
-    if red < 0.0:
+    red = _reduced_discriminant(d, p)
+    if red < -1e-13 * max(1.0, d**4) / (d + 2.0) ** 2:
         raise DomainError(f"negative discriminant at d={d}, p={p}")
-    root = math.sqrt(red)
-    return BetaRoots(minus=(b - root) / a, plus=(b + root) / a, delta=delta)
+    return BetaRoots(*_quadratic_roots(a, b, max(red, 0.0)), delta=delta)
 
 
 def _reciprocal(beta):
@@ -226,17 +230,17 @@ def counterexample_coefficient(params: Params, beta):
 
 
 def counterexample_roots(params: Params) -> tuple[float, float]:
-    """Roots B_-+ = (d+2)/(d+2 -+ (d-1) sqrt((p-1)(p-2#))) of A = 0
-    (returned as (B_minus, B_plus)); real only for p >= 2#."""
+    """Roots B_-+ = 1/(1 -+ s), s = ((d-1)/(d+2)) sqrt((p-1)(p-2#)), of
+    A = -1 + 2 beta + lead beta^2 = 0, whose lead is s^2 - 1 (returned as
+    (B_minus, B_plus)); real only for p >= 2#."""
     d, p = _closed_form_args(params)
     if d < 3.0:
         raise DomainError("the counter-example roots need d >= 3")
-    rad = (p - 1.0) * (p - params.two_sharp)
+    rad = (p - 1.0) * (p - two_sharp(d))
     if rad < -1e-13 * max(1.0, p * p):
-        raise DomainError(f"B roots are complex for p={p} < 2#={params.two_sharp:.6g}")
-    root = (d - 1.0) * math.sqrt(max(rad, 0.0))
-    minus = math.inf if d + 2.0 - root == 0.0 else (d + 2.0) / (d + 2.0 - root)
-    plus = (d + 2.0) / (d + 2.0 + root)
+        raise DomainError(f"B roots are complex for p={p} < 2#={two_sharp(d):.6g}")
+    s2 = ((d - 1.0) / (d + 2.0)) ** 2 * max(rad, 0.0)
+    plus, minus = _quadratic_roots(1.0 - s2, 1.0, s2)
     return minus, plus
 
 

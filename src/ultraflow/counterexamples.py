@@ -1,6 +1,10 @@
 """Explicit witness functions and the two obstructions to heat-flow
 monotonicity of the deficit.
 
+Every witness is a power (a + b z)^s on a rule's nodes (``witness``, behind
+the one test a > |b| of ``require_base``); s is a ``conformal_exponent`` or
+the ``powerlaw`` one.
+
 First obstruction (at the critical exponent): the conformal family
 u = (a + b z)^(-(d-2)/2) consists of minimizers of the deficit, the critical
 nonlinear flow moves inside the family, but the heat flow moves off it, so
@@ -31,7 +35,6 @@ in sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,62 +47,45 @@ from .constants import (
     two_star,
 )
 from .discretization import GridFn, Quadrature, derivative, second_derivative
-from .errors import DomainError, PositivityError
+from .errors import DomainError
 from .flows import Form, evolve, make_state
 from .functionals import deficit, dissipation_nonlinear
 
 
-@dataclass(frozen=True)
-class ExplicitFamily:
-    """Closed-form witness family on (-1, 1): (a + b z)^exponent.
-
-    ``conformal``: u(z) = (a + b z)^(-(d-2)/2), the non-constant optimizers
-    at the critical exponent.  ``powerlaw``: w(z) = (a + b z)^(1/(1-alpha))
-    with alpha = (d-1) beta (p-1)/(d+2) and beta the lower dissipation root,
-    the function with w'' = alpha |w'|^2 / w used by the second obstruction.
-    Requires a > |b| so the base is positive on the closed interval.
-    """
-
-    a: float
-    b: float
-    params: Params
-    exponent: float
-    beta: float = math.nan
-    alpha: float = math.nan
-
-    def __post_init__(self):
-        if not self.a > abs(self.b):
-            raise PositivityError(
-                f"need a > |b| for positivity on (-1, 1); got a={self.a}, b={self.b}"
-            )
-
-    @classmethod
-    def conformal(cls, params: Params, a: float, b: float) -> "ExplicitFamily":
-        if params.d <= 2.0:
-            raise DomainError("the conformal family needs d > 2")
-        return cls(a, b, params, -(params.d - 2.0) / 2.0)
-
-    @classmethod
-    def powerlaw(cls, params: Params, a: float, b: float) -> "ExplicitFamily":
-        beta = beta_roots(params).minus
-        alpha = (params.d - 1.0) * beta * (params.p - 1.0) / (params.d + 2.0)
-        if abs(alpha - 1.0) < 1e-12:
-            raise DomainError("power-law exponent is singular at alpha = 1")
-        return cls(a, b, params, 1.0 / (1.0 - alpha), beta=beta, alpha=alpha)
+def require_base(a: float, b: float):
+    """The witnesses are powers of a + b z: positive on the closed interval
+    exactly when a > |b|; a must be finite."""
+    if not (math.isfinite(a) and a > abs(b)):
+        raise DomainError(f"need a finite a > |b| for a + b z > 0 on (-1, 1); got a={a}, b={b}")
 
 
-def materialize(family: ExplicitFamily, quad: Quadrature) -> GridFn:
-    """Nodal evaluation of the family member; certified positive."""
-    if quad.d != family.params.d:
-        raise DomainError(
-            f"quadrature dimension {quad.d} differs from family dimension {family.params.d}"
-        )
-    base = family.a + family.b * quad.nodes
+def witness(quad: Quadrature, a: float, b: float, exponent: float) -> GridFn:
+    """(a + b z)^exponent on the nodes of ``quad``, certified positive and resolved."""
+    require_base(a, b)
     with np.errstate(over="ignore", invalid="ignore"):  # at large d; refused below
-        f = GridFn.from_values(quad, base**family.exponent)
+        f = GridFn.from_values(quad, (a + b * quad.nodes) ** exponent)
     f.require_positive(what="explicit family")
     f.require_resolved()
     return f
+
+
+def conformal_exponent(d: float) -> float:
+    """-(d-2)/2: (a + b z)^(-(d-2)/2) are the non-constant optimizers at the
+    critical exponent."""
+    if d <= 2.0:
+        raise DomainError("the conformal family needs d > 2")
+    return -(d - 2.0) / 2.0
+
+
+def powerlaw(params: Params) -> tuple[float, float, float]:
+    """(beta, alpha, exponent) of the power-law witness (a + b z)^exponent:
+    beta the lower dissipation root, alpha = (d-1) beta (p-1)/(d+2) and
+    exponent = 1/(1-alpha), the function with w'' = alpha |w'|^2 / w."""
+    beta = beta_roots(params).minus
+    alpha = (params.d - 1.0) * beta * (params.p - 1.0) / (params.d + 2.0)
+    if abs(alpha - 1.0) < 1e-12:
+        raise DomainError("power-law exponent is singular at alpha = 1")
+    return beta, alpha, 1.0 / (1.0 - alpha)
 
 
 def ode_residual(w: GridFn, ratio: float) -> float:
@@ -158,8 +144,7 @@ def first_obstruction(d: float, a: float, b: float, quad: Quadrature | None = No
     p = two_star(d)
     params = Params(d, p)
     quad = Quadrature(d, 128) if quad is None else quad
-    fam = ExplicitFamily.conformal(params, a, b)
-    u = materialize(fam, quad)
+    u = witness(quad, a, b, conformal_exponent(d))
     rho = GridFn.from_values(quad, u.values**p)
 
     report: dict = {"d": d, "p": p, "a": a, "b": b, "N": quad.n}
@@ -183,7 +168,7 @@ def first_obstruction(d: float, a: float, b: float, quad: Quadrature | None = No
         devs = []
         for t in np.linspace(0.0, 0.2, 6):
             at, bt = conformal_coefficients(d, omega, t0, float(t))
-            rho_t = GridFn.from_values(quad, (at + bt * quad.nodes) ** (-float(d)))
+            rho_t = witness(quad, at, bt, -float(d))
             devs.append(abs(deficit(rho_t, p)))
         report["beta"] = math.inf
         report["nonlinear_dissipation"] = max(devs)
@@ -226,9 +211,8 @@ def second_obstruction(d: float, p: float, a: float, b: float,
     if not (lo < p < hi):
         raise DomainError(f"need p strictly between {lo:.6g} and {hi:.6g}, got {p}")
     quad = Quadrature(d, 128) if quad is None else quad
-    fam = ExplicitFamily.powerlaw(params, a, b)
-    w = materialize(fam, quad)
-    beta = fam.beta
+    beta, alpha, exponent = powerlaw(params)
+    w = witness(quad, a, b, exponent)
     f = GridFn.from_values(quad, w.values**beta)
 
     a_closed = counterexample_coefficient(params, beta)
@@ -248,7 +232,7 @@ def second_obstruction(d: float, p: float, a: float, b: float,
         "b": b,
         "N": quad.n,
         "beta_minus": beta,
-        "alpha": fam.alpha,
+        "alpha": alpha,
         "A_closed_form": a_closed,
         "J_cc": heat.J_cc,
         "rhs": rhs,

@@ -29,9 +29,12 @@ with c1 = (d-1)/(d+2) and k = b(p-2) + 1.  The heat flow is the b = 1
 member (k = p - 1, w = u = rho^(1/p)), where the bracket reads
 J_ff - 2 c1 (p-1) J_fc + d/(d+2) (p-1) J_cc.  The J's of w are evaluated
 once, by the chain rule from u = w^beta (_carre_du_champ), behind
-cdc_triple, the reports and nonlinear_bracket.  The bracket's sign is a fact
-about one state, which the obstructions read; a flow sample evaluates only
-E_p and I_p (flows._sample_report).  The Dirichlet form I = int |f'|^2 nu is read
+cdc_triple and the reports, and the bracket once, expanded (_bracket).
+Its J_cc coefficient is c^2 + gamma(b), c = c1 (k+b-1), which
+tests/test_proofs.py proves exactly: the bracket is the square
+int (w'' - c |w'|^2/w)^2 nu^2 plus gamma(b) J_cc.  Its sign is a fact about
+one state, which the obstructions read; a flow sample evaluates only E_p and
+I_p (flows._sample_report).  The Dirichlet form I = int |f'|^2 nu is read
 off the coefficients (_dirichlet), so I_p itself differentiates nothing.
 """
 
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import Params, gamma_of_beta, kappa_from_beta
+from .constants import Params
 from .discretization import GridFn
 from .errors import DomainError, ResolutionError
 
@@ -175,31 +178,14 @@ def _carre_du_champ(u: GridFn, beta: float) -> tuple[float, float, float]:
     return j_ff, j_fc, j_cc
 
 
-def nonlinear_bracket(w: GridFn, p: float, beta: float) -> tuple[float, float]:
-    """Dissipation quadratic form of the rescaled nonlinear flow at w, in
-    expanded and completed-square form, on the J's of
-    ``dissipation_nonlinear(w, p, beta)``; beta = 1 is the heat flow.
-
-    Both are evaluated from the same three integrals; they agree exactly
-    when the completed square's remainder coefficient is gamma(beta), so
-    their agreement checks the closed form of gamma against the bracket.
-    """
-    rep = dissipation_nonlinear(w, p, beta)
-    return _bracket((rep.J_ff, rep.J_fc, rep.J_cc), w.quad.d, p, beta)
-
-
-def _bracket(triple, d: float, p: float, beta: float) -> tuple[float, float]:
+def _bracket(triple, d: float, p: float, beta: float):
+    """The expanded bracket of the module docstring at finite beta; plain
+    arithmetic, so that it also runs on symbols."""
     j_ff, j_fc, j_cc = triple
-    params = Params(d, p)
-    kappa = kappa_from_beta(params, beta)
+    kappa = beta * (p - 2.0) + 1.0
     c = (d - 1.0) / (d + 2.0) * (kappa + beta - 1.0)
-    expanded = (
-        j_ff
-        - 2.0 * c * j_fc
-        + (kappa * (beta - 1.0) + d / (d + 2.0) * (kappa + beta - 1.0)) * j_cc
-    )
-    square = j_ff - 2.0 * c * j_fc + (c * c + gamma_of_beta(params, beta)) * j_cc
-    return expanded, square
+    return (j_ff - 2.0 * c * j_fc
+            + (kappa * (beta - 1.0) + d / (d + 2.0) * (kappa + beta - 1.0)) * j_cc)
 
 
 @dataclass(frozen=True)
@@ -245,7 +231,8 @@ def dissipation_report(rho: np.ndarray, u: GridFn, p: float, beta: float) -> Dis
     e = _entropy(q.weights, rho, p)
     j_ff = j_fc = j_cc = analytic = math.nan
     if not math.isinf(beta):
+        Params(q.d, p)  # the bracket's closed forms hold on the domain of (d, p)
         j_ff, j_fc, j_cc = triple = _carre_du_champ(u, beta)
-        analytic = -2.0 * beta * beta * _bracket(triple, q.d, p, beta)[0]
+        analytic = -2.0 * beta * beta * _bracket(triple, q.d, p, beta)
     return DissipationReport(E_p=e, I_p=i, F=i / q.d - e, J_ff=j_ff, J_fc=j_fc, J_cc=j_cc,
                              dF_dt_analytic=analytic)

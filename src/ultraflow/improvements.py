@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import two_sharp, two_star
+from .constants import two_sharp, two_sharp_gap, two_star
 from .discretization import GridFn, Quadrature, _band_limited, random_band_limited
 from .errors import ConvergenceError, DomainError
 from .functionals import _dirichlet, _entropy
@@ -402,13 +402,13 @@ def estimate_lambda_star(
 def improved_constant(d: float, p: float, lambda_star: float) -> float:
     """d + (d-1)^2/(d(d+2)) (2# - p) (lambda* - d): the improved constant for
     the moment-constrained inequality; affine and increasing in lambda*.
-    (d-1)^2 (2# - p) is expanded as in constants.gamma_one, so at d = 1 the
-    constant is its limit lambda*."""
+    (d-1)^2 (2# - p) is constants.two_sharp_gap, so at d = 1 the constant is
+    its limit lambda*."""
     if not (2.0 < p < two_sharp(d)):
         raise DomainError(f"need 2 < p < 2# = {two_sharp(d):.6g}, got {p}")
     if lambda_star < d:
         raise DomainError("lambda_star must be >= d")
-    return d + (2.0 * d * d + 1.0 - p * (d - 1.0) ** 2) / (d * (d + 2.0)) * (lambda_star - d)
+    return d + two_sharp_gap(d, p) / (d * (d + 2.0)) * (lambda_star - d)
 
 
 def verify_improved_inequality(
@@ -522,11 +522,11 @@ def antipodal_constants(d: float, p: float) -> dict:
     lambda_star_antipodal = (1.0 - theta) * 2.0 * (d + 1.0) + theta * d
     gap_lower_bound = (d - 1.0) ** 2 * (p - 1.0) ** 2 / (d * denom)
 
-    prop_raw = (d * d + (d - 1.0) ** 2 * (sharp - p)) / d if p <= sharp else None
+    prop_raw = (d * d + two_sharp_gap(d, p)) / d if p <= sharp else None
     if math.isfinite(ts):
         thm_raw = d * (1.0 + (d * d - 4.0) * (ts - p) / denom)
     else:
-        thm_raw = math.nan  # the critical exponent is infinite below d = 3
+        thm_raw = math.nan  # the critical exponent is infinite at d <= 2
 
     if abs(p - 2.0) < P_LOG_BRANCH_TOL:
         prop_const = (d * d + 4.0 * d - 1.0) / (2.0 * d)

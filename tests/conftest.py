@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from ultraflow.constants import Params
 from ultraflow.discretization import Quadrature
 
 # pytest puts src/ on sys.path (pyproject.toml); the tests that start a fresh
@@ -20,6 +21,16 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 @functools.lru_cache(maxsize=32)
 def cached_quadrature(d: float, n: int):
     return Quadrature(d, n)
+
+
+def unchecked_params(d, p) -> Params:
+    """Params(d, p) without its domain checks: for error paths above the
+    critical exponent, and for symbolic d and p, which the checks cannot
+    compare."""
+    obj = object.__new__(Params)
+    object.__setattr__(obj, "d", d)
+    object.__setattr__(obj, "p", p)
+    return obj
 
 
 def normalization_constant(d: float) -> float:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,6 +25,8 @@ from ultraflow.constants import (
     two_star,
 )
 from ultraflow.errors import DomainError
+
+from conftest import unchecked_params
 
 
 class TestParams:
@@ -64,6 +67,16 @@ class TestCriticalExponents:
         assert math.isinf(ts) and math.isinf(sharp)
 
 
+def mp_beta_roots(d: float, p: float) -> tuple[float, float]:
+    """(b - sqrt(b^2 - a))/a and (b + sqrt(b^2 - a))/a in 50 digits."""
+    with mpmath.workdps(50):
+        d, p = mpmath.mpf(d), mpmath.mpf(p)
+        a = ((d - 1) ** 2 * p * p - 3 * (d * d + 2) * p + 3 * (d * d + 2 * d + 3)) / (d + 2) ** 2
+        b = (d + 3 - p) / (d + 2)
+        root = mpmath.sqrt(b * b - a)
+        return float((b - root) / a), float((b + root) / a)
+
+
 class TestBetaRoots:
     @pytest.mark.parametrize("d", range(4, 11))
     def test_critical_double_root(self, d):
@@ -97,21 +110,34 @@ class TestBetaRoots:
         # above the critical exponent the radicand goes negative; bypass the
         # Params guard to exercise the root-level error
         with pytest.raises(DomainError):
-            beta_roots(_force(5.0, 3.5))
+            beta_roots(unchecked_params(5.0, 3.5))
+
+    @pytest.mark.parametrize("d,p", [(3.0, 2.25 + 1e-8), (3.0, 2.25 - 1e-7), (1.0, 2.0 + 1e-7)])
+    def test_finite_root_near_degenerate_denominator(self, d, p):
+        # delta(3, 2.25) = delta(1, 2) = 0; both roots used to subtract nearly
+        # equal numbers for the finite one (2.2e-9 relative at the first point)
+        assert beta_roots(Params(d, p)).minus == pytest.approx(mp_beta_roots(d, p)[0],
+                                                               rel=1e-15, abs=0.0)
+
+    def test_roots_against_50_digits(self):
+        # 45 x 60 grid, p at least 1e-3 below 2*.  A root beyond 1e4 sits near
+        # delta = 0, where the rounding of a itself sets its size
+        count = 0
+        for d in np.linspace(1.0, 12.0, 45).tolist():
+            hi = two_star(d) - 1e-3 if d > 2.0 else 20.0
+            for p in np.linspace(1.0, hi, 60).tolist():
+                r = beta_roots(Params(d, p))
+                for got, exact in zip((r.minus, r.plus), mp_beta_roots(d, p)):
+                    if abs(exact) <= 1e4:
+                        assert got == pytest.approx(exact, rel=1e-12, abs=0.0), (d, p)
+                        count += 1
+        assert count > 5000
 
     def test_delta_matches_quadratic_coefficient(self):
         for d, p in [(5.0, 3.0), (3.0, 2.2), (7.0, 2.6)]:
             params = Params(d, p)
             a, _ = ab_coefficients(params)
             assert delta_of(params) == pytest.approx(a * (d + 2.0) ** 2, rel=1e-13)
-
-
-def _force(d, p):
-    # construct Params without the critical-exponent guard for error-path tests
-    obj = object.__new__(Params)
-    object.__setattr__(obj, "d", d)
-    object.__setattr__(obj, "p", p)
-    return obj
 
 
 class TestGamma:

@@ -5,64 +5,65 @@ import pytest
 
 from ultraflow.constants import Params, beta_roots, two_star
 from ultraflow.counterexamples import (
-    ExplicitFamily,
+    conformal_exponent,
     first_obstruction,
-    materialize,
     ode_residual,
+    powerlaw,
     second_obstruction,
+    witness,
 )
 from ultraflow.discretization import GridFn, derivative, second_derivative
-from ultraflow.errors import DomainError, PositivityError
+from ultraflow.errors import DomainError
 from ultraflow.functionals import deficit, dissipation_nonlinear
 
 from conftest import cached_quadrature
 
 
+def powerlaw_witness(quad, params, a, b):
+    """The power-law witness w, with its beta and alpha."""
+    beta, alpha, exponent = powerlaw(params)
+    return witness(quad, a, b, exponent), beta, alpha
+
+
 class TestExplicitFamily:
-    def test_positivity_cone(self):
-        with pytest.raises(PositivityError):
-            ExplicitFamily.conformal(Params(4.0, 4.0), 1.0, 1.0)
-        with pytest.raises(PositivityError):
-            ExplicitFamily.powerlaw(Params(5.0, 3.25), 0.3, 0.4)
+    def test_positivity_cone(self, quad5):
+        # a base outside the cone a > |b| is a parameter, as the CLI says
+        for a, b in ((1.0, 1.0), (0.3, 0.4), (1.0, -1.0), (math.inf, 0.0), (math.nan, 0.0)):
+            with pytest.raises(DomainError):
+                witness(quad5, a, b, conformal_exponent(5.0))
+
+    def test_exponents(self):
+        assert conformal_exponent(5.0) == -1.5
+        for d in (2.0, 1.0):
+            with pytest.raises(DomainError):
+                conformal_exponent(d)
 
     def test_conformal_constant_at_b0(self):
         quad = cached_quadrature(4.0, 128)
-        fam = ExplicitFamily.conformal(Params(4.0, 4.0), 2.0, 0.0)
-        u = materialize(fam, quad)
+        u = witness(quad, 2.0, 0.0, conformal_exponent(4.0))
         assert np.max(np.abs(u.values - 2.0 ** (-1.0))) < 1e-15
 
     def test_powerlaw_satisfies_its_ode(self, quad5):
-        fam = ExplicitFamily.powerlaw(Params(5.0, 3.25), 1.0, 0.4)
-        w = materialize(fam, quad5)
-        assert ode_residual(w, fam.alpha) <= 1e-9
+        w, _, alpha = powerlaw_witness(quad5, Params(5.0, 3.25), 1.0, 0.4)
+        assert ode_residual(w, alpha) <= 1e-9
 
     def test_powerlaw_alpha_ties_to_lower_root(self):
         params = Params(5.0, 3.25)
-        fam = ExplicitFamily.powerlaw(params, 1.0, 0.4)
-        beta = beta_roots(params).minus
-        assert fam.beta == beta
-        assert fam.alpha == pytest.approx(4.0 * beta * 2.25 / 7.0, rel=1e-14)
+        beta, alpha, _ = powerlaw(params)
+        assert beta == beta_roots(params).minus
+        assert alpha == pytest.approx(4.0 * beta * 2.25 / 7.0, rel=1e-14)
 
     def test_conformal_saturates_deficit(self):
         quad = cached_quadrature(4.0, 128)
         p = two_star(4.0)
-        fam = ExplicitFamily.conformal(Params(4.0, p), 1.0, 0.3)
-        u = materialize(fam, quad)
+        u = witness(quad, 1.0, 0.3, conformal_exponent(4.0))
         rho = GridFn.from_values(quad, u.values**p)
         assert abs(deficit(rho, p)) <= 1e-8
-
-    def test_dimension_mismatch(self):
-        quad = cached_quadrature(4.0, 64)
-        fam = ExplicitFamily.conformal(Params(5.0, 3.0), 1.0, 0.3)
-        with pytest.raises(DomainError):
-            materialize(fam, quad)
 
     def test_u_from_w_consistency(self, quad5):
         # (1/b) w^(1-b) u'' = (alpha+b-1) |w'|^2/w and
         # (1/b) w^(1-b) |u'|^2/u = b |w'|^2/w for u = w^b, nu^2-weighted
-        fam = ExplicitFamily.powerlaw(Params(5.0, 3.25), 1.0, 0.4)
-        w = materialize(fam, quad5)
-        b = fam.beta
+        w, b, alpha = powerlaw_witness(quad5, Params(5.0, 3.25), 1.0, 0.4)
         u = GridFn.from_values(quad5, w.values**b)
         wp = derivative(w)
         upp = second_derivative(u)
@@ -70,7 +71,7 @@ class TestExplicitFamily:
         ratio = wp**2 / w.values
         lhs1 = w.values ** (1.0 - b) * upp / b
         lhs2 = w.values ** (1.0 - b) * up**2 / u.values / b
-        assert np.max(quad5.nu**2 * np.abs(lhs1 - (fam.alpha + b - 1.0) * ratio)) <= 1e-9
+        assert np.max(quad5.nu**2 * np.abs(lhs1 - (alpha + b - 1.0) * ratio)) <= 1e-9
         assert np.max(quad5.nu**2 * np.abs(lhs2 - b * ratio)) <= 1e-9
 
 
@@ -141,8 +142,8 @@ class TestSecondObstruction:
         # report at f = w^beta (its dF_dt_analytic is that of d F = 2 G)
         quad = cached_quadrature(5.0, n)
         rep = second_obstruction(5.0, 3.25, 1.0, 0.4, quad)
-        fam = ExplicitFamily.powerlaw(Params(5.0, 3.25), 1.0, 0.4)
-        f = GridFn.from_values(quad, materialize(fam, quad).values ** fam.beta)
+        w, beta, _ = powerlaw_witness(quad, Params(5.0, 3.25), 1.0, 0.4)
+        f = GridFn.from_values(quad, w.values**beta)
         heat = dissipation_nonlinear(f, 3.25, 1.0)
         assert rep["J_cc"] == heat.J_cc
         assert rep["dFdt_analytic"] == heat.dF_dt_analytic / 2.0

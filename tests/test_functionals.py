@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as adaptive_quad
 
-from ultraflow.constants import Params, beta_roots, two_star
+from ultraflow.constants import Params, beta_roots, gamma_of_beta, two_star
 from ultraflow.discretization import GridFn, _band_limited, eigenfunction, random_positive
 from ultraflow.errors import PositivityError, ResolutionError
 from ultraflow.functionals import (
@@ -15,7 +15,6 @@ from ultraflow.functionals import (
     dissipation_nonlinear,
     entropy,
     fisher,
-    nonlinear_bracket,
     quotient,
 )
 
@@ -255,7 +254,7 @@ class TestCdcTriple:
             cdc_triple(u)
         for beta in (1.0, 1.2):
             with pytest.raises(ResolutionError):
-                nonlinear_bracket(u, 3.3, beta)
+                dissipation_nonlinear(u, 3.3, beta)
 
     def test_cauchy_schwarz(self, quad5, rng):
         for _ in range(20):
@@ -267,12 +266,17 @@ class TestCdcTriple:
 
 class TestDissipation:
     def test_expanded_equals_completed_square(self, quad5, rng):
+        # the report's expanded bracket against the completed square
+        # J_ff - 2 c J_fc + (c^2 + gamma(beta)) J_cc of the same J's
+        d = quad5.d
         for _ in range(10):
             u = random_positive(quad5, rng, modes=12, amplitude=0.6)
-            e, s = nonlinear_bracket(u, 3.0, 1.0)
-            assert e == pytest.approx(s, rel=1e-10)
-            e, s = nonlinear_bracket(u, 3.3, 1.2)
-            assert e == pytest.approx(s, rel=1e-10)
+            for p, beta in ((3.0, 1.0), (3.3, 1.2)):
+                rep = dissipation_nonlinear(u, p, beta)
+                c = (d - 1.0) / (d + 2.0) * (beta * (p - 2.0) + beta)
+                square = (rep.J_ff - 2.0 * c * rep.J_fc
+                          + (c * c + gamma_of_beta(Params(d, p), beta)) * rep.J_cc)
+                assert rep.dF_dt_analytic / (-2.0 * beta**2) == pytest.approx(square, rel=1e-10)
 
     def test_heat_sign_below_sharp(self, quad5, rng):
         for _ in range(50):

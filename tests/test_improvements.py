@@ -577,6 +577,13 @@ class TestAntipodalConstants:
             (1 - theta) * 12.0 + theta * 5.0, rel=1e-14
         )
 
+    def test_d1_is_the_limit(self):
+        # (d-1)^2 (2# - p) read 0 * inf at d = 1, which gave NaN for the limit 4
+        rep = antipodal_constants(1.0, 1.5)
+        assert rep["prop_raw"] == rep["prop_const"] == 4.0
+        near = antipodal_constants(1.0 + 1e-9, 1.5)
+        assert near["prop_raw"] == pytest.approx(4.0, abs=1e-8)
+
     def test_scope(self):
         assert antipodal_constants(5.0, 3.3)["prop_const"] is None  # above 2#
         with pytest.raises(DomainError):

@@ -24,8 +24,6 @@ UNREACHED = {
     "functionals.dissipation_heat":
         "perfbench/tracer.py wraps it by name (the functionals.report span)",
     "functionals.quotient": "perfbench/tracer.py wraps it by name (the functionals.scalar span)",
-    "functionals.nonlinear_bracket":
-        "the completed-square check of the bracket, kept until its identity is proved exactly",
     "improvements._bisect_moment":
         "the fallback of project_moment when its Newton iteration leaves the bracket",
     "improvements._bisect_moment.<locals>.g": "the function _bisect_moment brackets",
