@@ -163,15 +163,33 @@ def delta_of(params: Params) -> float:
     return ab_coefficients(params)[0] * (params.d + 2.0) ** 2
 
 
+def _factored_delta(d: float, p: float, root: float) -> float:
+    """delta = (d-1)^2 (p - p1)(p - p2) for d <= 4, given root =
+    sqrt(3d (4-d)): (d-1)^2 p1 = (3(d^2+2) + (d+2) root)/2 adds two terms of
+    one sign, and p2 = 3(d^2+2d+3)/((d-1)^2 p1) is Vieta's product over it.
+    Each factor subtracts a root from p itself, so delta keeps its digits
+    next to its zeros, where the expanded polynomial cancels; at d = 1,
+    where p1 is infinite, (d-1)^2 (p - p1) is -9."""
+    lead, big = (d - 1.0) ** 2, 1.5 * (d * d + 2.0) + 0.5 * (d + 2.0) * root
+    far = lead * (p - big / lead) if lead else -big
+    return far * (p - 3.0 * (d * d + 2.0 * d + 3.0) / big)
+
+
 def beta_roots(params: Params) -> BetaRoots:
     """Both roots (b -+ sqrt(b^2-a))/a of gamma(beta) = 0, for every d >= 1,
     from the factored b^2 - a: the finite root keeps its digits near
-    delta = 0 and the double root at 2* stays double.  When delta = 0 the
+    delta = 0 and the double root at 2* stays double.  For d <= 4, where
+    delta has real zeros in p, a comes from the factored delta, so the
+    root that escapes to infinity keeps its digits too.  When delta = 0 the
     equation degenerates to a linear one: the finite root is returned in
     ``minus`` and ``plus`` is the signed infinity it escapes to."""
     a, b = ab_coefficients(params)
     d, p = params.d, params.p
-    delta = a * (d + 2.0) ** 2
+    if d <= 4.0:
+        delta = _factored_delta(d, p, math.sqrt(3.0 * d * (4.0 - d)))
+        a = delta / (d + 2.0) ** 2
+    else:
+        delta = a * (d + 2.0) ** 2
     if abs(delta) <= DELTA_ZERO_TOL * max(1.0, d**2 * p**2):
         if b == 0.0:
             raise DomainError("gamma is constant: no roots")

@@ -24,9 +24,12 @@ every sample reports from rho.
 
 The heat flow (beta = 1, s = t) integrates exactly (``integrates_exactly``):
 ``_exact`` synthesizes the requested times in blocks of at most _BLOCK, one
-product each, and ``evolve`` reports each block with one analysis of the
-stacked u = rho^(1/p) (``_sample_report``).  Every other member takes
-fourth-order ETDRK4 steps (Cox and Matthews 2002) on the split
+product each.  Every other member steps once to the last time (``_stepped``)
+and reads each sample inside a step off that step's order-3 continuous
+extension (``_dense``), which takes no right-hand side; only the last step
+is cut, to land on the last time.  Either way ``evolve`` reports each
+block with one analysis of the stacked u = rho^(1/p) (``_sample_report``).
+The steps are fourth-order ETDRK4 (Cox and Matthews 2002) on the split
 c' = G(c) = -sigma lam c + N(c), whose diagonal linear part is exact with
 the scalar stiffness bound sigma = max phi_m' frozen per step.  A scan of
 c' = -r sigma lam c over r in [0.01, 1] and z = -dt sigma lam in
@@ -46,7 +49,8 @@ import numpy as np
 
 from .constants import FlowSpec, Params
 from .discretization import EPS_POS, GridFn, Quadrature, require_resolved
-from .errors import ConservationError, DomainError, FlowError, PositivityError, PositivityLossError
+from .errors import (ConservationError, DomainError, FlowError, PositivityError,
+                     PositivityLossError, ResolutionError)
 from .functionals import _dirichlet, _entropy
 
 #: defaults: the drift of the conserved quantity a run may show, the rise of
@@ -57,18 +61,26 @@ TOL_CONS = 1e-9
 TOL_MONO = 1e-9
 TOL_STEP = 1e-7
 DT_MIN = 1e-12
-#: the exact flow synthesizes and records its samples in blocks of at most
-#: this many, which bounds its working memory whatever the sample count
+#: both flows record their later samples in blocks of at most this many,
+#: which bounds their working memory whatever the sample count
 _BLOCK = 64
 
-#: Taylor coefficients of phi1(z/2) and the ETDRK4 weights f1, f2, f3 in z^k,
-#: k = 0..17, each the p(k) listed below over (k + 3)!
-_SERIES = np.array([[0.5**k * (k + 2) * (k + 3), (k + 1) ** 2, k + 1, 1 - k]
+#: Taylor coefficients in z^k, k = 0..17, each the p(k) listed below over
+#: (k + 3)!: first of phi1(z/2) and the ETDRK4 weights f1, f2, f3, then of
+#: phi1, phi2, phi3 at z (phi_j(z) = sum_k z^k / (k + j)!)
+_SERIES = np.array([[0.5**k * (k + 2) * (k + 3), (k + 1) ** 2, k + 1, 1 - k,
+                     (k + 2) * (k + 3), k + 3, 1]
                     for k in range(18)]).T / [math.factorial(k + 3) for k in range(18)]
 #: the same in closed form over y, y^2, y^3 (y = 1/z), these times e^z, and
-#: y e^(z/2): f1 = -y^2 - 4 y^3 + e^z (y - 3 y^2 + 4 y^3), and so on
+#: y e^(z/2): f1 = -y^2 - 4 y^3 + e^z (y - 3 y^2 + 4 y^3), and so on, then
+#: phi3 = -y/2 - y^2 - y^3 + y^3 e^z, and so on
 _CLOSED = np.array([[-2, 0, 0, 0, 0, 0, 2], [0, -1, -4, 1, -3, 4, 0],
-                    [0, 1, 2, 0, 1, -2, 0], [-1, -3, -4, 0, -1, 4, 0]], dtype=float)
+                    [0, 1, 2, 0, 1, -2, 0], [-1, -3, -4, 0, -1, 4, 0],
+                    [-1, 0, 0, 1, 0, 0, 0], [-1, -1, 0, 0, 1, 0, 0],
+                    [-0.5, -1, -1, 0, 0, 1, 0]])
+#: the rows of the two tables that a step reads, and those its continuous
+#: extension reads
+_STEP_ROWS, _PHI_ROWS = slice(0, 4), slice(4, 7)
 
 
 class Form(enum.Enum):
@@ -166,11 +178,9 @@ def _full_rhs(spec: FlowSpec, quad: Quadrature, c: np.ndarray):
     return -quad.eigenvalues * quad.project_padded(phi), sigma
 
 
-def _etdrk4_weights(z: np.ndarray):
-    """(e^(z/2), phi1(z/2), f1, f2, f3) at z <= 0 of ascending |z|, with
-    phi1(x) = (e^x - 1)/x and the ETDRK4 weights f1 = (-4 - z + e^z (4 - 3z +
-    z^2))/z^3, f2 = (2 + z + e^z (z - 2))/z^3, f3 = (-4 - 3z - z^2 + e^z (4 - z))/z^3:
-    Taylor series on the prefix |z| < 1, closed forms in 1/z beyond it."""
+def _weights(z: np.ndarray, rows: slice):
+    """e^(z/2) and the table rows at z <= 0 of ascending |z|: Taylor series
+    on the prefix |z| < 1, closed forms in 1/z beyond it."""
     j = int(np.count_nonzero(z > -1.0))
     e_half = np.exp(0.5 * z)
     powers = np.empty((_SERIES.shape[1], j))
@@ -182,23 +192,32 @@ def _etdrk4_weights(z: np.ndarray):
     basis[3:6], basis[6] = basis[:3] * e_half[j:] ** 2, basis[0] * e_half[j:]
     # closed forms in 1/z stay finite where z^2 e^z is 0 * inf; stacked
     # vector-matrix products are one BLAS gemv each, no buffered gemm
-    rows = np.concatenate((_SERIES[:, None] @ powers, _CLOSED[:, None] @ basis), axis=2)
+    rows = np.concatenate((_SERIES[rows, None] @ powers, _CLOSED[rows, None] @ basis), axis=2)
     return (e_half, *rows[:, 0])
 
 
+def _etdrk4_weights(z: np.ndarray):
+    """(e^(z/2), phi1(z/2), f1, f2, f3) at z <= 0 of ascending |z|, with
+    phi1(x) = (e^x - 1)/x and the ETDRK4 weights f1 = (-4 - z + e^z (4 - 3z +
+    z^2))/z^3, f2 = (2 + z + e^z (z - 2))/z^3, f3 = (-4 - 3z - z^2 + e^z (4 - z))/z^3."""
+    return _weights(z, _STEP_ROWS)
+
+
 def _imex_step(form: Form, spec: FlowSpec, quad: Quadrature, c: np.ndarray, dt: float):
-    """One ETDRK4 step of dt from c (Cox and Matthews 2002) and the 2-norm
-    of its local-error estimate.  Four right-hand sides, all split by the
-    first one's sigma: with E = e^(z/2), phi = phi1(z/2) and z = -dt sigma
-    lam, the stages a = E c + (dt/2) phi N(c), b = E c + (dt/2) phi N(a),
-    d = E a + (dt/2) phi (2 N(b) - N(c)) give E^2 c + dt (f1 N(c) + 2 f2
-    (N(a) + N(b)) + f3 N(d)).  The embedded ETD2 value E^2 c + dt (phi1(z)
-    N(c) + phi2(z) (N(d) - N(c))) differs from it by 2 dt f2 (N(a) + N(b) -
-    N(c) - N(d)), as f1 - phi1 + phi2 = f3 - phi2 = -2 f2.  ``form`` is not
-    read; perfbench/tracer.py wraps the step by this name and signature."""
+    """One ETDRK4 step of dt from c (Cox and Matthews 2002), the 2-norm of
+    its local-error estimate and the stages its continuous extension reads
+    (``_dense``).  Four right-hand sides, all split by the first one's
+    sigma: with E = e^(z/2), phi = phi1(z/2) and z = -dt sigma lam, the
+    stages a = E c + (dt/2) phi N(c), b = E c + (dt/2) phi N(a), d = E a +
+    (dt/2) phi (2 N(b) - N(c)) give E^2 c + dt (f1 N(c) + 2 f2 (N(a) +
+    N(b)) + f3 N(d)).  The embedded ETD2 value E^2 c + dt (phi1(z) N(c) +
+    phi2(z) (N(d) - N(c))) differs from it by 2 dt f2 (N(a) + N(b) - N(c) -
+    N(d)), as f1 - phi1 + phi2 = f3 - phi2 = -2 f2.  ``form`` is not read;
+    perfbench/tracer.py wraps the step by this name and signature."""
     g0, sigma = _full_rhs(spec, quad, c)
     sl = sigma * quad.eigenvalues
-    e_half, phi, f1, f2, f3 = _etdrk4_weights(-dt * sl)
+    z = -dt * sl
+    e_half, phi, f1, f2, f3 = _etdrk4_weights(z)
     half = 0.5 * dt * phi
     n0 = g0 + sl * c
     ec = e_half * c
@@ -210,7 +229,24 @@ def _imex_step(form: Form, spec: FlowSpec, quad: Quadrature, c: np.ndarray, dt: 
     nd = _full_rhs(spec, quad, d)[0] + sl * d
     ab, w2 = na + nb, 2.0 * dt * f2
     error = w2 * (ab - n0 - nd)
-    return e_half * ec + dt * (f1 * n0 + f3 * nd) + w2 * ab, math.sqrt(error @ error)
+    return (e_half * ec + dt * (f1 * n0 + f3 * nd) + w2 * ab, math.sqrt(error @ error),
+            (c, z, n0, ab, nd))
+
+
+def _dense(stages, dt: float, theta: float) -> np.ndarray:
+    """The coefficients at theta dt into the ETDRK4 step of dt with these
+    stages: its order-3 continuous extension (Hochbruck and Ostermann, Acta
+    Numerica 2010), e^x c + dt (b1 N(c) + b2 (N(a) + N(b)) + b4 N(d)) at
+    x = theta z, with b1 = theta phi1 - 3 theta^2 phi2 + 4 theta^3 phi3,
+    b2 = 2 theta^2 phi2 - 4 theta^3 phi3 and b4 = -theta^2 phi2 + 4 theta^3
+    phi3 at x.  At theta = 1 these are the step's f1, 2 f2 and f3; it takes
+    no right-hand side, and mode 0 (z = 0, N = 0) keeps c's."""
+    c, z, n0, ab, nd = stages
+    e_half, phi1, phi2, phi3 = _weights(theta * z, _PHI_ROWS)
+    t2, t3 = theta**2 * phi2, theta**3 * phi3
+    b4 = 4.0 * t3 - t2  # so b1 = theta phi1 + b4 - 2 t2 and b2 = t2 - b4
+    return e_half * (e_half * c) + dt * ((theta * phi1 + b4 - 2.0 * t2) * n0
+                                         + (t2 - b4) * ab + b4 * nd)
 
 
 def _exact(rho: GridFn, t0: float, times: np.ndarray):
@@ -241,32 +277,37 @@ def _exact(rho: GridFn, t0: float, times: np.ndarray):
             raise PositivityLossError("the flow lost positivity", t=float(ts[k]))
 
 
-# -- adaptive segment integrator --------------------------------------------
+# -- adaptive stepping ------------------------------------------------------
 
 
-def _advance_to(spec: FlowSpec, rho: GridFn, s: float, s_target: float, h: float,
-                h_max: float) -> tuple[GridFn, float]:
-    """Step the density rho from s to s_target on the clock s by ETDRK4
-    steps of at most h_max; returns the density at s_target and the next
-    step size.  The exact flow never comes here (``evolve``).
+def _advance_to(spec: FlowSpec, step: tuple, s_target: float, s_end: float, h: float,
+                h_max: float) -> tuple[GridFn, tuple, float]:
+    """The density at s_target on the clock s, the last accepted step and
+    the next step size.  ``step`` is the last accepted step as (its start,
+    dt, stages, the density it ends at); the datum is a step of dt = 0.
+    While it ends before s_target, ETDRK4 steps of at most h_max follow;
+    only one that would pass s_end is cut, to end there.  The density at
+    s_target is the end of the step that reaches it, where they meet (to
+    1e-14), or else that step's continuous extension (``_dense``),
+    synthesized once.  The exact flow never comes here (``evolve``).
 
     A step is accepted when its local-error estimate, the distance of the
     embedded ETD2 value in the coefficient 2-norm (the L2(nu) norm), is at
     most TOL_STEP times the norm of the state it starts from.  The next
     step scales by 0.9 (tol/error)^(1/3) (Hairer and Wanner, IV.8) within
     [0.2, 5], not above 1 after a rejection; a step that loses positivity
-    (or whose estimate is NaN) halves, and one cut short to land on s_target
-    keeps the size it was cut from unless its own estimate allows more.  A rejected attempt passes
-    the same coefficient array to the step again.  An accepted step whose
-    top modes carry more than the resolution tolerance raises
-    ResolutionError: a smaller step cannot resolve them."""
-    quad, grow = rho.quad, 5.0
-    while s < s_target - 1e-14 * max(1.0, abs(s_target)):
-        full = min(h, h_max)
-        dt = min(full, s_target - s)
+    (or whose estimate is NaN) halves.  A rejected attempt passes the same
+    coefficient array to the step again.  An accepted step whose top modes
+    carry more than the resolution tolerance raises ResolutionError: a
+    smaller step cannot resolve them."""
+    start, size, stages, rho = step
+    quad, s, grow = rho.quad, start + size, 5.0
+    slack = 1e-14 * max(1.0, abs(s_target))
+    while s < s_target - slack:
+        dt = min(h, h_max, s_end - s)
         try:
             with np.errstate(over="ignore"):  # a power past the float range: _full_rhs refuses it
-                c, error = _imex_step(Form.DENSITY, spec, quad, rho.coeffs, dt)
+                c, error, trial_stages = _imex_step(Form.DENSITY, spec, quad, rho.coeffs, dt)
             trial = GridFn.from_coeffs(quad, c)
         except PositivityError:
             trial, error = None, math.inf
@@ -275,14 +316,55 @@ def _advance_to(spec: FlowSpec, rho: GridFn, s: float, s_target: float, h: float
         positive = trial is not None and trial.is_positive()
         if positive and error <= tol:
             trial.require_resolved()
-            h = max(dt * min(grow, scale), h if dt < full else 0.0)
-            rho, s, grow = trial, s + dt, 5.0
+            h, grow = dt * min(grow, scale), 5.0
+            start, size, stages, rho, s = s, dt, trial_stages, trial, s + dt
             continue
         h, grow = dt * (max(0.2, scale) if positive and error > tol else 0.5), 1.0
         if h < DT_MIN:
             raise PositivityLossError(
                 "step size underflow (positivity or local error unreachable)", t=s)
-    return rho, h
+    step = (start, size, stages, rho)
+    if s <= s_target + slack:
+        return rho, step, h
+    return GridFn.from_coeffs(quad, _dense(stages, size, (s_target - start) / size)), step, h
+
+
+def _stepped(state: FlowState, rho: GridFn, times: np.ndarray, rate: float, h_max: float,
+             tol_cons: float):
+    """The stepped flow's density from rho, the density of ``state``, at the
+    increasing times after the first, in blocks like ``_exact``'s: one step
+    sequence to the last time on the clock s = rate (t - times[0]), steps
+    of at most h_max, each sample read off the step that reaches it
+    (``_advance_to``).  A sample must be positive on its nodal values
+    (PositivityLossError) and keep the conserved quantity within tol_cons
+    of the datum's (ConservationError).  A block yields its samples up to
+    the first failure, of a step or of a sample, which raises when the
+    iterator passes them, so an earlier failure of the caller wins."""
+    s, weights = (rate * (times - times[0])).tolist(), rho.quad.weights
+    step, h = (s[0], 0.0, None, rho), min(h_max, s[-1] / 64)
+    ts, columns, failure = [], [], None
+    for t, s_k in zip(times[1:].tolist(), s[1:]):
+        try:
+            sample, step, h = _advance_to(state.spec, step, s_k, s[-1], h, h_max)
+            if not sample.is_positive():
+                raise PositivityLossError("the flow lost positivity", t=t)
+            drift = abs(weights @ sample.values - state.conserved0)
+            if drift > tol_cons:
+                raise ConservationError(
+                    f"conserved quantity drifted by {drift:.3e} > {tol_cons:.1e}", t=t)
+        except (FlowError, ResolutionError) as exc:
+            failure = exc
+            break
+        ts.append(t)
+        columns.append(sample.values)
+        rho = sample
+        if len(ts) == _BLOCK:
+            yield ts, np.column_stack(columns), rho
+            ts, columns = [], []
+    if ts:
+        yield ts, np.column_stack(columns), rho
+    if failure is not None:
+        raise failure
 
 
 @dataclass
@@ -334,16 +416,18 @@ def evolve(
 ) -> Trajectory:
     """Integrate to t_end, recording ``samples`` evenly spaced snapshots
     (endpoints included); each evaluates E_p and I_p once, from the density.
-    The heat flow, in either form, synthesizes its later samples in blocks
-    of at most _BLOCK (``_exact``) and records each block with one stacked
-    report; every other flow steps its density on the clock s from sample
-    to sample (dt_max caps the steps on the state's clock; a cap below
-    DT_MIN on the clock s is refused, DomainError) and records each
-    one alone, as it does the datum, once its conserved quantity is within
-    tol_cons of the datum's.  Step errors propagate with the failing time
-    attached, and a sample whose top modes carry more than the resolution
-    tolerance raises ResolutionError: the first failing sample decides, and
-    at one sample positivity is checked first."""
+    The datum is recorded alone, and the later samples in blocks of at most
+    _BLOCK, each with one stacked report.  The heat flow, in either form,
+    synthesizes them (``_exact``); every other flow steps its density on
+    the clock s once to t_end and reads them off its steps (``_stepped``;
+    dt_max caps the steps on the state's clock, and a cap below DT_MIN on
+    the clock s is refused, DomainError), each with its conserved quantity
+    within tol_cons of the datum's.  On the density form at m = 0 the clock
+    stands still, and every row repeats the datum's.  Step errors propagate
+    with the failing time attached, and a sample whose top modes carry more
+    than the resolution tolerance raises ResolutionError: the first failing
+    sample decides, and at one sample positivity is checked first, then the
+    drift."""
     if not (math.isfinite(t_end) and 0.0 < t_end - state.t < math.inf):
         raise DomainError(f"t_end must be finite and exceed the current time, got {t_end}")
     if samples < 2:
@@ -355,7 +439,7 @@ def evolve(
     rate = _clock_rate(state)
     if not rate * (t_end - state.t) < math.inf:
         raise DomainError(f"the flow's clock s = {rate} t passes the float range at t_end = {t_end}")
-    # m = 0 on the density form: s stands still, and so does the state
+    # at rate 0 no step is taken
     h_max = rate * dt_max if rate else math.inf
     if h_max < DT_MIN:  # the controller gives up below DT_MIN
         raise DomainError(f"dt_max caps the steps on the clock s at {h_max:.3e} < {DT_MIN:.0e}")
@@ -373,18 +457,14 @@ def evolve(
             column.extend(x)
 
     record(state.t, rho.values)
-    if integrates_exactly(state.spec):
-        for ts, values, rho in _exact(rho, state.t, times[1:]):
+    if rate:
+        blocks = (_exact(rho, state.t, times[1:]) if integrates_exactly(state.spec)
+                  else _stepped(state, rho, times, rate, h_max, tol_cons))
+        for ts, values, rho in blocks:
             record(ts, values)
-    else:
-        s = (rate * (times - state.t)).tolist()
-        h = min(h_max, s[-1] / 64)
-        for k, t in enumerate(times[1:].tolist(), start=1):
-            rho, h = _advance_to(state.spec, rho, s[k - 1], s[k], h, h_max)
-            record(t, rho.values)
-            drift = abs(traj.conserved[-1] - state.conserved0)
-            if drift > tol_cons:
-                raise ConservationError(
-                    f"conserved quantity drifted by {drift:.3e} > {tol_cons:.1e}", t=t)
+    else:  # m = 0 on the density form: s stands still, and so does the state
+        traj.times.extend(times[1:].tolist())
+        for column in traj.columns()[1:]:
+            column.extend(column * (samples - 1))
     traj.final_state = replace(state, t=float(t_end), f=_from_density(state.form, state.spec, rho))
     return traj

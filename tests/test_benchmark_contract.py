@@ -52,9 +52,10 @@ def test_tracer_tells_accepted_from_rejected_steps(capsys):
     # the same coefficient array again; a loop that stops doing so would
     # skew the benchmark's step counters, not fail them.  This run rejects
     # one of its 111 attempts, by the local-error test.  Its three samples
-    # evaluate E_p and I_p only: one flows.sample span each, and no
-    # dissipation report.  An ETDRK4 step costs four right-hand sides, and
-    # a right-hand side two padded matvecs: the w form steps its density
+    # evaluate E_p and I_p only, and no dissipation report: the datum is one
+    # flows.sample span and the two later samples, one block, are another.
+    # An ETDRK4 step costs four right-hand sides, and a right-hand side two
+    # padded matvecs: the w form steps its density
     tracer = _load("tracer").Tracer()
     tracer.install()
     try:
@@ -70,7 +71,7 @@ def test_tracer_tells_accepted_from_rejected_steps(capsys):
     assert counters["imex.rejected"] >= 1
     assert tracer.count("flows.rhs") == 4 * tracer.count("flows.imex")
     assert tracer.count("discretization.padded") == 2 * tracer.count("flows.rhs")
-    assert tracer.count("flows.sample") == 3
+    assert tracer.count("flows.sample") == 2
     assert tracer.count("functionals.report") == 0
 
 

@@ -119,6 +119,15 @@ class TestBetaRoots:
         assert beta_roots(Params(d, p)).minus == pytest.approx(mp_beta_roots(d, p)[0],
                                                                rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("p", [2.98995, 3.01])
+    def test_escaping_root_near_a_double_zero_of_delta(self, p):
+        # delta(4, p) = 9 (p - 3)^2: its expansion cancelled to 3.8e-12 and
+        # 1.4e-11 relative at these points, and the root q/a with it; the
+        # factored delta keeps both to an ulp
+        r = beta_roots(Params(4.0, p))
+        assert r.plus == pytest.approx(mp_beta_roots(4.0, p)[1], rel=1e-15, abs=0.0)
+        assert r.delta == pytest.approx(9.0 * (p - 3.0) ** 2, rel=1e-15, abs=0.0)
+
     def test_roots_against_50_digits(self):
         # 45 x 60 grid, p at least 1e-3 below 2*.  A root beyond 1e4 sits near
         # delta = 0, where the rounding of a itself sets its size

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ultraflow import checks, flows
+from ultraflow.cli import parse_init
 from ultraflow.constants import FlowSpec, Params, beta_roots, classify_region
 from ultraflow.counterexamples import conformal_coefficients
 from ultraflow.discretization import (
@@ -381,11 +382,12 @@ class TestNonlinearFlows:
         fine = evolve(st, 0.4, dt_max=1e-4).F[-1]
         assert default == pytest.approx(fine, rel=1e-5)
 
-    @pytest.mark.parametrize("beta, cap", [(1.2126712652, 1000), (1.0, 0)], ids=["w", "u"])
+    @pytest.mark.parametrize("beta, cap", [(1.2126712652, 776), (1.0, 0)], ids=["w", "u"])
     def test_readme_runs_take_few_right_hand_sides(self, beta, cap, monkeypatch):
-        # the README w run at t = 0.4: 868 right-hand sides measured, where
-        # the drift budget of the pointwise integrator took 1,188; the u
-        # run is the heat flow, integrated exactly with none
+        # the README w run at t = 0.4: 776 right-hand sides, what it takes
+        # at --samples 2, where landing on the 50 samples took 868 and the
+        # drift budget of the pointwise integrator 1,188; the u run is the
+        # heat flow, integrated exactly with none
         quad = cached_quadrature(5.0, 128)
         spec = FlowSpec(Params(5.0, 3.3), beta)
         coeffs = np.zeros(quad.n)
@@ -406,18 +408,161 @@ class TestNonlinearFlows:
         assert max(abs(c - traj.conserved[0]) for c in traj.conserved) <= 1e-9
 
 
-    def test_readme_w_accuracy_is_set_by_the_tolerance(self):
-        # the README w run's final F at 2, 13 and 50 samples: the sample
-        # spacing no longer sets the step, so they agree to 1e-7, and each
-        # is within 1e-8 of a run at dt_max = 2e-5 (4.1e-9 at most measured)
+    def test_readme_w_accuracy_is_set_by_the_tolerance(self, monkeypatch):
+        # the README w run at 2, 13 and 50 samples: the samples do not touch
+        # the step sequence, so each takes 776 right-hand sides and the
+        # final states are equal, bit for bit.  The final F agree to the
+        # rounding of the stacked report, which the width of the last block
+        # moves (3.3e-14 measured).  Each is within 1e-8 of a run at
+        # dt_max = 2e-5 (4.1e-9 measured)
         quad = cached_quadrature(5.0, 128)
         spec = FlowSpec(Params(5.0, 3.3), 1.2126712652)
         coeffs = np.zeros(quad.n)
         coeffs[0], coeffs[2] = 1.0, 0.3
         st = make_state(Form.POINTWISE, spec, GridFn.from_coeffs(quad, coeffs))
-        finals = [evolve(st, 0.4, samples=k).F[-1] for k in (2, 13, 50)]
-        assert max(finals) - min(finals) <= 1e-7 * max(finals)
+        rhs, calls = flows._full_rhs, []
+
+        def counted(*args):
+            calls[-1] += 1
+            return rhs(*args)
+
+        monkeypatch.setattr(flows, "_full_rhs", counted)
+        runs = []
+        for k in (2, 13, 50):
+            calls.append(0)
+            runs.append(evolve(st, 0.4, samples=k))
+        assert calls == [776] * 3
+        for traj in runs[1:]:
+            assert np.array_equal(traj.final_state.f.coeffs, runs[0].final_state.f.coeffs)
+        finals = [traj.F[-1] for traj in runs]
+        assert max(finals) - min(finals) <= 1e-13 * max(finals)
         assert finals == pytest.approx([5.385112648977728e-05] * 3, rel=1e-8, abs=0.0)
+
+
+def perturbed(d, n, eps):
+    """The datum perturb:eps,2 of the CLI on the rule of order n."""
+    quad = cached_quadrature(d, n)
+    coeffs = np.zeros(quad.n)
+    coeffs[0], coeffs[2] = 1.0, eps
+    return GridFn.from_coeffs(quad, coeffs)
+
+
+class TestDenseOutput:
+    """The stepped flow steps once to t_end and reads each sample inside a
+    step off that step's order-3 continuous extension (``flows._dense``)."""
+
+    #: (form, spec, datum, t_end): the benchmark w and fde runs, the README
+    #: w and fde examples, and the three m <= 0 points of the form
+    #: equivalence, at default settings
+    RUNS = {
+        "bench-w": (Form.POINTWISE, (5.0, 3.3, 1.2126712652), (64, 0.3), 0.02),
+        "bench-fde": (Form.DENSITY, (5.0, 3.3, 1.2126712652), (64, 0.3), 0.02),
+        "readme-w": (Form.POINTWISE, (5.0, 3.3, 1.2126712652), (128, 0.3), 0.4),
+        "readme-fde": (Form.DENSITY, (3.0, 6.0, None), "random:2,6", 0.4),
+        "m-0.04": (Form.POINTWISE, (1.0, 39.3, -0.04), (64, 0.1), 0.01),
+        "m-2": (Form.POINTWISE, (2.0, 3.0, -2.0), (64, 0.1), 0.01),
+        "m-6.665": (Form.POINTWISE, (1.8, 2.3, -6.665), (64, 0.05), 0.01),
+    }
+
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_every_sample_matches_a_fine_run(self, run):
+        # every one of the 50 samples' F within 1e-7 relative of a run at
+        # dt_max = t_end/2000, which agrees with one at t_end/20000 to
+        # 2.1e-12 at every sample.  Worst measured: 3.8e-8 on the README fde
+        # example, 1.5e-8 on README w, 2.7e-10 and 3.8e-11 on the benchmark
+        # fde and w, and 2.6e-9 to 2.9e-9 at the m <= 0 points, early in
+        # the run.  Their last samples are 3.2e-13, 6.9e-11 and 4.6e-11 off
+        # (the last two 6.8e-11 and 4.7e-11 off the pointwise oracle of
+        # test_w_nonlinear_matches_fde_with_m_clock), where landing every
+        # sample on a step kept them within 1e-11
+        form, (d, p, beta), datum, t_end = self.RUNS[run]
+        params = Params(d, p)
+        if beta is None:  # the critical m = 2/3 to ten digits: infinite beta
+            spec = FlowSpec.nonlinear_from_m(params, 0.6666666667)
+            f0 = parse_init(datum, cached_quadrature(d, 64), params, form, spec.beta)
+        else:
+            spec, f0 = FlowSpec(params, beta), perturbed(d, *datum)
+        state = make_state(form, spec, f0)
+        dense = np.array(evolve(state, t_end).F)
+        fine = np.array(evolve(state, t_end, dt_max=t_end / 2000).F)
+        assert np.all(np.abs(dense - fine) <= 1e-7 * np.abs(fine))
+
+    def test_extension_at_theta_one_is_the_step(self, rng):
+        # the extension's weights at theta = 1 are the step's f1, 2 f2 and
+        # f3, summed from phi1..phi3 instead of in closed form
+        quad = cached_quadrature(5.0, 64)
+        spec = FlowSpec(Params(5.0, 3.3), 1.2126712652)
+        c = random_positive(quad, rng, modes=8, amplitude=0.5).coeffs
+        for dt in (1e-5, 1e-3, 1e-1):
+            step, _, stages = flows._imex_step(Form.DENSITY, spec, quad, c, dt)
+            end = flows._dense(stages, dt, 1.0)
+            assert np.max(np.abs(end - step)) <= 1e-15 * np.max(np.abs(step))
+
+    @pytest.mark.parametrize("flow", ["fde", "w"])
+    def test_every_sample_keeps_mode_zero(self, flow, rng, monkeypatch):
+        # mode 0 has z = 0 and N = 0: every sample, inside a step or at its
+        # end, carries the datum's mass coefficient bit for bit
+        form, beta = FLOWS[flow]
+        quad = cached_quadrature(5.0, 64)
+        state = make_state(form, FlowSpec(Params(5.0, 3.3), beta),
+                           random_positive(quad, rng, modes=6, amplitude=0.4))
+        samples = []
+        advance = flows._advance_to
+
+        def seen(*args):
+            out = advance(*args)
+            samples.append(out[0].coeffs[0])
+            return out
+
+        monkeypatch.setattr(flows, "_advance_to", seen)
+        evolve(state, 0.05, samples=40)
+        assert len(samples) == 39
+        assert samples == [flows._density(state).coeffs[0]] * 39
+
+    def test_samples_before_a_failure_come_first(self, rng, monkeypatch):
+        # a step that fails on its way to the third sample: the block holds
+        # the two before it, and the failure raises once the iterator has
+        # passed them, so an earlier failure of the recorder wins
+        form, beta = FLOWS["w"]
+        quad = cached_quadrature(5.0, 64)
+        state = make_state(form, FlowSpec(Params(5.0, 3.3), beta),
+                           random_positive(quad, rng, modes=6, amplitude=0.4))
+        advance, targets = flows._advance_to, []
+
+        def failing(spec, step, s_target, *args):
+            targets.append(s_target)
+            if len(targets) == 3:
+                raise PositivityLossError("step size underflow", t=s_target)
+            return advance(spec, step, s_target, *args)
+
+        monkeypatch.setattr(flows, "_advance_to", failing)
+        times = np.linspace(0.0, 0.01, 6)
+        blocks = flows._stepped(state, flows._density(state), times, 1.0, math.inf,
+                                flows.TOL_CONS)
+        ts, values, last = next(blocks)
+        assert ts == times[1:3].tolist() and values.shape == (quad.n, 2)
+        assert np.array_equal(last.values, values[:, 1])
+        with pytest.raises(PositivityLossError) as err:
+            next(blocks)
+        assert err.value.t == times[3]
+
+    def test_extension_weights_match_extended_precision(self):
+        # phi1, phi2, phi3 from the Taylor branch below |x| = 1 and the
+        # closed forms in 1/x beyond, against 50 digits
+        x = -np.concatenate([[0.0], np.logspace(-8.0, 4.0, 241)])
+
+        def phis(v):
+            with mpmath.workdps(50):
+                v = mpmath.mpf(float(v))
+                if v == 0:
+                    return [1.0, 0.5, 1.0 / 6.0]
+                e = mpmath.exp(v)
+                return [float(w) for w in ((e - 1) / v, (e - 1 - v) / v**2,
+                                           (e - 1 - v - v * v / 2) / v**3)]
+
+        expected = np.array([phis(v) for v in x]).T
+        got = np.array(flows._weights(x, flows._PHI_ROWS)[1:])
+        assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected))
 
 
 class TestTablesOnFirstUse:
@@ -459,7 +604,11 @@ class TestFormEquivalence:
         # inside the admissible region when d < 2, fde does not run forward;
         # the final F of w there is that of the earlier integrator of the
         # pointwise equation itself (mobility and gradient term, to 2e-13
-        # at these points), an independent oracle
+        # at these points), an independent oracle that agrees with a run at
+        # dt_max = 2e-6 to 7e-14.  The steps are capped at 2e-4 so that the
+        # forms, not the default controller, are compared (1.2e-13 to
+        # 3.8e-13 measured; the default run's error is in
+        # TestDenseOutput::test_every_sample_matches_a_fine_run)
         quad = cached_quadrature(5.0, 96)
         params = Params(5.0, 3.3)
         spec = FlowSpec(params, beta_roots(params).minus)
@@ -480,7 +629,8 @@ class TestFormEquivalence:
             coeffs = np.zeros(quad.n)
             coeffs[0], coeffs[2] = 1.0, eps  # perturb:eps,2
             state = make_state(Form.POINTWISE, spec, GridFn.from_coeffs(quad, coeffs))
-            assert evolve(state, 0.01).F[-1] == pytest.approx(f_last, rel=1e-11, abs=0.0)
+            f = evolve(state, 0.01, dt_max=2e-4).F[-1]
+            assert f == pytest.approx(f_last, rel=1e-11, abs=0.0)
 
     def test_density_form_report_carries_clock_factor(self, rng):
         # the analytic dissipation lives on the rescaled-flow clock; on a
@@ -557,10 +707,10 @@ class TestSampleReports:
     @pytest.mark.parametrize("flow", list(FLOWS))
     def test_trajectory_values_are_the_reports(self, flow, rng, monkeypatch):
         # every sample reports from its density, with the datum's rule and p:
-        # bitwise the report of that density at the datum, and at every
-        # sample of a stepped flow, whose densities the recorder passes to
-        # _sample_report.  The exact flow's later samples are the stacked
-        # report of their block, bitwise.  The final state, read back in
+        # bitwise the report of that density at the datum.  The later
+        # samples, one block on every flow, are the stacked report of the
+        # block the recorder passes to _sample_report, bitwise; the exact
+        # flow's block is _exact's synthesis.  The final state, read back in
         # the run's form, agrees with the last sample to rounding: a column
         # of the stacked product sums in another order than the report of
         # one vector, and w = rho^(1/(beta p)) is rounded once more
@@ -575,15 +725,12 @@ class TestSampleReports:
         rho0 = flows._density_values(state.form, state.spec, state.f)
         rep = density_report(quad, rho0, p, beta)
         assert (traj.E_p[0], traj.I_p[0], traj.F[0]) == (rep.E_p, rep.I_p, rep.F)
+        assert len(seen) == 2 and seen[1][1].shape == (quad.n, 3)
+        e, i = _sample_report(state, seen[1][1])
+        assert (traj.E_p[1:], traj.I_p[1:], traj.F[1:]) == (list(e), list(i), list(i / 5.0 - e))
         if flows.integrates_exactly(state.spec):
             (ts, rho, _), = flows._exact(flows._density(state), state.t, np.array(traj.times[1:]))
-            e, i = _sample_report(state, rho)
-            assert (traj.E_p[1:], traj.I_p[1:], traj.F[1:]) == (list(e), list(i), list(i / 5.0 - e))
-        else:
-            assert len(seen) == 4
-            for k, (_, rho) in enumerate(seen):
-                rep = density_report(quad, rho, p, beta)
-                assert (traj.E_p[k], traj.I_p[k], traj.F[k]) == (rep.E_p, rep.I_p, rep.F)
+            assert np.array_equal(rho, seen[1][1])
         rep = report_at(traj.final_state)
         last = np.array([traj.E_p[-1], traj.I_p[-1], traj.F[-1]])
         assert np.all(np.abs(last - (rep.E_p, rep.I_p, rep.F)) <= 5e-14 * traj.I_p[0])
@@ -643,9 +790,10 @@ class TestSampleReports:
     def test_sample_transforms_through_evolve(self, flow, per_sample, rng, monkeypatch):
         # transforms outside the stepping: a sample of one vector analyses
         # u = rho^(1/p) once and differentiates nothing, which is the
-        # datum's cost and every sample's on a stepped flow.  The heat flow
-        # takes no step: its later samples are one block, one stacked
-        # synthesis and one stacked analysis of u = rho^(1/p).  A pointwise
+        # datum's cost.  The later samples are one block and one stacked
+        # analysis of u = rho^(1/p) on every flow; the heat flow takes no
+        # step and synthesizes its block here, in one product, where a
+        # stepped flow synthesizes its samples in the stepping.  A pointwise
         # form adds the analysis of rho0 = w0^(beta p) before the datum's
         # and of the final w after the last sample
         state = self._state(flow, rng)
@@ -664,8 +812,8 @@ class TestSampleReports:
         evolve(state, 0.002, samples=3, dt_max=2e-4)
         later = {"heat": ["to_values", "to_coeffs"],
                  "u": ["to_coeffs", "to_values", "to_coeffs", "to_coeffs"],
-                 "w": ["to_coeffs"] * 4}
-        expected = ["to_coeffs"] * per_sample + later.get(flow, ["to_coeffs"] * (2 * per_sample))
+                 "w": ["to_coeffs"] * 3}
+        expected = ["to_coeffs"] * per_sample + later.get(flow, ["to_coeffs"])
         assert calls == expected, calls
 
     @pytest.mark.parametrize("flow", list(FLOWS))
@@ -685,11 +833,12 @@ class TestSampleReports:
     @pytest.mark.parametrize("flow", ["fde", "w"])
     def test_each_step_synthesizes_its_trial_once(self, flow, rng, monkeypatch):
         # every completed step synthesizes its trial once, for its
-        # positivity check; the sample and its drift check read those
-        # values, and nothing else is synthesized
+        # positivity check, and every sample inside a step its continuous
+        # extension once; a sample where a step ends, and the drift check,
+        # read those values, and nothing else is synthesized
         state = self._state(flow, rng)
-        steps = 0
-        imex_step = flows._imex_step
+        steps = dense = 0
+        imex_step, extension = flows._imex_step, flows._dense
 
         def counted(*args):
             nonlocal steps
@@ -697,11 +846,17 @@ class TestSampleReports:
             steps += 1
             return out
 
+        def counted_dense(*args):
+            nonlocal dense
+            dense += 1
+            return extension(*args)
+
         monkeypatch.setattr(flows, "_imex_step", counted)
+        monkeypatch.setattr(flows, "_dense", counted_dense)
         calls = self._counted_transforms(monkeypatch)
         evolve(state, 0.002, samples=5, dt_max=2e-4)
-        assert steps >= 10
-        assert calls.count("to_values") == steps, (calls.count("to_values"), steps)
+        assert steps >= 10 and dense >= 1
+        assert calls.count("to_values") == steps + dense, (calls.count("to_values"), steps, dense)
 
     # 1.212671265218024 is beta_- of (d, p) = (5, 3.3) to 14 digits, written
     # out so the case id does not move with the last bits of beta_roots
@@ -803,4 +958,5 @@ class TestGuards:
         with pytest.raises(PositivityError):
             flows._imex_step(Form.DENSITY, spec, quad, rho0.coeffs, spec.m * 1e-4)
         with pytest.raises((PositivityLossError, PositivityError)):
-            flows._advance_to(spec, rho0, 0.0, 0.5 * spec.m, 0.5 * spec.m / 64, math.inf)
+            flows._advance_to(spec, (0.0, 0.0, None, rho0), 0.5 * spec.m, 0.5 * spec.m,
+                              0.5 * spec.m / 64, math.inf)

@@ -14,6 +14,7 @@ import sympy
 
 from ultraflow import constants
 from ultraflow.constants import (
+    _factored_delta,
     ab_coefficients,
     counterexample_coefficient,
     delta_of,
@@ -56,6 +57,20 @@ def test_delta_is_the_scaled_leading_coefficient():
     a, _ = ab_coefficients(params)
     assert_identity(delta_of(params), a * (D + 2) ** 2)
     assert_identity(delta_of(params), D**2 * (P**2 - 3 * P + 3) - 2 * D * (P**2 - 3) + (P - 3) ** 2)
+
+
+def test_factored_delta_is_delta():
+    # for d <= 4, delta = lead (p - p1)(p - p2) with lead = (d-1)^2, a
+    # quadratic in p whose coefficients are Vieta's: lead p1 p2 is the
+    # constant term with no root in it, and lead (p1 + p2) is the linear
+    # one once the root r = sqrt(3d (4-d)) enters only as r^2
+    d, p, r = 4 - E, sympy.Symbol("p", positive=True), sympy.Symbol("r", positive=True)
+    factored = sympy.expand(sympy.nsimplify(_factored_delta(d, p, r), rational=True))
+    expanded = sympy.expand(delta_of(unchecked_params(d, p)))
+    assert_identity(factored.coeff(p, 2), expanded.coeff(p, 2))
+    assert_identity(factored.coeff(p, 0), expanded.coeff(p, 0))
+    linear = sympy.fraction(sympy.cancel(factored.coeff(p, 1) - expanded.coeff(p, 1)))[0]
+    assert sympy.rem(sympy.expand(linear), r**2 - 3 * d * (4 - d), r) == 0
 
 
 def test_gamma_one_is_gamma_at_one():
