@@ -257,10 +257,7 @@ def _heat_derivative_of_halfd_deficit(rho0: GridFn, params: Params) -> float:
     half_d = quad.d / 2.0
 
     def g_at(t: float) -> float:
-        if t == 0.0:
-            rho = rho0
-        else:
-            rho = GridFn.from_coeffs(quad, rho0.coeffs * np.exp(-quad.eigenvalues * t))
+        rho = GridFn.from_coeffs(quad, rho0.coeffs * np.exp(-quad.eigenvalues * t))
         return half_d * deficit(rho, params.p)
 
     def stencil(h: float) -> float:

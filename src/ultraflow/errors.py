@@ -27,10 +27,12 @@ class FlowError(UltraflowError):
     """Time integration failed; carries the time at which it happened."""
 
     def __init__(self, message: str, t: float | None = None):
-        if t is not None:
-            message = f"{message} (t={t:.6g})"
         super().__init__(message)
         self.t = t
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        return message if self.t is None else f"{message} (t={self.t:.6g})"
 
 
 class ConservationError(FlowError):

@@ -23,20 +23,23 @@ A run converts its datum to rho once and its final state back once, and
 every sample reports from rho.
 
 The heat flow (beta = 1, s = t) integrates exactly (``integrates_exactly``):
-``_exact`` synthesizes the requested times in blocks of at most _BLOCK, one
-product each.  Every other member steps once to the last time (``_stepped``)
-and reads each sample inside a step off that step's order-3 continuous
+``_exact`` hands out the coefficients c0 e^(-lam s) at the requested clock
+times.  Every other member steps once to the last time (``_stepped``) and
+reads each sample inside a step off that step's order-3 continuous
 extension (``_dense``), which takes no right-hand side; only the last step
-is cut, to land on the last time.  Either way ``evolve`` reports each
-block with one analysis of the stacked u = rho^(1/p) (``_sample_report``).
+is cut, to land on the last time.  Either flow only hands ``evolve`` its
+samples' coefficients, in stacks of at most _BLOCK, and ``evolve`` alone
+holds the rule for samples: one synthesis per stack, the positivity guard
+and, on a stepped flow, the drift check per column, one report of the
+columns before the first failure (``_sample_report``), then the failure at
+that column's time.
 The steps are fourth-order ETDRK4 (Cox and Matthews 2002) on the split
 c' = G(c) = -sigma lam c + N(c), whose diagonal linear part is exact with
 the scalar stiffness bound sigma = max phi_m' frozen per step.  A scan of
 c' = -r sigma lam c over r in [0.01, 1] and z = -dt sigma lam in
 [-1e9, -1e-3] keeps the amplification factor |R| <= 1.  The step size
 comes from a local-error estimate (Hairer and Wanner, Solving ODEs II,
-IV.8), a positivity guard rejects steps (never clamps them), and the drift
-of the conserved quantity is checked at each sample.
+IV.8), and a positivity guard rejects steps (never clamps them).
 """
 
 from __future__ import annotations
@@ -61,8 +64,8 @@ TOL_CONS = 1e-9
 TOL_MONO = 1e-9
 TOL_STEP = 1e-7
 DT_MIN = 1e-12
-#: both flows record their later samples in blocks of at most this many,
-#: which bounds their working memory whatever the sample count
+#: both flows hand out their later samples in stacks of at most this many,
+#: which bounds a run's working memory whatever the sample count
 _BLOCK = 64
 
 #: Taylor coefficients in z^k, k = 0..17, each the p(k) listed below over
@@ -78,7 +81,9 @@ _CLOSED = np.array([[-2, 0, 0, 0, 0, 0, 2], [0, -1, -4, 1, -3, 4, 0],
                     [0, 1, 2, 0, 1, -2, 0], [-1, -3, -4, 0, -1, 4, 0],
                     [-1, 0, 0, 1, 0, 0, 0], [-1, -1, 0, 0, 1, 0, 0],
                     [-0.5, -1, -1, 0, 0, 1, 0]])
-#: the rows of the two tables that a step reads, and those its continuous
+#: the rows of the two tables that a step reads, phi1(z/2) and the ETDRK4
+#: weights f1 = (-4 - z + e^z (4 - 3z + z^2))/z^3, f2 = (2 + z + e^z (z - 2))/z^3
+#: and f3 = (-4 - 3z - z^2 + e^z (4 - z))/z^3, and those its continuous
 #: extension reads
 _STEP_ROWS, _PHI_ROWS = slice(0, 4), slice(4, 7)
 
@@ -196,13 +201,6 @@ def _weights(z: np.ndarray, rows: slice):
     return (e_half, *rows[:, 0])
 
 
-def _etdrk4_weights(z: np.ndarray):
-    """(e^(z/2), phi1(z/2), f1, f2, f3) at z <= 0 of ascending |z|, with
-    phi1(x) = (e^x - 1)/x and the ETDRK4 weights f1 = (-4 - z + e^z (4 - 3z +
-    z^2))/z^3, f2 = (2 + z + e^z (z - 2))/z^3, f3 = (-4 - 3z - z^2 + e^z (4 - z))/z^3."""
-    return _weights(z, _STEP_ROWS)
-
-
 def _imex_step(form: Form, spec: FlowSpec, quad: Quadrature, c: np.ndarray, dt: float):
     """One ETDRK4 step of dt from c (Cox and Matthews 2002), the 2-norm of
     its local-error estimate and the stages its continuous extension reads
@@ -217,7 +215,7 @@ def _imex_step(form: Form, spec: FlowSpec, quad: Quadrature, c: np.ndarray, dt: 
     g0, sigma = _full_rhs(spec, quad, c)
     sl = sigma * quad.eigenvalues
     z = -dt * sl
-    e_half, phi, f1, f2, f3 = _etdrk4_weights(z)
+    e_half, phi, f1, f2, f3 = _weights(z, _STEP_ROWS)
     half = 0.5 * dt * phi
     n0 = g0 + sl * c
     ec = e_half * c
@@ -249,47 +247,31 @@ def _dense(stages, dt: float, theta: float) -> np.ndarray:
                                          + (t2 - b4) * ab + b4 * nd)
 
 
-def _exact(rho: GridFn, t0: float, times: np.ndarray):
-    """The heat flow's density from rho at t0, at the increasing times, in
-    blocks of at most _BLOCK samples: each block's coefficients
-    c0 e^(-lam (t - t0)) are one stack, synthesized in one product.  A
-    block yields its samples up to the first one that is not positive, as
-    their times, the (n, k) stack of their nodal values and the density of
-    the last one; the first non-positive sample raises
-    PositivityLossError when the iterator passes them, so an earlier
-    failure of the caller wins."""
-    quad = rho.quad
-    for start in range(0, times.size, _BLOCK):
-        ts = times[start : start + _BLOCK]
+def _exact(rho: GridFn, s: np.ndarray):
+    """The heat flow's coefficients c0 e^(-lam s) from the density rho at
+    the increasing clock times s, as (n, k) stacks of at most _BLOCK
+    columns, one outer product each."""
+    for start in range(0, s.size, _BLOCK):
         with np.errstate(over="ignore"):  # at a huge time the exponent is -inf: e^(-inf) = 0
-            coeffs = np.multiply.outer(quad.eigenvalues, t0 - ts)
+            coeffs = np.multiply.outer(rho.quad.eigenvalues, -s[start : start + _BLOCK])
         np.exp(coeffs, out=coeffs)
         coeffs *= rho.coeffs[:, None]
-        values = quad.to_values(coeffs)
-        positive = values.min(axis=0) > EPS_POS
-        k = ts.size if positive.all() else int(positive.argmin())
-        if k:  # the block keeps only the last column of its coefficients; a
-            # strided column rounds the sample's sums differently
-            last = GridFn(quad, np.ascontiguousarray(values[:, k - 1]), coeffs[:, k - 1].copy())
-            coeffs = None
-            yield ts[:k], values[:, :k], last
-        if k < ts.size:
-            raise PositivityLossError("the flow lost positivity", t=float(ts[k]))
+        yield coeffs
 
 
 # -- adaptive stepping ------------------------------------------------------
 
 
 def _advance_to(spec: FlowSpec, step: tuple, s_target: float, s_end: float, h: float,
-                h_max: float) -> tuple[GridFn, tuple, float]:
-    """The density at s_target on the clock s, the last accepted step and
-    the next step size.  ``step`` is the last accepted step as (its start,
-    dt, stages, the density it ends at); the datum is a step of dt = 0.
-    While it ends before s_target, ETDRK4 steps of at most h_max follow;
-    only one that would pass s_end is cut, to end there.  The density at
-    s_target is the end of the step that reaches it, where they meet (to
-    1e-14), or else that step's continuous extension (``_dense``),
-    synthesized once.  The exact flow never comes here (``evolve``).
+                h_max: float) -> tuple[np.ndarray, tuple, float]:
+    """The density's coefficients at s_target on the clock s, the last
+    accepted step and the next step size.  ``step`` is the last accepted
+    step as (its start, dt, stages, the density it ends at); the datum is a
+    step of dt = 0.  While it ends before s_target, ETDRK4 steps of at most
+    h_max follow; only one that would pass s_end is cut, to end there.  The
+    coefficients at s_target are those of the end of the step that reaches
+    it, where they meet (to 1e-14), or else that step's continuous
+    extension (``_dense``).  The exact flow never comes here (``evolve``).
 
     A step is accepted when its local-error estimate, the distance of the
     embedded ETD2 value in the coefficient 2-norm (the L2(nu) norm), is at
@@ -299,7 +281,9 @@ def _advance_to(spec: FlowSpec, step: tuple, s_target: float, s_end: float, h: f
     (or whose estimate is NaN) halves.  A rejected attempt passes the same
     coefficient array to the step again.  An accepted step whose top modes
     carry more than the resolution tolerance raises ResolutionError: a
-    smaller step cannot resolve them."""
+    smaller step cannot resolve them.  A step size below DT_MIN raises
+    PositivityLossError at the clock time s where it starts, which
+    ``evolve`` reports as a flow time."""
     start, size, stages, rho = step
     quad, s, grow = rho.quad, start + size, 5.0
     slack = 1e-14 * max(1.0, abs(s_target))
@@ -325,46 +309,29 @@ def _advance_to(spec: FlowSpec, step: tuple, s_target: float, s_end: float, h: f
                 "step size underflow (positivity or local error unreachable)", t=s)
     step = (start, size, stages, rho)
     if s <= s_target + slack:
-        return rho, step, h
-    return GridFn.from_coeffs(quad, _dense(stages, size, (s_target - start) / size)), step, h
+        return rho.coeffs, step, h
+    return _dense(stages, size, (s_target - start) / size), step, h
 
 
-def _stepped(state: FlowState, rho: GridFn, times: np.ndarray, rate: float, h_max: float,
-             tol_cons: float):
-    """The stepped flow's density from rho, the density of ``state``, at the
-    increasing times after the first, in blocks like ``_exact``'s: one step
-    sequence to the last time on the clock s = rate (t - times[0]), steps
-    of at most h_max, each sample read off the step that reaches it
-    (``_advance_to``).  A sample must be positive on its nodal values
-    (PositivityLossError) and keep the conserved quantity within tol_cons
-    of the datum's (ConservationError).  A block yields its samples up to
-    the first failure, of a step or of a sample, which raises when the
-    iterator passes them, so an earlier failure of the caller wins."""
-    s, weights = (rate * (times - times[0])).tolist(), rho.quad.weights
-    step, h = (s[0], 0.0, None, rho), min(h_max, s[-1] / 64)
-    ts, columns, failure = [], [], None
-    for t, s_k in zip(times[1:].tolist(), s[1:]):
+def _stepped(spec: FlowSpec, rho: GridFn, s: np.ndarray, h_max: float):
+    """The stepped flow's coefficients from the density rho at the
+    increasing clock times s > 0, as (n, k) stacks of at most _BLOCK
+    columns: one step sequence to s[-1], steps of at most h_max, each
+    sample read off the step that reaches it (``_advance_to``).  A step
+    that fails yields the samples before it first, then raises."""
+    s = s.tolist()
+    step, h, columns = (0.0, 0.0, None, rho), min(h_max, s[-1] / 64), []
+    for j, s_k in enumerate(s, start=1):
         try:
-            sample, step, h = _advance_to(state.spec, step, s_k, s[-1], h, h_max)
-            if not sample.is_positive():
-                raise PositivityLossError("the flow lost positivity", t=t)
-            drift = abs(weights @ sample.values - state.conserved0)
-            if drift > tol_cons:
-                raise ConservationError(
-                    f"conserved quantity drifted by {drift:.3e} > {tol_cons:.1e}", t=t)
-        except (FlowError, ResolutionError) as exc:
-            failure = exc
-            break
-        ts.append(t)
-        columns.append(sample.values)
-        rho = sample
-        if len(ts) == _BLOCK:
-            yield ts, np.column_stack(columns), rho
-            ts, columns = [], []
-    if ts:
-        yield ts, np.column_stack(columns), rho
-    if failure is not None:
-        raise failure
+            c, step, h = _advance_to(spec, step, s_k, s[-1], h, h_max)
+        except (FlowError, ResolutionError):
+            if columns:
+                yield np.column_stack(columns)
+            raise
+        columns.append(c)
+        if len(columns) == _BLOCK or j == len(s):
+            yield np.column_stack(columns)
+            columns = []
 
 
 @dataclass
@@ -396,7 +363,7 @@ class Trajectory:
 
 def _sample_report(state: FlowState, rho: np.ndarray):
     """(E_p, I_p) from a sample's nodal density rho, or two arrays of s from
-    an (n, s) stack of the exact flow's densities; ``state`` is the run's
+    an (n, s) stack of a flow's densities; ``state`` is the run's
     datum, which gives the rule and p.  I_p is the Dirichlet form of
     u = rho^(1/p), read off u's coefficients under the resolution check
     (per column: the first unresolved one raises)."""
@@ -416,18 +383,23 @@ def evolve(
 ) -> Trajectory:
     """Integrate to t_end, recording ``samples`` evenly spaced snapshots
     (endpoints included); each evaluates E_p and I_p once, from the density.
-    The datum is recorded alone, and the later samples in blocks of at most
-    _BLOCK, each with one stacked report.  The heat flow, in either form,
-    synthesizes them (``_exact``); every other flow steps its density on
-    the clock s once to t_end and reads them off its steps (``_stepped``;
-    dt_max caps the steps on the state's clock, and a cap below DT_MIN on
-    the clock s is refused, DomainError), each with its conserved quantity
-    within tol_cons of the datum's.  On the density form at m = 0 the clock
-    stands still, and every row repeats the datum's.  Step errors propagate
-    with the failing time attached, and a sample whose top modes carry more
-    than the resolution tolerance raises ResolutionError: the first failing
-    sample decides, and at one sample positivity is checked first, then the
-    drift."""
+    The datum is recorded alone.  The heat flow, in either form, hands out
+    the later samples' coefficients in closed form (``_exact``); every
+    other flow steps its density on the clock s once to t_end and reads
+    them off its steps (``_stepped``; dt_max caps the steps on the state's
+    clock, and a cap below DT_MIN on the clock s is refused, DomainError).
+
+    This is the one rule for samples.  Each stack of at most _BLOCK is
+    synthesized in one product.  Its first column that is not positive
+    (PositivityLossError), or, on a stepped flow, whose conserved quantity
+    is not within tol_cons of the datum's (ConservationError), fails;
+    positivity is checked first.  The columns before it are recorded with
+    one stacked report, where the first column with top modes above the
+    resolution tolerance raises ResolutionError, and then the failure
+    raises at its column's time: the first failing sample decides.  A
+    failing step raises after the samples before it, and a step size
+    underflow at the flow time where it happened.  On the density form at
+    m = 0 the clock stands still, and every row repeats the datum's."""
     if not (math.isfinite(t_end) and 0.0 < t_end - state.t < math.inf):
         raise DomainError(f"t_end must be finite and exceed the current time, got {t_end}")
     if samples < 2:
@@ -458,10 +430,36 @@ def evolve(
 
     record(state.t, rho.values)
     if rate:
-        blocks = (_exact(rho, state.t, times[1:]) if integrates_exactly(state.spec)
-                  else _stepped(state, rho, times, rate, h_max, tol_cons))
-        for ts, values, rho in blocks:
-            record(ts, values)
+        s, exact = rate * (times[1:] - state.t), integrates_exactly(state.spec)
+        tol = math.inf if exact else tol_cons  # the exact flow keeps the mass c0 to the bit
+        done, failure = 1, None
+        try:
+            for coeffs in _exact(rho, s) if exact else _stepped(state.spec, rho, s, h_max):
+                ts, values = times[done : done + coeffs.shape[1]], quad.to_values(coeffs)
+                done += ts.size
+                positive = values.min(axis=0) > EPS_POS
+                drift = np.abs(quad.weights @ values - state.conserved0)
+                passed = positive & (drift <= tol)
+                k = ts.size if passed.all() else int(passed.argmin())
+                if k:
+                    record(ts[:k], values[:, :k])
+                if k < ts.size:
+                    t = float(ts[k])
+                    failure = (PositivityLossError("the flow lost positivity", t=t) if not positive[k]
+                               else ConservationError(f"conserved quantity drifted by "
+                                                      f"{drift[k]:.3e} > {tol_cons:.1e}", t=t))
+                    break
+        except PositivityLossError as exc:  # a step size underflow, at a time on the clock s
+            exc.t = state.t + exc.t / rate
+            raise
+        if failure is not None:
+            raise failure
+        # the last sample: the exact flow's as its stack synthesized it, a
+        # stepped flow's synthesized alone, as its steps are, so that its
+        # final state does not depend on how the samples were stacked
+        c = coeffs[:, -1].copy()
+        rho = (GridFn(quad, np.ascontiguousarray(values[:, -1]), c) if exact
+               else GridFn.from_coeffs(quad, c))
     else:  # m = 0 on the density form: s stands still, and so does the state
         traj.times.extend(times[1:].tolist())
         for column in traj.columns()[1:]:

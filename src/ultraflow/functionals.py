@@ -220,19 +220,16 @@ def dissipation_report(rho: np.ndarray, u: GridFn, p: float, beta: float) -> Dis
     """Report from the nodal density rho and u = rho^(1/p); u is the only
     function differentiated (for the J's, which belong to
     w = u^(1/beta) = rho^(1/(beta p)) and follow from u by the chain rule in
-    _carre_du_champ; I_p is read off u's coefficients).  At infinite beta
-    the dissipation fields are NaN.  dF_dt_analytic = -2 beta^2 times the
-    expanded bracket.
+    _carre_du_champ; I_p is read off u's coefficients), at finite beta.
+    dF_dt_analytic = -2 beta^2 times the expanded bracket.
     """
     q = u.quad
     u.require_positive(what="dissipation input")
     u.require_resolved()
     i = _dirichlet(q, u.coeffs)
     e = _entropy(q.weights, rho, p)
-    j_ff = j_fc = j_cc = analytic = math.nan
-    if not math.isinf(beta):
-        Params(q.d, p)  # the bracket's closed forms hold on the domain of (d, p)
-        j_ff, j_fc, j_cc = triple = _carre_du_champ(u, beta)
-        analytic = -2.0 * beta * beta * _bracket(triple, q.d, p, beta)
+    Params(q.d, p)  # the bracket's closed forms hold on the domain of (d, p)
+    j_ff, j_fc, j_cc = triple = _carre_du_champ(u, beta)
+    analytic = -2.0 * beta * beta * _bracket(triple, q.d, p, beta)
     return DissipationReport(E_p=e, I_p=i, F=i / q.d - e, J_ff=j_ff, J_fc=j_fc, J_cc=j_cc,
                              dF_dt_analytic=analytic)

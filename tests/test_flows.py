@@ -18,7 +18,8 @@ from ultraflow.discretization import (
     random_positive,
     resolution_fraction,
 )
-from ultraflow.errors import DomainError, PositivityError, PositivityLossError, ResolutionError
+from ultraflow.errors import (ConservationError, DomainError, PositivityError,
+                              PositivityLossError, ResolutionError)
 from ultraflow.flows import Form, _full_rhs, _sample_report, evolve, make_state
 from ultraflow.functionals import dissipation_nonlinear, dissipation_report, entropy, fisher
 
@@ -31,7 +32,18 @@ def heat_state(quad, d, p, f0, form=Form.DENSITY):
 
 def exact_at(rho, t0, t):
     """The exact heat flow's density at t from the density rho at t0."""
-    return next(flows._exact(rho, t0, np.array([t])))[2]
+    return GridFn.from_coeffs(rho.quad, next(flows._exact(rho, np.array([t - t0])))[:, 0])
+
+
+def stepped_exactly(monkeypatch):
+    """Runs the heat flow down the stepped flow's path: ``evolve`` takes it
+    for a stepped flow, and the step to each sample lands on the exact
+    flow's coefficients there."""
+    def advance(spec, step, s_target, s_end, h, h_max):
+        return next(flows._exact(step[3], np.array([s_target])))[:, 0], step, h
+
+    monkeypatch.setattr(flows, "integrates_exactly", lambda spec: False)
+    monkeypatch.setattr(flows, "_advance_to", advance)
 
 
 def fixed_steps(spec, rho0, t_end, steps):
@@ -120,9 +132,11 @@ class TestHeatFlow:
 
 
 class TestExactSamples:
-    """The exact heat flow synthesizes its later samples in blocks of at
-    most ``flows._BLOCK``, one product each, and records each block with one
-    stacked report; the first failing sample decides the error."""
+    """The exact heat flow hands ``evolve`` its later samples' coefficients
+    in stacks of at most ``flows._BLOCK``; ``evolve`` synthesizes each stack
+    in one product and records it with one stacked report, and the first
+    failing sample decides the error, down the exact flow's path and down
+    the stepped flow's (``stepped_exactly``) alike."""
 
     @pytest.mark.parametrize("n", [128, 512])
     def test_stacked_samples_match_stepped_ones(self, n, rng):
@@ -213,29 +227,31 @@ class TestExactSamples:
         datum loses positivity."""
         rho0 = flows._density(state)
         for k, t in enumerate(times[1:], start=1):
-            try:
-                exact_at(rho0, state.t, t)
-            except PositivityLossError:
+            if not exact_at(rho0, state.t, t).is_positive():
                 return k
         return None
 
-    def test_positivity_loss_in_a_later_block(self):
+    def test_positivity_loss_in_a_later_block(self, monkeypatch):
         # 301 samples: the dip reaches the nodes in the second block, and
-        # the error carries the first failing sample's time
+        # the error carries the first failing sample's time, on either path
         state = self._dipping_datum()
         times = np.linspace(0.0, 0.004, 301)
         k = self._first_loss(state, times)
         assert flows._BLOCK < k <= 2 * flows._BLOCK
-        with pytest.raises(PositivityLossError) as err:
-            evolve(state, 0.004, samples=301)
-        assert err.value.t == times[k]
+        for stepped in (False, True):
+            with monkeypatch.context() as patch:
+                if stepped:
+                    stepped_exactly(patch)
+                with pytest.raises(PositivityLossError) as err:
+                    evolve(state, 0.004, samples=301)
+            assert err.value.t == times[k]
 
     @pytest.mark.parametrize("samples", [101, 201])
-    def test_earlier_resolution_error_wins_across_blocks(self, samples):
+    def test_earlier_resolution_error_wins_across_blocks(self, samples, monkeypatch):
         # u0 = 1 + 200 r at p = 2 is resolved, but u = rho^(1/2) is not at
         # any later sample: the first sample's ResolutionError wins over the
         # loss of positivity later in its block (101 samples) or in the
-        # next block (201)
+        # next block (201), on either path
         quad = cached_quadrature(5.0, 16)
         x = quad.nodes
         u0 = GridFn.from_values(quad, 1.0 + 200.0 * np.prod([x - xi for xi in x[:-3]], axis=0))
@@ -247,8 +263,12 @@ class TestExactSamples:
         rho1 = exact_at(flows._density(state), 0.0, times[1])
         u1 = flows._from_density(state.form, state.spec, rho1)
         assert resolution_fraction(u1.coeffs) > RESOLUTION_TOL
-        with pytest.raises(ResolutionError):
-            evolve(state, 0.0008, samples=samples)
+        for stepped in (False, True):
+            with monkeypatch.context() as patch:
+                if stepped:
+                    stepped_exactly(patch)
+                with pytest.raises(ResolutionError):
+                    evolve(state, 0.0008, samples=samples)
 
     def test_working_memory_is_bounded_by_the_block(self, rng):
         # 4,000 samples at n = 256: the blocks hold 64 columns, where two
@@ -358,7 +378,7 @@ class TestNonlinearFlows:
                     (-4 - 3 * x - x * x + e * (4 - x)) / x**3)]
 
         expected = np.array([weights(x) for x in z]).T
-        got = np.array(flows._etdrk4_weights(z))
+        got = np.array(flows._weights(z, flows._STEP_ROWS))
         resolved = expected != 0.0  # e^(z/2) underflows far out
         assert np.all(np.abs(got - expected)[resolved] <= 1e-13 * np.abs(expected)[resolved])
         assert np.all(got[~resolved] == 0.0)
@@ -367,7 +387,7 @@ class TestNonlinearFlows:
         # z^2 e^z would be 0 * inf here; the closed form in 1/z is not
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = np.array(flows._etdrk4_weights(np.array([-1e300])))
+            got = np.array(flows._weights(np.array([-1e300]), flows._STEP_ROWS))
         assert np.all(np.isfinite(got))
 
     def test_fde_accuracy_under_default_controller(self):
@@ -511,7 +531,7 @@ class TestDenseOutput:
 
         def seen(*args):
             out = advance(*args)
-            samples.append(out[0].coeffs[0])
+            samples.append(out[0][0])
             return out
 
         monkeypatch.setattr(flows, "_advance_to", seen)
@@ -520,31 +540,33 @@ class TestDenseOutput:
         assert samples == [flows._density(state).coeffs[0]] * 39
 
     def test_samples_before_a_failure_come_first(self, rng, monkeypatch):
-        # a step that fails on its way to the third sample: the block holds
-        # the two before it, and the failure raises once the iterator has
-        # passed them, so an earlier failure of the recorder wins
+        # the exact heat flow's fourth sample dips below the floor, and the w
+        # flow's step to its fourth sample fails: either way evolve reports
+        # the two samples before it, as one block after the datum, and then
+        # raises at the time of the failure, so that an earlier failure of
+        # the report wins
         form, beta = FLOWS["w"]
-        quad = cached_quadrature(5.0, 64)
-        state = make_state(form, FlowSpec(Params(5.0, 3.3), beta),
-                           random_positive(quad, rng, modes=6, amplitude=0.4))
-        advance, targets = flows._advance_to, []
+        w_state = make_state(form, FlowSpec(Params(5.0, 3.3), beta), random_positive(
+            cached_quadrature(5.0, 64), rng, modes=6, amplitude=0.4))
+        advance, report = flows._advance_to, flows._sample_report
+        for state, t_end in ((TestExactSamples._dipping_datum(), 0.0025), (w_state, 0.01)):
+            targets, seen = [], []
 
-        def failing(spec, step, s_target, *args):
-            targets.append(s_target)
-            if len(targets) == 3:
-                raise PositivityLossError("step size underflow", t=s_target)
-            return advance(spec, step, s_target, *args)
+            def failing(spec, step, s_target, *args):
+                targets.append(s_target)
+                if len(targets) == 3:
+                    raise PositivityLossError("step size underflow", t=s_target)
+                return advance(spec, step, s_target, *args)
 
-        monkeypatch.setattr(flows, "_advance_to", failing)
-        times = np.linspace(0.0, 0.01, 6)
-        blocks = flows._stepped(state, flows._density(state), times, 1.0, math.inf,
-                                flows.TOL_CONS)
-        ts, values, last = next(blocks)
-        assert ts == times[1:3].tolist() and values.shape == (quad.n, 2)
-        assert np.array_equal(last.values, values[:, 1])
-        with pytest.raises(PositivityLossError) as err:
-            next(blocks)
-        assert err.value.t == times[3]
+            with monkeypatch.context() as patch:
+                patch.setattr(flows, "_advance_to", failing)
+                patch.setattr(flows, "_sample_report",
+                              lambda st, rho: seen.append(rho.shape) or report(st, rho))
+                with pytest.raises(PositivityLossError) as err:
+                    evolve(state, t_end, samples=6)
+            assert err.value.t == np.linspace(0.0, t_end, 6)[3]
+            assert seen == [(state.f.quad.n,), (state.f.quad.n, 2)]
+            assert len(targets) == (0 if flows.integrates_exactly(state.spec) else 3)
 
     def test_extension_weights_match_extended_precision(self):
         # phi1, phi2, phi3 from the Taylor branch below |x| = 1 and the
@@ -563,6 +585,80 @@ class TestDenseOutput:
         expected = np.array([phis(v) for v in x]).T
         got = np.array(flows._weights(x, flows._PHI_ROWS)[1:])
         assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected))
+
+
+class TestSampleRule:
+    """``evolve`` checks, records and fails the samples of every flow: the
+    first column of a stack that is not positive, or on a stepped flow
+    whose conserved quantity drifts past tol_cons, fails at its time, after
+    the samples before it are recorded."""
+
+    @staticmethod
+    def _fde(rng):
+        form, beta = FLOWS["fde"]
+        return make_state(form, FlowSpec(Params(5.0, 3.3), beta), random_positive(
+            cached_quadrature(5.0, 64), rng, modes=6, amplitude=0.4))
+
+    def test_drift_fails_at_the_first_drifting_sample(self, rng):
+        # mode 0 carries the mass bit for bit, so the drift is the rounding
+        # of the synthesis alone: a tol_cons below it fails the first
+        # sample whose recorded conserved quantity exceeds it
+        state = self._fde(rng)
+        traj = evolve(state, 0.02)
+        drift = np.abs(np.array(traj.conserved) - state.conserved0)
+        tol = drift.max() / 2.0
+        assert 0.0 < tol < 1e-15
+        k = int(np.argmax(drift > tol))
+        with pytest.raises(ConservationError) as err:
+            evolve(state, 0.02, tol_cons=tol)
+        assert k > 0 and err.value.t == traj.times[k]
+
+    @pytest.mark.parametrize("negative, error", [(False, ConservationError),
+                                                 (True, PositivityLossError)])
+    def test_positivity_is_checked_before_the_drift(self, negative, error, rng, monkeypatch):
+        # the second sample gains 1e-6 of its mass, and with ``negative`` a
+        # first mode that takes it below the floor: that sample fails, on
+        # its positivity when it has lost it, else on the drift
+        state = self._fde(rng)
+        advance, calls = flows._advance_to, []
+
+        def spoiled(*args):
+            c, step, h = advance(*args)
+            calls.append(c)
+            if len(calls) == 2:
+                c = c * (1.0 + 1e-6)
+                c[1] += 10.0 * c[0] * negative
+                assert (state.f.quad.to_values(c).min() < 0.0) == negative
+            return c, step, h
+
+        monkeypatch.setattr(flows, "_advance_to", spoiled)
+        with pytest.raises(error) as err:
+            evolve(state, 0.02, samples=5)
+        assert type(err.value) is error and err.value.t == np.linspace(0.0, 0.02, 5)[2]
+
+    def test_step_size_underflow_reports_the_flow_time(self, monkeypatch):
+        # fde at m = 0.5 runs on the clock s = t/2: a step that fails from
+        # its fourth attempt on halves until the step size underflows, at
+        # the end of the third, s = the sum of their steps, which is the
+        # flow time 2 s
+        quad = cached_quadrature(5.0, 64)
+        coeffs = np.zeros(quad.n)
+        coeffs[0], coeffs[2] = 1.0, 0.3
+        spec = FlowSpec.nonlinear_from_m(Params(5.0, 3.3), 0.5)
+        state = make_state(Form.DENSITY, spec, GridFn.from_coeffs(quad, coeffs))
+        imex_step, dts = flows._imex_step, []
+
+        def failing(form, spec, quad, c, dt):
+            if len(dts) == 3:
+                raise PositivityError("forced")
+            dts.append(dt)
+            return imex_step(form, spec, quad, c, dt)
+
+        monkeypatch.setattr(flows, "_imex_step", failing)
+        with pytest.raises(PositivityLossError) as err:
+            evolve(state, 0.02)
+        t = sum(dts) / spec.m
+        assert err.value.t == t and f"(t={t:.6g})" in str(err.value)
 
 
 class TestTablesOnFirstUse:
@@ -710,7 +806,7 @@ class TestSampleReports:
         # bitwise the report of that density at the datum.  The later
         # samples, one block on every flow, are the stacked report of the
         # block the recorder passes to _sample_report, bitwise; the exact
-        # flow's block is _exact's synthesis.  The final state, read back in
+        # flow's block is the synthesis of _exact's stack.  The final state, read back in
         # the run's form, agrees with the last sample to rounding: a column
         # of the stacked product sums in another order than the report of
         # one vector, and w = rho^(1/(beta p)) is rounded once more
@@ -729,8 +825,8 @@ class TestSampleReports:
         e, i = _sample_report(state, seen[1][1])
         assert (traj.E_p[1:], traj.I_p[1:], traj.F[1:]) == (list(e), list(i), list(i / 5.0 - e))
         if flows.integrates_exactly(state.spec):
-            (ts, rho, _), = flows._exact(flows._density(state), state.t, np.array(traj.times[1:]))
-            assert np.array_equal(rho, seen[1][1])
+            coeffs, = flows._exact(flows._density(state), np.array(traj.times[1:]) - state.t)
+            assert np.array_equal(quad.to_values(coeffs), seen[1][1])
         rep = report_at(traj.final_state)
         last = np.array([traj.E_p[-1], traj.I_p[-1], traj.F[-1]])
         assert np.all(np.abs(last - (rep.E_p, rep.I_p, rep.F)) <= 5e-14 * traj.I_p[0])
@@ -790,12 +886,13 @@ class TestSampleReports:
     def test_sample_transforms_through_evolve(self, flow, per_sample, rng, monkeypatch):
         # transforms outside the stepping: a sample of one vector analyses
         # u = rho^(1/p) once and differentiates nothing, which is the
-        # datum's cost.  The later samples are one block and one stacked
-        # analysis of u = rho^(1/p) on every flow; the heat flow takes no
-        # step and synthesizes its block here, in one product, where a
-        # stepped flow synthesizes its samples in the stepping.  A pointwise
-        # form adds the analysis of rho0 = w0^(beta p) before the datum's
-        # and of the final w after the last sample
+        # datum's cost.  The later samples are one block on every flow:
+        # evolve synthesizes its coefficients in one product, and reports
+        # it with one stacked analysis of u = rho^(1/p).  A stepped flow
+        # then synthesizes its final state alone, where the heat flow takes
+        # it from the block.  A pointwise form adds the analysis of
+        # rho0 = w0^(beta p) before the datum's and of the final w after the
+        # last sample
         state = self._state(flow, rng)
         stepping = []
         calls = self._counted_transforms(monkeypatch, lambda: not stepping)
@@ -811,9 +908,10 @@ class TestSampleReports:
         monkeypatch.setattr(flows, "_advance_to", stepped)
         evolve(state, 0.002, samples=3, dt_max=2e-4)
         later = {"heat": ["to_values", "to_coeffs"],
+                 "fde": ["to_values", "to_coeffs", "to_values"],
                  "u": ["to_coeffs", "to_values", "to_coeffs", "to_coeffs"],
-                 "w": ["to_coeffs"] * 3}
-        expected = ["to_coeffs"] * per_sample + later.get(flow, ["to_coeffs"])
+                 "w": ["to_coeffs", "to_values", "to_coeffs", "to_values", "to_coeffs"]}
+        expected = ["to_coeffs"] * per_sample + later[flow]
         assert calls == expected, calls
 
     @pytest.mark.parametrize("flow", list(FLOWS))
@@ -833,9 +931,11 @@ class TestSampleReports:
     @pytest.mark.parametrize("flow", ["fde", "w"])
     def test_each_step_synthesizes_its_trial_once(self, flow, rng, monkeypatch):
         # every completed step synthesizes its trial once, for its
-        # positivity check, and every sample inside a step its continuous
-        # extension once; a sample where a step ends, and the drift check,
-        # read those values, and nothing else is synthesized
+        # positivity check; the continuous extension synthesizes nothing.
+        # The samples, inside a step or where one ends, are synthesized
+        # once, in their block's one product, which the positivity guard,
+        # the drift check and the report read, and the final state once
+        # more, alone; nothing else is synthesized
         state = self._state(flow, rng)
         steps = dense = 0
         imex_step, extension = flows._imex_step, flows._dense
@@ -856,7 +956,7 @@ class TestSampleReports:
         calls = self._counted_transforms(monkeypatch)
         evolve(state, 0.002, samples=5, dt_max=2e-4)
         assert steps >= 10 and dense >= 1
-        assert calls.count("to_values") == steps + dense, (calls.count("to_values"), steps, dense)
+        assert calls.count("to_values") == steps + 2, (calls.count("to_values"), steps, dense)
 
     # 1.212671265218024 is beta_- of (d, p) = (5, 3.3) to 14 digits, written
     # out so the case id does not move with the last bits of beta_roots
