@@ -203,7 +203,8 @@ def _dimensions(text: str) -> list[float]:
 
 def _finite_p_max(d: float, hi: float | None) -> float:
     """The upper end of a p range, which must be finite: --p-max is required
-    where the critical exponent is infinite."""
+    where the critical exponent is infinite, and cannot help a bad d."""
+    cs.Params(d, 1.0)  # the dimension's own refusal, first
     if hi is None or not math.isfinite(hi):
         raise DomainError(f"p-max required when the critical exponent is infinite (d={d})")
     return hi

@@ -12,9 +12,9 @@ recurrence.  In this basis the ultraspherical operator
 
 is diagonal with eigenvalues -k (k + d - 1), which is what makes the heat
 flow exactly integrable and the stiff solves in the nonlinear flows trivial.
-It also gives f'' without a table of its own: nu f'' = L f + d z f', from
-the eigenvalues and the first-derivative table.  Both derivatives refuse an
-unresolved input (RESOLUTION_TOL).
+Derivatives take no table of their own: f' comes from the values table by
+the lowering identity nu phi_k' = (2k+d-1) b_k phi_(k-1) - k z phi_k, and
+nu f'' = L f + d z f'.  Both refuse an unresolved input (RESOLUTION_TOL).
 No boundary conditions are imposed; the vanishing weight at z = +-1 does not
 require any.
 """
@@ -127,50 +127,49 @@ def _gauss_rule(d: float, n: int, cols: int):
     if not (np.all(np.isfinite(nodes)) and np.all(weights > 0.0) and np.all(np.isfinite(T[-1]))):
         raise ConvergenceError(f"Gauss rule for d={d}, n={n} has a non-finite node or "
                                "basis value, or a non-positive weight")
-    return nodes, weights, _mirrored(T, n, 0)
+    return nodes, weights, _mirrored(T, n)
 
 
-def _rows(x: np.ndarray, b: np.ndarray, cols: int, values: np.ndarray | None = None) -> np.ndarray:
-    """Rows phi_k(x), k < cols; given those as ``values``, rows phi_k'(x) from
-    the recurrence differentiated: b_k phi_k' = x phi_(k-1)' - b_(k-1) phi_(k-2)' + phi_(k-1)."""
+def _rows(x: np.ndarray, b: np.ndarray, cols: int) -> np.ndarray:
+    """Rows phi_k(x), k < cols, from the recurrence."""
     inv, tmp = 1.0 / b, np.empty_like(x)
     T = np.zeros((cols, len(x)))
-    T[0], T[1] = (1.0, x * inv[1]) if values is None else (0.0, inv[1])
+    T[0], T[1] = 1.0, x * inv[1]
     for k in range(2, cols):
         row = np.multiply(x, T[k - 1], out=T[k])
         row -= np.multiply(b[k - 1], T[k - 2], out=tmp)
-        if values is not None:
-            row += values[k - 1]
         row *= inv[k]
     return T
 
 
-def _mirrored(T: np.ndarray, n: int, j: int) -> np.ndarray:
-    """The C-contiguous (n, cols) table of phi_k^(j), mirrored from its rows T[k]."""
+def _mirrored(T: np.ndarray, n: int) -> np.ndarray:
+    """The C-contiguous (n, cols) table of phi_k, mirrored from its rows T[k]."""
     cols, h = T.shape
     V = np.empty((n, cols))
     for i in range(0, cols, 128):  # a blocked transpose: 3x faster at cols = 1024
         V[n - h :, i : i + 128] = T[i : i + 128].T
-    np.multiply(V[n - h :][::-1][: n - h], (-1.0) ** (np.arange(cols) + j), out=V[: n - h])
+    np.multiply(V[n - h :][::-1][: n - h], (-1.0) ** np.arange(cols), out=V[: n - h])
     return V
 
 
-def _derivative_table(d: float, nodes: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """The first derivatives of the values table V of the rule at these nodes."""
-    n, cols = V.shape
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        T = _rows(nodes[n // 2 :], _recurrence(d, cols - 1), cols, V[n // 2 :].T)
-    if not np.all(np.isfinite(T[-1])):
-        raise ConvergenceError(f"the derivative table for d={d}, n={n} is not finite")
-    return _mirrored(T, n, 1)
+def _slopes(V: np.ndarray, x: np.ndarray, lower: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """f' at the nodes x of the values table V from the coefficients c, a vector
+    or an (n, s) stack: with c_n = 0, nu f' = V (lower_(k+1) c_(k+1)) - x V (k c)."""
+    n, k = len(lower), np.arange(len(lower), dtype=float)
+    if coeffs.ndim == 2:
+        x, lower, k = x[:, None], lower[:, None], k[:, None]
+    both = np.zeros((n, 2) + coeffs.shape[1:])  # one product with both stacks
+    both[:-1, 0], both[:, 1] = lower[1:] * coeffs[1:], k * coeffs
+    p = (V @ both.reshape(n, -1)).reshape((len(x), 2) + coeffs.shape[1:])
+    return (p[:, 0] - x * p[:, 1]) / (1.0 - x * x)
 
 
 class Quadrature:
     """Gauss-Jacobi rule and orthonormal-basis tables for the measure nu_d.
 
-    One N x N table of basis values serves synthesis and, transposed,
-    analysis; derivative tables and the padded rule are built on first use (a
-    thread race only builds the same bits twice).  Exact to degree 2n - 1.
+    One N x N table of basis values serves synthesis, analysis (transposed)
+    and derivatives; the padded rule is built on first use (a thread race
+    only builds the same bits twice).  Exact to degree 2n - 1.
     """
 
     def __init__(self, d: float, n: int):
@@ -181,7 +180,8 @@ class Quadrature:
         self.d = float(d)
         self.n = int(n)
         self.nodes, self.weights, self._basis = _gauss_rule(self.d, self.n, self.n)
-        self._basis_d1: np.ndarray | None = None
+        # the lowering identity's (2k+d-1) b_k, for f' on either rule
+        self._lower = (2.0 * np.arange(n) + self.d - 1.0) * _recurrence(self.d, n - 1)
         # the rule for first moments int z f
         self.z_weights = self.weights * self.nodes
         self.nu = 1.0 - self.nodes * self.nodes
@@ -199,7 +199,7 @@ class Quadrature:
     def _pad_tables(self) -> dict[str, np.ndarray]:
         if self._padded is None:
             x, w, V = _gauss_rule(self.d, PAD * self.n, self.n)
-            self._padded = {"x": x, "w": w, "synth": V, "synth_d1": None}
+            self._padded = {"x": x, "w": w, "synth": V}
         return self._padded
 
     def padded_values(self, coeffs: np.ndarray) -> np.ndarray:
@@ -208,9 +208,7 @@ class Quadrature:
     def padded_derivative(self, coeffs: np.ndarray) -> np.ndarray:
         """f' on the padded grid (no flow calls it; perfbench/tracer.py wraps it)."""
         pad = self._pad_tables()
-        if pad["synth_d1"] is None:
-            pad["synth_d1"] = _derivative_table(self.d, pad["x"], pad["synth"])
-        return pad["synth_d1"] @ coeffs
+        return _slopes(pad["synth"], pad["x"], self._lower, coeffs)
 
     def project_padded(self, values: np.ndarray) -> np.ndarray:
         """Coefficients of the padded nodal data, truncated to n modes."""
@@ -226,13 +224,10 @@ class Quadrature:
         return self._basis @ coeffs
 
     def derivative_values(self, coeffs: np.ndarray) -> np.ndarray:
-        if self._basis_d1 is None:
-            self._basis_d1 = _derivative_table(self.d, self.nodes, self._basis)
-        return self._basis_d1 @ coeffs
+        return _slopes(self._basis, self.nodes, self._lower, coeffs)
 
     def second_derivative_values(self, coeffs: np.ndarray) -> np.ndarray:
-        """f'' at the nodes from L: nu f'' = L f + d z f', with L f = -lam c
-        in coefficients, so no table of second derivatives is needed."""
+        """f'' at the nodes from L: nu f'' = L f + d z f', L f = -lam c."""
         lam, z, nu = self.eigenvalues, self.nodes, self.nu
         if coeffs.ndim == 2:
             lam, z, nu = lam[:, None], z[:, None], nu[:, None]

@@ -281,9 +281,9 @@ def _advance_to(spec: FlowSpec, step: tuple, s_target: float, s_end: float, h: f
     (or whose estimate is NaN) halves.  A rejected attempt passes the same
     coefficient array to the step again.  An accepted step whose top modes
     carry more than the resolution tolerance raises ResolutionError: a
-    smaller step cannot resolve them.  A step size below DT_MIN raises
-    PositivityLossError at the clock time s where it starts, which
-    ``evolve`` reports as a flow time."""
+    smaller step cannot resolve them.  A step size below DT_MIN
+    (PositivityLossError) or a power past the float range (FlowError) fails
+    at the step's start s, which ``evolve`` reports as a flow time."""
     start, size, stages, rho = step
     quad, s, grow = rho.quad, start + size, 5.0
     slack = 1e-14 * max(1.0, abs(s_target))
@@ -295,6 +295,9 @@ def _advance_to(spec: FlowSpec, step: tuple, s_target: float, s_end: float, h: f
             trial = GridFn.from_coeffs(quad, c)
         except PositivityError:
             trial, error = None, math.inf
+        except FlowError as exc:  # _full_rhs knows no time
+            exc.t = s
+            raise
         tol = TOL_STEP * math.sqrt(rho.coeffs @ rho.coeffs)
         scale = 0.9 * (tol / error) ** (1.0 / 3.0) if error else math.inf
         positive = trial is not None and trial.is_positive()
@@ -397,8 +400,8 @@ def evolve(
     one stacked report, where the first column with top modes above the
     resolution tolerance raises ResolutionError, and then the failure
     raises at its column's time: the first failing sample decides.  A
-    failing step raises after the samples before it, and a step size
-    underflow at the flow time where it happened.  On the density form at
+    failing step raises after the samples before it, a FlowError at the
+    flow time where the step started.  On the density form at
     m = 0 the clock stands still, and every row repeats the datum's."""
     if not (math.isfinite(t_end) and 0.0 < t_end - state.t < math.inf):
         raise DomainError(f"t_end must be finite and exceed the current time, got {t_end}")
@@ -449,7 +452,7 @@ def evolve(
                                else ConservationError(f"conserved quantity drifted by "
                                                       f"{drift[k]:.3e} > {tol_cons:.1e}", t=t))
                     break
-        except PositivityLossError as exc:  # a step size underflow, at a time on the clock s
+        except FlowError as exc:  # a failed step, at its start on the clock s
             exc.t = state.t + exc.t / rate
             raise
         if failure is not None:

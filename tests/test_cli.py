@@ -170,6 +170,16 @@ class TestRegionCommand:
         assert rc == 2
         assert json.loads(err)["error"] == "parameter"
 
+    @pytest.mark.parametrize("args", [["--d", "nan"], ["--d", "inf"], ["--d", "0.5"],
+                                      ["--d", "3", "--curves", "0.5"]])
+    @pytest.mark.parametrize("p_max", [[], ["--p-max", "3"]])
+    def test_bad_dimension_is_named_before_p_max(self, args, p_max, capsys):
+        # no --p-max can help a bad dimension: with or without one, the
+        # refusal names the dimension
+        rc, _, err = run_main(capsys, "region", *args, *p_max)
+        assert rc == 2
+        assert json.loads(err)["message"].startswith("dimension must be finite and >= 1")
+
     @pytest.mark.parametrize("flag", ["--beta-max=1e300", "--beta-min=-1e300",
                                       "--beta-min=1.7e308", "--beta-min=5e-324"])
     def test_extreme_beta_range_matches_scalar_calls(self, flag, tmp_path, capsys):
@@ -444,12 +454,13 @@ class TestFlowCommand:
     def test_overflowing_power_in_the_step_is_numerical_error(self, args, capsys):
         # the conserved quantity is finite, but the right-hand side's power
         # (rho^m, or the mobility w^(2-2 beta)) overflows at this datum: the
-        # first step ends the run with exit 3 and the JSON error alone, no
-        # overflow warning and no halving toward the step-size floor
+        # first step ends the run with exit 3 and the JSON error alone, at
+        # that step's start t = 0, no overflow warning and no halving toward
+        # the step-size floor
         rc, out, err = run_main(capsys, "flow", "--d", "5", "--p", "3.3", "--init", "const:1e300",
                                 "--t-end", "0.01", "--n", "16", *args)
         assert (rc, out) == (3, "")
-        assert json.loads(err)["message"].endswith("a power of the state overflows")
+        assert json.loads(err)["message"].endswith("a power of the state overflows (t=0)")
 
     def test_overflowing_perturbation_is_refused_as_nonpositive(self, capsys):
         # the synthesis of 1 + eps phi_2 overflows to -inf at some nodes;

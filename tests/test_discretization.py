@@ -64,7 +64,21 @@ def svd_rule(d, n, cols):
     nodes, weights = np.concatenate([-x[::-1][:q], x]), np.concatenate([w[::-1][:q], w])
     if not (np.all(np.isfinite(nodes)) and np.all(weights > 0.0) and np.all(np.isfinite(T[-1]))):
         raise ConvergenceError(f"Gauss rule for d={d}, n={n} failed")
-    return nodes, weights, _mirrored(T, n, 0)
+    return nodes, weights, _mirrored(T, n)
+
+
+def recurrence_slopes(d, z, values):
+    """phi_k'(z) from the recurrence differentiated, b_k phi_k' = z phi_(k-1)'
+    - b_(k-1) phi_(k-2)' + phi_(k-1), given the values phi_k(z): the
+    derivative tables' former construction, kept as the oracle of the
+    lowering identity the rules take f' by."""
+    cols = values.shape[1]
+    b = _recurrence(d, cols - 1)
+    T = np.zeros((cols, len(z)))
+    T[1] = 1.0 / b[1]
+    for k in range(2, cols):
+        T[k] = (z * T[k - 1] - b[k - 1] * T[k - 2] + values[:, k - 1]) / b[k]
+    return T.T
 
 
 def orthonormality_error(rule):
@@ -113,19 +127,18 @@ class TestQuadrature:
     @pytest.mark.parametrize("d, n", [(1.0, 5), (1.0, 64), (2.5, 33), (5.0, 128), (30.0, 64)])
     def test_rule_and_tables_have_parity(self, d, n):
         # phi_k^(j)(-z) = (-1)^(k+j) phi_k^(j)(z) exactly (up to the sign of
-        # a zero), in the plain and the padded rule, and every table is
+        # a zero), in the plain and the padded rule, for the values tables
+        # and the basis derivatives taken from them, and every one is
         # C-contiguous: the memory layout of a table decides the BLAS path,
-        # and with it the last bits, of every transform built on it.  The
-        # derivative tables are built on first use, so a derivative builds them
+        # and with it the last bits, of every transform built on it
         quad = cached_quadrature(d, n)
         pad = quad._pad_tables()
         for x, w in ((quad.nodes, quad.weights), (pad["x"], pad["w"])):
             assert np.array_equal(x[::-1], -x) and np.array_equal(w[::-1], w)
-        k = np.arange(n)
-        second = quad.second_derivative_values(np.eye(n))
-        quad.padded_derivative(np.zeros(n))
-        tables = [(quad._basis, 0), (quad._basis_d1, 1), (second, 2),
-                  (pad["synth"], 0), (pad["synth_d1"], 1)]
+        k, basis = np.arange(n), np.eye(n)
+        tables = [(quad._basis, 0), (quad.derivative_values(basis), 1),
+                  (quad.second_derivative_values(basis), 2),
+                  (pad["synth"], 0), (quad.padded_derivative(basis), 1)]
         for table, j in tables:
             assert table.flags.c_contiguous
             assert np.array_equal(table[::-1], table * (-1.0) ** (k + j))
@@ -262,39 +275,43 @@ class TestQuadrature:
 
 class TestTables:
     def test_rule_holds_one_table(self):
-        # the values table alone, 8 MiB at n = 1024; the build peaks at
-        # 12.5 MiB (the half-rule recurrence and its mirrored table)
+        # the values table alone, 8 MiB at n = 1024, also after both
+        # derivatives, which read it; the build peaks at 12.5 MiB (the
+        # half-rule recurrence and its mirrored table)
         tracemalloc.start()
         try:
             quad = Quadrature(5.0, 1024)
+            c = np.zeros(1024)
+            quad.derivative_values(c)
+            quad.second_derivative_values(c)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert quad._basis_d1 is None and quad._padded is None
+        assert quad._padded is None
         assert held <= 8.5 * 2**20, held
         assert peak < 16 * 2**20, peak
 
     @pytest.mark.parametrize("n", [5, 64, 128, 256])
     @pytest.mark.parametrize("d", [1.0, 2.5, 5.0, 30.0])
     def test_derivative_tables_against_the_lowering_identity(self, d, n):
-        # an oracle independent of the differentiated recurrence the tables
-        # are built from: nu phi_k' = (2k+d-1) b_k phi_(k-1) - k z phi_k,
-        # column by column to 1e-13 of the two terms' size (6.3e-14 at
-        # (2.5, 256), the worst measured), in the plain and the padded rule
+        # the basis derivatives the rules take by the lowering identity,
+        # nu phi_k' = (2k+d-1) b_k phi_(k-1) - k z phi_k, against an oracle
+        # independent of it, the differentiated recurrence: times nu, column
+        # by column to 1e-13 of the identity's two terms' size (4.9e-14 at
+        # (5, 256), the worst measured), in the plain and the padded rule
         quad = cached_quadrature(d, n)
-        quad.derivative_values(np.zeros(n))
-        quad.padded_derivative(np.zeros(n))
         pad = quad._pad_tables()
         k = np.arange(n)
         b, j = np.zeros(n), k[2:]
         b[1] = 1.0 / np.sqrt(d + 1.0)
         b[2:] = np.sqrt(j * (j + d - 2.0) / ((2 * j + d - 3.0) * (2 * j + d - 1.0)))
-        for z, values, slopes in ((quad.nodes, quad._basis, quad._basis_d1),
-                                  (pad["x"], pad["synth"], pad["synth_d1"])):
+        for z, values, slopes in ((quad.nodes, quad._basis, quad.derivative_values(np.eye(n))),
+                                  (pad["x"], pad["synth"], quad.padded_derivative(np.eye(n)))):
+            oracle = recurrence_slopes(d, z, values)
             lowered = np.zeros_like(values)
             lowered[:, 1:] = (2 * k[1:] + d - 1.0) * b[1:] * values[:, :-1]
             raised = k * z[:, None] * values
-            err = np.abs((1.0 - z * z)[:, None] * slopes - (lowered - raised))
+            err = np.abs((1.0 - z * z)[:, None] * (slopes - oracle))
             size = (np.abs(lowered) + np.abs(raised)).max(axis=0)
             assert np.all(err <= 1e-13 * size)
 

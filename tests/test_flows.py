@@ -18,7 +18,7 @@ from ultraflow.discretization import (
     random_positive,
     resolution_fraction,
 )
-from ultraflow.errors import (ConservationError, DomainError, PositivityError,
+from ultraflow.errors import (ConservationError, DomainError, FlowError, PositivityError,
                               PositivityLossError, ResolutionError)
 from ultraflow.flows import Form, _full_rhs, _sample_report, evolve, make_state
 from ultraflow.functionals import dissipation_nonlinear, dissipation_report, entropy, fisher
@@ -660,6 +660,32 @@ class TestSampleRule:
         t = sum(dts) / spec.m
         assert err.value.t == t and f"(t={t:.6g})" in str(err.value)
 
+    def test_overflow_in_a_later_step_reports_the_flow_time(self, monkeypatch):
+        # fde at m = 2 runs on the clock s = 2 t: after three accepted
+        # steps, one from the state times 1e300, whose square overflows,
+        # fails in _full_rhs, which knows no time; the error reads the flow
+        # time of the step's start, s / 2
+        quad = cached_quadrature(5.0, 64)
+        coeffs = np.zeros(quad.n)
+        coeffs[0], coeffs[2] = 1.0, 0.3
+        spec = FlowSpec.nonlinear_from_m(Params(5.0, 3.3), 2.0)
+        state = make_state(Form.DENSITY, spec, GridFn.from_coeffs(quad, coeffs))
+        imex_step, dts = flows._imex_step, []
+
+        def overflowing(form, spec, quad, c, dt):
+            if len(dts) == 3:
+                c = c * 1e300
+            else:
+                dts.append(dt)
+            return imex_step(form, spec, quad, c, dt)
+
+        monkeypatch.setattr(flows, "_imex_step", overflowing)
+        with pytest.raises(FlowError, match="a power of the state overflows") as err:
+            evolve(state, 0.02)
+        t = sum(dts) / spec.m
+        assert type(err.value) is FlowError
+        assert err.value.t == t and f"(t={t:.6g})" in str(err.value)
+
 
 class TestTablesOnFirstUse:
     def test_flows_build_only_the_tables_they_read(self, rng):
@@ -674,10 +700,8 @@ class TestTablesOnFirstUse:
             quad = Quadrature(5.0, n)
             f0 = random_positive(quad, rng, modes=8, amplitude=0.4)
             evolve(make_state(form, spec, f0), 0.1, samples=5)
-            pad = quad._padded
-            built.append((quad._basis_d1 is not None,
-                          pad is not None, pad is not None and pad["synth_d1"] is not None))
-        assert built == [(False, False, False), (False, True, False), (False, True, False)]
+            built.append(quad._padded is not None)
+        assert built == [False, True, True]
 
 
 class TestFormEquivalence:
