@@ -186,8 +186,8 @@ def closed_forms(seed=0):
                 for d, r in critical for beta in (r.minus, r.plus))
     yield "double root at 2* is (d-2)/(d-3) (d=4..10, 1e-13)", worst <= 1e-13, worst
     for d in (3.0, 4.0, 5.0, 8.0):
-        params = [cs.Params(d, p) for p in _window(d, 100)]
-        a = min(cs.counterexample_coefficient(pr, cs.beta_roots(pr).minus) for pr in params)
+        params = cs.Params(d, np.array(_window(d, 100)))
+        a = float(np.min(cs.counterexample_coefficient(params, cs.beta_roots(params).minus)))
         yield f"A(p, beta-) > 0 on the window (d={d})", a > 0.0, a
     for d in (3.0, 4.0, 5.0, 8.0):
         held, margin = True, math.inf

@@ -219,13 +219,10 @@ def cmd_region(args) -> int:
         for d in dims:
             ts = cs.two_star(d)
             hi = _finite_p_max(d, ts if math.isfinite(ts) else args.p_max)
-            for p in np.linspace(max(args.p_min, 1.0), hi, args.grid):
-                params = cs.Params(d, float(p))
-                try:
-                    r = cs.beta_roots(params)
-                except DomainError:
-                    continue
-                rows.append((d, float(p), r.minus, r.plus))
+            ps = np.linspace(max(args.p_min, 1.0), hi, args.grid)
+            r = cs.beta_roots(cs.Params(d, ps))
+            real = ~np.isnan(r.minus)  # NaN where gamma has no roots
+            rows += zip([d] * args.grid, *(x[real].tolist() for x in (ps, r.minus, r.plus)))
         out = {"kind": "beta_curves", "dims": dims, "rows": len(rows)}
         if args.out:
             out["csv"] = "beta_curves.csv"
@@ -458,11 +455,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return globals()[f"cmd_{args.cmd}"](args)  # looked up now: a patched one runs
+        # a floating-point error that no local np.errstate expects is numerical
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return globals()[f"cmd_{args.cmd}"](args)  # looked up now: a patched one runs
     except DomainError as exc:
         print(json.dumps({"error": "parameter", "message": str(exc)}), file=sys.stderr)
         return 2
-    except UltraflowError as exc:
+    except (UltraflowError, FloatingPointError) as exc:
         print(json.dumps({"error": "numerical", "message": str(exc)}), file=sys.stderr)
         return 3
     except MemoryError as exc:  # an array past the memory, such as --samples 1e15

@@ -4,13 +4,15 @@ Everything here is an explicit rational/algebraic expression in the real
 dimension d >= 1 and the exponent p >= 1.  Infinite values (the critical
 exponent for d <= 2, the degenerate root when the quadratic denominator
 vanishes, the d = 3, p = 6 nonlinearity) are represented by ``math.inf``,
-never by a large float.
+never by a large float.  The region's closed forms run elementwise over
+ndarrays of p and beta in the body of the float calls, bitwise their values,
+with NaN where a float call raises; floats give Python floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +31,23 @@ DELTA_ZERO_TOL = 1e-12
 #: them below this tolerance; so m = 2/3 given to ten digits at p = 6 is the
 #: critical member, not beta = 1e10
 M_CRITICAL_TOL = 1e-8
+
+
+def _where(cond, x, y):
+    """np.where for an ndarray cond, a plain choice for a bool; both x and y are evaluated."""
+    return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
+
+
+def _over(x, y):
+    """x / y, +inf where y == 0 (either sign of zero); elementwise and silent for ndarrays."""
+    if not isinstance(x, np.ndarray) and not isinstance(y, np.ndarray):
+        return math.inf if y == 0.0 else x / y
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(y == 0.0, math.inf, x / y)
+
+
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
 def two_star(d: float) -> float:
@@ -51,23 +70,23 @@ class Params:
 
     d is a real dimension >= 1; p >= 1 must not exceed the critical exponent
     when that is finite.  p = 2 is valid: the entropy there is the
-    logarithmic one.
+    logarithmic one.  p may be an ndarray of exponents for the region's
+    closed forms: each is checked, and the first bad one is named.
     """
 
     d: float
-    p: float
+    p: float | np.ndarray
 
     def __post_init__(self):
         # written so that NaN fails them
         if not 1.0 <= self.d < math.inf:
             raise DomainError(f"dimension must be finite and >= 1, got {self.d}")
-        if not 1.0 <= self.p < math.inf:
-            raise DomainError(f"exponent must be finite and >= 1, got {self.p}")
         ts = two_star(self.d)
-        if self.p > ts * (1.0 + 1e-14):
-            raise DomainError(
-                f"p={self.p} exceeds the critical exponent {ts:.6g} for d={self.d}"
-            )
+        for p in self.p.ravel().tolist() if isinstance(self.p, np.ndarray) else (self.p,):
+            if not 1.0 <= p < math.inf:
+                raise DomainError(f"exponent must be finite and >= 1, got {p}")
+            if p > ts * (1.0 + 1e-14):
+                raise DomainError(f"p={p} exceeds the critical exponent {ts:.6g} for d={self.d}")
 
     @property
     def two_star(self) -> float:
@@ -83,8 +102,9 @@ CLOSED_FORM_MAX = 1e75
 
 
 def _closed_form_args(params: Params) -> tuple[float, float]:
-    """(d, p), refused with the parameter named above CLOSED_FORM_MAX."""
-    for name, x in (("d", params.d), ("p", params.p)):
+    """(d, p), refused with the parameter (the largest p) named above CLOSED_FORM_MAX."""
+    p = params.p.max() if isinstance(params.p, np.ndarray) else params.p
+    for name, x in (("d", params.d), ("p", p)):
         if x > CLOSED_FORM_MAX:
             raise DomainError(f"{name}={x:g} exceeds {CLOSED_FORM_MAX:g}: closed forms overflow")
     return params.d, params.p
@@ -104,7 +124,7 @@ def ab_coefficients(params: Params) -> tuple[float, float]:
 def gamma_of_beta(params: Params, beta):
     """gamma(beta) = -1 + 2 b beta - a beta^2, the coefficient multiplying the
     quartic-ratio integral in the nonlinear-flow dissipation identity
-    (elementwise for an ndarray of beta)."""
+    (elementwise for ndarrays of p and beta)."""
     a, b = ab_coefficients(params)
     return -1.0 + 2.0 * b * beta - a * beta * beta
 
@@ -139,14 +159,14 @@ def gamma_discriminant(params: Params) -> float:
     return 4.0 * _reduced_discriminant(d, p)
 
 
-def _quadratic_roots(a: float, b: float, red: float) -> tuple[float, float]:
+def _quadratic_roots(a, b, red):
     """(b -+ sqrt(red))/a, the roots of a x^2 - 2 b x + 1 = 0 with
     red = b^2 - a >= 0, as 1/q and q/a, q = b + sign(b) sqrt(red), so that
     neither subtracts nearly equal numbers; q/a is infinite at a = 0."""
-    root = math.sqrt(red)
-    q = b + root if b >= 0.0 else b - root
-    near, far = 1.0 / q, (math.inf if a == 0.0 else q / a)
-    return (near, far) if b >= 0.0 else (far, near)
+    root, up = _sqrt(red), b >= 0.0
+    q = b + _where(up, root, -root)
+    near, far = _over(1.0, q), _over(q, a)
+    return _where(up, near, far), _where(up, far, near)
 
 
 @dataclass(frozen=True)
@@ -182,7 +202,8 @@ def beta_roots(params: Params) -> BetaRoots:
     delta has real zeros in p, a comes from the factored delta, so the
     root that escapes to infinity keeps its digits too.  When delta = 0 the
     equation degenerates to a linear one: the finite root is returned in
-    ``minus`` and ``plus`` is the signed infinity it escapes to."""
+    ``minus`` and ``plus`` is the signed infinity it escapes to.  An ndarray
+    of p gives NaN roots where a float p raises."""
     a, b = ab_coefficients(params)
     d, p = params.d, params.p
     if d <= 4.0:
@@ -190,29 +211,22 @@ def beta_roots(params: Params) -> BetaRoots:
         a = delta / (d + 2.0) ** 2
     else:
         delta = a * (d + 2.0) ** 2
-    if abs(delta) <= DELTA_ZERO_TOL * max(1.0, d**2 * p**2):
-        if b == 0.0:
-            raise DomainError("gamma is constant: no roots")
-        return BetaRoots(minus=1.0 / (2.0 * b), plus=math.copysign(math.inf, b), delta=0.0)
+    linear = abs(delta) <= DELTA_ZERO_TOL * _where(d**2 * p**2 > 1.0, d**2 * p**2, 1.0)
     red = _reduced_discriminant(d, p)
-    if red < -1e-13 * max(1.0, d**4) / (d + 2.0) ** 2:
-        raise DomainError(f"negative discriminant at d={d}, p={p}")
-    return BetaRoots(*_quadratic_roots(a, b, max(red, 0.0)), delta=delta)
-
-
-def _reciprocal(beta):
-    """1/beta, with 1/0 = +inf (for either sign of zero); elementwise for an
-    ndarray of beta."""
-    if not isinstance(beta, np.ndarray):
-        return math.inf if beta == 0.0 else 1.0 / beta
-    with np.errstate(divide="ignore"):
-        return 1.0 / np.where(beta == 0.0, 0.0, beta)
+    none = _where(linear, b == 0.0, red < -1e-13 * max(1.0, d**4) / (d + 2.0) ** 2)
+    if not isinstance(none, np.ndarray) and none:
+        raise DomainError("gamma is constant: no roots" if linear
+                          else f"negative discriminant at d={d}, p={p}")
+    minus, plus = _quadratic_roots(a, b, _where(0.0 > red, 0.0, red))
+    minus = _where(none, math.nan, _where(linear, _over(1.0, 2.0 * b), minus))
+    plus = _where(none, math.nan, _where(linear, _where(b > 0.0, math.inf, -math.inf), plus))
+    return BetaRoots(minus, plus, delta=_where(linear, 0.0, delta))
 
 
 def m_from_beta(params: Params, beta):
     """Diffusion exponent m = 1 + (2/p)(1/beta - 1); +inf at beta = 0 and
-    1 - 2/p at infinite beta.  Elementwise for an ndarray of beta."""
-    return 1.0 + (2.0 / params.p) * (_reciprocal(beta) - 1.0)
+    1 - 2/p at infinite beta.  Elementwise for ndarrays of p and beta."""
+    return 1.0 + (2.0 / params.p) * (_over(1.0, beta) - 1.0)
 
 
 def beta_from_m(params: Params, m: float) -> float:
@@ -237,7 +251,7 @@ def counterexample_coefficient(params: Params, beta):
     heat flow increase the deficit at the power-law witness.
 
     The cross term alpha = (d-1) beta (p-1) / (d+2) has been eliminated.
-    Vanishes at beta = B_+-(p, d).  Elementwise for an ndarray of beta."""
+    Vanishes at beta = B_+-(p, d).  Elementwise for ndarrays of p and beta."""
     d, p = _closed_form_args(params)
     if d < 3.0:
         raise DomainError("the counter-example coefficient needs d >= 3")
@@ -298,9 +312,9 @@ class FlowSpec:
 
 @dataclass(frozen=True)
 class RegionPoint:
-    """Classification of a (p, beta) point, of a row of points sharing p
-    (then every field is an ndarray over beta), or of a region map's grid
-    (then every field is a (p, beta) array)."""
+    """Classification of a (p, beta) point, or of ndarrays of p and beta
+    (then every field is an ndarray of their broadcast shape: a (p, beta)
+    array for a region map's grid)."""
 
     admissible: bool
     gamma: float
@@ -319,16 +333,16 @@ def classify_region(params: Params, beta) -> RegionPoint:
     when delta = 0.  The test suite checks the sign test against that
     root-interval description.
 
-    beta may be an ndarray: the same closed forms then run elementwise and
-    give bitwise the values of the scalar calls.  A scalar beta gives Python
-    floats and bools.  A is NaN below d = 3, where the witness does not
-    exist.
+    p and beta may be ndarrays: the same closed forms then run elementwise
+    over their broadcast shape and give bitwise the values of the scalar
+    calls.  Scalars give Python floats and bools.  A is NaN below d = 3,
+    where the witness does not exist.
     """
     gamma = gamma_of_beta(params, beta)
     try:
         a_val = counterexample_coefficient(params, beta)
     except DomainError:
-        a_val = beta * math.nan
+        a_val = gamma * math.nan
     return RegionPoint(
         admissible=gamma >= -GAMMA_TIE_TOL,
         gamma=gamma,
@@ -355,8 +369,8 @@ def region_sweep(
     d: float, p_range: tuple[float, float], beta_range: tuple[float, float], grid: int
 ) -> tuple[RegionMap, dict]:
     """Square (p, beta) sweep of classify_region with ``grid`` points per
-    axis, one call per p row, stacked into (grid, grid) arrays: every cell
-    is bitwise the scalar call at its (p, beta).
+    axis: one call on a column of p against the row of beta gives
+    (grid, grid) arrays, every cell bitwise the scalar call at its (p, beta).
 
     Returns (region, summary).
     """
@@ -372,9 +386,7 @@ def region_sweep(
     betas = np.linspace(beta_range[0], beta_range[1], grid)
     # extreme betas overflow to the limits the scalar calls reach in floats
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        rows = [classify_region(Params(d, p), betas) for p in ps.tolist()]
-    point = RegionPoint(**{f.name: np.stack([getattr(row, f.name) for row in rows])
-                           for f in fields(RegionPoint)})
+        point = classify_region(Params(d, ps[:, None]), betas)
     summary = {
         "d": d,
         "p_min": float(ps[0]),

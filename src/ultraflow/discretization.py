@@ -15,6 +15,8 @@ flow exactly integrable and the stiff solves in the nonlinear flows trivial.
 Derivatives take no table of their own: f' comes from the values table by
 the lowering identity nu phi_k' = (2k+d-1) b_k phi_(k-1) - k z phi_k, and
 nu f'' = L f + d z f'.  Both refuse an unresolved input (RESOLUTION_TOL).
+Both divide by nu, so next to z = +-1 they carry about eps/nu of relative
+rounding, which the nu or nu^2 weight that every report puts on f'' removes.
 No boundary conditions are imposed; the vanishing weight at z = +-1 does not
 require any.
 """
@@ -227,7 +229,8 @@ class Quadrature:
         return _slopes(self._basis, self.nodes, self._lower, coeffs)
 
     def second_derivative_values(self, coeffs: np.ndarray) -> np.ndarray:
-        """f'' at the nodes from L: nu f'' = L f + d z f', L f = -lam c."""
+        """f'' at the nodes from L: nu f'' = L f + d z f', L f = -lam c.
+        Unweighted, it carries about eps/nu of relative rounding near z = +-1."""
         lam, z, nu = self.eigenvalues, self.nodes, self.nu
         if coeffs.ndim == 2:
             lam, z, nu = lam[:, None], z[:, None], nu[:, None]

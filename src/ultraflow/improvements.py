@@ -403,7 +403,8 @@ def improved_constant(d: float, p: float, lambda_star: float) -> float:
     """d + (d-1)^2/(d(d+2)) (2# - p) (lambda* - d): the improved constant for
     the moment-constrained inequality; affine and increasing in lambda*.
     (d-1)^2 (2# - p) is constants.two_sharp_gap, so at d = 1 the constant is
-    its limit lambda*."""
+    its limit lambda*.  At lambda* = 2(d+1) it is the antipodal prop_raw, which
+    ``improve`` reports while its search finds nothing below 2(d+1)."""
     if not (2.0 < p < two_sharp(d)):
         raise DomainError(f"need 2 < p < 2# = {two_sharp(d):.6g}, got {p}")
     if lambda_star < d:

@@ -125,8 +125,9 @@ def test_tracer_sees_one_synthesis_of_the_u_samples(capsys, monkeypatch):
 
 
 def test_tracer_sees_the_region_sweep(tmp_path, capsys):
-    # one constants.classify span per p row, and the CSV writer recorded as
-    # a cli.emit span inside the command's _emit
+    # one constants.classify span for the whole sweep (all p rows at once),
+    # and the CSV writer recorded as a cli.emit span inside the command's
+    # _emit
     tracer = _load("tracer").Tracer()
     tracer.install()
     try:
@@ -135,7 +136,7 @@ def test_tracer_sees_the_region_sweep(tmp_path, capsys):
         tracer.uninstall()
     capsys.readouterr()
     assert rc == 0
-    assert tracer.count("constants.classify") == 5
+    assert tracer.count("constants.classify") == 1
     assert tracer.aggregates[("cli.emit", "cli.emit")][0] == 1
     assert (tmp_path / "region.csv").read_text().count("\n") == 1 + 5 * 5
 

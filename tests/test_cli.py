@@ -649,6 +649,24 @@ class TestCounterexampleCommand:
         assert rc == 2
         assert json.loads(err)["error"] == "parameter"
 
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True,
+              phases=(Phase.explicit, Phase.generate))
+    @given(st.tuples(st.floats(1.0, 12.0) | FINITE, st.none() | st.floats(1.0, 8.0) | FINITE,
+                     st.floats(1e-300, 10.0) | FINITE, FINITE | st.floats(-1.0, 1.0),
+                     st.integers(4, 40)))
+    @example((5.0, 3.25, 1e-100, 0.0, 16))
+    @example((4.0, None, 1e-60, 0.0, 16))
+    def test_any_finite_input_exits_cleanly(self, args):
+        # the obstruction reports from any finite witness: a result whose
+        # counterexample.json holds only finite numbers, or a typed refusal
+        d, p, a, b, n = args
+        with tempfile.TemporaryDirectory() as out:
+            argv = ["counterexample", f"--d={d!r}", f"--a={a!r}", f"--b={b!r}", f"--n={n}",
+                    f"--out={out}"]
+            if p is not None:
+                argv.append(f"--p={p!r}")
+            assert_exits_cleanly(argv, artifact=Path(out, "counterexample.json"))
+
 
 class TestImproveCommand:
     def test_estimate(self, capsys):
@@ -845,6 +863,22 @@ def test_acceptance_criteria_are_checks():
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                   and isinstance(node.func.value, ast.Name) and node.func.value.id == "checks"}
         assert called & suites, criterion.name
+
+
+@pytest.mark.parametrize("argv", [
+    ["counterexample", "--d", "5", "--a", "1e-100", "--b", "0", "--n", "16", "--p", "3.25"],
+    ["flow", "--form", "heat", "--d", "5", "--p", "3", "--init", "conformal:1e-300,0",
+     "--t-end", "0.1", "--n", "16"],
+    ["counterexample", "--d", "4", "--a", "1e-60", "--b", "0", "--n", "16"],
+], ids=["counterexample-p", "flow", "counterexample"])
+def test_floating_point_failure_is_one_json_line(argv):
+    # a witness or datum whose powers overflow: the numerical exit with its
+    # JSON error as all of stderr, not RuntimeWarnings and then exit 3, or
+    # exit 0 with an infinite heat_mismatch
+    rc, _, err = run_cli(*argv)
+    assert rc == 3
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "numerical"
 
 
 class TestInProcessEntry:

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ultraflow.constants import (
     GAMMA_TIE_TOL,
@@ -342,6 +343,100 @@ class TestClassifyRegion:
         assert m.tolist() == [m_from_beta(params, float(b)) for b in betas]
         assert math.isinf(m[0]) and m[0] > 0.0 and m[1] == m[0]
         assert m[2] == 1.0 - 2.0 / 3.0
+
+
+def delta_zeros(d: float) -> list[float]:
+    """The real zeros in p of delta = (d-1)^2 p^2 - 3(d^2+2) p + 3(d^2+2d+3),
+    where the root equation turns linear: two for 1 < d <= 4, one at d = 1."""
+    lead, half, const = (d - 1.0) ** 2, 1.5 * (d * d + 2.0), 3.0 * (d * d + 2.0 * d + 3.0)
+    if lead == 0.0:
+        return [const / (2.0 * half)]
+    disc = half * half - lead * const
+    return [] if disc < 0.0 else [(half - s * math.sqrt(disc)) / lead for s in (1.0, -1.0)]
+
+
+def scalar_roots(params):
+    """(minus, plus) of the scalar call, NaN where it raises."""
+    try:
+        r = beta_roots(params)
+    except DomainError:
+        return math.nan, math.nan
+    return r.minus, r.plus
+
+
+class TestArraysOfP:
+    """An ndarray of p runs the closed forms elementwise: every root and
+    every cell is bitwise the scalar call (compared through repr, which
+    tells -0.0 from 0.0), with NaN roots where the scalar call raises."""
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(st.floats(1.0, 2.0) | st.floats(2.0, 4.0) | st.floats(4.0, 12.0)
+           | st.sampled_from([1.0, 2.0, 2.5, 3.0, 4.0, 5.0]),
+           st.lists(st.floats(0.0, 1.0), max_size=8), st.floats(1.0, 1.0 + 1e-6),
+           st.lists(st.floats(-5.0, 5.0) | st.sampled_from([0.0, -0.0, 1.0, 1e300, -1e300,
+                                                            5e-324]),
+                    min_size=1, max_size=6))
+    @example(3.0, [], 1.0, [1.0])  # 2* = 6 = d + 3: gamma is the constant -1
+    @example(4.0, [0.5], 1.0 + 1e-7, [0.75])  # delta = 9 (p - 3)^2: a double zero
+    @example(2.0, [0.3], 1.0, [0.0, 1e300])  # 2* infinite; b < 0 at p = 9 + sqrt(48)
+    def test_roots_and_grid_are_the_scalar_calls(self, d, fractions, near, betas):
+        # p = 1, p = 2* (or 20 where 2* is infinite), draws between, the zeros
+        # of delta and their neighbours (the linear branch), p = d + 3 (b = 0)
+        ts = two_star(d)
+        hi = ts if math.isfinite(ts) else 20.0
+        ps = [1.0, near, hi] + [1.0 + (hi - 1.0) * f for f in fractions]
+        for p in delta_zeros(d) + [d + 3.0]:
+            ps += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf), p * near]
+        ps = [p for p in ps if 1.0 <= p <= hi]
+        params = Params(d, np.array(ps))
+        r = beta_roots(params)
+        assert type(r.minus) is type(r.plus) is np.ndarray
+        for i, p in enumerate(ps):
+            scalar = scalar_roots(Params(d, p))
+            assert (repr(r.minus[i].item()), repr(r.plus[i].item())) == tuple(map(repr, scalar))
+            if not math.isnan(scalar[0]):
+                assert repr(r.delta[i].item()) == repr(beta_roots(Params(d, p)).delta)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            grid = classify_region(Params(d, np.array(ps)[:, None]), np.array(betas))
+        for i, p in enumerate(ps):
+            for j, beta in enumerate(betas):
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    scalar = classify_region(Params(d, p), beta)
+                for name in ("m", "gamma", "A"):
+                    assert repr(getattr(grid, name)[i, j].item()) == repr(getattr(scalar, name))
+                assert grid.admissible[i, j] == scalar.admissible
+                assert grid.A_positive[i, j] == scalar.A_positive
+
+    @pytest.mark.parametrize("d", [3.0, 5.0, 8.0])
+    def test_nan_beyond_the_critical_exponent(self, d):
+        # above 2* the discriminant is negative: the scalar call raises, the
+        # array gives NaN roots there and the scalar roots elsewhere
+        ps = np.linspace(1.0, two_star(d) + 0.5, 9)
+        r = beta_roots(unchecked_params(d, ps))
+        for i, p in enumerate(ps.tolist()):
+            expected = scalar_roots(unchecked_params(d, p))
+            assert (repr(r.minus[i].item()), repr(r.plus[i].item())) == tuple(map(repr, expected))
+        assert np.isnan(r.minus[-1]) and not np.isnan(r.minus[0])
+
+    @pytest.mark.parametrize("bad, message", [
+        (0.5, "exponent must be finite and >= 1, got 0.5"),
+        (math.nan, "exponent must be finite and >= 1, got nan"),
+        (3.5, "p=3.5 exceeds the critical exponent 3.33333 for d=5.0"),
+    ])
+    def test_one_bad_exponent_is_named(self, bad, message):
+        ps = np.linspace(1.0, 3.0, 7)
+        ps[4] = bad
+        with pytest.raises(DomainError) as err:
+            Params(5.0, ps)
+        assert str(err.value) == message
+        ps[5] = 0.25  # the first bad one is named
+        with pytest.raises(DomainError) as err:
+            Params(5.0, ps)
+        assert str(err.value) == message
+
+    def test_overflowing_exponent_is_named(self):
+        with pytest.raises(DomainError, match=r"^p=1e\+80 exceeds 1e\+75"):
+            beta_roots(Params(2.0, np.array([1.0, 1e80, 3.0])))
 
 
 def _csv_line(p, beta, pt):

@@ -414,6 +414,15 @@ class TestOperators:
             worst = max(worst, float(np.sqrt(np.sum(quad.weights * resid**2))))
         assert worst < 1e-10
 
+    @pytest.mark.parametrize("d, n", [(2.5, 256), (5.0, 1024)])
+    def test_weighted_second_derivative_at_the_end_nodes(self, d, n):
+        # phi_1 is linear, so f'' = 0; f'' itself carries eps/nu rounding
+        # at the end nodes (5.4e-8 and 4.5e-6 here), nu^2 f'' only eps
+        quad = cached_quadrature(d, n)
+        coeffs = np.zeros(n)
+        coeffs[1] = 1.0
+        assert np.max(np.abs(quad.nu**2 * quad.second_derivative_values(coeffs))) <= 1e-14
+
     def test_polynomial_derivative(self, quad5):
         f = GridFn.from_values(quad5, quad5.nodes**2)
         resid = derivative(f) - 2.0 * quad5.nodes

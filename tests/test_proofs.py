@@ -6,13 +6,14 @@ that the code's own comparisons (d < 3, d <= 2) decide; its float
 constants become rationals (nsimplify) and the difference of the two sides
 must cancel to 0.  Params is built without its checks, and the float guard
 _closed_form_args is bypassed: neither can compare a symbol with a float
-bound.
+bound.  So is improved_constant's range check p < 2#, whose two sides are
+both symbolic.
 """
 
 import pytest
 import sympy
 
-from ultraflow import constants
+from ultraflow import constants, improvements
 from ultraflow.constants import (
     _factored_delta,
     ab_coefficients,
@@ -25,6 +26,7 @@ from ultraflow.constants import (
     two_sharp_gap,
 )
 from ultraflow.functionals import _bracket
+from ultraflow.improvements import antipodal_constants, improved_constant
 
 from conftest import unchecked_params
 
@@ -99,3 +101,12 @@ def test_counterexample_lead():
 
 def test_two_sharp_gap():
     assert_identity(two_sharp_gap(D, P), (D - 1) ** 2 * (two_sharp(D) - P))
+
+
+def test_improved_constant_at_the_even_bound_is_the_antipodal_one(monkeypatch):
+    # lambda* = 2(d+1) turns the transfer d + gap (lambda* - d)/(d (d+2))
+    # into the antipodal heat-flow constant (d^2 + gap)/d, on 2 < p < 2#
+    assert improved_constant(4.0, 3.0, 10.0) == antipodal_constants(4.0, 3.0)["prop_raw"] == 5.5
+    monkeypatch.setattr(improvements, "two_sharp", lambda d: sympy.oo)
+    p = 2 + Q
+    assert_identity(improved_constant(D, p, 2 * (D + 1)), (D * D + two_sharp_gap(D, p)) / D)
