@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -215,24 +216,27 @@ def cmd_region(args) -> int:
         dims = _dimensions(args.curves)
         if args.grid < 1:
             raise DomainError(f"--grid needs at least 1 point, got {args.grid}")
-        rows = []
+        columns = ([], [], [], [])  # d, p, beta_minus, beta_plus
         for d in dims:
             ts = cs.two_star(d)
             hi = _finite_p_max(d, ts if math.isfinite(ts) else args.p_max)
             ps = np.linspace(max(args.p_min, 1.0), hi, args.grid)
             r = cs.beta_roots(cs.Params(d, ps))
             real = ~np.isnan(r.minus)  # NaN where gamma has no roots
-            rows += zip([d] * args.grid, *(x[real].tolist() for x in (ps, r.minus, r.plus)))
-        out = {"kind": "beta_curves", "dims": dims, "rows": len(rows)}
+            for column, x in zip(columns, (np.full(args.grid, d), ps, r.minus, r.plus)):
+                column.extend(x[real].tolist())
+        out = {"kind": "beta_curves", "dims": dims, "rows": len(columns[0])}
         if args.out:
             out["csv"] = "beta_curves.csv"
         else:
-            out["data"] = rows[:20]
+            out["data"] = list(islice(zip(*columns), 20))
 
         def write_curves(path):
+            """One line per row, each column formatted once (floats as repr)."""
             with open(path, "w") as fh:
                 fh.write("d,p,beta_minus,beta_plus\n")
-                fh.writelines(",".join(repr(float(x)) for x in row) + "\n" for row in rows)
+                fh.writelines(map("{},{},{},{}\n".format,
+                                  *(map(float.__repr__, map(float, c)) for c in columns)))
 
         manifest = RunManifest("region", vars_args(args), {}, args.grid, 0)
         _emit(_json_safe(out), args, manifest, {"beta_curves.csv": write_curves})

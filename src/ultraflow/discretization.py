@@ -229,12 +229,18 @@ class Quadrature:
         return _slopes(self._basis, self.nodes, self._lower, coeffs)
 
     def second_derivative_values(self, coeffs: np.ndarray) -> np.ndarray:
-        """f'' at the nodes from L: nu f'' = L f + d z f', L f = -lam c.
-        Unweighted, it carries about eps/nu of relative rounding near z = +-1."""
+        """f'' at the nodes (``second_derivative_from``, f' computed here);
+        perfbench/tracer.py wraps it by this name and signature."""
+        return self.second_derivative_from(coeffs, self.derivative_values(coeffs))
+
+    def second_derivative_from(self, coeffs: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+        """f'' at the nodes from L and the slopes f' there, for a caller that
+        holds them: nu f'' = L f + d z f', L f = -lam c.  Unweighted, it
+        carries about eps/nu of relative rounding near z = +-1."""
         lam, z, nu = self.eigenvalues, self.nodes, self.nu
         if coeffs.ndim == 2:
             lam, z, nu = lam[:, None], z[:, None], nu[:, None]
-        return (self.to_values(-lam * coeffs) + self.d * z * self.derivative_values(coeffs)) / nu
+        return (self.to_values(-lam * coeffs) + self.d * z * slopes) / nu
 
     def __repr__(self) -> str:
         return f"Quadrature(d={self.d}, n={self.n})"

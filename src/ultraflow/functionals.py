@@ -150,7 +150,8 @@ def cdc_triple(u: GridFn) -> tuple[float, float, float]:
 
 def _carre_du_champ(u: GridFn, beta: float) -> tuple[float, float, float]:
     """J_ff, J_fc, J_cc of w = u^(1/beta) from u' and u'' (u positive and
-    resolved; callers check), the only evaluation of the J's.
+    resolved; callers check), the only evaluation of the J's; u' is
+    computed once, and u'' from it.
 
     The chain rule with s = w/(beta u) gives
 
@@ -162,7 +163,8 @@ def _carre_du_champ(u: GridFn, beta: float) -> tuple[float, float, float]:
     not finite (at large d the outermost nodes' |w'|^4 overflows) raises
     ResolutionError instead of entering a report."""
     q = u.quad
-    up, upp = q.derivative_values(u.coeffs), q.second_derivative_values(u.coeffs)
+    up = q.derivative_values(u.coeffs)
+    upp = q.second_derivative_from(u.coeffs, up)
     w2 = q.weights * q.nu**2
     with np.errstate(over="ignore", invalid="ignore"):
         w = u.values ** (1.0 / beta)

@@ -11,6 +11,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
@@ -238,6 +239,32 @@ class TestRegionCommand:
             assert abs(crossing - 1.0) < 1e-10
 
 
+    def test_curves_csv_bytes_are_the_per_cell_repr(self, tmp_path, capsys, monkeypatch):
+        # each column formatted once gives the bytes of repr(float(x)) per
+        # cell: roots with -0.0, infinities and NaN, where a NaN lower root
+        # drops its row
+        from ultraflow import constants as cs
+
+        def roots(params):
+            k = np.arange(params.p.size)
+            special = np.array([-0.0, math.inf, -math.inf, math.nan, 5e-324, 1 / 3])
+            return cs.BetaRoots(special[k % 6], special[(k + 3) % 6], delta=0.0)
+
+        monkeypatch.setattr(cs, "beta_roots", roots)
+        rc, _, _ = run_main(capsys, "region", "--d", "5", "--curves", "4,5", "--grid", "12",
+                            "--out", str(tmp_path))
+        assert rc == 0
+        rows = []
+        for d in (4.0, 5.0):
+            ps = np.linspace(1.0, cs.two_star(d), 12)
+            r = roots(cs.Params(d, ps))
+            rows += [(d, p, lo, hi) for p, lo, hi in zip(ps, r.minus, r.plus) if not math.isnan(lo)]
+        expected = "d,p,beta_minus,beta_plus\n" + "".join(
+            ",".join(repr(float(x)) for x in row) + "\n" for row in rows)
+        assert len(rows) == 20
+        assert (tmp_path / "beta_curves.csv").read_text() == expected
+
+
 class TestFlowCommand:
     def test_heat_flow_run(self, tmp_path, capsys):
         rc, _, _ = run_main(
@@ -370,6 +397,17 @@ class TestFlowCommand:
                               "--n", "32", "--dt-max", dt_max)
         assert rc == 2
         assert json.loads(err)["error"] == "parameter"
+
+    def test_cap_asking_too_many_steps_is_refused_at_once(self, capsys):
+        # just above flows.DT_MIN, this cap asks for 5e11 steps to t_end = 1:
+        # evolve refuses it before the first one instead of running on
+        start = time.perf_counter()
+        rc, _, err = run_main(capsys, "flow", "--form", "fde", "--d", "5", "--p", "3.3",
+                              "--beta", "1.2126712652", "--init", "perturb:0.3,2", "--t-end", "1",
+                              "--dt-max", "2e-12", "--n", "32")
+        assert time.perf_counter() - start < 2.0
+        assert rc == 2
+        assert json.loads(err)["message"].startswith("dt_max = 2.000e-12 asks for more than")
 
     def test_near_critical_m_is_infinite_beta(self, capsys):
         # the README fde example: m = 2/3 to ten digits runs as the critical
@@ -569,7 +607,7 @@ class TestFlowCommand:
     @given(st.tuples(FORM_EXPONENT, MODERATE_D | MODERATE_D | D_OR_P,
                      MODERATE_P | MODERATE_P | D_OR_P,
                      st.floats(1e-4, 0.1) | FINITE, st.integers(2, 20), st.integers(4, 64),
-                     st.none() | st.integers(0, 4),
+                     st.none() | st.integers(0, 4) | st.integers(7, 12),
                      st.tuples(st.just("const"), st.floats(0.1, 4.0) | FINITE)
                      | st.tuples(st.just("perturb"), st.floats(-0.3, 0.3) | FINITE,
                                  st.integers(0, 6) | st.integers(0, 70))
@@ -582,8 +620,9 @@ class TestFlowCommand:
     @example((("heat", None), 1.0, 3.3, sys.float_info.max, 15, 32, None, ("perturb", 0.3, 2)))
     def test_any_finite_input_exits_cleanly(self, args):
         # t_end / dt_max = 10^decades is at most 1e4, which bounds the
-        # steps: a --dt-max below flows.DT_MIN is refused, but one just
-        # above it with a long --t-end would still take about 1e16 steps
+        # steps, or at least 1e7, past flows.MAX_STEPS, which evolve
+        # refuses (exit 2) before it takes a step, as it refuses a
+        # --dt-max below flows.DT_MIN
         (form, exponent), d, p, t_end, samples, n, decades, init = args
         argv = ["flow", f"--form={form}", f"--d={d!r}", f"--p={p!r}", f"--t-end={t_end!r}",
                 f"--samples={samples}", f"--n={n}", f"--init={init[0]}:{','.join(map(repr, init[1:]))}"]

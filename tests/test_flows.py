@@ -37,10 +37,14 @@ def exact_at(rho, t0, t):
 
 def stepped_exactly(monkeypatch):
     """Runs the heat flow down the stepped flow's path: ``evolve`` takes it
-    for a stepped flow, and the step to each sample lands on the exact
-    flow's coefficients there."""
+    for a stepped flow, and the step to each sample ends there, on the
+    exact flow's coefficients from the datum (the first step's end)."""
+    datum = []
+
     def advance(spec, step, s_target, s_end, h, h_max):
-        return next(flows._exact(step[3], np.array([s_target])))[:, 0], step, h
+        datum[:] = datum or [step[3]]
+        end = SimpleNamespace(coeffs=next(flows._exact(datum[0], np.array([s_target])))[:, 0])
+        return None, (0.0, s_target, None, end), h
 
     monkeypatch.setattr(flows, "integrates_exactly", lambda spec: False)
     monkeypatch.setattr(flows, "_advance_to", advance)
@@ -467,6 +471,40 @@ def perturbed(d, n, eps):
     return GridFn.from_coeffs(quad, coeffs)
 
 
+def dense_sample(stages, dt, theta):
+    """One sample's continuous extension, one evaluation per sample, as
+    ``flows._dense`` took it before it read a block's samples at once: the
+    reference for the block."""
+    c, z, n0, ab, nd = stages
+    e_half, phi1, phi2, phi3 = flows._weights(theta * z, flows._PHI_ROWS)
+    t2, t3 = theta**2 * phi2, theta**3 * phi3
+    b4 = 4.0 * t3 - t2
+    return e_half * (e_half * c) + dt * ((theta * phi1 + b4 - 2.0 * t2) * n0
+                                         + (t2 - b4) * ab + b4 * nd)
+
+
+def recorded_samples(monkeypatch):
+    """Patches the stepped flow to record, per later sample, the (theta,
+    step) that ``flows._advance_to`` reached it with, and the blocks of
+    coefficients ``flows._stepped`` yields; returns both lists."""
+    reached, blocks = [], []
+    advance, stepped = flows._advance_to, flows._stepped
+
+    def advance_seen(*args):
+        out = advance(*args)
+        reached.append(out[:2])
+        return out
+
+    def stepped_seen(*args):
+        for coeffs in stepped(*args):
+            blocks.append(coeffs.copy())
+            yield coeffs
+
+    monkeypatch.setattr(flows, "_advance_to", advance_seen)
+    monkeypatch.setattr(flows, "_stepped", stepped_seen)
+    return reached, blocks
+
+
 class TestDenseOutput:
     """The stepped flow steps once to t_end and reads each sample inside a
     step off that step's order-3 continuous extension (``flows._dense``)."""
@@ -509,14 +547,18 @@ class TestDenseOutput:
 
     def test_extension_at_theta_one_is_the_step(self, rng):
         # the extension's weights at theta = 1 are the step's f1, 2 f2 and
-        # f3, summed from phi1..phi3 instead of in closed form
+        # f3, summed from phi1..phi3 instead of in closed form, for one
+        # step's stages and for the three steps' stages as one stack
         quad = cached_quadrature(5.0, 64)
         spec = FlowSpec(Params(5.0, 3.3), 1.2126712652)
         c = random_positive(quad, rng, modes=8, amplitude=0.5).coeffs
-        for dt in (1e-5, 1e-3, 1e-1):
-            step, _, stages = flows._imex_step(Form.DENSITY, spec, quad, c, dt)
-            end = flows._dense(stages, dt, 1.0)
-            assert np.max(np.abs(end - step)) <= 1e-15 * np.max(np.abs(step))
+        dts = np.array([1e-5, 1e-3, 1e-1])
+        steps = [flows._imex_step(Form.DENSITY, spec, quad, c, dt) for dt in dts]
+        stack = [np.array(x) for x in zip(*(stages for _, _, stages in steps))]
+        ends = flows._dense(stack, dts[:, None], np.ones((3, 1)))
+        for dt, (step, _, stages), end_of_stack in zip(dts, steps, ends):
+            for end in (flows._dense(stages, dt, 1.0), end_of_stack):
+                assert np.max(np.abs(end - step)) <= 1e-15 * np.max(np.abs(step))
 
     @pytest.mark.parametrize("flow", ["fde", "w"])
     def test_every_sample_keeps_mode_zero(self, flow, rng, monkeypatch):
@@ -527,14 +569,14 @@ class TestDenseOutput:
         state = make_state(form, FlowSpec(Params(5.0, 3.3), beta),
                            random_positive(quad, rng, modes=6, amplitude=0.4))
         samples = []
-        advance = flows._advance_to
+        stepped = flows._stepped
 
         def seen(*args):
-            out = advance(*args)
-            samples.append(out[0][0])
-            return out
+            for coeffs in stepped(*args):
+                samples.extend(coeffs[0].tolist())
+                yield coeffs
 
-        monkeypatch.setattr(flows, "_advance_to", seen)
+        monkeypatch.setattr(flows, "_stepped", seen)
         evolve(state, 0.05, samples=40)
         assert len(samples) == 39
         assert samples == [flows._density(state).coeffs[0]] * 39
@@ -570,7 +612,8 @@ class TestDenseOutput:
 
     def test_extension_weights_match_extended_precision(self):
         # phi1, phi2, phi3 from the Taylor branch below |x| = 1 and the
-        # closed forms in 1/x beyond, against 50 digits
+        # closed forms in 1/x beyond, against 50 digits, on a step's vector
+        # and on a block's stack, whose rows split at different columns
         x = -np.concatenate([[0.0], np.logspace(-8.0, 4.0, 241)])
 
         def phis(v):
@@ -583,8 +626,104 @@ class TestDenseOutput:
                                            (e - 1 - v - v * v / 2) / v**3)]
 
         expected = np.array([phis(v) for v in x]).T
-        got = np.array(flows._weights(x, flows._PHI_ROWS)[1:])
-        assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected))
+        for shape in ((242,), (2, 121)):
+            got = np.array(flows._weights(x.reshape(shape), flows._PHI_ROWS)[1:]).reshape(3, -1)
+            assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected))
+
+
+class TestBlockExtension:
+    """The stepped flow reads a block's samples inside their steps in one
+    evaluation of the continuous extension (``flows._read_off``), on stacks
+    of their steps' stages, one row per sample."""
+
+    #: fde and w at the README point, both at beta = -2 (m = 1/11), and fde
+    #: at a small m, all at (d, p) = (5, 3.3) from perturb:0.3,2
+    RUNS = {"fde": (Form.DENSITY, 1.2126712652), "w": (Form.POINTWISE, 1.2126712652),
+            "fde-beta-2": (Form.DENSITY, -2.0), "w-beta-2": (Form.POINTWISE, -2.0),
+            "fde-m-0.05": (Form.DENSITY, None)}
+
+    def _state(self, run, n=64):
+        form, beta = self.RUNS[run]
+        params = Params(5.0, 3.3)
+        spec = (FlowSpec.nonlinear_from_m(params, 0.05) if beta is None
+                else FlowSpec(params, beta))
+        rho = perturbed(5.0, n, 0.3)
+        return make_state(form, spec, flows._from_density(form, spec, rho))
+
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_every_sample_matches_the_per_sample_extension(self, run, monkeypatch):
+        # each sample inside a step within 1e-15 of its column's largest
+        # coefficient of that step's extension evaluated alone (2.2e-19
+        # worst measured), each on a step's end that end's coefficients
+        # and mode 0 the datum's, bit for bit, at sample counts on both
+        # sides of the block size
+        state = self._state(run)
+        c0 = flows._density(state).coeffs[0]
+        for samples in (2, 5, 50, 65, 200):
+            with monkeypatch.context() as patch:
+                reached, blocks = recorded_samples(patch)
+                evolve(state, 0.02, samples=samples)
+            coeffs = np.hstack(blocks)
+            assert coeffs.shape[1] == len(reached) == samples - 1
+            assert np.all(coeffs[0] == c0)
+            inside = [theta is not None for theta, _ in reached]
+            assert not inside[-1] and (samples == 2 or sum(inside) > samples // 2)
+            for column, (theta, (_, dt, stages, rho)) in zip(coeffs.T, reached):
+                if theta is None:
+                    assert np.array_equal(column, rho.coeffs)
+                    continue
+                expected = dense_sample(stages, dt, theta)
+                assert np.max(np.abs(column - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+    def test_extension_runs_once_per_block(self, monkeypatch):
+        # 199 later samples are four blocks: the extension runs once for
+        # each, on a stack of the block's samples inside a step (all but
+        # the last sample, which the last step ends on)
+        extension, stacks = flows._dense, []
+
+        def counted(stages, dt, theta):
+            stacks.append(np.shape(stages[0]))
+            return extension(stages, dt, theta)
+
+        monkeypatch.setattr(flows, "_dense", counted)
+        evolve(self._state("fde"), 0.02, samples=200)
+        n = 64
+        assert stacks == [(flows._BLOCK, n)] * 3 + [(199 - 3 * flows._BLOCK - 1, n)]
+
+    @pytest.mark.parametrize("run", ["fde", "w-beta-2"])
+    def test_sample_does_not_depend_on_its_block(self, run, monkeypatch):
+        # the steps do not depend on the samples, so the 49 later samples
+        # of a 50-sample run are every other later sample of a 99-sample
+        # run, read off the same steps at the same theta; only the other
+        # samples in their blocks differ (4e-28 worst measured, of the
+        # column's largest coefficient)
+        state, runs = self._state(run), []
+        for samples in (50, 99):
+            with monkeypatch.context() as patch:
+                reached, blocks = recorded_samples(patch)
+                runs.append((evolve(state, 0.02, samples=samples).times, reached,
+                             np.hstack(blocks)))
+        (times, reached, coeffs), (times2, reached2, coeffs2) = runs
+        assert times == times2[::2]
+        assert [r[0] for r in reached] == [r[0] for r in reached2[1::2]]
+        scale = np.max(np.abs(coeffs), axis=0)
+        assert np.all(np.abs(coeffs - coeffs2[:, 1::2]) <= 1e-15 * scale)
+
+    @pytest.mark.parametrize("rows", ["step", "extension"])
+    def test_weights_of_a_stack_are_the_rows_weights(self, rows):
+        # 40 rows of z = -h lam, h from 1e-8 to 1e2, split per element at
+        # |z| = 1, against one vector call per row: the same values but
+        # for the order of the series' sums (4.0e-15 relative worst
+        # measured, in f1..f3, and 8.4e-16 in phi1..phi3), and e^(z/2)
+        # bit for bit
+        rows = flows._STEP_ROWS if rows == "step" else flows._PHI_ROWS
+        rng = np.random.default_rng(5)
+        for n in (16, 128):
+            z = -np.outer(10.0 ** rng.uniform(-8.0, 2.0, 40), cached_quadrature(5.0, n).eigenvalues)
+            got = np.array(flows._weights(z, rows))
+            expected = np.array([flows._weights(row, rows) for row in z]).transpose(1, 0, 2)
+            assert np.array_equal(got[0], expected[0])
+            assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))
 
 
 class TestSampleRule:
@@ -620,18 +759,17 @@ class TestSampleRule:
         # first mode that takes it below the floor: that sample fails, on
         # its positivity when it has lost it, else on the drift
         state = self._fde(rng)
-        advance, calls = flows._advance_to, []
+        stepped = flows._stepped
 
         def spoiled(*args):
-            c, step, h = advance(*args)
-            calls.append(c)
-            if len(calls) == 2:
-                c = c * (1.0 + 1e-6)
-                c[1] += 10.0 * c[0] * negative
-                assert (state.f.quad.to_values(c).min() < 0.0) == negative
-            return c, step, h
+            (coeffs,) = stepped(*args)  # the four later samples are one block
+            c = coeffs[:, 1]
+            c *= 1.0 + 1e-6
+            c[1] += 10.0 * c[0] * negative
+            assert (state.f.quad.to_values(c).min() < 0.0) == negative
+            yield coeffs
 
-        monkeypatch.setattr(flows, "_advance_to", spoiled)
+        monkeypatch.setattr(flows, "_stepped", spoiled)
         with pytest.raises(error) as err:
             evolve(state, 0.02, samples=5)
         assert type(err.value) is error and err.value.t == np.linspace(0.0, 0.02, 5)[2]
@@ -685,6 +823,22 @@ class TestSampleRule:
         t = sum(dts) / spec.m
         assert type(err.value) is FlowError
         assert err.value.t == t and f"(t={t:.6g})" in str(err.value)
+
+
+class TestTrajectoryCsv:
+    def test_bytes_are_the_per_cell_repr(self, tmp_path):
+        # each column formatted once gives the bytes of repr(float(x)) per
+        # cell, joined per row, on rows with -0.0, infinities, NaN,
+        # subnormals and numpy scalars
+        cells = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, 1 / 3,
+                 np.float64(-2.5), 0.1 + 0.2, 1e-17, 7.0]
+        columns = [[cells[(i + 5 * j) % len(cells)] for i in range(len(cells))]
+                   for j in range(6)]
+        traj = flows.Trajectory(*columns, final_state=None)
+        traj.to_csv(tmp_path / "t.csv")
+        expected = "t,F,E_p,I_p,conserved,moment_z\n" + "".join(
+            ",".join(repr(float(x)) for x in row) + "\n" for row in zip(*columns))
+        assert (tmp_path / "t.csv").read_text() == expected
 
 
 class TestTablesOnFirstUse:

@@ -263,6 +263,27 @@ class TestCdcTriple:
             assert j_ff >= 0.0 and j_cc >= 0.0
             assert j_fc**2 <= j_ff * j_cc * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("beta", [1.0, 1.2])
+    def test_one_slope_product_per_report(self, beta, quad5, rng, monkeypatch):
+        # u' is computed once and u'' from it, by the one formula of
+        # second_derivative_values: one derivative_values product per
+        # report, where taking u'' alone takes a second
+        u = random_positive(quad5, rng, modes=8, amplitude=0.5)
+        slopes, products = type(quad5).derivative_values, []
+
+        def counted(quad, coeffs):
+            products.append(coeffs.shape)
+            return slopes(quad, coeffs)
+
+        monkeypatch.setattr(type(quad5), "derivative_values", counted)
+        if beta == 1.0:
+            cdc_triple(u)
+        else:
+            dissipation_nonlinear(u, 3.3, beta)
+        assert products == [(quad5.n,)]
+        upp = quad5.second_derivative_from(u.coeffs, slopes(quad5, u.coeffs))
+        assert np.array_equal(upp, quad5.second_derivative_values(u.coeffs))
+
 
 class TestDissipation:
     def test_expanded_equals_completed_square(self, quad5, rng):
