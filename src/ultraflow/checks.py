@@ -135,9 +135,6 @@ def antipodal(seed=0):
     yield "equality at the degree-2 eigenfunction", err < 1e-10, err
     err = abs(im.rayleigh_quotient(eigenfunction(quad, 1)) - d)
     yield "odd direction drops to d", err < 1e-10, err
-    for d in range(2, 11):
-        res = im.logsob_improvement(float(d))["crossing_residual"]
-        yield f"crossing equation residual (d={d})", res <= 1e-10, res
 
 
 def region_figures(seed=0):

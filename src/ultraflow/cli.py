@@ -423,7 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--dt-max", type=float, default=math.inf)
     p.add_argument("--tol-cons", type=float, default=fl.TOL_CONS)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_seed, default=0,
+                   help="recorded in manifest.json only; random data take their seed "
+                        "from --init random:seed,modes")
     common(p)
 
     p = sub.add_parser("counterexample", help="obstruction reports at explicit witnesses")

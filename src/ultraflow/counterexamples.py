@@ -18,7 +18,10 @@ Second obstruction (between the two thresholds): with beta the lower root of
 the dissipation quadratic and alpha = (d-1) beta (p-1)/(d+2), the power-law
 function w = (a + b z)^(1/(1-alpha)) satisfies w'' = alpha |w'|^2 / w
 pointwise, and at f = w^beta the heat-flow derivative of the deficit is a
-strictly positive multiple of the quartic-ratio integral.
+strictly positive multiple of the quartic-ratio integral.  Its finite
+difference is ``deficit_rate``: it reads F off one ``evolve`` run, so the
+exact heat flow has one integrator (flows._exact), and the same difference
+runs along the stepped members, which cannot run backward.
 
 Factor conventions.  With G(t) = (d/2) * F[rho(t)] along the heat flow
 (F the normalized deficit), the exact identity at the witness reads
@@ -46,9 +49,9 @@ from .constants import (
     two_sharp,
     two_star,
 )
-from .discretization import GridFn, Quadrature, derivative, second_derivative
+from .discretization import GridFn, Quadrature, derivative
 from .errors import DomainError
-from .flows import Form, evolve, make_state
+from .flows import Form, FlowState, evolve, make_state
 from .functionals import deficit, dissipation_nonlinear
 
 
@@ -95,8 +98,8 @@ def ode_residual(w: GridFn, ratio: float) -> float:
     dissipation integral.  The norm of the measure discounts the outermost
     nodes, where the basis derivatives lose accuracy at large d (at d = 30,
     N = 128, z = +-0.991 carries the weight 2.4e-27)."""
-    q = w.quad
-    r = q.nu**2 * (second_derivative(w) - ratio * derivative(w) ** 2 / w.values)
+    q, slopes = w.quad, derivative(w)
+    r = q.nu**2 * (q.second_derivative_from(w.coeffs, slopes) - ratio * slopes**2 / w.values)
     return math.sqrt(q.weights @ r**2)
 
 
@@ -197,8 +200,8 @@ def second_obstruction(d: float, p: float, a: float, b: float,
 
       rhs            closed form (A / beta^2) * J_cc(f)
       dFdt_analytic  minus the expanded carre-du-champ bracket at f (heat report)
-      dFdt_numeric   Richardson-extrapolated central difference of G along
-                     the exactly integrated heat flow
+      dFdt_numeric   half of ``deficit_rate`` on the heat flow from f, a
+                     forward difference of d F along one ``evolve`` run
 
     All three must agree and be positive; b = 0 degenerates to the constant
     witness where everything vanishes (flagged).  ``quad``, a rule of
@@ -221,8 +224,7 @@ def second_obstruction(d: float, p: float, a: float, b: float,
     heat = dissipation_nonlinear(f, p, 1.0)
     rhs = a_closed * heat.J_cc / beta**2
 
-    rho0 = GridFn.from_values(quad, f.values**p)
-    numeric = _heat_derivative_of_halfd_deficit(rho0, params)
+    numeric = deficit_rate(make_state(Form.POINTWISE, FlowSpec.heat(params), f)) / 2.0
 
     degenerate = b == 0.0
     report = {
@@ -244,25 +246,17 @@ def second_obstruction(d: float, p: float, a: float, b: float,
     return report
 
 
-def _heat_derivative_of_halfd_deficit(rho0: GridFn, params: Params) -> float:
-    """d/dt [(d/2) F(rho(t))] at t = 0 under the exactly integrated heat flow,
-    via a 4-point central stencil of width 1e-4 with one Richardson halving.
-
-    The stencil looks a short distance backward in time, where the diagonal
-    exponential amplifies mode k by exp(+lam_k t); the width is capped so
-    that even the top mode's roundoff floor is amplified by at most e^4.
-    """
-    quad = rho0.quad
-    dt = min(1e-4, 2.0 / float(quad.eigenvalues[-1]))
-    half_d = quad.d / 2.0
-
-    def g_at(t: float) -> float:
-        rho = GridFn.from_coeffs(quad, rho0.coeffs * np.exp(-quad.eigenvalues * t))
-        return half_d * deficit(rho, params.p)
-
-    def stencil(h: float) -> float:
-        return (-g_at(2 * h) + 8 * g_at(h) - 8 * g_at(-h) + g_at(-2 * h)) / (12 * h)
-
-    d1, d2 = stencil(dt), stencil(dt / 2.0)
-    # 4th-order stencil: one halving removes the leading error term
-    return (16.0 * d2 - d1) / 15.0
+def deficit_rate(state: FlowState) -> float:
+    """d/dt (d F) at ``state`` in its clock, the quantity a report's
+    dF_dt_analytic gives, read off F along one ``evolve`` run to
+    state.t + 4h at h = 1e-4, sampled every h/2: the five-point forward
+    difference (-25, 48, -36, 16, -3)/12 at h and at h/2, and one Richardson
+    step.  It looks only forward, so it runs along every member of the
+    family, the stepped ones too, and it reads F through the flows' one
+    sample path, with its positivity and resolution checks."""
+    h = 1e-4
+    f = np.array(evolve(state, state.t + 4.0 * h, samples=9).F)
+    stencil = np.array([-25.0, 48.0, -36.0, 16.0, -3.0])
+    d1, d2 = stencil @ f[::2] / (12.0 * h), stencil @ f[:5] / (6.0 * h)
+    # a fourth-order stencil: one halving removes the leading error term
+    return state.f.quad.d * (16.0 * d2 - d1) / 15.0

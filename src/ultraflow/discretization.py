@@ -345,12 +345,6 @@ def derivative(f: GridFn) -> np.ndarray:
     return f.quad.derivative_values(f.coeffs)
 
 
-def second_derivative(f: GridFn) -> np.ndarray:
-    """Second derivative at the nodes, from L (Quadrature.second_derivative_values)."""
-    f.require_resolved()
-    return f.quad.second_derivative_values(f.coeffs)
-
-
 def integral(f: GridFn) -> float:
     return float(f.quad.weights @ f.values)
 

@@ -37,7 +37,7 @@ analogue is open; only the interval quantity is computed here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -255,26 +255,18 @@ class ImprovementEstimate:
     restart_reasons: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "p": self.p,
-            "N": self.n,
-            "restarts": self.restarts,
-            "lambda_star": self.lambda_star,
-            "lambda_bound": self.lambda_bound,
-            "upper_bound": self.upper_bound,
-            "iterations": self.iterations,
-            "restart_values": list(self.restart_values),
-            "restart_iterations": list(self.restart_iterations),
-            "restart_reasons": list(self.restart_reasons),
-            "note": (
-                "proven: upper_bound = 2(d+1) is reached by v = 1 + eps phi_2, feasible "
-                "as it is even; lambda_star = min(upper_bound, smallest searched value) "
-                "and lambda_bound are upper-bound values; searched: restart_*, one entry "
-                "per random start; whether the interval infimum equals its full-sphere "
-                "analogue is open"
-            ),
-        }
+        """The fields in order, n as "N" and the restart_* tuples as lists,
+        then a note."""
+        out = {"N" if k == "n" else k: list(v) if isinstance(v, tuple) else v
+               for k, v in asdict(self).items()}
+        out["note"] = (
+            "proven: upper_bound = 2(d+1) is reached by v = 1 + eps phi_2, feasible "
+            "as it is even; lambda_star = min(upper_bound, smallest searched value) "
+            "and lambda_bound are upper-bound values; searched: restart_*, one entry "
+            "per random start; whether the interval infimum equals its full-sphere "
+            "analogue is open"
+        )
+        return out
 
 
 def _descend(quad: Quadrature, coeffs: np.ndarray, p: float):
@@ -475,29 +467,23 @@ def logsob_improvement(d: float) -> dict:
     Returns the bound on the constrained spectral quotient, the crossing
     point b* of the two lower envelopes e(b/2 - 1) and
     e(2 sqrt(b^2 + b/(d+1)) - 2b) with e(c) = (d b + 2(d+1) c)/(b + c), the
-    residual of the crossing equation at b* (zero in exact arithmetic), and
-    the resulting entropy constant delta.
+    value there, and the resulting entropy constant delta.  That b* is the
+    crossing is proved on this arithmetic in tests/test_proofs.py.
     """
     if d < 2.0:
         raise DomainError("needs d >= 2")
     root = math.sqrt(2.0 * (d + 3.0) * (2.0 * d + 3.0))
     lambda_star_bound = d + 2.0 * (d + 2.0) / (2.0 * (d + 3.0) + root)
-    b_star = (2.0 / 9.0) * (2.0 * root + 5.0 * d + 9.0) / (d + 1.0)
+    # no float 2/9, which nsimplify would not return as 2/9 on symbols
+    b_star = 2.0 * (2.0 * root + 5.0 * d + 9.0) / (9.0 * (d + 1.0))
     delta = d + (2.0 / d) * (4.0 * d - 1.0) / (2.0 * (d + 3.0) + root)
-
-    def e_of(b, c):
-        return (d * b + 2.0 * (d + 1.0) * c) / (b + c)
-
     c1 = b_star / 2.0 - 1.0
-    c2 = 2.0 * math.sqrt(b_star**2 + b_star / (d + 1.0)) - 2.0 * b_star
-    residual = abs(e_of(b_star, c1) - e_of(b_star, c2))
     return {
         "d": d,
         "Lambda_star_bound": lambda_star_bound,
         "b_star": b_star,
         "delta": delta,
-        "crossing_residual": residual,
-        "crossing_value": e_of(b_star, c1),
+        "crossing_value": (d * b_star + 2.0 * (d + 1.0) * c1) / (b_star + c1),
     }
 
 

@@ -87,12 +87,13 @@ def test_criterion_09_lambda_star():
 
 
 def test_criterion_10_closed_form_constants():
-    """Crossing residual, antipodal constant gap, and the even-class
-    spectral threshold with its equality and odd cases."""
+    """Antipodal constant gap, and the even-class spectral threshold with
+    its equality and odd cases; the logarithmic case's crossing is proved
+    exactly in tests/test_proofs.py."""
     holds(checks.antipodal(seed=5))
     holds(checks.closed_forms())
-    report(10, "crossing residual (d=2..10); antipodal gap bound on [1, 2#] grids; "
-               "even-class ratio >= 2(d+1) on 100 samples, equality at mode 2")
+    report(10, "antipodal gap bound on [1, 2#] grids; even-class ratio >= 2(d+1) "
+               "on 100 samples, equality at mode 2; logsob crossing proved exactly")
 
 
 def test_criterion_11_figure_data():

@@ -818,14 +818,15 @@ def test_malformed_seed_is_parameter_error(argv, seed, capsys):
     assert "argument --seed: expected a whole number >= 0" in err
 
 
-#: sha256 of the first 43 result lines of ``verify all``, one per line, as
-#: the suites printed them before their checks moved to ``ultraflow.checks``
-VERIFY_ALL_RESULTS_SHA256 = "e7cde44cd6a9b0b0e42c3970d73a324242f4376550cc41906bda1975e98bf03a"
+#: sha256 of the first 34 result lines of ``verify all``, one per line, as
+#: the suites printed them before their checks moved to ``ultraflow.checks``,
+#: less antipodal's nine crossing claims (proved in tests/test_proofs.py)
+VERIFY_ALL_RESULTS_SHA256 = "db8519e7a3ebcc2269783e389edf14d0f6fdd9b758af853735d2b609bb2c958a"
 #: sha256 of the 17 result lines after them: closed-forms, nonlinear-monotone
 #: and improvement's first three claims
-VERIFY_NEW_RESULTS_SHA256 = "1c3523f84a48c467298f0da141be3c50b387d44b01ace02dd2d6703ebaedec6b"
+VERIFY_NEW_RESULTS_SHA256 = "61f7f166e7a84b1fbcf3cceec09dfee305b9500abb210790d51c69698559021c"
 #: sha256 of the last 6 result lines: improvement's search claims
-VERIFY_SEARCH_RESULTS_SHA256 = "8d812586bf187245c270b08f1b8e129d46f9ef549a0845da47994402a21ad7b0"
+VERIFY_SEARCH_RESULTS_SHA256 = "66afed4d9db857fc8a9224bf638c73a9c30fdf00b460a1c79d3b71417e1bdb6c"
 
 
 class TestVerifyCommand:
@@ -840,12 +841,12 @@ class TestVerifyCommand:
         rc, out, _ = run_main(capsys, "verify", "all", "--seed", "7")
         assert rc == 0
         lines = out.splitlines()
-        assert lines[0] == "1..66"
+        assert lines[0] == "1..57"
         results, diagnostics = lines[1::2], lines[2::2]
-        assert len(lines) == 1 + 2 * 66
-        for pinned, sha256 in ((results[:43], VERIFY_ALL_RESULTS_SHA256),
-                               (results[43:60], VERIFY_NEW_RESULTS_SHA256),
-                               (results[60:], VERIFY_SEARCH_RESULTS_SHA256)):
+        assert len(lines) == 1 + 2 * 57
+        for pinned, sha256 in ((results[:34], VERIFY_ALL_RESULTS_SHA256),
+                               (results[34:51], VERIFY_NEW_RESULTS_SHA256),
+                               (results[51:], VERIFY_SEARCH_RESULTS_SHA256)):
             text = "".join(line + "\n" for line in pinned)
             assert hashlib.sha256(text.encode()).hexdigest() == sha256
         for line in diagnostics:

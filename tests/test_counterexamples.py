@@ -3,17 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from ultraflow.constants import Params, beta_roots, two_star
+from ultraflow import counterexamples, functionals
+from ultraflow.constants import FlowSpec, Params, beta_roots, gamma_of_beta, two_star
 from ultraflow.counterexamples import (
     conformal_exponent,
+    deficit_rate,
     first_obstruction,
     ode_residual,
     powerlaw,
     second_obstruction,
     witness,
 )
-from ultraflow.discretization import GridFn, derivative, second_derivative
+from ultraflow.discretization import GridFn, derivative
 from ultraflow.errors import DomainError
+from ultraflow.flows import Form, make_state
 from ultraflow.functionals import deficit, dissipation_nonlinear
 
 from conftest import cached_quadrature
@@ -66,7 +69,7 @@ class TestExplicitFamily:
         w, b, alpha = powerlaw_witness(quad5, Params(5.0, 3.25), 1.0, 0.4)
         u = GridFn.from_values(quad5, w.values**b)
         wp = derivative(w)
-        upp = second_derivative(u)
+        upp = quad5.second_derivative_values(u.coeffs)
         up = derivative(u)
         ratio = wp**2 / w.values
         lhs1 = w.values ** (1.0 - b) * upp / b
@@ -160,3 +163,43 @@ class TestSecondObstruction:
         with pytest.raises(DomainError):
             second_obstruction(5.0, two_star(5.0), 1.0, 0.4)  # at the edge
 
+    def test_difference_reads_one_evolve_run(self, monkeypatch):
+        # the finite difference reads F off one heat-flow run through the
+        # flows' sample path, with no scalar deficit of its own
+        calls, real_evolve, real_deficit = [], counterexamples.evolve, functionals.deficit
+
+        def evolve(*args, **kwargs):
+            calls.append("evolve")
+            return real_evolve(*args, **kwargs)
+
+        def deficit(*args, **kwargs):
+            calls.append("deficit")
+            return real_deficit(*args, **kwargs)
+
+        monkeypatch.setattr(counterexamples, "evolve", evolve)
+        monkeypatch.setattr(counterexamples, "deficit", deficit)
+        monkeypatch.setattr(functionals, "deficit", deficit)
+        for n in (64, 128, 512):
+            calls.clear()
+            rep = second_obstruction(5.0, 3.25, 1.0, 0.4, cached_quadrature(5.0, n))
+            assert calls == ["evolve"]
+            assert abs(rep["dFdt_numeric"] - rep["rhs"]) <= 1e-8 * abs(rep["rhs"]), n
+
+
+class TestDeficitRate:
+    @pytest.mark.parametrize("beta", [0.6, 1.5])
+    def test_one_difference_for_every_member(self, beta):
+        # along the stepped beta-flow from w = (1 + 0.4 z)^(1/(1-alpha)),
+        # alpha = (d-1) beta (p-1)/(d+2), the square of the bracket vanishes
+        # and d(d F)/dt = -2 beta^2 gamma(beta) J_cc: F falls where gamma > 0
+        # (beta = 1.5) and rises where gamma < 0 (beta = 0.6)
+        d, p = 5.0, 3.0
+        params = Params(d, p)
+        quad = cached_quadrature(d, 128)
+        alpha = (d - 1.0) * beta * (p - 1.0) / (d + 2.0)
+        w = witness(quad, 1.0, 0.4, 1.0 / (1.0 - alpha))
+        gamma = gamma_of_beta(params, beta)
+        closed = -2.0 * beta**2 * gamma * dissipation_nonlinear(w, p, beta).J_cc
+        rate = deficit_rate(make_state(Form.POINTWISE, FlowSpec(params, beta), w))
+        assert rate == pytest.approx(closed, rel=1e-7)
+        assert math.copysign(1.0, rate) == -math.copysign(1.0, gamma)

@@ -516,8 +516,12 @@ class TestLogSobImprovement:
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_crossing_residual(self, d):
+        # the second envelope meets the first at b* to rounding; that it
+        # does exactly is proved in tests/test_proofs.py
         rep = logsob_improvement(float(d))
-        assert rep["crossing_residual"] <= 1e-10
+        b = rep["b_star"]
+        c2 = 2.0 * math.sqrt(b * b + b / (d + 1.0)) - 2.0 * b
+        assert abs(rep["crossing_value"] - (d * b + 2.0 * (d + 1.0) * c2) / (b + c2)) <= 1e-10
         assert rep["crossing_value"] == pytest.approx(rep["Lambda_star_bound"], abs=1e-12)
 
     def test_crossing_against_root_finding_oracle(self):

@@ -10,6 +10,8 @@ bound.  So is improved_constant's range check p < 2#, whose two sides are
 both symbolic.
 """
 
+from types import SimpleNamespace
+
 import pytest
 import sympy
 
@@ -110,3 +112,19 @@ def test_improved_constant_at_the_even_bound_is_the_antipodal_one(monkeypatch):
     monkeypatch.setattr(improvements, "two_sharp", lambda d: sympy.oo)
     p = 2 + Q
     assert_identity(improved_constant(D, p, 2 * (D + 1)), (D * D + two_sharp_gap(D, p)) / D)
+
+
+def test_logsob_crossing(monkeypatch):
+    # b* is where e(b, c1) and e(b, c2) cross, with c1 = b/2 - 1,
+    # c2 = 2 sqrt(b^2 + b/(d+1)) - 2b and e(b, c) = (d b + 2(d+1) c)/(b + c),
+    # a Moebius map of c: they cross where c1 = c2, that is where
+    # ((c1 + 2b)/2)^2 = b^2 + b/(d+1) and c1 + 2b > 0.  The function refuses
+    # d < 2, so it runs at d = 2 + e, on sympy's sqrt
+    monkeypatch.setattr(improvements, "math", SimpleNamespace(sqrt=sympy.sqrt))
+    d = 2 + E
+    rep = improvements.logsob_improvement(d)
+    b = sympy.nsimplify(rep["b_star"], rational=True)
+    c1 = b / 2 - 1
+    assert_identity(((c1 + 2 * b) / 2) ** 2, b**2 + b / (d + 1))
+    assert sympy.cancel(9 * (d + 1) * (c1 + 2 * b)).is_positive
+    assert_identity(rep["crossing_value"], rep["Lambda_star_bound"])
