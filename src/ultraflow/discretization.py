@@ -87,6 +87,10 @@ def _gauss_rule(d: float, n: int, cols: int):
     short of degree n - 1, nu / ((2n+d-1) b_n^2 phi_(n-1)^2) (Christoffel-
     Darboux).  phi_k(-x) = (-1)^k phi_k(x) mirrors the nonnegative nodes'
     values, so nodes, weights and table have parity to the last bit.
+
+    One table is allocated (a spare row at odd n): the (cols, h) recurrence
+    rows of the h nonnegative nodes live in its first rows, which only the
+    mirror writes, so a build peaks at one table plus a 64-row block.
     """
     b = _recurrence(d, n)
     if not np.all(np.isfinite(b)):
@@ -101,7 +105,9 @@ def _gauss_rule(d: float, n: int, cols: int):
     # at large d the recurrence overflows (and b_k is 0 at huge d): see the check below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = np.concatenate([np.zeros(n - 2 * q), np.sqrt(x2)])  # the nonnegative nodes
-        T, inv = _rows(x, b, cols), 1.0 / b
+        h = n - q
+        table = np.empty((2 * h, cols))  # the (n, cols) table is its last n rows
+        T, inv = _rows(x, b, table[:h].reshape(cols, h)), 1.0 / b
         p0, p1 = T[cols - 2], T[cols - 1]
         for j in range(cols, n):
             p0, p1 = p1, (x * p1 - b[j - 1] * p0) * inv[j]
@@ -129,25 +135,26 @@ def _gauss_rule(d: float, n: int, cols: int):
     if not (np.all(np.isfinite(nodes)) and np.all(weights > 0.0) and np.all(np.isfinite(T[-1]))):
         raise ConvergenceError(f"Gauss rule for d={d}, n={n} has a non-finite node or "
                                "basis value, or a non-positive weight")
-    return nodes, weights, _mirrored(T, n)
+    return nodes, weights, _mirrored(T, table[2 * h - n :])
 
 
-def _rows(x: np.ndarray, b: np.ndarray, cols: int) -> np.ndarray:
-    """Rows phi_k(x), k < cols, from the recurrence."""
+def _rows(x: np.ndarray, b: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Fills the (cols, len(x)) array T with the rows phi_k(x), k < cols,
+    from the recurrence, and returns it."""
     inv, tmp = 1.0 / b, np.empty_like(x)
-    T = np.zeros((cols, len(x)))
     T[0], T[1] = 1.0, x * inv[1]
-    for k in range(2, cols):
+    for k in range(2, len(T)):
         row = np.multiply(x, T[k - 1], out=T[k])
         row -= np.multiply(b[k - 1], T[k - 2], out=tmp)
         row *= inv[k]
     return T
 
 
-def _mirrored(T: np.ndarray, n: int) -> np.ndarray:
-    """The C-contiguous (n, cols) table of phi_k, mirrored from its rows T[k]."""
+def _mirrored(T: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Fills the (n, cols) table V of phi_k from its rows T[k] at the
+    nonnegative nodes, mirrored, and returns it; V's first rows may be T."""
     cols, h = T.shape
-    V = np.empty((n, cols))
+    n = len(V)
     for i in range(0, cols, 128):  # a blocked transpose: 3x faster at cols = 1024
         V[n - h :, i : i + 128] = T[i : i + 128].T
     np.multiply(V[n - h :][::-1][: n - h], (-1.0) ** np.arange(cols), out=V[: n - h])

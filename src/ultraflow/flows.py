@@ -370,11 +370,12 @@ def _read_off(block: list) -> np.ndarray:
     """The (n, k) coefficients of a block of samples, each given as (theta,
     the step that reaches it): the step's end density's where theta is
     None, else the step's continuous extension at theta, one ``_dense`` on
-    the stacked stages of all of those."""
+    the stacked stages of each chunk of 16 of those, which keeps the
+    extension's temporaries to 16 rows."""
     coeffs = np.column_stack([step[3].coeffs for _, step in block])
     inner = [(k, theta, step) for k, (theta, step) in enumerate(block) if theta is not None]
-    if inner:
-        columns, theta, steps = zip(*inner)
+    for i in range(0, len(inner), 16):
+        columns, theta, steps = zip(*inner[i : i + 16])
         _, dt, stages, _ = zip(*steps)
         stacks = [np.array(stage) for stage in zip(*stages)]
         coeffs[:, list(columns)] = _dense(stacks, np.array(dt)[:, None],

@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -21,6 +22,15 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 @functools.lru_cache(maxsize=32)
 def cached_quadrature(d: float, n: int):
     return Quadrature(d, n)
+
+
+def traced_peak(fn):
+    """(fn(), the peak of the memory traced while it ran, in bytes)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def unchecked_params(d, p) -> Params:

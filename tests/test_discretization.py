@@ -28,7 +28,7 @@ from ultraflow.discretization import (
 )
 from ultraflow.errors import ConvergenceError, DomainError, PositivityError, ResolutionError
 
-from conftest import cached_quadrature, normalization_constant
+from conftest import cached_quadrature, normalization_constant, traced_peak
 
 
 def ultraspherical(f):
@@ -53,7 +53,7 @@ def svd_rule(d, n, cols):
     block[np.arange(1, h), np.arange(h - 1)] = b[2::2]
     x = np.concatenate([np.zeros(n - 2 * q), np.linalg.svd(block, compute_uv=False)[::-1]])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        T = _rows(x, b, cols)
+        T = _rows(x, b, np.empty((cols, h)))
         sums = np.einsum("kj,kj->j", T, T)
         p0, p1 = T[cols - 2], T[cols - 1]
         for k in range(cols, n):
@@ -63,7 +63,49 @@ def svd_rule(d, n, cols):
     nodes, weights = np.concatenate([-x[::-1][:q], x]), np.concatenate([w[::-1][:q], w])
     if not (np.all(np.isfinite(nodes)) and np.all(weights > 0.0) and np.all(np.isfinite(T[-1]))):
         raise ConvergenceError(f"Gauss rule for d={d}, n={n} failed")
-    return nodes, weights, _mirrored(T, n)
+    return nodes, weights, _mirrored(T, np.empty((n, cols)))
+
+
+def two_table_rule(d, n, cols):
+    """_gauss_rule as it was built in two tables: the recurrence rows in
+    one, then the table mirrored from them in a second, both alive at once.
+    Kept as the oracle of the build in one table's memory, which changes
+    no bit."""
+    b = _recurrence(d, n)
+    if not np.all(np.isfinite(b)):
+        raise ConvergenceError(f"the recurrence for d={d} is not finite")
+    q = n // 2
+    odd, even = b[1:n:2], b[2:n:2]
+    btb = np.diag(odd * odd + np.append(even * even, 0.0)[:q])
+    btb[np.arange(1, q), np.arange(q - 1)] = even[: q - 1] * odd[1:]
+    x2 = np.linalg.eigvalsh(btb)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = np.concatenate([np.zeros(n - 2 * q), np.sqrt(x2)])
+        T, inv = _rows(x, b, np.zeros((cols, n - q))), 1.0 / b
+        p0, p1 = T[cols - 2], T[cols - 1]
+        for j in range(cols, n):
+            p0, p1 = p1, (x * p1 - b[j - 1] * p0) * inv[j]
+        pn = (x * p1 - b[n - 1] * p0) * inv[n]
+        k, nu = np.arange(n + 1), 1.0 - x * x
+        lower = (2.0 * k + d - 1.0) * b
+        delta = -pn * nu / (lower[n] * p1 - n * x * pn)
+        step = delta / nu
+        if cols < n:
+            p1 += step * (lower[n - 1] * p0 - (n - 1) * x * p1)
+        for i in range(cols, 1, -64):
+            lo = max(i - 64, 1)
+            moved = lower[lo:i, None] * T[lo - 1 : i - 1]
+            moved -= k[lo:i, None] * np.multiply(x, T[lo:i])
+            moved *= step
+            T[lo:i] += moved
+        x += delta
+        w = (1.0 / np.einsum("kj,kj->j", T, T) if cols == n
+             else (1.0 - x * x) / (lower[n] * b[n] * p1 * p1))
+    nodes = np.concatenate([-x[::-1][:q], x])
+    weights = np.concatenate([w[::-1][:q], w])
+    if not (np.all(np.isfinite(nodes)) and np.all(weights > 0.0) and np.all(np.isfinite(T[-1]))):
+        raise ConvergenceError(f"Gauss rule for d={d}, n={n} failed")
+    return nodes, weights, _mirrored(T, np.empty((n, cols)))
 
 
 def recurrence_slopes(d, z, values):
@@ -249,6 +291,38 @@ class TestQuadrature:
         assert np.all(w > 0.0) and abs(w.sum() - 1.0) <= 1e-14
         assert orthonormality_error(rule) <= max(orthonormality_error(ref), 1e-13)
 
+    @staticmethod
+    def _same_as_two_tables(d, n, cols):
+        try:
+            ref = two_table_rule(d, n, cols)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                _gauss_rule(d, n, cols)
+            return
+        nodes, weights, table = _gauss_rule(d, n, cols)
+        assert np.array_equal(nodes, ref[0]) and np.array_equal(weights, ref[1])
+        assert table.shape == (n, cols) and table.flags.c_contiguous
+        assert np.array_equal(table, ref[2])
+
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @given(d=st.floats(1.0, 100.0), n=st.integers(4, 600), padded=st.booleans())
+    def test_rule_in_one_table_is_the_two_table_rule(self, d, n, padded):
+        # the recurrence rows in the table's first rows, then transposed and
+        # mirrored over them, give the two-table build's bits, plain (cols =
+        # n) or padded (cols = n // 2), at even and odd n
+        self._same_as_two_tables(d, n, n // 2 if padded else n)
+
+    @pytest.mark.parametrize("d, n, cols", [(1.0, 1024, 1024), (7.3, 1023, 1023),
+                                            (3000.0, 256, 256), (3000.0, 512, 256)])
+    def test_rule_in_one_table_at_the_edges(self, d, n, cols):
+        # the Chebyshev weight, a large odd rule, and at d = 3000 the plain
+        # rule of n = 256, which builds, and its padded rule (n = 512),
+        # whose table overflows: there both builds raise ConvergenceError
+        if n == 512:
+            with pytest.raises(ConvergenceError):
+                two_table_rule(d, n, cols)
+        self._same_as_two_tables(d, n, cols)
+
     @pytest.mark.parametrize("d, n", [(1.0, 64), (5.0, 257), (30.0, 128)])
     def test_rule_builds_take_no_svd(self, d, n, monkeypatch):
         calls, svd = [], np.linalg.svd
@@ -275,20 +349,28 @@ class TestQuadrature:
 class TestTables:
     def test_rule_holds_one_table(self):
         # the values table alone, 8 MiB at n = 1024, also after both
-        # derivatives, which read it; the build peaks at 12.5 MiB (the
-        # half-rule recurrence and its mirrored table)
-        tracemalloc.start()
-        try:
+        # derivatives, which read it; the build peaks at one table plus a
+        # 64-row block, 8.9 MiB (12.5 when the half-rule recurrence and
+        # the mirrored table were two tables)
+        def build():
             quad = Quadrature(5.0, 1024)
             c = np.zeros(1024)
             quad.derivative_values(c)
             quad.second_derivative_values(c)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+            return quad, tracemalloc.get_traced_memory()[0]
+
+        (quad, held), peak = traced_peak(build)
         assert quad._padded is None
         assert held <= 8.5 * 2**20, held
-        assert peak < 16 * 2**20, peak
+        assert peak < 9.5 * 2**20, peak
+
+    def test_padded_rule_holds_one_table(self):
+        # the padded rule of (5, 512), a 4 MiB (1024, 512) table, peaks at
+        # 4.9 MiB (6.5 in two tables)
+        quad = Quadrature(5.0, 512)
+        tables, peak = traced_peak(quad._pad_tables)
+        assert tables["synth"].shape == (1024, 512)
+        assert peak < 5.25 * 2**20, peak
 
     @pytest.mark.parametrize("n", [5, 64, 128, 256])
     @pytest.mark.parametrize("d", [1.0, 2.5, 5.0, 30.0])

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -7,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from ultraflow import checks, flows
+from ultraflow import checks, cli, flows
 from ultraflow.cli import parse_init
 from ultraflow.constants import FlowSpec, Params, beta_roots, classify_region
 from ultraflow.counterexamples import conformal_coefficients
@@ -23,7 +22,7 @@ from ultraflow.errors import (ConservationError, DomainError, FlowError, Positiv
 from ultraflow.flows import Form, _full_rhs, _sample_report, evolve, make_state
 from ultraflow.functionals import dissipation_nonlinear, dissipation_report, entropy, fisher
 
-from conftest import cached_quadrature, holds
+from conftest import cached_quadrature, holds, traced_peak
 
 
 def heat_state(quad, d, p, f0, form=Form.DENSITY):
@@ -279,12 +278,7 @@ class TestExactSamples:
         # (n, 3999) stacks alone would take 16 MB
         quad = cached_quadrature(5.0, 256)
         state = heat_state(quad, 5.0, 3.0, random_positive(quad, rng, modes=8, amplitude=0.5))
-        tracemalloc.start()
-        try:
-            traj = evolve(state, 1.0, samples=4000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        traj, peak = traced_peak(lambda: evolve(state, 1.0, samples=4000))
         assert len(traj.F) == 4000
         assert peak < 4 * 2**20, peak
 
@@ -632,9 +626,10 @@ class TestDenseOutput:
 
 
 class TestBlockExtension:
-    """The stepped flow reads a block's samples inside their steps in one
-    evaluation of the continuous extension (``flows._read_off``), on stacks
-    of their steps' stages, one row per sample."""
+    """The stepped flow reads a block's samples inside their steps in
+    evaluations of the continuous extension on 16 of them at a time
+    (``flows._read_off``), on stacks of their steps' stages, one row per
+    sample."""
 
     #: fde and w at the README point, both at beta = -2 (m = 1/11), and fde
     #: at a small m, all at (d, p) = (5, 3.3) from perturb:0.3,2
@@ -677,8 +672,9 @@ class TestBlockExtension:
 
     def test_extension_runs_once_per_block(self, monkeypatch):
         # 199 later samples are four blocks: the extension runs once for
-        # each, on a stack of the block's samples inside a step (all but
-        # the last sample, which the last step ends on)
+        # each chunk of 16 of a block's samples inside a step (all but the
+        # last sample, which the last step ends on), so four times for each
+        # full block and once for the last block's 6
         extension, stacks = flows._dense, []
 
         def counted(stages, dt, theta):
@@ -688,7 +684,20 @@ class TestBlockExtension:
         monkeypatch.setattr(flows, "_dense", counted)
         evolve(self._state("fde"), 0.02, samples=200)
         n = 64
-        assert stacks == [(flows._BLOCK, n)] * 3 + [(199 - 3 * flows._BLOCK - 1, n)]
+        assert stacks == [(16, n)] * (3 * flows._BLOCK // 16) + [(199 - 3 * flows._BLOCK - 1, n)]
+
+    def test_stepped_command_memory_is_bounded_by_the_chunk(self, tmp_path, monkeypatch):
+        # the benchmark's fde command at N = 128, with its tables built
+        # beforehand, peaks at 0.5-0.7 MiB; the extension on a block's
+        # whole (64, 128) stack of samples peaked at 1.4-1.6 MiB
+        quad = Quadrature(5.0, 128)
+        quad._pad_tables()
+        monkeypatch.setattr(cli, "Quadrature", lambda d, n: quad)
+        argv = ("flow --form fde --d 5 --p 3.3 --beta 1.2126712652 --init perturb:0.3,2"
+                f" --t-end 0.02 --out {tmp_path}").split()
+        code, peak = traced_peak(lambda: cli.main(argv))
+        assert code == 0
+        assert peak < 1.3 * 2**20, peak
 
     @pytest.mark.parametrize("run", ["fde", "w-beta-2"])
     def test_sample_does_not_depend_on_its_block(self, run, monkeypatch):

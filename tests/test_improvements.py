@@ -2,7 +2,6 @@ import json
 import math
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from ultraflow.improvements import (
     verify_improved_inequality,
 )
 
-from conftest import cached_quadrature, holds, moment_of
+from conftest import cached_quadrature, holds, moment_of, traced_peak
 
 #: restart_* of the search at checks.SEARCH_GRID x seeds 0 and 3, 16 starts
 #: each, as a start-by-start descent gave them
@@ -359,12 +358,8 @@ class TestLambdaStar:
         # 256 starts go as four blocks of 64; one block's (64, 24 x 64)
         # stack of halvings is 0.75 MB, and the 256 starts descended as one
         # stack would peak above 5 MB
-        tracemalloc.start()
-        try:
-            est = estimate_lambda_star(Quadrature(4.0, 64), 3.0, restarts=256, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        est, peak = traced_peak(
+            lambda: estimate_lambda_star(Quadrature(4.0, 64), 3.0, restarts=256, seed=0))
         assert len(est.restart_values) == 256
         assert peak < 3.5 * 2**20, peak
 
