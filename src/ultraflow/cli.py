@@ -1,13 +1,15 @@
 """Command-line surface: every experiment as a reproducible run.
 
 Output goes to stdout as JSON by default; with ``--out DIR`` the artifacts
-(CSV/JSON) are written there together with a ``manifest.json`` capturing the
-command, parameters, tolerances, quadrature order and seed, and listing every
-artifact.  Re-running the same manifest reproduces the artifacts byte for
-byte.  ``verify`` prints TAP to stdout and writes no artifacts.
+(CSV/JSON) are written there together with a ``manifest.json``, which
+``_emit`` derives from the parsed arguments the same way for every command:
+command, parameters, tolerances, quadrature order, seed and every artifact.
+Re-running a manifest's parameters reproduces the artifacts byte for byte.
+Every JSON file is strict, with non-finite numbers as "inf", "-inf", "nan".
+``verify`` prints TAP to stdout and writes no artifacts.
 
-Exit codes: 0 success, 2 parameter error, 3 numerical failure,
-4 invariant violation found by ``verify``.
+Exit codes: 0 success, 2 parameter error or unusable ``--out``, 3 numerical
+failure, 4 invariant violation found by ``verify``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -29,44 +30,43 @@ from . import constants as cs
 from . import counterexamples as cx
 from . import flows as fl
 from . import improvements as im
-from .discretization import GridFn, Quadrature, random_positive
+from .discretization import GridFn, Quadrature, random_positive, write_columns
 from .errors import DomainError, UltraflowError
 
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class RunManifest:
-    command: str
-    params: dict
-    tolerances: dict
-    n: int
-    seed: int
-    artifacts: list = field(default_factory=list)
-    schema_version: int = SCHEMA_VERSION
-    package_version: str = __version__
-
-
-def _emit(obj: dict, args, manifest: RunManifest, artifacts: dict | None = None):
-    """Print ``obj`` as JSON; with ``--out``, write instead the ``artifacts``
-    (file name -> writer taking the path), then ``<cmd>.json``, then a
-    ``manifest.json`` that lists them all, and print the path of
-    ``<cmd>.json``."""
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=True)
+def _emit(obj: dict, args, artifacts: dict | None = None, tolerances: dict | None = None,
+          **params):
+    """Print ``obj`` as JSON; with ``--out``, write instead the CSV
+    ``artifacts`` (file name -> writer taking the path; ``obj`` names it under
+    "csv"), ``<cmd>.json`` and a ``manifest.json`` listing them all, and print
+    the path of ``<cmd>.json``.  The manifest's params are the parsed options
+    but ``out`` and ``cmd``, plus ``params``; n is ``--n``, else ``--grid``,
+    else 0; the seed is ``--seed``, else 0.  Both files are dumped through
+    ``_json_safe`` with ``allow_nan=False``, so a non-finite number that
+    slipped past it raises instead of writing invalid JSON."""
+    artifacts = artifacts or {}
     if not args.out:
-        print(text)
+        print(_dumps(obj))
         return
-    os.makedirs(args.out, exist_ok=True)
-    for file, write in (artifacts or {}).items():
+    for file, write in artifacts.items():
         write(os.path.join(args.out, file))
-        manifest.artifacts.append(file)
+        obj = {**obj, "csv": file}
     name = f"{args.cmd}.json"
-    manifest.artifacts.append(name)
-    record = json.dumps(asdict(manifest), indent=2, sort_keys=True)
-    for file, content in ((name, text), ("manifest.json", record)):
+    options = {k: v for k, v in vars(args).items() if k not in ("out", "cmd")}
+    record = {"command": args.cmd, "params": options | params, "tolerances": tolerances or {},
+              "n": getattr(args, "n", getattr(args, "grid", 0)), "seed": getattr(args, "seed", 0),
+              "artifacts": [*artifacts, name], "schema_version": SCHEMA_VERSION,
+              "package_version": __version__}
+    for file, content in ((name, _dumps(obj)), ("manifest.json", _dumps(record))):
         with open(os.path.join(args.out, file), "w") as fh:
             fh.write(content + "\n")
     print(os.path.join(args.out, name))
+
+
+def _dumps(obj: dict) -> str:
+    return json.dumps(_json_safe(obj), indent=2, sort_keys=True, allow_nan=False)
 
 
 def _json_safe(x):
@@ -185,9 +185,7 @@ def cmd_constants(args) -> int:
         out["kappa"] = cs.kappa_from_beta(params, args.beta)
         out["A"] = pt.A
         out["admissible"] = pt.admissible
-    manifest = RunManifest("constants", {"d": args.d, "p": args.p, "beta": args.beta},
-                           {}, 0, 0)
-    _emit(_json_safe(out), args, manifest)
+    _emit(out, args)
     return 0
 
 
@@ -226,37 +224,19 @@ def cmd_region(args) -> int:
             for column, x in zip(columns, (np.full(args.grid, d), ps, r.minus, r.plus)):
                 column.extend(x[real].tolist())
         out = {"kind": "beta_curves", "dims": dims, "rows": len(columns[0])}
-        if args.out:
-            out["csv"] = "beta_curves.csv"
-        else:
+        if not args.out:
             out["data"] = list(islice(zip(*columns), 20))
-
-        def write_curves(path):
-            """One line per row, each column formatted once (floats as repr)."""
-            with open(path, "w") as fh:
-                fh.write("d,p,beta_minus,beta_plus\n")
-                fh.writelines(map("{},{},{},{}\n".format,
-                                  *(map(float.__repr__, map(float, c)) for c in columns)))
-
-        manifest = RunManifest("region", vars_args(args), {}, args.grid, 0)
-        _emit(_json_safe(out), args, manifest, {"beta_curves.csv": write_curves})
+        header = ("d", "p", "beta_minus", "beta_plus")
+        _emit(out, args, {"beta_curves.csv": lambda path: write_columns(path, header, columns)})
         return 0
     p_hi = _finite_p_max(args.d, args.p_max if args.p_max is not None else cs.two_star(args.d))
     region, summary = cs.region_sweep(
         args.d, (args.p_min, p_hi), (args.beta_min, args.beta_max), args.grid
     )
-    if args.out:
-        summary["csv"] = "region.csv"
-    manifest = RunManifest("region", vars_args(args), {"gamma_tie_tol": cs.GAMMA_TIE_TOL},
-                           args.grid, 0)
-    _emit(_json_safe({"kind": "region_sweep", **summary}), args, manifest,
-          {"region.csv": lambda path: cs.region_rows_to_csv(region, path)})
+    _emit({"kind": "region_sweep", **summary}, args,
+          {"region.csv": lambda path: cs.region_rows_to_csv(region, path)},
+          {"gamma_tie_tol": cs.GAMMA_TIE_TOL})
     return 0
-
-
-def vars_args(args) -> dict:
-    skip = {"out", "cmd"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
 
 
 #: the four flow names: the form, and whether the name is the heat flow
@@ -300,18 +280,9 @@ def cmd_flow(args) -> int:
         "F_monotone_nonincreasing": traj.monotone_decreasing_F(),
         "conservation_drift": max(abs(c - traj.conserved[0]) for c in traj.conserved),
     }
-    params_record = vars_args(args)
-    params_record["scheme"] = "exact-diagonal" if fl.integrates_exactly(spec) else "etdrk4"
-    manifest = RunManifest(
-        "flow",
-        params_record,
-        {"tol_cons": args.tol_cons, "tol_mono": fl.TOL_MONO},
-        args.n,
-        args.seed,
-    )
-    if args.out:
-        out["csv"] = "trajectory.csv"
-    _emit(_json_safe(out), args, manifest, {"trajectory.csv": traj.to_csv})
+    _emit(out, args, {"trajectory.csv": traj.to_csv},
+          {"tol_cons": args.tol_cons, "tol_mono": fl.TOL_MONO},
+          scheme="exact-diagonal" if fl.integrates_exactly(spec) else "etdrk4")
     return 0
 
 
@@ -325,8 +296,7 @@ def cmd_counterexample(args) -> int:
         out["first_obstruction"] = cx.first_obstruction(args.d, args.a, args.b, quad)
     if args.p is not None:
         out["second_obstruction"] = cx.second_obstruction(args.d, args.p, args.a, args.b, quad)
-    manifest = RunManifest("counterexample", vars_args(args), {}, args.n, 0)
-    _emit(_json_safe(out), args, manifest)
+    _emit(out, args)
     return 0
 
 
@@ -338,8 +308,7 @@ def cmd_improve(args) -> int:
         out["verify"] = im.verify_improved_inequality(  # on 64 nodes whatever --n is
             quad if quad.n == 64 else Quadrature(args.d, 64), args.p, est.lambda_bound,
             samples=args.samples, seed=args.seed)
-    manifest = RunManifest("improve", vars_args(args), {}, args.n, args.seed)
-    _emit(_json_safe(out), args, manifest)
+    _emit(out, args)
     return 0
 
 
@@ -461,11 +430,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "out", None):  # first: a bad path costs no computation
+            os.makedirs(args.out, exist_ok=True)
         # a floating-point error that no local np.errstate expects is numerical
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return globals()[f"cmd_{args.cmd}"](args)  # looked up now: a patched one runs
     except DomainError as exc:
         print(json.dumps({"error": "parameter", "message": str(exc)}), file=sys.stderr)
+        return 2
+    except OSError as exc:  # an --out that cannot be made or written: str(exc) names the path
+        print(json.dumps({"error": "parameter", "message": f"--out: {exc}"}), file=sys.stderr)
         return 2
     except (UltraflowError, FloatingPointError) as exc:
         print(json.dumps({"error": "numerical", "message": str(exc)}), file=sys.stderr)

@@ -305,8 +305,17 @@ class GridFn:
     # -- serialization -------------------------------------------------------
 
     def to_csv(self, path):
-        data = np.column_stack([self.quad.nodes, self.values])
-        np.savetxt(path, data, delimiter=",", header="z,value", comments="", fmt="%.17g")
+        write_columns(path, ("z", "value"), (self.quad.nodes, self.values))
+
+
+def write_columns(path, header, columns):
+    """The CSV file of equal-length ``columns`` under the names ``header``:
+    one line per row, each column formatted once, each cell repr(float(x)),
+    so that the file reads back the exact values."""
+    row = ",".join(["{}"] * len(columns)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(map(row.format, *(map(float.__repr__, map(float, c)) for c in columns)))
 
 
 def resolution_fraction(coeffs: np.ndarray):

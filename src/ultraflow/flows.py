@@ -52,7 +52,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import FlowSpec, Params
-from .discretization import EPS_POS, GridFn, Quadrature, require_resolved
+from .discretization import EPS_POS, GridFn, Quadrature, require_resolved, write_columns
 from .errors import (ConservationError, DomainError, FlowError, PositivityError,
                      PositivityLossError, ResolutionError)
 from .functionals import _dirichlet, _entropy
@@ -404,11 +404,8 @@ class Trajectory:
         return all(f1 <= f0 + TOL_MONO for f0, f1 in zip(self.F, self.F[1:]))
 
     def to_csv(self, path):
-        """One line per sample, each column formatted once (floats as repr)."""
-        with open(path, "w") as fh:
-            fh.write("t,F,E_p,I_p,conserved,moment_z\n")
-            fh.writelines(map("{},{},{},{},{},{}\n".format,
-                              *(map(float.__repr__, map(float, c)) for c in self.columns())))
+        """One line per sample (``write_columns``)."""
+        write_columns(path, ("t", "F", "E_p", "I_p", "conserved", "moment_z"), self.columns())
 
 
 def _sample_report(state: FlowState, rho: np.ndarray):

@@ -102,9 +102,11 @@ def _g(r: np.ndarray, k: float) -> np.ndarray:
 
 
 def fisher(rho: GridFn, p: float) -> float:
-    """int |(rho^(1/p))'|^2 nu against the measure."""
+    """int |(rho^(1/p))'|^2 nu against the measure, read off the coefficients
+    of u = rho^(1/p) under the resolution check, as a flow sample reads it."""
     rho.require_positive(what="density")
     u = GridFn.from_values(rho.quad, rho.values ** (1.0 / p))
+    u.require_resolved()
     return _dirichlet(rho.quad, u.coeffs)
 
 

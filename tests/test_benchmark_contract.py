@@ -10,7 +10,10 @@ import math
 import sys
 from pathlib import Path
 
+import pytest
+
 from ultraflow import cli, flows, functionals
+from ultraflow.errors import ResolutionError
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -30,10 +33,14 @@ def test_workloads_import():
 
 def test_u_reference_runs():
     # the u check's reference materializes its datum through the pointwise
-    # form by the name the benchmark uses
+    # form by the name the benchmark uses.  At N = 32 the u command it
+    # stands for resolves its datum (exit 0); at N = 16 that command exits
+    # 3, and the reference's deficit refuses the unresolved u as well
     workloads = _load("workloads")
-    value = workloads._u_reference({"d": 5.0, "p": 3.0, "N": 16, "t_end": 0.01}, 3)
+    value = workloads._u_reference({"d": 5.0, "p": 3.0, "N": 32, "t_end": 0.01}, 3)
     assert math.isfinite(value) and value > 0.0
+    with pytest.raises(ResolutionError):
+        workloads._u_reference({"d": 5.0, "p": 3.0, "N": 16, "t_end": 0.01}, 3)
 
 
 def test_tracer_installs_and_uninstalls():

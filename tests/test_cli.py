@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from ultraflow import flows as fl
+from ultraflow import cli, flows as fl
 from ultraflow.checks import SUITES
 from ultraflow.cli import main
 from ultraflow.constants import FlowSpec, Params, classify_region
@@ -54,10 +54,19 @@ def run_main(capsys, *args):
     return rc, captured.out, captured.err
 
 
+def strict_json(text):
+    """``text`` parsed as RFC 8259 JSON: a NaN or Infinity raises."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def assert_exits_cleanly(argv, artifact=None):
     """In-process, where warnings are errors: exit 0, 2 or 3, stderr empty or
     one JSON error line, and every number of an exit-0 output finite: of
-    stdout, or of the JSON file ``artifact`` that the command writes."""
+    stdout, or of the JSON file ``artifact`` that the command writes, beside
+    which the ``manifest.json`` must be strict JSON."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
@@ -71,6 +80,8 @@ def assert_exits_cleanly(argv, artifact=None):
                    parse_int=lambda x: numbers.append(float(x)),
                    parse_constant=lambda x: numbers.append(float(x)))
         assert all(map(math.isfinite, numbers))
+        if artifact is not None:
+            strict_json(Path(artifact).with_name("manifest.json").read_text())
 
 
 class TestConstantsCommand:
@@ -929,3 +940,122 @@ class TestInProcessEntry:
 
     def test_main_parameter_error(self, capsys):
         assert main(["constants", "--d", "3", "--p", "9"]) == 2
+
+
+#: one command of each artifact-writing kind -> the manifest's command, n,
+#: seed, tolerances, artifacts and params keys, as the per-command records
+#: wrote them: n is --n, else --grid, else 0; the seed is --seed, else 0
+TOL_FLOW = {"tol_cons": 1e-9, "tol_mono": 1e-9}
+FLOW_PARAMS = ["beta", "d", "dt_max", "form", "init", "m", "n", "p", "samples", "scheme",
+               "seed", "t_end", "tol_cons"]
+REGION_PARAMS = ["beta_max", "beta_min", "curves", "d", "grid", "p_max", "p_min"]
+RUN_RECORDS = {
+    "constants --d 5 --p 3.25 --beta 1.2":
+        ("constants", 0, 0, {}, ["constants.json"], ["beta", "d", "p"]),
+    "region --d 4 --grid 21":
+        ("region", 21, 0, {"gamma_tie_tol": 1e-11}, ["region.csv", "region.json"],
+         REGION_PARAMS),
+    "region --d 3 --curves 3,4,5 --grid 24":
+        ("region", 24, 0, {}, ["beta_curves.csv", "region.json"], REGION_PARAMS),
+    "flow --form heat --d 5 --p 3 --init random:3,8 --t-end 0.4 --samples 20 --n 96":
+        ("flow", 96, 0, TOL_FLOW, ["trajectory.csv", "flow.json"], FLOW_PARAMS),
+    "flow --form u --d 5 --p 3 --init random:3,8 --t-end 0.01 --samples 5 --n 32 --seed 4":
+        ("flow", 32, 4, TOL_FLOW, ["trajectory.csv", "flow.json"], FLOW_PARAMS),
+    "flow --form w --d 5 --p 3.3 --beta 1.2126712652 --init perturb:0.3,2 --t-end 0.01 "
+    "--samples 6 --n 64":
+        ("flow", 64, 0, TOL_FLOW, ["trajectory.csv", "flow.json"], FLOW_PARAMS),
+    "flow --form fde --d 5 --p 3.3 --m 0.6 --init perturb:0.3,2 --t-end 0.01 --samples 6 "
+    "--n 64 --dt-max 0.005":
+        ("flow", 64, 0, TOL_FLOW, ["trajectory.csv", "flow.json"], FLOW_PARAMS),
+    "counterexample --d 5 --p 3.25 --a 1 --b 0.4 --n 64":
+        ("counterexample", 64, 0, {}, ["counterexample.json"], ["a", "b", "d", "n", "p"]),
+    "improve --d 4 --p 3 --restarts 2 --samples 20 --seed 1":
+        ("improve", 64, 1, {}, ["improve.json"],
+         ["d", "n", "p", "restarts", "samples", "seed"]),
+}
+#: the flow names' schemes: the heat flow integrates exactly, the rest step
+SCHEMES = {"heat": "exact-diagonal", "u": "exact-diagonal", "w": "etdrk4", "fde": "etdrk4"}
+
+
+class TestRunRecord:
+    """The ``--out`` record: a ``manifest.json`` derived from the arguments
+    the same way for every command, strict JSON in every file, and an
+    ``--out`` that cannot be used refused before the command runs."""
+
+    @staticmethod
+    def replay_argv(manifest: dict) -> list[str]:
+        """The command and each non-null parameter but ``scheme``, which the
+        flow records and takes no option for."""
+        return [manifest["command"]] + [
+            f"--{key.replace('_', '-')}={value}"
+            for key, value in manifest["params"].items()
+            if value is not None and key != "scheme"]
+
+    @pytest.mark.parametrize("cmd", sorted(RUN_RECORDS))
+    def test_manifest_replay_reproduces_every_file(self, cmd, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        rc, _, _ = run_main(capsys, *cmd.split(), "--out", str(a))
+        assert rc == 0
+        argv = self.replay_argv(json.loads((a / "manifest.json").read_text()))
+        rc, _, _ = run_main(capsys, *argv, "--out", str(b))
+        assert rc == 0
+        files = sorted(f.name for f in a.iterdir())
+        assert files == sorted(f.name for f in b.iterdir())
+        for name in files:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    @pytest.mark.parametrize("cmd", sorted(RUN_RECORDS))
+    def test_manifest_fields_are_derived_from_the_arguments(self, cmd, tmp_path, capsys):
+        rc, _, _ = run_main(capsys, *cmd.split(), "--out", str(tmp_path))
+        assert rc == 0
+        manifest = strict_json((tmp_path / "manifest.json").read_text())
+        command, n, seed, tolerances, artifacts, params = RUN_RECORDS[cmd]
+        assert (manifest["command"], manifest["n"], manifest["seed"], manifest["tolerances"],
+                manifest["artifacts"], sorted(manifest["params"])) == (
+            command, n, seed, tolerances, artifacts, params)
+        assert (manifest["schema_version"], manifest["package_version"]) == (1, "0.1.0")
+        assert sorted(f.name for f in tmp_path.iterdir()) == sorted(artifacts + ["manifest.json"])
+        if command == "flow":
+            assert manifest["params"]["scheme"] == SCHEMES[cmd.split()[2]]
+        report = strict_json((tmp_path / f"{command}.json").read_text())
+        assert report.get("csv") == next((a for a in artifacts if a.endswith(".csv")), None)
+
+    def test_readme_out_files_are_strict_json(self, tmp_path, capsys):
+        # every JSON file that the README's --out commands write parses as
+        # RFC 8259 JSON: flow's default --dt-max is recorded as "inf", not
+        # as the bare Infinity that no strict parser reads
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        commands = [line.split()[1:] for line in readme.splitlines()
+                    if line.startswith("ultraflow ") and "--out" in line]
+        assert [argv[0] for argv in commands] == ["region", "region", "flow"]
+        for argv in commands:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / argv[at])
+            rc, _, _ = run_main(capsys, *argv)
+            assert rc == 0
+            for path in Path(argv[at]).glob("*.json"):
+                strict_json(path.read_text())
+        manifest = strict_json((tmp_path / "out" / "heat" / "manifest.json").read_text())
+        assert manifest["params"]["dt_max"] == "inf"
+
+    @pytest.mark.parametrize("argv, bad", [
+        (["constants", "--d", "5", "--p", "3"], "{file}"),
+        (["region", "--d", "5", "--grid", "5"], "{file}/sub"),
+    ], ids=["existing-file", "under-a-file"])
+    def test_unusable_out_is_a_parameter_error(self, argv, bad, tmp_path, capsys, monkeypatch):
+        # the path is made before the command runs, and its failure is one
+        # JSON line naming it, exit 2, not a traceback after the computation
+        file = tmp_path / "F"
+        file.write_text("")
+        out = bad.format(file=file)
+
+        def computed(args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", computed)
+        rc, stdout, err = run_main(capsys, *argv, "--out", out)
+        assert (rc, stdout) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        message = json.loads(lines[0])
+        assert message["error"] == "parameter" and repr(out) in message["message"]

@@ -457,6 +457,16 @@ class TestGridFn:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.allclose(data[:, 1], f.values, rtol=0, atol=0)
 
+    def test_csv_bytes_are_the_per_cell_repr(self, quad5, tmp_path):
+        # as a trajectory's: repr(float(x)) per cell, on values with -0.0,
+        # subnormals, infinities and NaN, which the record holds as given
+        cells = np.array([0.0, -0.0, 5e-324, 1e300, 1 / 3, 0.1 + 0.2, np.inf, -np.inf, np.nan])
+        values = np.resize(cells, quad5.n)
+        GridFn(quad5, values, np.zeros(quad5.n)).to_csv(tmp_path / "f.csv")
+        expected = "z,value\n" + "".join(f"{float(z)!r},{float(v)!r}\n"
+                                         for z, v in zip(quad5.nodes, values))
+        assert (tmp_path / "f.csv").read_text() == expected
+
 
 class TestOperators:
     def test_constant_in_kernel(self, quad5):

@@ -138,6 +138,23 @@ class TestFisher:
         direct = float(np.sum(quad5.weights * quad5.nu * derivative(u) ** 2))
         assert abs(fisher(rho_power(quad5, u.values, 3.3), 3.3) - direct) < 1e-11
 
+    def test_unresolved_u_is_refused(self):
+        # rho = 1 + 0.02 phi_14 at (d, N) = (5, 16): u = rho^(1/3) carries
+        # 6.7e-3 of its norm in the top modes.  I_p is read off u as a flow
+        # sample and the quotient read it, so all refuse it, as the heat flow
+        # from rho does, where fisher gave 0.0112 and deficit 0.00219
+        from ultraflow.constants import FlowSpec
+        from ultraflow.flows import Form, evolve, make_state
+
+        quad = cached_quadrature(5.0, 16)
+        rho = GridFn.from_values(quad, 1.0 + 0.02 * eigenfunction(quad, 14).values)
+        u = GridFn.from_values(quad, rho.values ** (1.0 / 3.0))
+        state = make_state(Form.DENSITY, FlowSpec.heat(Params(5.0, 3.0)), rho)
+        for refused in (lambda: fisher(rho, 3.0), lambda: deficit(rho, 3.0),
+                        lambda: quotient(u, 3.0), lambda: evolve(state, 0.01)):
+            with pytest.raises(ResolutionError, match="top modes carry 6.66e-03"):
+                refused()
+
 
 class TestDirichletForm:
     @staticmethod
