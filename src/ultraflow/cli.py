@@ -265,8 +265,7 @@ def cmd_flow(args) -> int:
     quad = Quadrature(args.d, args.n)
     f0 = parse_init(args.init, quad, params, form, spec.beta)
     state = fl.make_state(form, spec, f0)
-    traj = fl.evolve(state, args.t_end, samples=args.samples, dt_max=args.dt_max,
-                     tol_cons=args.tol_cons)
+    traj = fl.evolve(state, args.t_end, samples=args.samples, dt_max=args.dt_max)
     out = {
         "form": args.form,
         "d": args.d,
@@ -281,7 +280,7 @@ def cmd_flow(args) -> int:
         "conservation_drift": max(abs(c - traj.conserved[0]) for c in traj.conserved),
     }
     _emit(out, args, {"trajectory.csv": traj.to_csv},
-          {"tol_cons": args.tol_cons, "tol_mono": fl.TOL_MONO},
+          {"tol_cons": fl.TOL_CONS, "tol_mono": fl.TOL_MONO},
           scheme="exact-diagonal" if fl.integrates_exactly(spec) else "etdrk4")
     return 0
 
@@ -391,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=128)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--dt-max", type=float, default=math.inf)
-    p.add_argument("--tol-cons", type=float, default=fl.TOL_CONS)
     p.add_argument("--seed", type=_seed, default=0,
                    help="recorded in manifest.json only; random data take their seed "
                         "from --init random:seed,modes")

@@ -31,7 +31,7 @@ stack, on the stacked stages of its samples' steps; only the last step is
 cut, to land on the last time.  Either flow only hands ``evolve`` its
 samples' coefficients, in stacks of at most _BLOCK, and ``evolve`` alone
 holds the rule for samples: one synthesis per stack, the positivity guard
-and, on a stepped flow, the drift check per column, one report of the
+and the drift check (relative to the datum's) per column, one report of the
 columns before the first failure (``_sample_report``), then the failure at
 that column's time.
 The steps are fourth-order ETDRK4 (Cox and Matthews 2002) on the split
@@ -57,8 +57,8 @@ from .errors import (ConservationError, DomainError, FlowError, PositivityError,
                      PositivityLossError, ResolutionError)
 from .functionals import _dirichlet, _entropy
 
-#: defaults: the drift of the conserved quantity a run may show, the rise of
-#: F that still counts as nonincreasing, a step's local-error estimate
+#: tolerances: a run's drift of int rho and rise of F, relative to int rho0
+#: and ||u0||_p^2 (``Trajectory.rise_tol``), a step's local-error estimate
 #: relative to the state's coefficient 2-norm, the step size (on the clock
 #: s) below which the controller gives up, and the most steps a cap on the
 #: step size may ask for (s_end / h_max), past which a run would not end
@@ -126,19 +126,21 @@ def _density_values(form: Form, spec: FlowSpec, f: GridFn) -> np.ndarray:
 
 
 def make_state(form: Form, spec: FlowSpec, f0: GridFn) -> FlowState:
-    """Validated initial state at t = 0; computes the conserved quantity,
-    which must be finite (ConservationError)."""
+    """Validated initial state at t = 0: a positive datum whose conserved
+    quantity is finite (ConservationError) and density above the floor (PositivityError)."""
     if form is Form.POINTWISE and spec.beta_is_infinite:
-        raise DomainError(
-            "the rescaled pointwise form does not exist for infinite beta; "
-            "run the density form with m = 1 - 2/p instead"
-        )
+        raise DomainError("the rescaled pointwise form does not exist for infinite beta; "
+                          "run the density form with m = 1 - 2/p instead")
     f0.require_positive(what="initial datum")
     with np.errstate(over="ignore"):  # w^(beta p) past the float range: refused below
-        conserved = float(f0.quad.weights @ _density_values(form, spec, f0))
+        rho = _density_values(form, spec, f0)
+    conserved = float(f0.quad.weights @ rho)
     if not math.isfinite(conserved):
         raise ConservationError(
             f"the initial datum's conserved quantity is {conserved}, not finite", t=0.0)
+    if not rho.min() > EPS_POS:
+        raise PositivityError(f"initial density has min nodal value {rho.min():.3e} "
+                              f"<= {EPS_POS:.1e}")
     return FlowState(0.0, f0, form, spec, conserved)
 
 
@@ -228,8 +230,8 @@ def _weights(z: np.ndarray, rows: slice):
 
 
 def _imex_step(form: Form, spec: FlowSpec, quad: Quadrature, c: np.ndarray, dt: float):
-    """One ETDRK4 step of dt from c (Cox and Matthews 2002), the 2-norm of
-    its local-error estimate and the stages its continuous extension reads
+    """One ETDRK4 step of dt from c (Cox and Matthews 2002), its local-error
+    estimate (a coefficient vector) and the stages its continuous extension reads
     (``_dense``).  Four right-hand sides, all split by the first one's
     sigma: with E = e^(z/2), phi = phi1(z/2) and z = -dt sigma lam, the
     stages a = E c + (dt/2) phi N(c), b = E c + (dt/2) phi N(a), d = E a +
@@ -253,8 +255,7 @@ def _imex_step(form: Form, spec: FlowSpec, quad: Quadrature, c: np.ndarray, dt: 
     nd = _full_rhs(spec, quad, d)[0] + sl * d
     ab, w2 = na + nb, 2.0 * dt * f2
     error = w2 * (ab - n0 - nd)
-    return (e_half * ec + dt * (f1 * n0 + f3 * nd) + w2 * ab, math.sqrt(error @ error),
-            (c, z, n0, ab, nd))
+    return e_half * ec + dt * (f1 * n0 + f3 * nd) + w2 * ab, error, (c, z, n0, ab, nd)
 
 
 def _dense(stages, dt, theta) -> np.ndarray:
@@ -305,30 +306,33 @@ def _advance_to(spec: FlowSpec, step: tuple, s_target: float, s_end: float, h: f
 
     A step is accepted when its local-error estimate, the distance of the
     embedded ETD2 value in the coefficient 2-norm (the L2(nu) norm), is at
-    most TOL_STEP times the norm of the state it starts from.  The next
-    step scales by 0.9 (tol/error)^(1/3) (Hairer and Wanner, IV.8) within
-    [0.2, 5], not above 1 after a rejection; a step that loses positivity
-    (or whose estimate is NaN) halves.  A rejected attempt passes the same
-    coefficient array to the step again.  An accepted step whose top modes
-    carry more than the resolution tolerance raises ResolutionError: a
-    smaller step cannot resolve them.  A step size below DT_MIN
-    (PositivityLossError) or a power past the float range (FlowError) fails
-    at the step's start s, which ``evolve`` reports as a flow time."""
+    most TOL_STEP times the norm of the state it starts from, both norms of
+    vectors times 2^-k, k the mass coefficient's exponent: exact, and finite
+    at any density.  The next step scales by 0.9 (tol/error)^(1/3) (Hairer
+    and Wanner, IV.8) within [0.2, 5], not above 1 after a rejection; a step
+    that loses positivity (or whose estimate is NaN) halves.  A rejected
+    attempt passes the same coefficient array to the step again.  An accepted
+    step whose top modes carry more than the resolution tolerance raises
+    ResolutionError: a smaller step cannot resolve them.  A step size below
+    DT_MIN (PositivityLossError) or a power past the float range (FlowError)
+    fails at the step's start s, which ``evolve`` reports as a flow time."""
     start, size, stages, rho = step
     quad, s, grow = rho.quad, start + size, 5.0
     slack = 1e-14 * max(1.0, abs(s_target))
+    unit = math.ldexp(1.0, -math.frexp(rho.coeffs[0])[1])  # every step keeps mode 0
     while s < s_target - slack:
         dt = min(h, h_max, s_end - s)
         try:
             with np.errstate(over="ignore"):  # a power past the float range: _full_rhs refuses it
                 c, error, trial_stages = _imex_step(Form.DENSITY, spec, quad, rho.coeffs, dt)
+                error = float(np.linalg.norm(unit * error))
             trial = GridFn.from_coeffs(quad, c)
         except PositivityError:
             trial, error = None, math.inf
         except FlowError as exc:  # _full_rhs knows no time
             exc.t = s
             raise
-        tol = TOL_STEP * math.sqrt(rho.coeffs @ rho.coeffs)
+        tol = TOL_STEP * float(np.linalg.norm(unit * rho.coeffs))
         scale = 0.9 * (tol / error) ** (1.0 / 3.0) if error else math.inf
         positive = trial is not None and trial.is_positive()
         if positive and error <= tol:
@@ -400,8 +404,13 @@ class Trajectory:
     def columns(self) -> tuple[list[float], ...]:
         return self.times, self.F, self.E_p, self.I_p, self.conserved, self.moment_z
 
+    def rise_tol(self) -> float:
+        """A rise of F within rounding: TOL_MONO ||u0||_p^2, F being of degree 2 in u."""
+        return TOL_MONO * self.conserved[0] ** (2.0 / self.final_state.params.p)
+
     def monotone_decreasing_F(self) -> bool:
-        return all(f1 <= f0 + TOL_MONO for f0, f1 in zip(self.F, self.F[1:]))
+        tol = self.rise_tol()
+        return all(f1 <= f0 + tol for f0, f1 in zip(self.F, self.F[1:]))
 
     def to_csv(self, path):
         """One line per sample (``write_columns``)."""
@@ -421,13 +430,8 @@ def _sample_report(state: FlowState, rho: np.ndarray):
     return e, _dirichlet(quad, c)
 
 
-def evolve(
-    state: FlowState,
-    t_end: float,
-    samples: int = 50,
-    dt_max: float = math.inf,
-    tol_cons: float = TOL_CONS,
-) -> Trajectory:
+def evolve(state: FlowState, t_end: float, samples: int = 50,
+           dt_max: float = math.inf) -> Trajectory:
     """Integrate to t_end, recording ``samples`` evenly spaced snapshots
     (endpoints included); each evaluates E_p and I_p once, from the density.
     The datum is recorded alone.  The heat flow, in either form, hands out
@@ -439,8 +443,8 @@ def evolve(
 
     This is the one rule for samples.  Each stack of at most _BLOCK is
     synthesized in one product.  Its first column that is not positive
-    (PositivityLossError), or, on a stepped flow, whose conserved quantity
-    is not within tol_cons of the datum's (ConservationError), fails;
+    (PositivityLossError), or whose conserved quantity is off the datum's
+    by more than TOL_CONS of it, on every flow (ConservationError), fails;
     positivity is checked first.  The columns before it are recorded with
     one stacked report, where the first column with top modes above the
     resolution tolerance raises ResolutionError, and then the failure
@@ -454,8 +458,6 @@ def evolve(
         raise DomainError("need at least 2 samples (both endpoints)")
     if not dt_max > 0.0:
         raise DomainError(f"dt_max must be positive, got {dt_max}")
-    if not 0.0 < tol_cons < math.inf:
-        raise DomainError(f"tol_cons must be positive and finite, got {tol_cons}")
     rate = _clock_rate(state)
     s_end = rate * (t_end - state.t)
     if not s_end < math.inf:
@@ -483,8 +485,7 @@ def evolve(
     record(state.t, rho.values)
     if rate:
         s, exact = rate * (times[1:] - state.t), integrates_exactly(state.spec)
-        tol = math.inf if exact else tol_cons  # the exact flow keeps the mass c0 to the bit
-        done, failure = 1, None
+        tol, done, failure = TOL_CONS * state.conserved0, 1, None
         try:
             for coeffs in _exact(rho, s) if exact else _stepped(state.spec, rho, s, h_max):
                 ts, values = times[done : done + coeffs.shape[1]], quad.to_values(coeffs)
@@ -499,7 +500,7 @@ def evolve(
                     t = float(ts[k])
                     failure = (PositivityLossError("the flow lost positivity", t=t) if not positive[k]
                                else ConservationError(f"conserved quantity drifted by "
-                                                      f"{drift[k]:.3e} > {tol_cons:.1e}", t=t))
+                                                      f"{drift[k]:.3e} > {tol:.3e}", t=t))
                     break
         except FlowError as exc:  # a failed step, at its start on the clock s
             exc.t = state.t + exc.t / rate

@@ -78,10 +78,10 @@ def _quadratics(c: np.ndarray, num_w: np.ndarray, den_w: np.ndarray):
 
 def rayleigh_quotient(v: GridFn) -> float:
     """int (L v)^2 / int |v'|^2 nu; diagonal in the spectral basis."""
-    den = _dirichlet(v.quad, v.coeffs)
+    num, den = _quadratics(v.coeffs, v.quad.eigenvalues**2, v.quad.eigenvalues)
     if den <= 0.0:
         raise ZeroDivisionError("quotient undefined for constant input")
-    return float(v.quad.eigenvalues**2 @ v.coeffs**2 / den)
+    return float(num / den)
 
 
 # -- constraint projection ----------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, example, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from ultraflow import cli, flows as fl
 from ultraflow.checks import SUITES
@@ -334,11 +334,10 @@ class TestFlowCommand:
     @pytest.mark.parametrize("form", ["w", "heat"])
     @pytest.mark.parametrize(
         "args",
-        [["--t-end", "inf"], ["--t-end", "nan"], ["--tol-cons", "nan"], ["--tol-cons", "0"],
-         ["--tol-cons", "inf"]],
+        [["--t-end", "inf"], ["--t-end", "nan"]],
     )
     def test_malformed_flow_number_is_parameter_error(self, form, args, capsys):
-        # a flow that cannot end, or a drift budget that no comparison enforces
+        # a flow that cannot end
         argv = ["flow", "--form", form, "--d", "5", "--p", "3.3", *BETA_ARGS[form],
                 "--init", "random:1,4", "--t-end", "0.1", "--n", "32"]
         rc, _, err = run_main(capsys, *argv, *args)
@@ -649,6 +648,84 @@ class TestFlowCommand:
             assert_exits_cleanly(argv + [f"--out={out}"], Path(out) / "flow.json")
 
 
+class TestScaleFreeGates:
+    """The flow's drift and rise-of-F checks scale with the datum: the
+    inequality is homogeneous of degree 2 in u and every flow conserves
+    int rho, so a datum scaled up or down runs as the datum does."""
+
+    @pytest.mark.parametrize("argv", [
+        # a stationary constant of large mass: its drift is rounding, 2.4e-16
+        # and 1.2e-16 of the mass, where an absolute 1e-9 stopped both runs
+        "--form fde --d 5 --p 3.3 --m 0.6 --init const:1e12 --t-end 0.01 --n 32 --samples 3",
+        "--form w --d 5 --p 3.3 --beta 1.2 --init const:1e8 --t-end 0.01 --n 32 --samples 3",
+        # a conformal datum of small base, whose density is of order 1e10
+        "--form fde --d 5 --p 3 --m 0.8 --init conformal:0.01,0.004 --t-end 3 --n 64",
+        # the exact flow's F rises by 1.05e-9 in rounding, against
+        # ||u0||_p^2 = 1.27e12
+        "--form heat --d 5 --p 3 --init conformal:1e-4,4e-5 --t-end 3 --n 64",
+    ])
+    def test_large_datum_runs_as_the_datum_does(self, argv, capsys):
+        rc, out, err = run_main(capsys, "flow", *argv.split())
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["F_monotone_nonincreasing"] is True
+
+    @pytest.mark.parametrize("argv, density", [
+        ("--form u --d 5 --p 3 --init const:1e-6 --t-end 1 --n 32", "1.000e-18"),
+        ("--form w --d 5 --p 3.3 --beta -2 --init const:1e6 --t-end 0.05 --n 32 --samples 5",
+         "2.512e-40"),
+    ])
+    def test_density_below_the_floor_is_refused_at_the_datum(self, argv, density, capsys):
+        # u = 1e-6 and w = 1e6 are above the floor, their densities u^3 and
+        # w^(-6.6) are not: the datum is refused, not a loss of positivity
+        # or a step-size underflow reported later
+        rc, out, err = run_main(capsys, "flow", *argv.split())
+        assert (rc, out) == (3, "")
+        assert json.loads(err)["message"] == (
+            f"initial density has min nodal value {density} <= 1.0e-12")
+
+    def test_tol_cons_is_no_option(self, capsys):
+        rc = main(["flow", "--form", "heat", "--d", "5", "--p", "3", "--init", "const:1",
+                   "--t-end", "0.1", "--n", "16", "--tol-cons", "1e-9"])
+        assert rc == 2 and "unrecognized arguments: --tol-cons" in capsys.readouterr().err
+
+    #: each flow name with the exponents whose powers of a density in
+    #: [1e-6, 1e250] stay in the float range: m in [0, 1.2] on the density
+    #: form, which runs backward below 0, and in [-2, 1.2] on the pointwise
+    #: form, given as --m or as the --beta of that m (beta < 0 below the
+    #: critical m = 1 - 2/p)
+    MEMBER = (st.tuples(st.sampled_from(["heat", "u"]), st.none(), st.just(1.0))
+              | st.tuples(st.just("fde"), st.sampled_from(["--beta", "--m"]), st.floats(0.0, 1.2))
+              | st.tuples(st.just("w"), st.sampled_from(["--beta", "--m"]), st.floats(-2.0, 1.2)))
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(MEMBER, st.floats(0.0, 1.0))
+    @example(("heat", None, 1.0), 1.0)
+    @example(("fde", "--m", 0.6), 1.0)
+    @example(("w", "--beta", -2.0), 0.0)
+    def test_constant_datum_of_any_size_stands_still(self, member, position):
+        # the datum const:c and its density c^(beta p) both lie in
+        # [1e-6, 1e250], at ``position`` along the range of log10 density
+        # that allows: the run is stationary, so it must end with exit 0 and
+        # F nonincreasing, whatever the scale
+        form, option, m = member
+        p = 3.3
+        beta = 1.0 if option is None else FlowSpec.nonlinear_from_m(Params(5.0, p), m).beta
+        assume(math.isfinite(beta))  # the critical m has no pointwise form
+        power = beta * p if form in ("u", "w") else 1.0
+        ends = sorted((-6.0 * power, 250.0 * power))  # log10 density where c is in range
+        lo, hi = max(-6.0, ends[0]), min(250.0, ends[1])
+        c = 10.0 ** ((lo + position * (hi - lo)) / power)
+        argv = ["flow", f"--form={form}", "--d=5", f"--p={p!r}", f"--init=const:{c!r}",
+                "--t-end=0.01", "--n=16", "--samples=3"]
+        if option is not None:
+            argv.append(f"{option}={m if option == '--m' else beta!r}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert (rc, err.getvalue()) == (0, "")
+        assert json.loads(out.getvalue())["F_monotone_nonincreasing"] is True
+
+
 class TestCounterexampleCommand:
     def test_full_report(self, capsys):
         rc, out, _ = run_main(capsys, "counterexample", "--d", "5", "--p", "3.25")
@@ -947,7 +1024,7 @@ class TestInProcessEntry:
 #: wrote them: n is --n, else --grid, else 0; the seed is --seed, else 0
 TOL_FLOW = {"tol_cons": 1e-9, "tol_mono": 1e-9}
 FLOW_PARAMS = ["beta", "d", "dt_max", "form", "init", "m", "n", "p", "samples", "scheme",
-               "seed", "t_end", "tol_cons"]
+               "seed", "t_end"]
 REGION_PARAMS = ["beta_max", "beta_min", "curves", "d", "grid", "p_max", "p_min"]
 RUN_RECORDS = {
     "constants --d 5 --p 3.25 --beta 1.2":

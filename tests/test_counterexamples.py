@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ultraflow import counterexamples, functionals
+from ultraflow import counterexamples, flows, functionals
 from ultraflow.constants import FlowSpec, Params, beta_roots, gamma_of_beta, two_star
 from ultraflow.counterexamples import (
     conformal_exponent,
@@ -108,6 +108,28 @@ class TestFirstObstruction:
         assert abs(rep["F_initial"]) <= 1e-9
         assert rep["F_increases"]
         assert rep["F_max"] > 1e-6
+
+    def test_rise_of_F_reads_the_trajectory_tolerance(self, monkeypatch):
+        # F_increases and the trajectory's monotonicity flag read one
+        # tolerance, Trajectory.rise_tol: with TOL_MONO set so that it lies
+        # above F's whole rise, neither sees a rise, and below F's largest
+        # step between samples both do
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append(flows.evolve(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(counterexamples, "evolve", recorded)
+        first_obstruction(4.0, 1.0, 0.3)
+        traj = runs[-1]
+        unit = traj.rise_tol() / flows.TOL_MONO
+        rise, step = max(traj.F) - traj.F[0], max(np.diff(traj.F))
+        assert 0.0 < step <= rise
+        for tol_mono, rises in ((2.0 * rise / unit, False), (0.5 * step / unit, True)):
+            monkeypatch.setattr(flows, "TOL_MONO", tol_mono)
+            assert first_obstruction(4.0, 1.0, 0.3)["F_increases"] is rises
+            assert runs[-1].monotone_decreasing_F() is not rises
 
     def test_d3_runs_through_critical_fast_diffusion(self):
         rep = first_obstruction(3.0, 1.0, 0.3)

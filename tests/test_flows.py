@@ -305,6 +305,61 @@ class TestNonlinearFlows:
         # density forms conserve mass structurally
         assert max(abs(c - traj.conserved[0]) for c in traj.conserved) <= 1e-13
 
+    def test_controller_is_scale_free(self, rng, monkeypatch):
+        # the controller reads both of its norms off vectors scaled by the
+        # power of two of the mass coefficient: the m = 1 member, run down the
+        # stepped path, takes the same steps from a datum times 2^600,
+        # whose squares overflow a float, as from the datum, and both land
+        # on the exact heat flow
+        quad = cached_quadrature(5.0, 64)
+        datum = random_positive(quad, rng, modes=6, amplitude=0.4).coeffs
+        imex_step, attempts = flows._imex_step, []
+
+        def counted(*args):
+            attempts[-1] += 1
+            return imex_step(*args)
+
+        for k in (0, 600):
+            state = heat_state(quad, 5.0, 3.0, GridFn.from_coeffs(quad, datum * 2.0**k))
+            exact = np.array(evolve(state, 0.1, samples=5).F)
+            with monkeypatch.context() as patch:
+                patch.setattr(flows, "integrates_exactly", lambda spec: False)
+                patch.setattr(flows, "_imex_step", counted)
+                attempts.append(0)
+                stepped = np.array(evolve(state, 0.1, samples=5).F)
+            assert np.max(np.abs(stepped - exact)) <= 1e-13 * exact[0]
+        assert attempts[0] == attempts[1] > 0
+
+    @pytest.mark.parametrize("k", [600, 830, -30])
+    def test_controller_decisions_are_scale_free(self, k, rng, monkeypatch):
+        # a linear right-hand side G = -2 lam c split with sigma = 1 leaves
+        # ETDRK4 the nonlinear part N = -lam c, whose local-error estimate
+        # limits the steps and scales with the state bit for bit: from the
+        # datum times 2^k the controller must try the same step sizes and
+        # reject the same attempts as from the datum, at 2^830 (about
+        # 7e249) too, where the squares of the coefficients overflow
+        quad = cached_quadrature(5.0, 64)
+        datum = random_positive(quad, rng, modes=6, amplitude=0.4).coeffs
+        imex_step = flows._imex_step
+        monkeypatch.setattr(flows, "integrates_exactly", lambda spec: False)
+        monkeypatch.setattr(flows, "_full_rhs", lambda spec, q, c: (-2.0 * q.eigenvalues * c, 1.0))
+        runs = []
+
+        def recorded(form, spec, q, c, dt):
+            attempts = runs[-1]
+            # a rejected attempt passes the same coefficient array again
+            attempts.append((dt, bool(attempts) and c is attempts[-1][2], c))
+            return imex_step(form, spec, q, c, dt)
+
+        monkeypatch.setattr(flows, "_imex_step", recorded)
+        for scale in (1.0, 2.0**k):
+            runs.append([])
+            state = heat_state(quad, 5.0, 3.0, GridFn.from_coeffs(quad, datum * scale))
+            evolve(state, 0.1, samples=5)
+        ones, scaled = ([(dt, rejected) for dt, rejected, _ in run] for run in runs)
+        assert any(rejected for _, rejected in ones) and len(ones) > 64
+        assert scaled == ones
+
     def test_w_form_rejects_infinite_beta(self, rng):
         quad = cached_quadrature(3.0, 64)
         spec = FlowSpec.nonlinear_from_m(Params(3.0, 6.0), 2.0 / 3.0)
@@ -737,8 +792,8 @@ class TestBlockExtension:
 
 class TestSampleRule:
     """``evolve`` checks, records and fails the samples of every flow: the
-    first column of a stack that is not positive, or on a stepped flow
-    whose conserved quantity drifts past tol_cons, fails at its time, after
+    first column of a stack that is not positive, or whose conserved
+    quantity drifts past TOL_CONS of the datum's, fails at its time, after
     the samples before it are recorded."""
 
     @staticmethod
@@ -747,19 +802,46 @@ class TestSampleRule:
         return make_state(form, FlowSpec(Params(5.0, 3.3), beta), random_positive(
             cached_quadrature(5.0, 64), rng, modes=6, amplitude=0.4))
 
-    def test_drift_fails_at_the_first_drifting_sample(self, rng):
+    @staticmethod
+    def _fails_at_the_first_drifting_sample(state, t_end, monkeypatch):
         # mode 0 carries the mass bit for bit, so the drift is the rounding
-        # of the synthesis alone: a tol_cons below it fails the first
-        # sample whose recorded conserved quantity exceeds it
-        state = self._fde(rng)
-        traj = evolve(state, 0.02)
+        # of the synthesis alone: a TOL_CONS below it, relative to the
+        # datum's conserved quantity, fails the first sample whose recorded
+        # conserved quantity exceeds it
+        traj = evolve(state, t_end)
         drift = np.abs(np.array(traj.conserved) - state.conserved0)
-        tol = drift.max() / 2.0
+        tol = drift.max() / state.conserved0 / 2.0
         assert 0.0 < tol < 1e-15
-        k = int(np.argmax(drift > tol))
+        k = int(np.argmax(drift > tol * state.conserved0))
+        monkeypatch.setattr(flows, "TOL_CONS", tol)
         with pytest.raises(ConservationError) as err:
-            evolve(state, 0.02, tol_cons=tol)
+            evolve(state, t_end)
         assert k > 0 and err.value.t == traj.times[k]
+
+    def test_drift_fails_at_the_first_drifting_sample(self, rng, monkeypatch):
+        self._fails_at_the_first_drifting_sample(self._fde(rng), 0.02, monkeypatch)
+
+    @pytest.mark.parametrize("form", [Form.DENSITY, Form.POINTWISE])
+    def test_the_exact_flow_is_not_exempt(self, form, rng, monkeypatch):
+        # the heat flow keeps c0 to the bit as well, and its drift is
+        # checked against the same relative TOL_CONS
+        state = heat_state(None, 5.0, 3.0, random_positive(
+            cached_quadrature(5.0, 64), rng, modes=6, amplitude=0.4), form)
+        self._fails_at_the_first_drifting_sample(state, 0.5, monkeypatch)
+
+    @pytest.mark.parametrize("form", [Form.DENSITY, Form.POINTWISE])
+    def test_rise_of_F_is_judged_against_the_datums_p_norm(self, form, rng):
+        # rise_tol is TOL_MONO ||u0||_p^2, of degree 2 in u as F is: a
+        # datum whose density is scaled by 2^(3k) (u by 2^k at p = 3) moves
+        # F and the tolerance by 4^k, and keeps the verdict
+        quad, p = cached_quadrature(5.0, 64), 3.0
+        rho = random_positive(quad, rng, modes=6, amplitude=0.4).values
+        u2 = (quad.weights @ rho) ** (2.0 / p)
+        for k in (0, 60, -5):
+            values = rho * 2.0 ** (3 * k) if form is Form.DENSITY else rho ** (1.0 / p) * 2.0**k
+            traj = evolve(heat_state(None, 5.0, p, GridFn.from_values(quad, values), form), 0.5)
+            assert traj.rise_tol() == pytest.approx(flows.TOL_MONO * u2 * 4.0**k, rel=1e-14)
+            assert traj.monotone_decreasing_F()
 
     @pytest.mark.parametrize("negative, error", [(False, ConservationError),
                                                  (True, PositivityLossError)])

@@ -60,6 +60,16 @@ class TestQuotients:
         with pytest.raises(ZeroDivisionError):
             rayleigh_quotient(GridFn.constant(quad, 1.0))
 
+    @pytest.mark.parametrize("d", [2.5, 3.0, 4.0, 7.0])
+    def test_quotient_is_the_descents_quotient(self, d, rng):
+        # one quotient: rayleigh_quotient reads the descent's numerator and
+        # denominator, bitwise the Dirichlet form's reading of the same
+        quad = cached_quadrature(d, 64)
+        lam = quad.eigenvalues
+        for _ in range(50):
+            v = random_band_limited(quad, rng, modes=int(rng.integers(2, 20)))
+            assert rayleigh_quotient(v) == float(lam**2 @ v.coeffs**2 / _dirichlet(quad, v.coeffs))
+
     def test_expanded_square_bound(self, rng):
         # int (L u)^2 - mu int |u'|^2 nu >= mu (int |u'|^2 nu - mu int (u - ubar)^2)
         quad = cached_quadrature(4.0, 64)
